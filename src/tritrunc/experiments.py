@@ -23,7 +23,7 @@ from .kernels import bump_poly, dirichlet_plus
 from .matrices import delta_matrix, singular_values, triangular_projection
 from .multipliers import delta_lower_bound, dirichlet_witness_upper, fejer_riesz_ratio
 from .rng import SplitMix64, derive_seed
-from .trigpoly import TrigPoly, lp_quasinorm, quadrature_floor, riesz_plus
+from .trigpoly import TrigPoly, lp_quasinorm, riesz_plus
 
 __all__ = [
     "DEFAULT_SEED",
@@ -162,11 +162,6 @@ def _timed(fn, *args, **kwargs):
     t0 = time.perf_counter()
     out = fn(*args, **kwargs)
     return out, (time.perf_counter() - t0) * 1e3
-
-
-def _lp(f, p, oversample):
-    n = None if oversample is None else quadrature_floor(f, oversample)
-    return lp_quasinorm(f, p, n)
 
 
 def _krange(cfg, lo, hi):
@@ -331,7 +326,8 @@ def _run_e6(cfg):
     for k, m in grid:
         t0 = time.perf_counter()
         bump = bump_poly(m)
-        val = _lp(riesz_plus(bump), p, cfg.oversample) / _lp(bump, p, cfg.oversample)
+        plus = lp_quasinorm(riesz_plus(bump), p, oversample=cfg.oversample)
+        val = plus / lp_quasinorm(bump, p, oversample=cfg.oversample)
         wall = (time.perf_counter() - t0) * 1e3
         records.append(SeriesRecord(cfg.experiment, p, k, m, 0, "riesz_projection_ratio", val, wall))
         pts.append((m, val))

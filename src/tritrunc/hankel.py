@@ -15,7 +15,7 @@ import numpy as np
 
 from .kernels import apply_window, standard_window
 from .matrices import schatten_quasinorm
-from .trigpoly import TrigPoly, lp_quasinorm, quadrature_floor
+from .trigpoly import TrigPoly, lp_quasinorm
 
 __all__ = [
     "BesovReport",
@@ -26,12 +26,6 @@ __all__ = [
 ]
 
 HARD_TOL = 1e-9  # slack for exact (quadrature-free) inequalities
-
-
-def _lp(f, p, oversample):
-    """L^p quasinorm at the default floor or at an explicit oversampling rate."""
-    n = None if oversample is None else quadrature_floor(f, oversample)
-    return lp_quasinorm(f, p, n)
 
 
 @dataclass(frozen=True)
@@ -87,7 +81,7 @@ def besov_quasinorm(f, p, v=None, oversample=None):
         if piece.is_zero:
             term = 0.0
         else:
-            term = 2.0**n * _lp(piece, p, oversample) ** p
+            term = 2.0**n * lp_quasinorm(piece, p, oversample=oversample) ** p
         levels.append((n, term))
         n += 1
 
@@ -140,7 +134,7 @@ def band_hankel_check(f, p, n=None, tol=HARD_TOL, oversample=None):
         )
     band = TrigPoly(lo_band, f.coefficients_on(lo_band, hi_band))
     ratio = schatten_quasinorm(hankel_matrix(band), p) / (
-        2.0 ** ((n + 1) / p) * _lp(band, p, oversample)
+        2.0 ** ((n + 1) / p) * lp_quasinorm(band, p, oversample=oversample)
     )
     return float(ratio), bool(ratio <= 1.0 + tol)
 
@@ -159,5 +153,5 @@ def polynomial_hankel_sp_bound(f, p, oversample=None):
     _require_analytic(f, "polynomial_hankel_sp_bound")
     m = f.degree + 1
     lhs = schatten_quasinorm(hankel_matrix(f), p)
-    rhs = 2.0 ** (1.0 / p - 1.0) * m ** (1.0 / p) * _lp(f, p, oversample)
+    rhs = 2.0 ** (1.0 / p - 1.0) * m ** (1.0 / p) * lp_quasinorm(f, p, oversample=oversample)
     return float(lhs), float(rhs)

@@ -26,7 +26,7 @@ from .matrices import (
     schur_product,
 )
 from .rng import SplitMix64, derive_seed
-from .trigpoly import lp_quasinorm, quadrature_floor, riesz_plus
+from .trigpoly import lp_quasinorm, riesz_plus
 
 __all__ = [
     "WitnessReport",
@@ -137,8 +137,7 @@ def hankel_multiplier_upper(f, p, oversample=None):
     if not f.is_analytic:
         raise ValueError("hankel_multiplier_upper requires an analytic polynomial")
     m = f.degree + 1
-    n = None if oversample is None else quadrature_floor(f, oversample)
-    return (2.0 * m) ** (1.0 / p - 1.0) * lp_quasinorm(f, p, n)
+    return (2.0 * m) ** (1.0 / p - 1.0) * lp_quasinorm(f, p, oversample=oversample)
 
 
 def double_witness(a, b, p):
@@ -258,9 +257,7 @@ def fejer_riesz_ratio(m, oversample=None):
     """
     k_m = fejer(m)
     plus = riesz_plus(k_m)
-    n_den = None if oversample is None else quadrature_floor(k_m, oversample)
-    n_num = None if oversample is None else quadrature_floor(plus, oversample)
-    return lp_quasinorm(plus, 1.0, n_num) / lp_quasinorm(k_m, 1.0, n_den)
+    return lp_quasinorm(plus, 1.0, oversample=oversample) / lp_quasinorm(k_m, 1.0, oversample=oversample)
 
 
 def dirichlet_witness_upper(k, p, oversample=None):

@@ -4,7 +4,10 @@ A TrigPoly stores the exact coefficient window [lo, hi] with no automatic
 trimming; equality is padding-insensitive.  Evaluation on uniform grids is
 FFT-based and exact (grid aliasing *is* the correct wrap-around of e^{ij th}),
 and the L^p quasinorm for 0 < p < infinity is a midpoint-shifted Riemann sum
-over normalized Lebesgue measure on the circle.
+over normalized Lebesgue measure on the circle.  Its N-point grid is fixed
+by the quadrature floor; the sum over it is evaluated folded, as short
+inverse FFTs of the nonzero coefficient window reduced block by block, so
+its memory is O(block) rather than O(N).
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ __all__ = [
 
 MIN_SAMPLES = 4096
 OVERSAMPLE = 512
+_MIN_FFT = 2**13  # shortest folded row transform
+_BLOCK_SAMPLES = 2**18  # complex samples held at once by lp_quasinorm (4 MiB)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,27 +138,18 @@ class TrigPoly:
         return f"TrigPoly(lo={self.lo}, hi={self.hi}, nnz={int(np.count_nonzero(self.coeffs))})"
 
 
-def _grid_eval(f, n_samples, half_shift):
-    """Values of f at theta_k = 2*pi*(k + half_shift)/N via one inverse FFT."""
-    n = int(n_samples)
-    js = np.arange(f.lo, f.hi + 1)
-    c = f.coeffs
-    if half_shift:
-        c = c * np.exp(1j * np.pi * js / n)
-    z = np.zeros(n, dtype=complex)
-    np.add.at(z, js % n, c)
-    return np.fft.ifft(z) * n
-
-
 def evaluate_on_grid(f, n_samples):
     """Values f(e^{i theta_k}) at theta_k = 2*pi*k/n_samples, k = 0..n_samples-1.
 
     Exact for every n_samples >= 1: coefficients that alias to the same
     residue mod n_samples sum exactly as the point evaluations do.
     """
-    if int(n_samples) < 1:
+    n = int(n_samples)
+    if n < 1:
         raise ValueError("n_samples must be >= 1")
-    return _grid_eval(f, n_samples, half_shift=False)
+    z = np.zeros(n, dtype=complex)
+    np.add.at(z, np.arange(f.lo, f.hi + 1) % n, f.coeffs)
+    return np.fft.ifft(z) * n
 
 
 def quadrature_floor(f, oversample=OVERSAMPLE):
@@ -161,30 +157,73 @@ def quadrature_floor(f, oversample=OVERSAMPLE):
     return max(MIN_SAMPLES, int(oversample) * (f.hi - f.lo + 1))
 
 
-def lp_quasinorm(f, p, n_samples=None):
+def _midpoint_power_sum(c, n, p):
+    """Sum of |sum_t c_t e^{i t theta_k}|^p over theta_k = 2*pi*(k+1/2)/n.
+
+    Four-step split n = rows * m (Bailey 1990): node k = l + rows*j has
+    theta_k = pi*(2l+1)/n + 2*pi*j/m, so row l is the length-m inverse DFT of
+    the twiddled coefficients c_t e^{i pi t (2l+1)/n}, which fit in m because
+    m >= len(c).  Rows are transformed and reduced a block at a time.
+    """
+    s = c.size
+    m = n
+    while m % 2 == 0 and m // 2 >= max(s, _MIN_FFT):
+        m //= 2
+    rows = n // m
+    block = min(rows, max(1, _BLOCK_SAMPLES // m))
+    t = np.arange(s)
+    # row l0 + r of a block: table[r, t] * c_t e^{i pi t (2 l0 + 1)/n}
+    table = np.exp(2j * np.pi * (np.outer(np.arange(block), t) % n) / n)
+    total = 0.0
+    for l0 in range(0, rows, block):
+        r = min(block, rows - l0)
+        twiddled = c * np.exp(1j * np.pi * ((t * (2 * l0 + 1)) % (2 * n)) / n)
+        vals = np.abs(np.fft.ifft(table[:r] * twiddled, n=m, axis=1, norm="forward"))
+        total += float(np.sum(vals**p))
+    return total
+
+
+def lp_quasinorm(f, p, n_samples=None, oversample=None):
     """L^p quasinorm over normalized Lebesgue measure, 0 < p < infinity.
 
     Midpoint-shifted Riemann sum ((1/N) sum |f(e^{i theta_k})|^p)^(1/p) with
     theta_k = 2*pi*(k+1/2)/N; the half-sample shift keeps nodes off the
-    z = 1 zeros of real-coefficient kernels.  Monomials are exact at any
-    admissible grid size; other polynomials converge as N grows.  For p < 1
-    the integrand has square-root cusps at the zeros of f and the midpoint
-    rule converges like N^(-3/2), so oscillatory kernels need heavy
+    z = 1 zeros of real-coefficient kernels.  N is n_samples, or
+    quadrature_floor(f, oversample) when oversample is given, or else the
+    default floor; it may not fall below the default floor.  Monomials are
+    exact at any admissible grid size; other polynomials converge as N grows.
+    For p < 1 the integrand has square-root cusps at the zeros of f and the
+    midpoint rule converges like N^(-3/2), so oscillatory kernels need heavy
     oversampling: the default floor (512 samples per coefficient) keeps the
     doubling error of every kernel family used by the experiments below
     1e-4 relative, measured worst case ~3e-5 on long Dirichlet kernels at
     p = 1/2.
+
+    The grid is the full N-point grid whatever the evaluation route: the
+    sum is folded into inverse FFTs of length M = N/2^a >= max(2^13, nonzero
+    coefficient span), or M = N when N is small or odd, and reduced block by
+    block.  Memory is O(block), about 2^18 complex samples or one row of M,
+    not O(N); every default floor has the factor 2^9 that allows the fold.
     """
     p = float(p)
     if not (p > 0) or not np.isfinite(p):
         raise ValueError(f"exponent p must be a finite positive real, got {p}")
     floor = quadrature_floor(f)
+    if oversample is not None:
+        if n_samples is not None:
+            raise ValueError("give n_samples or oversample, not both")
+        n_samples = quadrature_floor(f, oversample)
     if n_samples is None:
         n_samples = floor
     elif int(n_samples) < floor:
         raise ValueError(f"n_samples={int(n_samples)} is below the quadrature floor; need at least {floor}")
-    vals = np.abs(_grid_eval(f, n_samples, half_shift=True))
-    return float(np.mean(vals**p) ** (1.0 / p))
+    nz = np.flatnonzero(f.coeffs)
+    if nz.size == 0:
+        return 0.0
+    # dropping the unimodular factor z^(lo + nz[0]) leaves |f| unchanged
+    c = f.coeffs[nz[0] : nz[-1] + 1]
+    n = int(n_samples)
+    return float((_midpoint_power_sum(c, n, p) / n) ** (1.0 / p))
 
 
 def riesz_plus(f):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from corpora import endpoint_coefficient_corpus
 from oracles import direct_grid_eval, direct_lp
+import tritrunc.trigpoly as trigpoly
 from tritrunc import (
     SplitMix64,
     TrigPoly,
@@ -179,6 +182,52 @@ def test_lp_matches_direct_summation():
         n = quadrature_floor(f)
         for p in (0.5, 1.0, 2.0):
             assert lp_quasinorm(f, p, n) == pytest.approx(direct_lp(f, p, n), rel=1e-10)
+
+
+def _folded_oracle_cases():
+    from tritrunc import apply_window, dirichlet_plus, fejer
+
+    # stored span 2^k gives N = 2^(k+9): one FFT up to k = 4, folded from k = 5
+    levels = ((3, 3), (4, 4), (4, 3), (5, 5), (5, 4), (8, 8), (8, 6))
+    cases = [(apply_window(dirichlet_plus(2**k + 1), n), None) for k, n in levels]
+    cases.append((fejer(40), None))  # odd span
+    gen = SplitMix64(derive_seed("trig", "folded-band"))
+    cases.append((TrigPoly(33, gen.complex_normal(64)), None))
+    padded = apply_window(dirichlet_plus(2**5 + 1), 5)
+    cases += [(padded, quadrature_floor(padded) + 1), (padded, 2 * quadrature_floor(padded))]
+    return cases
+
+
+@pytest.mark.parametrize("block", [None, 3 * 2**13])
+def test_folded_lp_matches_direct_summation(block, monkeypatch):
+    if block is not None:  # several blocks per call, the last one partial
+        monkeypatch.setattr(trigpoly, "_BLOCK_SAMPLES", block)
+    for f, n in _folded_oracle_cases():
+        n = quadrature_floor(f) if n is None else n
+        for p in (0.5, 1.0, 2.0):
+            assert lp_quasinorm(f, p, n) == pytest.approx(direct_lp(f, p, n), rel=1e-10)
+
+
+def test_folded_lp_memory_is_bounded():
+    from tritrunc import apply_window, dirichlet_plus
+
+    f = apply_window(dirichlet_plus(2**14 + 1), 14)  # N = 2^23: 134 MB as one complex array
+    tracemalloc.start()
+    try:
+        lp_quasinorm(f, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32e6
+
+
+def test_oversample_sets_the_grid():
+    f = TrigPoly(0, np.arange(1.0, 10.0))
+    assert lp_quasinorm(f, 0.5, oversample=1024) == lp_quasinorm(f, 0.5, 1024 * 9)
+    with pytest.raises(ValueError, match="4608"):
+        lp_quasinorm(f, 0.5, oversample=511)
+    with pytest.raises(ValueError, match="not both"):
+        lp_quasinorm(f, 0.5, 1024 * 9, oversample=1024)
 
 
 def test_lp_shift_invariant():
