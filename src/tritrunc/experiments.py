@@ -20,10 +20,10 @@ import numpy as np
 from .fitting import ScalingFit, fit_powerlaw
 from .hankel import band_hankel_check, besov_quasinorm
 from .kernels import bump_poly, dirichlet_plus
-from .matrices import delta_matrix, singular_values, triangular_projection
+from .matrices import delta_matrix, schatten_quasinorm, singular_values, triangular_projection
 from .multipliers import delta_lower_bound, dirichlet_witness_upper, fejer_riesz_ratio
 from .rng import SplitMix64, derive_seed
-from .trigpoly import TrigPoly, lp_quasinorm, riesz_plus
+from .trigpoly import OVERSAMPLE, TrigPoly, lp_quasinorm, riesz_plus
 
 __all__ = [
     "DEFAULT_SEED",
@@ -79,8 +79,10 @@ class ExperimentConfig:
             object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
             if any(n < 1 for n in self.sizes):
                 raise ValueError("sizes must be positive")
-        if self.oversample is not None and int(self.oversample) < 1:
-            raise ValueError("oversample must be >= 1")
+        if self.oversample is not None and int(self.oversample) < OVERSAMPLE:
+            raise ValueError(
+                f"oversample must be >= {OVERSAMPLE}, the quadrature floor of lp_quasinorm; got {self.oversample}"
+            )
         if self.tolerance is not None and not (float(self.tolerance) > 0):
             raise ValueError("tolerance must be positive")
 
@@ -378,8 +380,8 @@ def _run_e8(cfg):
                     t_mat = np.outer(gen.complex_normal(n), gen.complex_normal(n).conj())
                 else:
                     t_mat = gen.complex_matrix(n, n)
-                num = float(np.sum(singular_values(triangular_projection(t_mat)) ** p) ** (1.0 / p))
-                den = float(np.sum(singular_values(t_mat) ** p) ** (1.0 / p))
+                num = schatten_quasinorm(triangular_projection(t_mat), p)
+                den = schatten_quasinorm(t_mat, p)
                 val = num / (scale(n) * den)
                 wall = (time.perf_counter() - t0) * 1e3
                 records.append(

@@ -151,6 +151,13 @@ def test_experiment_config_errors(capsys, tmp_path):
     assert code == 2 and "must not pin" in err
 
 
+def test_experiment_config_below_the_quadrature_floor(capsys, tmp_path):
+    coarse = tmp_path / "coarse.json"
+    coarse.write_text(json.dumps({"oversample": 256}))
+    code, out, err = run_cli(capsys, "experiment", "run", "E6", "--config", str(coarse))
+    assert code == 2 and "oversample must be >= 512" in err and out == ""
+
+
 def test_flags_override_the_config(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"p": 0.5, "kmin": 3, "kmax": 5}))

@@ -42,6 +42,7 @@ def test_config_rejects_unknown_experiment():
         (dict(sizes=(8, 0)), "sizes must be positive"),
         (dict(oversample=0), "oversample"),
         (dict(tolerance=0.0), "tolerance"),
+        (dict(oversample=256), "oversample"),
     ],
 )
 def test_config_field_validation(kwargs, message):

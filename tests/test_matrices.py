@@ -7,11 +7,13 @@ from oracles import chi_spectrum_closed_form, jacobi_singular_values
 from corpora import p_triangle_corpus
 from tritrunc import (
     SplitMix64,
+    TrigPoly,
     block2x2,
     block_diag2,
     chi_matrix,
     delta_matrix,
     derive_seed,
+    hankel_matrix,
     ones_matrix,
     schatten_quasinorm,
     schur_product,
@@ -126,6 +128,49 @@ def test_jacobi_cross_check_small_sizes():
         jacobi = jacobi_singular_values(a)
         scale = max(lapack[0], 1e-30)
         assert np.max(np.abs(lapack - jacobi)) < 1e-8 * scale
+
+
+# --- the symmetric route: real A == A^T goes to the symmetric eigensolver --------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 256, 1024, 2048])
+def test_symmetric_route_mask_matches_closed_form(n):
+    s = singular_values(delta_matrix(n))
+    ref = chi_spectrum_closed_form(n)
+    assert np.all(np.diff(s) <= 0)
+    assert np.max(np.abs(s - ref) / ref) < 1e-12
+
+
+def test_symmetric_route_indefinite_matches_jacobi():
+    gen = SplitMix64(derive_seed("matrices", "symmetric"))
+    for _ in range(40):
+        n = 1 + int(gen.integers(1, 12)[0])
+        g = gen.normal(n * n).reshape(n, n)
+        a = g + g.T
+        lapack = singular_values(a)
+        jacobi = jacobi_singular_values(a)
+        assert np.all(np.diff(lapack) <= 0)
+        assert np.max(np.abs(lapack - jacobi)) < 1e-8 * max(jacobi[0], 1e-30)
+
+
+@pytest.mark.parametrize("p", [0.5, 2.0 / 3.0])
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 100, 512])
+def test_symmetric_route_ones_within_rounding_floor(n, p):
+    # the n - 1 zero eigenvalues come out at rounding level, at most n * eps * n
+    # each, and for p < 1 they add to S_p
+    eps = np.finfo(float).eps
+    slack = (1.0 + (n - 1) * (n * eps) ** p) ** (1.0 / p) - 1.0 + 1e-12
+    got = schatten_quasinorm(ones_matrix(n), p)
+    assert abs(got - n) <= slack * n
+    assert got >= n * (1.0 - 1e-12)
+
+
+def test_nonsymmetric_and_complex_inputs_keep_the_svd():
+    gen = SplitMix64(derive_seed("matrices", "routing"))
+    complex_hankel = hankel_matrix(TrigPoly(0, gen.complex_normal(9)))
+    assert np.iscomplexobj(complex_hankel) and np.array_equal(complex_hankel, complex_hankel.T)
+    for a in (chi_matrix(37), complex_hankel, gen.normal(15).reshape(3, 5)):
+        assert np.array_equal(singular_values(a), np.linalg.svd(a, compute_uv=False))
 
 
 def test_jacobi_cross_check_structured():
