@@ -15,8 +15,7 @@ from .hankel import (
     polynomial_hankel_sp_bound,
 )
 from .kernels import (
-    BumpFunction,
-    SmoothWindow,
+    PointwiseFunction,
     apply_window,
     bump_poly,
     dirichlet_lp_ceiling,
@@ -41,7 +40,6 @@ from .matrices import (
 from .multipliers import (
     WitnessReport,
     band_witness_pair,
-    chi_doubling_decomposition,
     delta_lower_bound,
     double_witness,
     dirichlet_witness_upper,
@@ -55,7 +53,6 @@ from .multipliers import (
 from .rng import SplitMix64, derive_seed
 from .trigpoly import (
     TrigPoly,
-    coefficient,
     evaluate_on_grid,
     lp_quasinorm,
     quadrature_floor,

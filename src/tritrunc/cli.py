@@ -5,7 +5,8 @@ Subcommands:
 * ``spnorm``            Schatten quasinorm of a built-in structured matrix.
 * ``besov``             dyadic-decomposition quasinorm of a Dirichlet kernel.
 * ``multiplier-bound``  certified [lower, upper] multiplier interval for the
-                        anti-triangular mask of size 2^k + 1.
+                        anti-triangular mask of size 2^k + 1, at one level
+                        k or one row per level of a range.
 * ``experiment run ID`` one registered experiment; ``experiment all`` runs
                         every registered experiment and aggregates verdicts.
 
@@ -60,7 +61,10 @@ def build_parser():
     bs.add_argument("--levels", action="store_true", help="also print the per-level terms")
 
     mb = sub.add_parser("multiplier-bound", help="[lower, upper] multiplier bounds for the size-(2^k+1) mask")
-    mb.add_argument("--delta-k", type=int, required=True, metavar="K", help="dyadic level k >= 1")
+    level = mb.add_mutually_exclusive_group(required=True)
+    level.add_argument("--delta-k", type=int, metavar="K", help="dyadic level k >= 1")
+    level.add_argument("--kmin", type=int, metavar="A", help="first level of a range (with --kmax)")
+    mb.add_argument("--kmax", type=int, metavar="B", help="last level of the range")
     mb.add_argument("--p", type=float, required=True, help="exponent in (0, 1]")
     mb.add_argument("--budget", type=int, default=0, help="extra randomized witness-search evaluations")
     mb.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -126,8 +130,6 @@ def _print_result(result):
 
 
 def _cmd_spnorm(args):
-    if args.p <= 0:
-        raise ValueError("--p must be positive")
     if args.chi is not None:
         mat = chi_matrix(args.chi)
     elif args.delta is not None:
@@ -148,19 +150,29 @@ def _cmd_besov(args):
     return 0
 
 
-def _cmd_multiplier_bound(args):
-    k, p = args.delta_k, args.p
-    if k < 1:
-        raise ValueError("--delta-k must be >= 1")
-    lower = delta_lower_bound(k, p).ratio
+def _multiplier_interval(k, args):
+    lower = delta_lower_bound(k, args.p).ratio
     if args.budget > 0:
-        size = witness_embed_size(k)
-        mask = embed(delta_matrix(2**k + 1), size)
-        found = random_witness_search(mask, p, args.budget, args.seed).ratio
-        lower = max(lower, found)
-    upper = dirichlet_witness_upper(k, p)
-    print(f"lower {lower:.17g}")
-    print(f"upper {upper:.17g}")
+        mask = embed(delta_matrix(2**k + 1), witness_embed_size(k))
+        lower = max(lower, random_witness_search(mask, args.p, args.budget, args.seed).ratio)
+    return lower, dirichlet_witness_upper(k, args.p)
+
+
+def _cmd_multiplier_bound(args):
+    if args.delta_k is not None:
+        if args.kmax is not None:
+            raise ValueError("--kmax goes with --kmin, not --delta-k")
+        if args.delta_k < 1:
+            raise ValueError("--delta-k must be >= 1")
+        lower, upper = _multiplier_interval(args.delta_k, args)
+        print(f"lower {lower:.17g}")
+        print(f"upper {upper:.17g}")
+        return 0
+    if args.kmax is None or not 1 <= args.kmin <= args.kmax:
+        raise ValueError("need --kmin A --kmax B with 1 <= A <= B")
+    for k in range(args.kmin, args.kmax + 1):
+        lower, upper = _multiplier_interval(k, args)
+        print(f"level {k} lower {lower:.17g} upper {upper:.17g}")
     return 0
 
 

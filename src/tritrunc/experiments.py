@@ -1,26 +1,29 @@
 """Experiment registry and batch pipeline.
 
 Each experiment probes one quantitative scaling law at desk scale: it sweeps
-a dyadic size grid, measures one quantity per point (seeded deterministically
-per point, so runs are schedule-independent and byte-reproducible), fits a
-power law, and judges the slope against the registered target.  Results are
-emitted as CSV records plus a JSON fit summary.
+a dyadic size grid, measures its quantities per point (seeded per point, so
+runs are schedule-independent), fits a power law, and judges the slope
+against the registered target.  A registry entry declares only what differs
+between experiments; one sweep loop, ``_run``, does the rest.  Results are
+emitted as CSV records plus a JSON fit summary, byte-reproducible at a fixed
+BLAS thread count only (E8's differ in trailing digits between 1 and 2).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import time
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, fields
+from typing import Callable
 
 import numpy as np
 
 from .fitting import ScalingFit, fit_powerlaw
-from .hankel import band_hankel_check, besov_quasinorm
+from .hankel import HARD_TOL, band_hankel_check, besov_quasinorm
 from .kernels import bump_poly, dirichlet_plus
-from .matrices import delta_matrix, schatten_quasinorm, singular_values, triangular_projection
+from .matrices import _check_p, delta_matrix, schatten_quasinorm, singular_values, triangular_projection
 from .multipliers import delta_lower_bound, dirichlet_witness_upper, fejer_riesz_ratio
 from .rng import SplitMix64, derive_seed
 from .trigpoly import OVERSAMPLE, TrigPoly, lp_quasinorm, riesz_plus
@@ -69,8 +72,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENT_IDS:
             raise ValueError(f"unknown experiment id {self.experiment!r}; registered: {', '.join(EXPERIMENT_IDS)}")
-        if self.p is not None and not (float(self.p) > 0):
-            raise ValueError(f"p must be positive, got {self.p}")
+        if self.p is not None:
+            _check_p(self.p)
         if self.kmin is not None and self.kmax is not None and self.kmin > self.kmax:
             raise ValueError(f"kmin={self.kmin} exceeds kmax={self.kmax}")
         if self.samples is not None and int(self.samples) < 1:
@@ -87,7 +90,7 @@ class ExperimentConfig:
             raise ValueError("tolerance must be positive")
 
 
-_CONFIG_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)}
+_CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
 
 
 def config_from_dict(doc, experiment=None):
@@ -160,258 +163,191 @@ class ExperimentResult:
         return all(f.fit.passed for f in self.fits) and all(c.ok for c in self.checks)
 
 
-def _timed(fn, *args, **kwargs):
-    t0 = time.perf_counter()
-    out = fn(*args, **kwargs)
-    return out, (time.perf_counter() - t0) * 1e3
+# --- the registry: what each experiment declares -----------------------------
 
 
-def _krange(cfg, lo, hi):
-    kmin = lo if cfg.kmin is None else int(cfg.kmin)
-    kmax = hi if cfg.kmax is None else int(cfg.kmax)
-    if kmin > kmax:
-        raise ValueError(f"kmin={kmin} exceeds kmax={kmax}")
-    return list(range(kmin, kmax + 1))
+# A hard per-point assertion: fails(k, n, s, values) returns a failure detail or
+# None; summary, with {count} the points checked, is the detail when all pass.
+_Check = namedtuple("_Check", "name fails summary")
 
 
-def _dyadic_sizes(cfg, lo, hi):
-    if cfg.sizes is not None:
-        return [(max(int(n).bit_length() - 1, 0), int(n)) for n in cfg.sizes]
-    return [(k, 2**k) for k in _krange(cfg, lo, hi)]
+@dataclass(frozen=True)
+class _Spec:
+    """One registered experiment; _run owns everything it does not declare.
+
+    measure(cfg, p, k, n, s, memo) returns {quantity: value} for one point;
+    memo is a dict that lives for one run.  The grid is n = 2^k + offset for
+    k in ks unless cfg.sizes replaces it, which an exact grid rejects.  fixed_p
+    ignores cfg.p; samples None is one sample whatever cfg.samples says.  The
+    fit reads the fit_on quantities (default: the first), reduce()d over the
+    point's samples, at x = fit_x(k, n)."""
+
+    name: str
+    blurb: str
+    ks: tuple
+    measure: Callable
+    target: Callable
+    tolerance: float
+    exponents: tuple = (0.5,)
+    fixed_p: bool = False
+    samples: int | None = None
+    fit_on: tuple = ()
+    reduce: Callable = max
+    one_sided: bool = False
+    offset: int = 0
+    exact: bool = False
+    fit_x: Callable = lambda k, n: n
+    check: _Check | None = None
 
 
-def _no_sizes(cfg):
-    if cfg.sizes is not None:
-        raise ValueError(f"{cfg.experiment} is built on an exact dyadic grid; use kmin/kmax, not sizes")
+def _mask_schatten(cfg, p, k, n, s, memo):
+    if n not in memo:  # one decomposition per size serves every exponent
+        memo[n] = singular_values(delta_matrix(n))
+    return {"schatten_quasinorm": float(np.sum(memo[n] ** p) ** (1.0 / p))}
 
 
-# --- experiment runners ----------------------------------------------------
+def _multiplier_interval(cfg, p, k, n, s, memo):
+    ratio = delta_lower_bound(k, p).ratio
+    return {"witness_ratio": ratio, "multiplier_upper": dirichlet_witness_upper(k, p, cfg.oversample)}
 
 
-def _run_delta_schatten(cfg, ps_default, target_fn, tol_default, lo, hi):
-    """Shared sweep for the Schatten-growth experiments (E1, E9)."""
-    ps = [float(cfg.p)] if cfg.p is not None else list(ps_default)
-    grid = _dyadic_sizes(cfg, lo, hi)
-    spectra = {}
-    records, fits = [], []
-    for p in ps:
-        pts = []
-        for k, n in grid:
-            t0 = time.perf_counter()
-            if n not in spectra:
-                spectra[n] = singular_values(delta_matrix(n))
-            val = float(np.sum(spectra[n] ** p) ** (1.0 / p))
-            wall = (time.perf_counter() - t0) * 1e3
-            records.append(SeriesRecord(cfg.experiment, p, k, n, 0, "schatten_quasinorm", val, wall))
-            pts.append((n, val))
-        tol = tol_default if cfg.tolerance is None else float(cfg.tolerance)
-        fits.append(FitRecord(cfg.experiment, p, fit_powerlaw(pts, target_fn(p), tol)))
-    return records, fits, []
+def _ratio_above_upper(k, n, s, v):
+    ratio, upper = v["witness_ratio"], v["multiplier_upper"]
+    if ratio > upper * (1.0 + 1e-4):
+        return f"k={k}: ratio {ratio:.6g} > upper {upper:.6g}"
 
 
-def _run_e1(cfg):
-    return _run_delta_schatten(cfg, (0.5, 2.0 / 3.0), lambda p: 1.0 / p, 0.10, 4, 11)
+def _band_ratio(cfg, p, k, n, s, memo):
+    lo = 2 ** (k - 1) + 1
+    gen = SplitMix64(derive_seed(cfg.experiment, cfg.seed, k, s))
+    band = TrigPoly(lo, gen.complex_normal(2 ** (k + 1) - lo))
+    return {"band_ratio": band_hankel_check(band, p, k, HARD_TOL, cfg.oversample)[0]}
 
 
-def _run_e9(cfg):
-    return _run_delta_schatten(cfg, (2.0, 4.0), lambda p: 1.0, 0.05, 4, 11)
+def _band_ratio_above_one(k, n, s, v):
+    if not v["band_ratio"] <= 1.0 + HARD_TOL:
+        return f"level {k} sample {s}: ratio {v['band_ratio']:.12g} > 1"
 
 
-def _run_e2(cfg):
-    _no_sizes(cfg)
-    p = 0.5 if cfg.p is None else float(cfg.p)
-    ks = _krange(cfg, 4, 9)
-    records, pts, bad = [], [], []
-    for k in ks:
-        n = 2**k + 1
-        rep, wall = _timed(delta_lower_bound, k, p)
-        records.append(SeriesRecord(cfg.experiment, p, k, n, 0, "witness_ratio", rep.ratio, wall))
-        upper, wall_u = _timed(dirichlet_witness_upper, k, p, cfg.oversample)
-        records.append(SeriesRecord(cfg.experiment, p, k, n, 0, "multiplier_upper", upper, wall_u))
-        if rep.ratio > upper * (1.0 + 1e-4):
-            bad.append(f"k={k}: ratio {rep.ratio:.6g} > upper {upper:.6g}")
-        pts.append((2**k, rep.ratio))
-    tol = 0.20 if cfg.tolerance is None else float(cfg.tolerance)
-    fits = [FitRecord(cfg.experiment, p, fit_powerlaw(pts, 1.0 / p - 1.0, tol))]
-    checks = [
-        CheckResult(
-            "witness_ratio_below_analytic_upper",
-            not bad,
-            "; ".join(bad) if bad else f"all {len(ks)} ratios below the analytic upper bound",
-        )
-    ]
-    return records, fits, checks
+def _weak_decay(cfg, p, k, n, s, memo):
+    gen = SplitMix64(derive_seed(cfg.experiment, cfg.seed, n, s))
+    t_mat = gen.complex_matrix(n, n)
+    decay = singular_values(triangular_projection(t_mat))
+    trace_norm = float(np.sum(singular_values(t_mat)))
+    return {"weak_decay_max": float(np.max((1.0 + np.arange(n)) * decay) / trace_norm)}
 
 
-def _run_e3(cfg):
-    _no_sizes(cfg)
-    p = 0.5 if cfg.p is None else float(cfg.p)
-    levels = _krange(cfg, 2, 9)
-    samples = 20 if cfg.samples is None else int(cfg.samples)
-    records, pts, bad = [], [], []
-    for lev in levels:
-        lo = 2 ** (lev - 1) + 1
-        width = 2 ** (lev + 1) - 1 - lo + 1
-        level_min = None
-        for s in range(samples):
-            gen = SplitMix64(derive_seed(cfg.experiment, cfg.seed, lev, s))
-            band = TrigPoly(lo, gen.complex_normal(width))
-            (ratio, ok), wall = _timed(
-                band_hankel_check, band, p, lev, 1e-9, cfg.oversample
-            )
-            records.append(SeriesRecord(cfg.experiment, p, lev, 2**lev, s, "band_ratio", ratio, wall))
-            if not ok:
-                bad.append(f"level {lev} sample {s}: ratio {ratio:.12g} > 1")
-            level_min = ratio if level_min is None else min(level_min, ratio)
-        pts.append((2**lev, level_min))
-    tol = 0.15 if cfg.tolerance is None else float(cfg.tolerance)
-    fits = [FitRecord(cfg.experiment, p, fit_powerlaw(pts, 0.0, tol))]
-    checks = [
-        CheckResult(
-            "band_upper_inequality",
-            not bad,
-            "; ".join(bad) if bad else f"all {len(levels) * samples} ratios <= 1 + 1e-9",
-        )
-    ]
-    return records, fits, checks
+def _fejer_log(cfg, p, k, n, s, memo):
+    ratio = fejer_riesz_ratio(n, cfg.oversample)
+    return {"riesz_ratio": ratio, "normalized_ratio": ratio / np.log1p(n)}
 
 
-def _run_e4(cfg):
-    grid = _dyadic_sizes(cfg, 5, 9)
-    samples = 20 if cfg.samples is None else int(cfg.samples)
-    records, pts = [], []
-    for k, n in grid:
-        worst = 0.0
-        for s in range(samples):
-            t0 = time.perf_counter()
-            gen = SplitMix64(derive_seed(cfg.experiment, cfg.seed, n, s))
+def _riesz_jump(cfg, p, k, n, s, memo):
+    bump = bump_poly(n)
+    plus = lp_quasinorm(riesz_plus(bump), p, oversample=cfg.oversample)
+    return {"riesz_projection_ratio": plus / lp_quasinorm(bump, p, oversample=cfg.oversample)}
+
+
+def _dirichlet_besov(cfg, p, k, n, s, memo):
+    report = besov_quasinorm(dirichlet_plus(n), p, None, cfg.oversample)
+    return {"besov_total": report.total, "top_level_term": dict(report.levels)[k]}
+
+
+def _top_term_below_2k(k, n, s, v):
+    if v["top_level_term"] < 2.0**k * (1.0 - 1e-6):
+        return f"k={k}: top level term {v['top_level_term']:.6g} < {2.0**k * (1 - 1e-6):.6g}"
+
+
+def _projection_ratios(cfg, p, k, n, s, memo):
+    out = {}
+    for fam in ("rank_one", "gaussian"):
+        gen = SplitMix64(derive_seed(cfg.experiment, cfg.seed, fam, n, s))
+        if fam == "rank_one":
+            t_mat = np.outer(gen.complex_normal(n), gen.complex_normal(n).conj())
+        else:
             t_mat = gen.complex_matrix(n, n)
-            decay = singular_values(triangular_projection(t_mat))
-            trace_norm = float(np.sum(singular_values(t_mat)))
-            val = float(np.max((1.0 + np.arange(n)) * decay) / trace_norm)
-            wall = (time.perf_counter() - t0) * 1e3
-            records.append(SeriesRecord(cfg.experiment, 1.0, k, n, s, "weak_decay_max", val, wall))
-            worst = max(worst, val)
-        pts.append((n, worst))
-    tol = 0.10 if cfg.tolerance is None else float(cfg.tolerance)
-    fits = [FitRecord(cfg.experiment, 1.0, fit_powerlaw(pts, 0.0, tol, one_sided=True))]
-    return records, fits, []
-
-
-def _run_e5(cfg):
-    grid = _dyadic_sizes(cfg, 4, 11)
-    records, pts, nonpos = [], [], []
-    for k, m in grid:
-        ratio, wall = _timed(fejer_riesz_ratio, m, cfg.oversample)
-        normalized = ratio / np.log1p(m)
-        records.append(SeriesRecord(cfg.experiment, 1.0, k, m, 0, "riesz_ratio", ratio, wall))
-        records.append(SeriesRecord(cfg.experiment, 1.0, k, m, 0, "normalized_ratio", normalized, 0.0))
-        if not normalized > 0:
-            nonpos.append(f"m={m}")
-        pts.append((m, normalized))
-    tol = 0.10 if cfg.tolerance is None else float(cfg.tolerance)
-    fits = [FitRecord(cfg.experiment, 1.0, fit_powerlaw(pts, 0.0, tol))]
-    checks = [
-        CheckResult(
-            "normalized_ratio_positive",
-            not nonpos,
-            "; ".join(nonpos) if nonpos else "all normalized ratios strictly positive",
-        )
-    ]
-    return records, fits, checks
-
-
-def _run_e6(cfg):
-    p = 0.5 if cfg.p is None else float(cfg.p)
-    grid = _dyadic_sizes(cfg, 3, 10)
-    records, pts = [], []
-    for k, m in grid:
-        t0 = time.perf_counter()
-        bump = bump_poly(m)
-        plus = lp_quasinorm(riesz_plus(bump), p, oversample=cfg.oversample)
-        val = plus / lp_quasinorm(bump, p, oversample=cfg.oversample)
-        wall = (time.perf_counter() - t0) * 1e3
-        records.append(SeriesRecord(cfg.experiment, p, k, m, 0, "riesz_projection_ratio", val, wall))
-        pts.append((m, val))
-    tol = 0.15 if cfg.tolerance is None else float(cfg.tolerance)
-    fits = [FitRecord(cfg.experiment, p, fit_powerlaw(pts, 1.0 / p - 1.0, tol))]
-    return records, fits, []
-
-
-def _run_e7(cfg):
-    _no_sizes(cfg)
-    p = 0.5 if cfg.p is None else float(cfg.p)
-    ks = _krange(cfg, 3, 10)
-    records, pts, bad = [], [], []
-    for k in ks:
-        n = 2**k + 1
-        report, wall = _timed(besov_quasinorm, dirichlet_plus(n), p, None, cfg.oversample)
-        records.append(SeriesRecord(cfg.experiment, p, k, n, 0, "besov_total", report.total, wall))
-        top = dict(report.levels)[k]
-        records.append(SeriesRecord(cfg.experiment, p, k, n, 0, "top_level_term", top, 0.0))
-        if top < 2.0**k * (1.0 - 1e-6):
-            bad.append(f"k={k}: top level term {top:.6g} < {2.0**k * (1 - 1e-6):.6g}")
-        pts.append((n, report.total))
-    tol = 0.10 if cfg.tolerance is None else float(cfg.tolerance)
-    fits = [FitRecord(cfg.experiment, p, fit_powerlaw(pts, 1.0 / p, tol))]
-    checks = [
-        CheckResult(
-            "top_level_term_at_least_2k",
-            not bad,
-            "; ".join(bad) if bad else f"all {len(ks)} top level terms >= 2^k(1-1e-6)",
-        )
-    ]
-    return records, fits, checks
-
-
-def _run_e8(cfg):
-    p = 0.5 if cfg.p is None else float(cfg.p)
-    grid = _dyadic_sizes(cfg, 4, 9)
-    samples = 10 if cfg.samples is None else int(cfg.samples)
-    scale = lambda n: n ** (1.0 / p - 1.0)
-    records, pts = [], []
-    for k, n in grid:
-        worst = 0.0
-        for fam in ("rank_one", "gaussian"):
-            for s in range(samples):
-                t0 = time.perf_counter()
-                gen = SplitMix64(derive_seed(cfg.experiment, cfg.seed, fam, n, s))
-                if fam == "rank_one":
-                    t_mat = np.outer(gen.complex_normal(n), gen.complex_normal(n).conj())
-                else:
-                    t_mat = gen.complex_matrix(n, n)
-                num = schatten_quasinorm(triangular_projection(t_mat), p)
-                den = schatten_quasinorm(t_mat, p)
-                val = num / (scale(n) * den)
-                wall = (time.perf_counter() - t0) * 1e3
-                records.append(
-                    SeriesRecord(cfg.experiment, p, k, n, s, f"projection_ratio_{fam}", val, wall)
-                )
-                worst = max(worst, val)
-        pts.append((n, worst))
-    tol = 0.05 if cfg.tolerance is None else float(cfg.tolerance)
-    fits = [FitRecord(cfg.experiment, p, fit_powerlaw(pts, 0.0, tol, one_sided=True))]
-    return records, fits, []
+        num = schatten_quasinorm(triangular_projection(t_mat), p)
+        out[f"projection_ratio_{fam}"] = num / (n ** (1.0 / p - 1.0) * schatten_quasinorm(t_mat, p))
+    return out
 
 
 _REGISTRY = {
-    "E1": ("delta_schatten", _run_e1, "Schatten growth of the anti-triangular mask, p < 1"),
-    "E2": ("delta_multiplier_lower", _run_e2, "constructive multiplier lower bounds vs analytic uppers"),
-    "E3": ("band_hankel", _run_e3, "two-sided dyadic band estimate for Hankel matrices"),
-    "E4": ("weak_type", _run_e4, "weak-type decay of triangular truncation on trace-class inputs"),
-    "E5": ("fejer_log", _run_e5, "logarithmic growth of the analytic Fejér half at p = 1"),
-    "E6": ("riesz_jump", _run_e6, "Riesz projection jump on bump polynomials, p < 1"),
-    "E7": ("dirichlet_besov", _run_e7, "dyadic-decomposition quasinorm growth of Dirichlet kernels"),
-    "E8": ("projection_sp_bound", _run_e8, "normalized triangular-projection ratios stay bounded"),
-    "E9": ("delta_schatten_p_gt_1", _run_e9, "linear Schatten growth of the mask for p > 1"),
+    "E1": _Spec("delta_schatten", "Schatten growth of the anti-triangular mask, p < 1", (4, 11),
+                _mask_schatten, lambda p: 1.0 / p, 0.10, exponents=(0.5, 2.0 / 3.0)),
+    "E2": _Spec("delta_multiplier_lower", "constructive multiplier lower bounds vs analytic uppers", (4, 9),
+                _multiplier_interval, lambda p: 1.0 / p - 1.0, 0.20, offset=1, exact=True, fit_x=lambda k, n: 2**k,
+                check=_Check("witness_ratio_below_analytic_upper", _ratio_above_upper,
+                             "all {count} ratios below the analytic upper bound")),
+    "E3": _Spec("band_hankel", "two-sided dyadic band estimate for Hankel matrices", (2, 9),
+                _band_ratio, lambda p: 0.0, 0.15, samples=20, reduce=min, exact=True,
+                check=_Check("band_upper_inequality", _band_ratio_above_one, "all {count} ratios <= 1 + 1e-9")),
+    "E4": _Spec("weak_type", "weak-type decay of triangular truncation on trace-class inputs", (5, 9),
+                _weak_decay, lambda p: 0.0, 0.10, exponents=(1.0,), fixed_p=True, samples=20, one_sided=True),
+    "E5": _Spec("fejer_log", "logarithmic growth of the analytic Fejér half at p = 1", (4, 11),
+                _fejer_log, lambda p: 0.0, 0.10, exponents=(1.0,), fixed_p=True, fit_on=("normalized_ratio",),
+                check=_Check("normalized_ratio_positive",
+                             lambda k, n, s, v: None if v["normalized_ratio"] > 0 else f"m={n}",
+                             "all normalized ratios strictly positive")),
+    "E6": _Spec("riesz_jump", "Riesz projection jump on bump polynomials, p < 1", (3, 10),
+                _riesz_jump, lambda p: 1.0 / p - 1.0, 0.15),
+    "E7": _Spec("dirichlet_besov", "dyadic-decomposition quasinorm growth of Dirichlet kernels", (3, 10),
+                _dirichlet_besov, lambda p: 1.0 / p, 0.10, offset=1, exact=True,
+                check=_Check("top_level_term_at_least_2k", _top_term_below_2k,
+                             "all {count} top level terms >= 2^k(1-1e-6)")),
+    "E8": _Spec("projection_sp_bound", "normalized triangular-projection ratios stay bounded", (4, 9),
+                _projection_ratios, lambda p: 0.0, 0.05, samples=10, one_sided=True,
+                fit_on=("projection_ratio_rank_one", "projection_ratio_gaussian")),
+    "E9": _Spec("delta_schatten_p_gt_1", "linear Schatten growth of the mask for p > 1", (4, 11),
+                _mask_schatten, lambda p: 1.0, 0.05, exponents=(2.0, 4.0)),
 }
 
 EXPERIMENT_IDS = tuple(_REGISTRY)
 
 
 def experiment_description(experiment):
-    name, _, blurb = _REGISTRY[experiment]
-    return f"{name}: {blurb}"
+    spec = _REGISTRY[experiment]
+    return f"{spec.name}: {spec.blurb}"
+
+
+def _run(cfg, spec):
+    """The one sweep loop: resolve cfg against the spec, measure and time
+    every point, then fit and judge.  Returns (records, fits, checks)."""
+    if cfg.sizes is None:
+        kmin = spec.ks[0] if cfg.kmin is None else int(cfg.kmin)
+        kmax = spec.ks[1] if cfg.kmax is None else int(cfg.kmax)
+        if kmin > kmax:
+            raise ValueError(f"kmin={kmin} exceeds kmax={kmax}")
+        grid = [(k, 2**k + spec.offset) for k in range(kmin, kmax + 1)]
+    elif spec.exact:
+        raise ValueError(f"{cfg.experiment} is built on an exact dyadic grid; use kmin/kmax, not sizes")
+    else:
+        grid = [(max(n.bit_length() - 1, 0), n) for n in cfg.sizes]
+    ps = spec.exponents if spec.fixed_p or cfg.p is None else (float(cfg.p),)
+    samples = 1 if spec.samples is None else (spec.samples if cfg.samples is None else int(cfg.samples))
+    tol = spec.tolerance if cfg.tolerance is None else float(cfg.tolerance)
+    memo, records, fits, details = {}, [], [], []
+    for p in ps:
+        pts = []
+        for k, n in grid:
+            fit_vals = []
+            for s in range(samples):
+                t0 = time.perf_counter()
+                values = spec.measure(cfg, p, k, n, s, memo)
+                wall = (time.perf_counter() - t0) * 1e3
+                for quantity, value in values.items():
+                    records.append(SeriesRecord(cfg.experiment, p, k, n, s, quantity, value, wall))
+                    wall = 0.0  # the point's whole time sits on its first quantity's row
+                fit_vals += [values[q] for q in spec.fit_on or list(values)[:1]]
+                if spec.check is not None:
+                    details.append(spec.check.fails(k, n, s, values))
+            pts.append((spec.fit_x(k, n), spec.reduce(fit_vals)))
+        fit = fit_powerlaw(pts, spec.target(p), tol, one_sided=spec.one_sided)
+        fits.append(FitRecord(cfg.experiment, p, fit))
+    if spec.check is None:
+        return records, fits, []
+    bad = [d for d in details if d is not None]
+    detail = "; ".join(bad) if bad else spec.check.summary.format(count=len(details))
+    return records, fits, [CheckResult(spec.check.name, not bad, detail)]
 
 
 def _record_sort_key(r):
@@ -434,8 +370,7 @@ def run_experiment(cfg):
         if not os.access(parent, os.W_OK):
             raise ValueError(f"output directory is not writable: {parent}")
 
-    runner = _REGISTRY[cfg.experiment][1]
-    records, fits, checks = runner(cfg)
+    records, fits, checks = _run(cfg, _REGISTRY[cfg.experiment])
     result = ExperimentResult(
         config=cfg,
         records=tuple(sorted(records, key=_record_sort_key)),
@@ -455,7 +390,9 @@ def _g17(x):
 
 
 def write_records_csv(path, records):
-    """CSV with 17-significant-digit values; wall_ms is informational only."""
+    """CSV with 17-significant-digit values.  wall_ms is informational only: a
+    point's whole measure time sits on its first quantity's row, and its other
+    rows (derived values, E2's upper end, E8's second family) read 0.0."""
     lines = [CSV_HEADER]
     for r in records:
         lines.append(

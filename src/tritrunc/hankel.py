@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import apply_window, standard_window
-from .matrices import schatten_quasinorm
+from .matrices import _check_p, schatten_quasinorm
 from .trigpoly import TrigPoly, lp_quasinorm
 
 __all__ = [
@@ -67,9 +67,7 @@ def besov_quasinorm(f, p, v=None, oversample=None):
     the coefficients — plus the |phi^(0)|^p augmentation, and reports the
     1/p-th root.
     """
-    p = float(p)
-    if not (p > 0) or not np.isfinite(p):
-        raise ValueError(f"exponent p must be a finite positive real, got {p}")
+    p = _check_p(p)
     _require_analytic(f, "besov_quasinorm")
     if v is None:
         v = standard_window()
@@ -114,9 +112,7 @@ def band_hankel_check(f, p, n=None, tol=HARD_TOL, oversample=None):
     fits under the support (a bare monomial z^m then lands in the band whose
     open left end is m - 1 rounded down to a power of two).
     """
-    p = float(p)
-    if not (p > 0) or not np.isfinite(p):
-        raise ValueError(f"exponent p must be a finite positive real, got {p}")
+    p = _check_p(p)
     _require_analytic(f, "band_hankel_check")
     if n is None:
         n = _infer_band(f)
@@ -147,8 +143,8 @@ def polynomial_hankel_sp_bound(f, p, oversample=None):
     (lhs, rhs) = (||Gamma_phi||_{S_p}, that bound) so callers can assert
     lhs <= rhs with their preferred slack.
     """
-    p = float(p)
-    if not (0 < p <= 1):
+    p = _check_p(p)
+    if p > 1:
         raise ValueError(f"p must lie in (0, 1], got {p}")
     _require_analytic(f, "polynomial_hankel_sp_bound")
     m = f.degree + 1

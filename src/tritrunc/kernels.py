@@ -24,11 +24,11 @@ from typing import Callable
 
 import numpy as np
 
+from .matrices import _check_p
 from .trigpoly import TrigPoly
 
 __all__ = [
-    "BumpFunction",
-    "SmoothWindow",
+    "PointwiseFunction",
     "standard_bump",
     "standard_window",
     "dirichlet_plus",
@@ -41,28 +41,18 @@ __all__ = [
 ]
 
 
-class _PointwiseFunction:
-    """Callable wrapper: the evaluator sees a 1-D float array, callers may
-    pass scalars or arrays of any shape and get the same shape back."""
+@dataclass(frozen=True)
+class PointwiseFunction:
+    """A bump or a window made callable pointwise: the evaluator sees a 1-D
+    float array; a scalar argument gives a float, an array of any shape an
+    array of that shape."""
+
+    evaluator: Callable[[np.ndarray], np.ndarray]
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         out = np.asarray(self.evaluator(np.atleast_1d(x).ravel()))
         return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
-
-
-@dataclass(frozen=True)
-class BumpFunction(_PointwiseFunction):
-    """Even bump: positive on (-1, 1), zero outside, value 1 at the origin."""
-
-    evaluator: Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
-class SmoothWindow(_PointwiseFunction):
-    """Dyadic cutoff: supported on [1/2, 2], nonnegative, dilates sum to 1."""
-
-    evaluator: Callable[[np.ndarray], np.ndarray]
 
 
 def _sigma(s):
@@ -91,7 +81,7 @@ def standard_bump():
         out[inside] = np.exp(1.0 - 1.0 / (1.0 - ti * ti))
         return out
 
-    return BumpFunction(_q)
+    return PointwiseFunction(_q)
 
 
 def standard_window():
@@ -108,7 +98,7 @@ def standard_window():
         out[pos] = _smooth_step(s + 1.0) - _smooth_step(s)
         return out
 
-    return SmoothWindow(_v)
+    return PointwiseFunction(_v)
 
 
 def dirichlet_plus(n):
@@ -199,8 +189,8 @@ def resolvent_hp_norm(p, rtol=1e-8):
     p = 1/2 and ~1e-3 at p = 3/4.  The omission only lowers the value, so
     every ceiling derived from it errs on the strict side.
     """
-    p = float(p)
-    if not (0 < p < 1):
+    p = _check_p(p)
+    if p >= 1:
         raise ValueError(f"p must lie in (0, 1), got {p}")
 
     a, b = (2.0**-40) * np.pi, np.pi

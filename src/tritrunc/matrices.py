@@ -30,9 +30,10 @@ def _as_matrix(a, name="matrix"):
 
 
 def _check_p(p):
+    """The one exponent validator: p as a float, or ValueError unless 0 < p < inf."""
     p = float(p)
     if not (p > 0) or not np.isfinite(p):
-        raise ValueError(f"exponent p must be a finite positive real, got {p}")
+        raise ValueError(f"exponent p must be positive and finite, got {p}")
     return p
 
 

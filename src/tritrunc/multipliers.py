@@ -16,15 +16,7 @@ import numpy as np
 
 from .hankel import hankel_matrix
 from .kernels import bump_poly, dirichlet_plus, fejer, standard_bump
-from .matrices import (
-    block2x2,
-    block_diag2,
-    chi_matrix,
-    delta_matrix,
-    ones_matrix,
-    schatten_quasinorm,
-    schur_product,
-)
+from .matrices import _check_p, block2x2, block_diag2, delta_matrix, schatten_quasinorm, schur_product
 from .rng import SplitMix64, derive_seed
 from .trigpoly import lp_quasinorm, riesz_plus
 
@@ -36,7 +28,6 @@ __all__ = [
     "delta_lower_bound",
     "hankel_multiplier_upper",
     "double_witness",
-    "chi_doubling_decomposition",
     "random_witness_search",
     "fejer_riesz_ratio",
     "dirichlet_witness_upper",
@@ -131,8 +122,8 @@ def hankel_multiplier_upper(f, p, oversample=None):
     against the Hankel matrix of phi must stay below it (up to quadrature
     slack in the L^p factor).
     """
-    p = float(p)
-    if not (0 < p <= 1):
+    p = _check_p(p)
+    if p > 1:
         raise ValueError(f"p must lie in (0, 1], got {p}")
     if not f.is_analytic:
         raise ValueError("hankel_multiplier_upper requires an analytic polynomial")
@@ -151,21 +142,6 @@ def double_witness(a, b, p):
     base = witness_ratio(np.asarray(a), np.asarray(b), p)
     doubled = witness_ratio(block_diag2(a), block2x2(b, b, b, b), p)
     return base, doubled
-
-
-def chi_doubling_decomposition(n):
-    """Check the block anatomy of the doubled triangular mask, entrywise.
-
-    Verifies chi_{2n} = [[chi_n, ones_n], [0, chi_n]] and the exact split
-    chi_{2n} = diag(chi_n, chi_n) + the all-ones top-right corner.
-    """
-    n = int(n)
-    chi_n = chi_matrix(n)
-    chi_2n = chi_matrix(2 * n)
-    assembled = block2x2(chi_n, ones_matrix(n), 0, chi_n)
-    corner = block2x2(np.zeros((n, n)), ones_matrix(n), 0, np.zeros((n, n)))
-    split = block_diag2(chi_n) + corner
-    return bool(np.array_equal(chi_2n, assembled) and np.array_equal(chi_2n, split))
 
 
 def _delta_pattern_size(a):

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .matrices import _check_p
+
 __all__ = [
     "TrigPoly",
     "evaluate_on_grid",
@@ -23,7 +25,6 @@ __all__ = [
     "quadrature_floor",
     "riesz_plus",
     "riesz_minus",
-    "coefficient",
 ]
 
 MIN_SAMPLES = 4096
@@ -205,9 +206,7 @@ def lp_quasinorm(f, p, n_samples=None, oversample=None):
     block.  Memory is O(block), about 2^18 complex samples or one row of M,
     not O(N); every default floor has the factor 2^9 that allows the fold.
     """
-    p = float(p)
-    if not (p > 0) or not np.isfinite(p):
-        raise ValueError(f"exponent p must be a finite positive real, got {p}")
+    p = _check_p(p)
     floor = quadrature_floor(f)
     if oversample is not None:
         if n_samples is not None:
@@ -242,8 +241,3 @@ def riesz_minus(f):
     if f.lo >= 0:
         return TrigPoly(-1, [0])
     return TrigPoly(f.lo, f.coeffs[: -f.lo])
-
-
-def coefficient(f, j):
-    """The j-th Fourier coefficient of f (0 outside the stored window)."""
-    return f.coefficient(j)

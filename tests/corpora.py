@@ -1,16 +1,21 @@
 """Seeded randomized corpora shared by the property suites and the acceptance
 gate.  Each runner returns (violations, instances, worst) where worst is the
-largest lhs/rhs margin seen — 1.0 is the boundary."""
+largest lhs/rhs margin seen — 1.0 is the boundary.  The exact block identity
+of the doubled triangular mask, shared the same way, sits here too."""
 
 import numpy as np
 
 from tritrunc import (
     SplitMix64,
     TrigPoly,
+    block2x2,
+    block_diag2,
+    chi_matrix,
     derive_seed,
     hankel_matrix,
     hankel_multiplier_upper,
     lp_quasinorm,
+    ones_matrix,
     polynomial_hankel_sp_bound,
     schatten_quasinorm,
     witness_ratio,
@@ -89,3 +94,18 @@ def multiplier_upper_corpus(instances=200):
         upper = hankel_multiplier_upper(f, p)
         worst = max(worst, _record(violations, f"#{i} p={p:.4f} deg={span - 1}", rep.ratio, upper, 1e-4))
     return violations, instances, worst
+
+
+def chi_doubling_decomposition(n):
+    """Check the block anatomy of the doubled triangular mask, entrywise.
+
+    Verifies chi_{2n} = [[chi_n, ones_n], [0, chi_n]] and the exact split
+    chi_{2n} = diag(chi_n, chi_n) + the all-ones top-right corner.
+    """
+    n = int(n)
+    chi_n = chi_matrix(n)
+    chi_2n = chi_matrix(2 * n)
+    assembled = block2x2(chi_n, ones_matrix(n), 0, chi_n)
+    corner = block2x2(np.zeros((n, n)), ones_matrix(n), 0, np.zeros((n, n)))
+    split = block_diag2(chi_n) + corner
+    return bool(np.array_equal(chi_2n, assembled) and np.array_equal(chi_2n, split))

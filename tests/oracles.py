@@ -14,19 +14,17 @@ _MASK64 = (1 << 64) - 1
 def jacobi_singular_values(a, tol=1e-14, max_sweeps=60):
     """Singular values via one-sided Jacobi on the columns of a working copy.
 
-    Rotation pairs are processed cyclically until every off-diagonal Gram
-    entry falls below tol * ||A||_F^2 (sweep cap 60).  High relative accuracy
-    on small singular values, which is what makes it a fair referee for
-    quasinorms with p < 1.
+    Rotation pairs are processed cyclically until every pair of columns x, y
+    is orthogonal to working precision relative to its own norms,
+    |<x, y>| <= tol * ||x|| ||y|| (Demmel & Veselic 1992; sweep cap 60).  The
+    relative test also rotates apart columns whose norms sit far below
+    ||A||, which is what gives high relative accuracy on small singular
+    values and makes it a fair referee for quasinorms with p < 1.
     """
     w = np.array(a, dtype=complex)
     if w.shape[0] < w.shape[1]:
         w = w.conj().T.copy()
     n = w.shape[1]
-    fro2 = float(np.sum(np.abs(w) ** 2))
-    if fro2 == 0.0:
-        return np.zeros(n)
-    thresh = tol * fro2
     for _ in range(max_sweeps):
         rotated = False
         for i in range(n - 1):
@@ -34,11 +32,11 @@ def jacobi_singular_values(a, tol=1e-14, max_sweeps=60):
                 x = w[:, i].copy()  # copies: the rotation writes both columns
                 y = w[:, j].copy()
                 gamma = np.vdot(x, y)
-                if abs(gamma) <= thresh:
-                    continue
-                rotated = True
                 alpha = np.vdot(x, x).real
                 beta = np.vdot(y, y).real
+                if abs(gamma) <= tol * np.sqrt(alpha * beta):
+                    continue
+                rotated = True
                 phase = gamma / abs(gamma)
                 yp = y * np.conj(phase)  # now <x, yp> = |gamma| is real
                 tau = (beta - alpha) / (2.0 * abs(gamma))

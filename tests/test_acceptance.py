@@ -19,7 +19,6 @@ import pytest
 
 from tritrunc import (
     ExperimentConfig,
-    chi_doubling_decomposition,
     chi_matrix,
     delta_matrix,
     dirichlet_plus,
@@ -33,6 +32,7 @@ from tritrunc.fitting import ScalingFit, fit_powerlaw
 from tritrunc.rng import SplitMix64, derive_seed
 
 from corpora import (
+    chi_doubling_decomposition,
     endpoint_coefficient_corpus,
     hankel_degree_bound_corpus,
     multiplier_upper_corpus,

@@ -104,6 +104,20 @@ def test_multiplier_bound_search_is_deterministic(capsys):
     assert first == second and first[0] == 0
 
 
+def test_multiplier_bound_over_a_range_of_levels(capsys):
+    code, out, _ = run_cli(capsys, "multiplier-bound", "--kmin", "2", "--kmax", "4", "--p", "0.5")
+    assert code == 0
+    rows = [line.split() for line in out.splitlines()]
+    assert [row[:2] + row[2::2] for row in rows] == [["level", str(k), "lower", "upper"] for k in (2, 3, 4)]
+    for row in rows:  # each row is the single-level interval, digit for digit
+        single = run_cli(capsys, "multiplier-bound", "--delta-k", row[1], "--p", "0.5")[1]
+        assert single == f"lower {row[3]}\nupper {row[5]}\n"
+    for argv in (["--kmin", "3"], ["--kmin", "4", "--kmax", "3"], ["--kmin", "0", "--kmax", "2"],
+                 ["--delta-k", "3", "--kmax", "4"], ["--delta-k", "3", "--kmin", "2", "--kmax", "3"]):
+        code, out, err = run_cli(capsys, "multiplier-bound", *argv, "--p", "0.5")
+        assert code == 2 and out == "" and "error" in err
+
+
 def test_multiplier_bound_rejects_k_zero(capsys):
     code, _, err = run_cli(capsys, "multiplier-bound", "--delta-k", "0", "--p", "0.5")
     assert code == 2 and "error:" in err

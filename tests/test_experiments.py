@@ -167,6 +167,39 @@ def test_tolerance_override_can_flip_the_verdict():
     assert not result.verdict
 
 
+# id -> (quantities in measure order, p column, check names); sampled ids draw
+# cfg.samples per point, the others one
+REGISTRY_SHAPE = {
+    "E1": (["schatten_quasinorm"], [0.5, 2.0 / 3.0], []),
+    "E2": (["witness_ratio", "multiplier_upper"], [0.5], ["witness_ratio_below_analytic_upper"]),
+    "E3": (["band_ratio"], [0.5], ["band_upper_inequality"]),
+    "E4": (["weak_decay_max"], [1.0], []),
+    "E5": (["riesz_ratio", "normalized_ratio"], [1.0], ["normalized_ratio_positive"]),
+    "E6": (["riesz_projection_ratio"], [0.5], []),
+    "E7": (["besov_total", "top_level_term"], [0.5], ["top_level_term_at_least_2k"]),
+    "E8": (["projection_ratio_rank_one", "projection_ratio_gaussian"], [0.5], []),
+    "E9": (["schatten_quasinorm"], [2.0, 4.0], []),
+}
+SAMPLED = {"E3", "E4", "E8"}
+
+
+@pytest.mark.parametrize("exp", EXPERIMENT_IDS)
+def test_registry_smoke(exp):
+    quantities, ps, check_names = REGISTRY_SHAPE[exp]
+    result = run_experiment(ExperimentConfig(exp, kmin=2, kmax=4, samples=2))
+    records = result.records
+    samples = 2 if exp in SAMPLED else 1
+    assert len(records) == len(ps) * 3 * samples * len(quantities)
+    assert {r.quantity for r in records} == set(quantities)
+    assert sorted({r.p for r in records}) == ps == [fr.p for fr in result.fits]
+    assert {(r.k, r.sample) for r in records} == {(k, s) for k in (2, 3, 4) for s in range(samples)}
+    assert [c.name for c in result.checks] == check_names
+    keys = [(r.experiment, r.p, r.k, r.n, r.quantity, r.sample) for r in records]
+    assert keys == sorted(keys)
+    # a point's whole measure time sits on its first quantity's row
+    assert all(r.wall_ms == 0.0 for r in records if r.quantity in quantities[1:])
+
+
 def test_e7_small_run_mechanics():
     result = run_experiment(ExperimentConfig("E7", kmin=3, kmax=5))
     quantities = {r.quantity for r in result.records}

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from tritrunc import (
     block2x2,
     block_diag2,
     chi_matrix,
+    delta_lower_bound,
     delta_matrix,
     derive_seed,
     hankel_matrix,
@@ -177,6 +179,19 @@ def test_jacobi_cross_check_structured():
     for n in (2, 5, 16):
         ref = chi_spectrum_closed_form(n)
         assert np.max(np.abs(jacobi_singular_values(chi_matrix(n)) - ref) / ref) < 1e-10
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_jacobi_referee_at_p_below_one(k):
+    # E2's witness (25x25 at k = 4, 49x49 at k = 5) has columns far below its
+    # Frobenius norm; a stopping test relative to ||A||_F^2 leaves them
+    # unrotated, and its S_{1/2} was 1.7e-7 and 5.0e-6 off the 40-digit value
+    b = delta_lower_bound(k, 0.5).witness
+    with mpmath.workdps(40):
+        eigs = mpmath.eigsy(mpmath.matrix(b.tolist()), eigvals_only=True)
+        ref = float(mpmath.fsum(mpmath.sqrt(abs(e)) for e in eigs) ** 2)
+    got = float(np.sum(np.sqrt(jacobi_singular_values(b))) ** 2)
+    assert got == pytest.approx(ref, rel=1e-10)
 
 
 def test_p_triangle_corpus():

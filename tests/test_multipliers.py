@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from corpora import chi_doubling_decomposition
 from tritrunc import (
     band_witness_pair,
     chi_matrix,
-    chi_doubling_decomposition,
     delta_lower_bound,
     delta_matrix,
     dirichlet_plus,

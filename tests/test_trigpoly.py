@@ -11,7 +11,6 @@ import tritrunc.trigpoly as trigpoly
 from tritrunc import (
     SplitMix64,
     TrigPoly,
-    coefficient,
     derive_seed,
     evaluate_on_grid,
     lp_quasinorm,
@@ -35,7 +34,7 @@ def test_window_properties():
     assert (f.lo, f.hi, f.degree) == (-2, 2, 2)
     assert f.coefficient(0) == 3
     assert f.coefficient(99) == 0
-    assert coefficient(f, -2) == 1
+    assert f.coefficient(-2) == 1
 
 
 def test_coefficients_on_pads_with_zeros():
