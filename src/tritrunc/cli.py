@@ -159,6 +159,8 @@ def _multiplier_interval(k, args):
 
 
 def _cmd_multiplier_bound(args):
+    if args.budget < 0:
+        raise ValueError("--budget must be >= 0")
     if args.delta_k is not None:
         if args.kmax is not None:
             raise ValueError("--kmax goes with --kmin, not --delta-k")
@@ -186,12 +188,15 @@ def _cmd_experiment(args):
     doc = _load_config_doc(args.config) if args.config else {}
     if "experiment" in doc:
         raise ValueError("a config used with 'experiment all' must not pin one experiment id")
+    # every config is resolved before any experiment runs or any file is made
+    cfgs = [
+        _merged_config(args, exp_id, out=None if args.out is None else os.path.join(args.out, f"{exp_id}.csv"))
+        for exp_id in EXPERIMENT_IDS
+    ]
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
     ok = True
-    for exp_id in EXPERIMENT_IDS:
-        out = os.path.join(args.out, f"{exp_id}.csv") if args.out is not None else None
-        cfg = _merged_config(args, exp_id, out=out)
+    for cfg in cfgs:
         result = run_experiment(cfg)
         _print_result(result)
         ok = ok and result.verdict

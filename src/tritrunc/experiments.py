@@ -26,7 +26,7 @@ from .kernels import bump_poly, dirichlet_plus
 from .matrices import _check_p, delta_matrix, schatten_quasinorm, singular_values, triangular_projection
 from .multipliers import delta_lower_bound, dirichlet_witness_upper, fejer_riesz_ratio
 from .rng import SplitMix64, derive_seed
-from .trigpoly import OVERSAMPLE, TrigPoly, lp_quasinorm, riesz_plus
+from .trigpoly import TrigPoly, lp_quasinorm, riesz_plus
 
 __all__ = [
     "DEFAULT_SEED",
@@ -52,42 +52,34 @@ CSV_HEADER = "experiment,p,k,n,sample,quantity,value,wall_ms"
 class ExperimentConfig:
     """One batch run: which experiment, at which exponent, over which grid.
 
-    Omitted fields fall back to the experiment's registered defaults.  sizes
-    replaces the dyadic kmin..kmax grid for the size-sweep experiments;
-    tolerance overrides the registered slope tolerance (the default values
-    are judgment calls, so they are configurable).
+    Omitted fields fall back to the experiment's registered defaults.  A
+    field the experiment does not use is rejected rather than ignored: p on
+    the fixed-exponent experiments, samples on the single-sample ones.
     """
 
     experiment: str
     p: float | None = None
     kmin: int | None = None
     kmax: int | None = None
-    sizes: tuple | None = None
     samples: int | None = None
     seed: int = DEFAULT_SEED
-    oversample: int | None = None
     out: str | None = None
-    tolerance: float | None = None
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENT_IDS:
             raise ValueError(f"unknown experiment id {self.experiment!r}; registered: {', '.join(EXPERIMENT_IDS)}")
+        spec = _REGISTRY[self.experiment]
         if self.p is not None:
+            if spec.fixed_p:
+                raise ValueError(f"{self.experiment} runs at fixed p; the field p does not apply")
             _check_p(self.p)
         if self.kmin is not None and self.kmax is not None and self.kmin > self.kmax:
             raise ValueError(f"kmin={self.kmin} exceeds kmax={self.kmax}")
-        if self.samples is not None and int(self.samples) < 1:
-            raise ValueError("samples must be >= 1")
-        if self.sizes is not None:
-            object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
-            if any(n < 1 for n in self.sizes):
-                raise ValueError("sizes must be positive")
-        if self.oversample is not None and int(self.oversample) < OVERSAMPLE:
-            raise ValueError(
-                f"oversample must be >= {OVERSAMPLE}, the quadrature floor of lp_quasinorm; got {self.oversample}"
-            )
-        if self.tolerance is not None and not (float(self.tolerance) > 0):
-            raise ValueError("tolerance must be positive")
+        if self.samples is not None:
+            if spec.samples is None:
+                raise ValueError(f"{self.experiment} takes one sample per point; the field samples does not apply")
+            if int(self.samples) < 1:
+                raise ValueError("samples must be >= 1")
 
 
 _CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
@@ -177,10 +169,10 @@ class _Spec:
 
     measure(cfg, p, k, n, s, memo) returns {quantity: value} for one point;
     memo is a dict that lives for one run.  The grid is n = 2^k + offset for
-    k in ks unless cfg.sizes replaces it, which an exact grid rejects.  fixed_p
-    ignores cfg.p; samples None is one sample whatever cfg.samples says.  The
-    fit reads the fit_on quantities (default: the first), reduce()d over the
-    point's samples, at x = fit_x(k, n)."""
+    k in ks.  fixed_p makes the config reject p; samples None is one sample
+    per point and makes it reject samples.  The fit reads the fit_on
+    quantities (default: the first), reduce()d over the point's samples, at
+    x = fit_x(k, n)."""
 
     name: str
     blurb: str
@@ -195,7 +187,6 @@ class _Spec:
     reduce: Callable = max
     one_sided: bool = False
     offset: int = 0
-    exact: bool = False
     fit_x: Callable = lambda k, n: n
     check: _Check | None = None
 
@@ -208,7 +199,7 @@ def _mask_schatten(cfg, p, k, n, s, memo):
 
 def _multiplier_interval(cfg, p, k, n, s, memo):
     ratio = delta_lower_bound(k, p).ratio
-    return {"witness_ratio": ratio, "multiplier_upper": dirichlet_witness_upper(k, p, cfg.oversample)}
+    return {"witness_ratio": ratio, "multiplier_upper": dirichlet_witness_upper(k, p)}
 
 
 def _ratio_above_upper(k, n, s, v):
@@ -221,7 +212,7 @@ def _band_ratio(cfg, p, k, n, s, memo):
     lo = 2 ** (k - 1) + 1
     gen = SplitMix64(derive_seed(cfg.experiment, cfg.seed, k, s))
     band = TrigPoly(lo, gen.complex_normal(2 ** (k + 1) - lo))
-    return {"band_ratio": band_hankel_check(band, p, k, HARD_TOL, cfg.oversample)[0]}
+    return {"band_ratio": band_hankel_check(band, p, k)[0]}
 
 
 def _band_ratio_above_one(k, n, s, v):
@@ -238,18 +229,17 @@ def _weak_decay(cfg, p, k, n, s, memo):
 
 
 def _fejer_log(cfg, p, k, n, s, memo):
-    ratio = fejer_riesz_ratio(n, cfg.oversample)
+    ratio = fejer_riesz_ratio(n)
     return {"riesz_ratio": ratio, "normalized_ratio": ratio / np.log1p(n)}
 
 
 def _riesz_jump(cfg, p, k, n, s, memo):
     bump = bump_poly(n)
-    plus = lp_quasinorm(riesz_plus(bump), p, oversample=cfg.oversample)
-    return {"riesz_projection_ratio": plus / lp_quasinorm(bump, p, oversample=cfg.oversample)}
+    return {"riesz_projection_ratio": lp_quasinorm(riesz_plus(bump), p) / lp_quasinorm(bump, p)}
 
 
 def _dirichlet_besov(cfg, p, k, n, s, memo):
-    report = besov_quasinorm(dirichlet_plus(n), p, None, cfg.oversample)
+    report = besov_quasinorm(dirichlet_plus(n), p)
     return {"besov_total": report.total, "top_level_term": dict(report.levels)[k]}
 
 
@@ -275,11 +265,11 @@ _REGISTRY = {
     "E1": _Spec("delta_schatten", "Schatten growth of the anti-triangular mask, p < 1", (4, 11),
                 _mask_schatten, lambda p: 1.0 / p, 0.10, exponents=(0.5, 2.0 / 3.0)),
     "E2": _Spec("delta_multiplier_lower", "constructive multiplier lower bounds vs analytic uppers", (4, 9),
-                _multiplier_interval, lambda p: 1.0 / p - 1.0, 0.20, offset=1, exact=True, fit_x=lambda k, n: 2**k,
+                _multiplier_interval, lambda p: 1.0 / p - 1.0, 0.20, offset=1, fit_x=lambda k, n: 2**k,
                 check=_Check("witness_ratio_below_analytic_upper", _ratio_above_upper,
                              "all {count} ratios below the analytic upper bound")),
     "E3": _Spec("band_hankel", "two-sided dyadic band estimate for Hankel matrices", (2, 9),
-                _band_ratio, lambda p: 0.0, 0.15, samples=20, reduce=min, exact=True,
+                _band_ratio, lambda p: 0.0, 0.15, samples=20, reduce=min,
                 check=_Check("band_upper_inequality", _band_ratio_above_one, "all {count} ratios <= 1 + 1e-9")),
     "E4": _Spec("weak_type", "weak-type decay of triangular truncation on trace-class inputs", (5, 9),
                 _weak_decay, lambda p: 0.0, 0.10, exponents=(1.0,), fixed_p=True, samples=20, one_sided=True),
@@ -291,7 +281,7 @@ _REGISTRY = {
     "E6": _Spec("riesz_jump", "Riesz projection jump on bump polynomials, p < 1", (3, 10),
                 _riesz_jump, lambda p: 1.0 / p - 1.0, 0.15),
     "E7": _Spec("dirichlet_besov", "dyadic-decomposition quasinorm growth of Dirichlet kernels", (3, 10),
-                _dirichlet_besov, lambda p: 1.0 / p, 0.10, offset=1, exact=True,
+                _dirichlet_besov, lambda p: 1.0 / p, 0.10, offset=1,
                 check=_Check("top_level_term_at_least_2k", _top_term_below_2k,
                              "all {count} top level terms >= 2^k(1-1e-6)")),
     "E8": _Spec("projection_sp_bound", "normalized triangular-projection ratios stay bounded", (4, 9),
@@ -312,19 +302,13 @@ def experiment_description(experiment):
 def _run(cfg, spec):
     """The one sweep loop: resolve cfg against the spec, measure and time
     every point, then fit and judge.  Returns (records, fits, checks)."""
-    if cfg.sizes is None:
-        kmin = spec.ks[0] if cfg.kmin is None else int(cfg.kmin)
-        kmax = spec.ks[1] if cfg.kmax is None else int(cfg.kmax)
-        if kmin > kmax:
-            raise ValueError(f"kmin={kmin} exceeds kmax={kmax}")
-        grid = [(k, 2**k + spec.offset) for k in range(kmin, kmax + 1)]
-    elif spec.exact:
-        raise ValueError(f"{cfg.experiment} is built on an exact dyadic grid; use kmin/kmax, not sizes")
-    else:
-        grid = [(max(n.bit_length() - 1, 0), n) for n in cfg.sizes]
-    ps = spec.exponents if spec.fixed_p or cfg.p is None else (float(cfg.p),)
-    samples = 1 if spec.samples is None else (spec.samples if cfg.samples is None else int(cfg.samples))
-    tol = spec.tolerance if cfg.tolerance is None else float(cfg.tolerance)
+    kmin = spec.ks[0] if cfg.kmin is None else int(cfg.kmin)
+    kmax = spec.ks[1] if cfg.kmax is None else int(cfg.kmax)
+    if kmin > kmax:
+        raise ValueError(f"kmin={kmin} exceeds kmax={kmax}")
+    grid = [(k, 2**k + spec.offset) for k in range(kmin, kmax + 1)]
+    ps = spec.exponents if cfg.p is None else (float(cfg.p),)
+    samples = int(cfg.samples or spec.samples or 1)
     memo, records, fits, details = {}, [], [], []
     for p in ps:
         pts = []
@@ -341,7 +325,7 @@ def _run(cfg, spec):
                 if spec.check is not None:
                     details.append(spec.check.fails(k, n, s, values))
             pts.append((spec.fit_x(k, n), spec.reduce(fit_vals)))
-        fit = fit_powerlaw(pts, spec.target(p), tol, one_sided=spec.one_sided)
+        fit = fit_powerlaw(pts, spec.target(p), spec.tolerance, one_sided=spec.one_sided)
         fits.append(FitRecord(cfg.experiment, p, fit))
     if spec.check is None:
         return records, fits, []
@@ -361,8 +345,6 @@ def run_experiment(cfg):
     (<out>.fits.json next to it) are written; the output location is
     validated before any computation starts.
     """
-    if cfg.experiment not in _REGISTRY:
-        raise ValueError(f"unknown experiment id {cfg.experiment!r}")
     if cfg.out is not None:
         parent = os.path.dirname(os.path.abspath(cfg.out))
         if not os.path.isdir(parent):

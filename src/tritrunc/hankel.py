@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import apply_window, standard_window
+from .kernels import apply_window
 from .matrices import _check_p, schatten_quasinorm
 from .trigpoly import TrigPoly, lp_quasinorm
 
@@ -59,7 +59,7 @@ def hankel_matrix(f):
     return m.real if np.all(m.imag == 0) else m
 
 
-def besov_quasinorm(f, p, v=None, oversample=None):
+def besov_quasinorm(f, p):
     """Dyadic (Littlewood-Paley) quasinorm of an analytic polynomial.
 
     Sums 2^n * ||f * V_n||_p^p over the levels n with 2^{n-1} <= degree(f)
@@ -69,17 +69,15 @@ def besov_quasinorm(f, p, v=None, oversample=None):
     """
     p = _check_p(p)
     _require_analytic(f, "besov_quasinorm")
-    if v is None:
-        v = standard_window()
 
     levels = []
     n = 0
     while 2.0 ** (n - 1) <= f.degree:
-        piece = apply_window(f, n, v)
+        piece = apply_window(f, n)
         if piece.is_zero:
             term = 0.0
         else:
-            term = 2.0**n * lp_quasinorm(piece, p, oversample=oversample) ** p
+            term = 2.0**n * lp_quasinorm(piece, p) ** p
         levels.append((n, term))
         n += 1
 
@@ -88,34 +86,17 @@ def besov_quasinorm(f, p, v=None, oversample=None):
     return BesovReport(p=p, levels=tuple(levels), zero_term=zero_term, total=total)
 
 
-def _infer_band(f):
-    """Largest dyadic band (2^{n-1}, 2^{n+1}) that can contain supp(f)."""
-    nz = np.nonzero(f.coeffs)[0]
-    if nz.size == 0:
-        raise ValueError("band polynomial must be nonzero")
-    lo_eff = f.lo + int(nz[0])
-    if lo_eff < 2:
-        raise ValueError(f"band support must start at index >= 2, got {lo_eff}")
-    return int(np.floor(np.log2(lo_eff - 1))) + 1
-
-
-def band_hankel_check(f, p, n=None, tol=HARD_TOL, oversample=None):
+def band_hankel_check(f, p, n):
     """Two-sided band estimate probe for phi supported in (2^{n-1}, 2^{n+1}).
 
     Returns (ratio, upper_ok) with ratio = ||Gamma_phi||_{S_p} divided by
     2^{(n+1)/p} ||phi||_{L^p}.  The upper inequality says ratio <= 1;
-    upper_ok reports it with slack tol.  The matching lower bound is a
+    upper_ok reports it with slack HARD_TOL.  The matching lower bound is a
     positive n-independent constant, which is probed as a trend by the
     band-ratio experiment rather than asserted pointwise.
-
-    When n is omitted it is inferred as the largest band whose left edge
-    fits under the support (a bare monomial z^m then lands in the band whose
-    open left end is m - 1 rounded down to a power of two).
     """
     p = _check_p(p)
     _require_analytic(f, "band_hankel_check")
-    if n is None:
-        n = _infer_band(f)
     n = int(n)
     if n < 1:
         raise ValueError(f"band index must be >= 1, got {n}")
@@ -129,13 +110,11 @@ def band_hankel_check(f, p, n=None, tol=HARD_TOL, oversample=None):
             f"support {lo_eff}..{hi_eff} violates the level-{n} band {lo_band}..{hi_band}"
         )
     band = TrigPoly(lo_band, f.coefficients_on(lo_band, hi_band))
-    ratio = schatten_quasinorm(hankel_matrix(band), p) / (
-        2.0 ** ((n + 1) / p) * lp_quasinorm(band, p, oversample=oversample)
-    )
-    return float(ratio), bool(ratio <= 1.0 + tol)
+    ratio = schatten_quasinorm(hankel_matrix(band), p) / (2.0 ** ((n + 1) / p) * lp_quasinorm(band, p))
+    return float(ratio), bool(ratio <= 1.0 + HARD_TOL)
 
 
-def polynomial_hankel_sp_bound(f, p, oversample=None):
+def polynomial_hankel_sp_bound(f, p):
     """Degree-counting Schatten bound for Hankel matrices of polynomials.
 
     For p <= 1 and phi of degree at most m - 1, the Schatten quasinorm of
@@ -149,5 +128,5 @@ def polynomial_hankel_sp_bound(f, p, oversample=None):
     _require_analytic(f, "polynomial_hankel_sp_bound")
     m = f.degree + 1
     lhs = schatten_quasinorm(hankel_matrix(f), p)
-    rhs = 2.0 ** (1.0 / p - 1.0) * m ** (1.0 / p) * lp_quasinorm(f, p, oversample=oversample)
+    rhs = 2.0 ** (1.0 / p - 1.0) * m ** (1.0 / p) * lp_quasinorm(f, p)
     return float(lhs), float(rhs)

@@ -24,7 +24,6 @@ from typing import Callable
 
 import numpy as np
 
-from .matrices import _check_p
 from .trigpoly import TrigPoly
 
 __all__ = [
@@ -34,10 +33,7 @@ __all__ = [
     "dirichlet_plus",
     "fejer",
     "bump_poly",
-    "lp_piece",
     "apply_window",
-    "resolvent_hp_norm",
-    "dirichlet_lp_ceiling",
 ]
 
 
@@ -121,46 +117,25 @@ def fejer(m):
     return TrigPoly(-m, 1.0 - np.abs(js) / (m + 1.0))
 
 
-def bump_poly(m, q=None):
-    """Polynomial sample of a bump: coefficients q(k/m) for |k| <= m - 1.
+def bump_poly(m):
+    """Polynomial sample of the standard bump: coefficients q(k/m), |k| <= m - 1.
 
     The |k| = m endpoints vanish because q(+-1) = 0, so they are not stored.
-    With an even q the coefficients are symmetric, hence the polynomial is
+    q is even, so the coefficients are symmetric and the polynomial is
     real-valued on the circle.
     """
     m = int(m)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    if q is None:
-        q = standard_bump()
     ks = np.arange(-(m - 1), m)
-    return TrigPoly(-(m - 1), q(ks / m))
+    return TrigPoly(-(m - 1), standard_bump()(ks / m))
 
 
-def lp_piece(n, v=None, max_degree=None):
-    """The n-th dyadic window polynomial: coefficients v(2^-n j) for j > 0.
-
-    Its natural support is the open dyadic band (2^{n-1}, 2^{n+1}); for n = 0
-    it degenerates to the single monomial z.  max_degree must leave room for
-    the full band (callers declare the coefficient budget they can afford).
-    """
-    n = int(n)
-    if n < 0:
-        raise ValueError(f"level must be >= 0, got {n}")
-    if v is None:
-        v = standard_window()
-    if max_degree is not None and int(max_degree) < 2 ** (n + 1):
-        raise ValueError(f"max_degree={int(max_degree)} truncates the level-{n} band; need >= {2 ** (n + 1)}")
-    if n == 0:
-        return TrigPoly(1, [1.0])
-    lo = 2 ** (n - 1) + 1
-    hi = 2 ** (n + 1) - 1
-    js = np.arange(lo, hi + 1)
-    return TrigPoly(lo, v(js / 2.0**n))
-
-
-def apply_window(f, n, v=None):
+def apply_window(f, n):
     """Multiply the j > 0 coefficients of f by v(2^-n j); zero all j <= 0.
+
+    v is the standard window, so for n >= 1 the nonzero support of the piece
+    lies in the open dyadic band (2^{n-1}, 2^{n+1}), with v = 1 at j = 2^n.
 
     This evaluates the window where the coefficients live, so it realizes the
     circle convolution of f with the n-th window polynomial exactly (no
@@ -169,58 +144,9 @@ def apply_window(f, n, v=None):
     n = int(n)
     if n < 0:
         raise ValueError(f"level must be >= 0, got {n}")
-    if v is None:
-        v = standard_window()
     if f.hi < 1:
         return TrigPoly(0, [0.0])
     lo = max(f.lo, 1)
     js = np.arange(lo, f.hi + 1)
-    return TrigPoly(lo, f.coefficients_on(lo, f.hi) * v(js / 2.0**n))
+    return TrigPoly(lo, f.coefficients_on(lo, f.hi) * standard_window()(js / 2.0**n))
 
-
-def resolvent_hp_norm(p, rtol=1e-8):
-    """H^p quasinorm of 1/(1-z): ((1/pi) * int_0^pi (2 sin(t/2))^-p dt)^(1/p).
-
-    The integrand has an integrable endpoint singularity at t = 0 for
-    0 < p < 1, so a geometrically graded mesh over [2^-40 pi, pi] is used
-    (midpoint rule per cell, 200 cells per decade, refined by doubling until
-    the change is below rtol).  Truncating the [0, 2^-40 pi] head omits at
-    most a^(1-p)/(1-p) of the integral (a = 2^-40 pi): ~1e-6 relative at
-    p = 1/2 and ~1e-3 at p = 3/4.  The omission only lowers the value, so
-    every ceiling derived from it errs on the strict side.
-    """
-    p = _check_p(p)
-    if p >= 1:
-        raise ValueError(f"p must lie in (0, 1), got {p}")
-
-    a, b = (2.0**-40) * np.pi, np.pi
-    decades = np.log10(b / a)
-
-    def integrate(cells_per_decade):
-        n_cells = int(np.ceil(decades * cells_per_decade))
-        edges = np.geomspace(a, b, n_cells + 1)
-        mids = 0.5 * (edges[1:] + edges[:-1])
-        widths = np.diff(edges)
-        return float(np.sum((2.0 * np.sin(mids / 2.0)) ** (-p) * widths))
-
-    density = 200
-    prev = integrate(density)
-    while True:
-        density *= 2
-        cur = integrate(density)
-        if abs(cur - prev) <= rtol * abs(cur):
-            break
-        prev = cur
-    return (cur / np.pi) ** (1.0 / p)
-
-
-def dirichlet_lp_ceiling(p):
-    """Uniform-in-n L^p ceiling for the analytic Dirichlet kernels, 0 < p < 1.
-
-    Dominating the length-n kernel by the pole 1/(1-z) independently of n
-    costs a factor 2 at the p-th-power level, so every ||D_n||_{L^p} is at
-    most 2^{1/p} * resolvent_hp_norm(p).  That ceiling is what this returns;
-    the boundedness of the whole kernel family below one fixed constant is
-    the testable content.
-    """
-    return 2.0 ** (1.0 / float(p)) * resolvent_hp_norm(p)

@@ -126,37 +126,13 @@ def triangular_projection(a):
 def block_diag2(m):
     """Block-diagonal doubling diag(m, m); every singular value repeats twice."""
     m = _as_matrix(m)
-    r, c = m.shape
     z = np.zeros_like(m)
     return np.block([[m, z], [z, m]])
 
 
 def block2x2(a, b, c, d):
-    """Assemble [[a, b], [c, d]] from four blocks.
-
-    A scalar argument is promoted to a constant block whose shape is inferred
-    from its row and column neighbours, so ``block2x2(x, y, 0, z)`` works.
-    """
-    blocks = [a, b, c, d]
-    mats = [None if np.isscalar(x) else _as_matrix(x, n) for x, n in zip(blocks, "abcd")]
-
-    def _dim(i, j, axis):
-        for k in (i, j):
-            if mats[k] is not None:
-                return mats[k].shape[axis]
-        raise ValueError("block2x2: a scalar block has no neighbouring matrix to infer its shape from")
-
-    shapes = [
-        (_dim(0, 1, 0), _dim(0, 2, 1)),  # a: rows like b, cols like c
-        (_dim(1, 0, 0), _dim(1, 3, 1)),  # b
-        (_dim(2, 3, 0), _dim(2, 0, 1)),  # c
-        (_dim(3, 2, 0), _dim(3, 1, 1)),  # d
-    ]
-    full = [
-        m if m is not None else np.full(shape, x, dtype=float)
-        for m, shape, x in zip(mats, shapes, blocks)
-    ]
-    a, b, c, d = full
+    """Assemble [[a, b], [c, d]] from four matrix blocks."""
+    a, b, c, d = (_as_matrix(x, n) for x, n in zip((a, b, c, d), "abcd"))
     if a.shape[0] != b.shape[0] or c.shape[0] != d.shape[0]:
         raise ValueError(f"block2x2 row mismatch: {a.shape} {b.shape} / {c.shape} {d.shape}")
     if a.shape[1] != c.shape[1] or b.shape[1] != d.shape[1]:

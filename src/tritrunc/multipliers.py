@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hankel import hankel_matrix
-from .kernels import bump_poly, dirichlet_plus, fejer, standard_bump
+from .kernels import bump_poly, dirichlet_plus, fejer
 from .matrices import _check_p, block2x2, block_diag2, delta_matrix, schatten_quasinorm, schur_product
 from .rng import SplitMix64, derive_seed
 from .trigpoly import lp_quasinorm, riesz_plus
@@ -76,7 +76,7 @@ def witness_ratio(a, b, p):
     )
 
 
-def band_witness_pair(k, q=None):
+def band_witness_pair(k):
     """Bump-localized analytic polynomial and its left (masked) companion.
 
     P_k is the bump sample of width 2^{k-1} recentred at 2^k, so its support
@@ -88,9 +88,7 @@ def band_witness_pair(k, q=None):
     k = int(k)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if q is None:
-        q = standard_bump()
-    p_k = bump_poly(2 ** (k - 1), q).shift(2**k)
+    p_k = bump_poly(2 ** (k - 1)).shift(2**k)
     r_k = p_k.restrict(hi=2**k)
     return p_k, r_k
 
@@ -100,7 +98,7 @@ def witness_embed_size(k):
     return 2 ** (k - 1) + 2**k + 1
 
 
-def delta_lower_bound(k, p, q=None):
+def delta_lower_bound(k, p):
     """Constructive lower-bound report for the size-(2^k + 1) anti-triangular mask.
 
     Evaluates the bump-localized Hankel witness against the 0/1 Hankel mask,
@@ -108,14 +106,14 @@ def delta_lower_bound(k, p, q=None):
     like 2^{k(1/p - 1)} with an absolute prefactor that the scaling
     experiments fit empirically.
     """
-    p_k, _ = band_witness_pair(k, q)
+    p_k, _ = band_witness_pair(k)
     size = witness_embed_size(k)
     mask = embed(delta_matrix(2 ** int(k) + 1), size)
     witness = embed(hankel_matrix(p_k), size)
     return witness_ratio(mask, witness, p)
 
 
-def hankel_multiplier_upper(f, p, oversample=None):
+def hankel_multiplier_upper(f, p):
     """Analytic multiplier upper bound (2m)^{1/p-1} ||phi||_{L^p}, m = deg + 1.
 
     Valid for p <= 1 and any analytic polynomial phi; every witness ratio
@@ -128,7 +126,7 @@ def hankel_multiplier_upper(f, p, oversample=None):
     if not f.is_analytic:
         raise ValueError("hankel_multiplier_upper requires an analytic polynomial")
     m = f.degree + 1
-    return (2.0 * m) ** (1.0 / p - 1.0) * lp_quasinorm(f, p, oversample=oversample)
+    return (2.0 * m) ** (1.0 / p - 1.0) * lp_quasinorm(f, p)
 
 
 def double_witness(a, b, p):
@@ -179,20 +177,18 @@ def random_witness_search(a, p, budget, seed):
     size = a.shape[0]
 
     best = witness_ratio(a, np.ones_like(a, dtype=float), p)
-    for candidate in (np.eye(size),):
-        rep = witness_ratio(a, candidate, p)
-        if rep.ratio > best.ratio:
-            best = rep
+    rep = witness_ratio(a, np.eye(size), p)
+    if rep.ratio > best.ratio:
+        best = rep
 
     m = _delta_pattern_size(a)
     if m is not None and m >= 3 and (m - 1) & (m - 2) == 0:
-        k = (m - 1).bit_length() - 1
-        if k >= 1:
-            p_k, _ = band_witness_pair(k)
-            common = max(size, witness_embed_size(k))
-            rep = witness_ratio(embed(a, common), embed(hankel_matrix(p_k), common), p)
-            if rep.ratio > best.ratio:
-                best = rep
+        k = (m - 1).bit_length() - 1  # m = 2^k + 1 with k >= 1
+        p_k, _ = band_witness_pair(k)
+        common = max(size, witness_embed_size(k))
+        rep = witness_ratio(embed(a, common), embed(hankel_matrix(p_k), common), p)
+        if rep.ratio > best.ratio:
+            best = rep
 
     n_rank1 = budget // 2
     for _ in range(n_rank1):
@@ -223,7 +219,7 @@ def random_witness_search(a, p, budget, seed):
     return best
 
 
-def fejer_riesz_ratio(m, oversample=None):
+def fejer_riesz_ratio(m):
     """L^1 growth of the analytic half of the Fejér kernel.
 
     Returns ||analytic part of K_m||_{L^1} / ||K_m||_{L^1} by quadrature; the
@@ -232,10 +228,9 @@ def fejer_riesz_ratio(m, oversample=None):
     the unboundedness of triangular truncation.
     """
     k_m = fejer(m)
-    plus = riesz_plus(k_m)
-    return lp_quasinorm(plus, 1.0, oversample=oversample) / lp_quasinorm(k_m, 1.0, oversample=oversample)
+    return lp_quasinorm(riesz_plus(k_m), 1.0) / lp_quasinorm(k_m, 1.0)
 
 
-def dirichlet_witness_upper(k, p, oversample=None):
+def dirichlet_witness_upper(k, p):
     """Convenience: the analytic upper bound matching delta_lower_bound(k, p)."""
-    return hankel_multiplier_upper(dirichlet_plus(2 ** int(k) + 1), p, oversample)
+    return hankel_multiplier_upper(dirichlet_plus(2 ** int(k) + 1), p)

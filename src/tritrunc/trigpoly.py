@@ -1,13 +1,12 @@
 """Laurent (trigonometric) polynomials on the unit circle.
 
 A TrigPoly stores the exact coefficient window [lo, hi] with no automatic
-trimming; equality is padding-insensitive.  Evaluation on uniform grids is
-FFT-based and exact (grid aliasing *is* the correct wrap-around of e^{ij th}),
-and the L^p quasinorm for 0 < p < infinity is a midpoint-shifted Riemann sum
-over normalized Lebesgue measure on the circle.  Its N-point grid is fixed
-by the quadrature floor; the sum over it is evaluated folded, as short
-inverse FFTs of the nonzero coefficient window reduced block by block, so
-its memory is O(block) rather than O(N).
+trimming; equality is padding-insensitive.  The L^p quasinorm for
+0 < p < infinity is a midpoint-shifted Riemann sum over normalized Lebesgue
+measure on the circle.  Its N-point grid is fixed by the quadrature floor;
+the sum over it is evaluated folded, as short inverse FFTs of the nonzero
+coefficient window reduced block by block, so its memory is O(block) rather
+than O(N).
 """
 
 from __future__ import annotations
@@ -20,11 +19,9 @@ from .matrices import _check_p
 
 __all__ = [
     "TrigPoly",
-    "evaluate_on_grid",
     "lp_quasinorm",
     "quadrature_floor",
     "riesz_plus",
-    "riesz_minus",
 ]
 
 MIN_SAMPLES = 4096
@@ -139,23 +136,9 @@ class TrigPoly:
         return f"TrigPoly(lo={self.lo}, hi={self.hi}, nnz={int(np.count_nonzero(self.coeffs))})"
 
 
-def evaluate_on_grid(f, n_samples):
-    """Values f(e^{i theta_k}) at theta_k = 2*pi*k/n_samples, k = 0..n_samples-1.
-
-    Exact for every n_samples >= 1: coefficients that alias to the same
-    residue mod n_samples sum exactly as the point evaluations do.
-    """
-    n = int(n_samples)
-    if n < 1:
-        raise ValueError("n_samples must be >= 1")
-    z = np.zeros(n, dtype=complex)
-    np.add.at(z, np.arange(f.lo, f.hi + 1) % n, f.coeffs)
-    return np.fft.ifft(z) * n
-
-
-def quadrature_floor(f, oversample=OVERSAMPLE):
-    """Smallest admissible quadrature size for f: max(4096, oversample*span)."""
-    return max(MIN_SAMPLES, int(oversample) * (f.hi - f.lo + 1))
+def quadrature_floor(f):
+    """Smallest admissible quadrature size for f: max(4096, 512 * span)."""
+    return max(MIN_SAMPLES, OVERSAMPLE * (f.hi - f.lo + 1))
 
 
 def _midpoint_power_sum(c, n, p):
@@ -184,15 +167,14 @@ def _midpoint_power_sum(c, n, p):
     return total
 
 
-def lp_quasinorm(f, p, n_samples=None, oversample=None):
+def lp_quasinorm(f, p, n_samples=None):
     """L^p quasinorm over normalized Lebesgue measure, 0 < p < infinity.
 
     Midpoint-shifted Riemann sum ((1/N) sum |f(e^{i theta_k})|^p)^(1/p) with
     theta_k = 2*pi*(k+1/2)/N; the half-sample shift keeps nodes off the
-    z = 1 zeros of real-coefficient kernels.  N is n_samples, or
-    quadrature_floor(f, oversample) when oversample is given, or else the
-    default floor; it may not fall below the default floor.  Monomials are
-    exact at any admissible grid size; other polynomials converge as N grows.
+    z = 1 zeros of real-coefficient kernels.  N is n_samples, which may not
+    fall below quadrature_floor(f), or else that floor.  Monomials are exact
+    at any admissible grid size; other polynomials converge as N grows.
     For p < 1 the integrand has square-root cusps at the zeros of f and the
     midpoint rule converges like N^(-3/2), so oscillatory kernels need heavy
     oversampling: the default floor (512 samples per coefficient) keeps the
@@ -208,10 +190,6 @@ def lp_quasinorm(f, p, n_samples=None, oversample=None):
     """
     p = _check_p(p)
     floor = quadrature_floor(f)
-    if oversample is not None:
-        if n_samples is not None:
-            raise ValueError("give n_samples or oversample, not both")
-        n_samples = quadrature_floor(f, oversample)
     if n_samples is None:
         n_samples = floor
     elif int(n_samples) < floor:
@@ -233,11 +211,3 @@ def riesz_plus(f):
         return TrigPoly(0, [0])
     return TrigPoly(0, f.coeffs[-f.lo :])
 
-
-def riesz_minus(f):
-    """Keep the coefficients with index < 0; riesz_plus(f) + riesz_minus(f) = f."""
-    if f.hi < 0:
-        return f
-    if f.lo >= 0:
-        return TrigPoly(-1, [0])
-    return TrigPoly(f.lo, f.coeffs[: -f.lo])

@@ -5,21 +5,11 @@ of the doubled triangular mask, shared the same way, sits here too."""
 
 import numpy as np
 
-from tritrunc import (
-    SplitMix64,
-    TrigPoly,
-    block2x2,
-    block_diag2,
-    chi_matrix,
-    derive_seed,
-    hankel_matrix,
-    hankel_multiplier_upper,
-    lp_quasinorm,
-    ones_matrix,
-    polynomial_hankel_sp_bound,
-    schatten_quasinorm,
-    witness_ratio,
-)
+from tritrunc.hankel import hankel_matrix, polynomial_hankel_sp_bound
+from tritrunc.matrices import block2x2, block_diag2, chi_matrix, ones_matrix, schatten_quasinorm
+from tritrunc.multipliers import hankel_multiplier_upper, witness_ratio
+from tritrunc.rng import SplitMix64, derive_seed
+from tritrunc.trigpoly import TrigPoly, lp_quasinorm
 
 
 def _record(violations, label, lhs, rhs, slack):
@@ -105,7 +95,8 @@ def chi_doubling_decomposition(n):
     n = int(n)
     chi_n = chi_matrix(n)
     chi_2n = chi_matrix(2 * n)
-    assembled = block2x2(chi_n, ones_matrix(n), 0, chi_n)
-    corner = block2x2(np.zeros((n, n)), ones_matrix(n), 0, np.zeros((n, n)))
+    zero = np.zeros((n, n))
+    assembled = block2x2(chi_n, ones_matrix(n), zero, chi_n)
+    corner = block2x2(zero, ones_matrix(n), zero, zero)
     split = block_diag2(chi_n) + corner
     return bool(np.array_equal(chi_2n, assembled) and np.array_equal(chi_2n, split))

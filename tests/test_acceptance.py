@@ -17,18 +17,12 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from tritrunc import (
-    ExperimentConfig,
-    chi_matrix,
-    delta_matrix,
-    dirichlet_plus,
-    double_witness,
-    hankel_matrix,
-    run_experiment,
-    schatten_quasinorm,
-    standard_window,
-)
+from tritrunc.experiments import ExperimentConfig, run_experiment
 from tritrunc.fitting import ScalingFit, fit_powerlaw
+from tritrunc.hankel import hankel_matrix
+from tritrunc.kernels import dirichlet_plus, standard_window
+from tritrunc.matrices import chi_matrix, delta_matrix, schatten_quasinorm
+from tritrunc.multipliers import double_witness
 from tritrunc.rng import SplitMix64, derive_seed
 
 from corpora import (

@@ -1,13 +1,16 @@
 """Command-line surface: parsing, output formats, exit codes."""
 
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from tritrunc import besov_quasinorm, dirichlet_plus
-from tritrunc.cli import main
+from tritrunc.cli import build_parser, main
+from tritrunc.hankel import besov_quasinorm
+from tritrunc.kernels import dirichlet_plus
 
 
 def run_cli(capsys, *argv):
@@ -123,6 +126,11 @@ def test_multiplier_bound_rejects_k_zero(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_multiplier_bound_rejects_a_negative_budget(capsys):
+    code, out, err = run_cli(capsys, "multiplier-bound", "--delta-k", "3", "--p", "0.5", "--budget", "-5")
+    assert code == 2 and out == "" and "--budget must be >= 0" in err
+
+
 # --- experiment run ----------------------------------------------------------------
 
 
@@ -137,10 +145,9 @@ def test_experiment_run_reports_and_writes(capsys, tmp_path):
     assert out.exists() and (tmp_path / "e6.fits.json").exists()
 
 
-def test_experiment_run_exit_one_on_failed_fit(capsys, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"p": 0.5, "kmin": 4, "kmax": 6, "tolerance": 1e-6}))
-    code, text, _ = run_cli(capsys, "experiment", "run", "E1", "--config", str(cfg))
+def test_experiment_run_exit_one_on_failed_fit(capsys):
+    # E7's registered plain fit is the known red (see the README)
+    code, text, _ = run_cli(capsys, "experiment", "run", "E7")
     assert code == 1
     assert "verdict: FAIL" in text
 
@@ -169,7 +176,23 @@ def test_experiment_config_below_the_quadrature_floor(capsys, tmp_path):
     coarse = tmp_path / "coarse.json"
     coarse.write_text(json.dumps({"oversample": 256}))
     code, out, err = run_cli(capsys, "experiment", "run", "E6", "--config", str(coarse))
-    assert code == 2 and "oversample must be >= 512" in err and out == ""
+    assert code == 2 and "unknown config keys: oversample" in err and out == ""
+
+
+def test_experiment_rejects_fields_it_would_ignore(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "experiment", "run", "E4", "--p", "0.5")
+    assert code == 2 and out == "" and "field p does not apply" in err
+    sampled = tmp_path / "sampled.json"
+    sampled.write_text(json.dumps({"samples": 3}))
+    code, out, err = run_cli(capsys, "experiment", "run", "E1", "--config", str(sampled))
+    assert code == 2 and out == "" and "field samples does not apply" in err
+
+
+def test_experiment_all_resolves_every_config_before_running(capsys, tmp_path):
+    results = tmp_path / "results"
+    code, out, err = run_cli(capsys, "experiment", "all", "--p", "0.5", "--out", str(results))
+    assert code == 2 and out == "" and "E4 runs at fixed p" in err
+    assert not results.exists()
 
 
 def test_flags_override_the_config(capsys, tmp_path):
@@ -208,3 +231,27 @@ def test_module_invocation_usage_error():
         text=True,
     )
     assert proc.returncode == 2
+
+
+# --- the README stays in step with the parser ---------------------------------------
+
+
+def _readme_command_lines():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("tritrunc ")]
+
+
+def test_readme_command_lines_parse():
+    lines = _readme_command_lines()
+    assert len(lines) >= 7
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line, comments=True)[1:])
+
+
+def test_readme_spnorm_example_prints_its_value(capsys):
+    (line,) = [line for line in _readme_command_lines() if line.startswith("tritrunc spnorm --chi 2 --p 1 ")]
+    command, comment = line.split("#", 1)
+    code, out, _ = run_cli(capsys, *shlex.split(command)[1:])
+    assert code == 0 and out == comment.split()[0] + "\n"

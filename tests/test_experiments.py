@@ -38,16 +38,27 @@ def test_config_rejects_unknown_experiment():
     [
         (dict(p=0.0), "p must be positive"),
         (dict(kmin=5, kmax=4), "exceeds kmax"),
-        (dict(samples=0), "samples"),
-        (dict(sizes=(8, 0)), "sizes must be positive"),
-        (dict(oversample=0), "oversample"),
-        (dict(tolerance=0.0), "tolerance"),
-        (dict(oversample=256), "oversample"),
+        (dict(experiment="E3", samples=0), "samples"),
+        (dict(sizes=[8, 16]), "unknown config keys: sizes"),
+        (dict(oversample=512), "unknown config keys: oversample"),
+        (dict(tolerance=0.5), "unknown config keys: tolerance"),
     ],
 )
 def test_config_field_validation(kwargs, message):
     with pytest.raises(ValueError, match=message):
-        ExperimentConfig("E1", **kwargs)
+        config_from_dict({"experiment": "E1", **kwargs})
+
+
+@pytest.mark.parametrize("exp", ["E1", "E2", "E5", "E6", "E7", "E9"])
+def test_single_sample_experiments_reject_samples(exp):
+    with pytest.raises(ValueError, match=f"{exp} takes one sample per point; the field samples"):
+        ExperimentConfig(exp, samples=2)
+
+
+@pytest.mark.parametrize("exp", ["E4", "E5"])
+def test_fixed_p_experiments_reject_p(exp):
+    with pytest.raises(ValueError, match=f"{exp} runs at fixed p; the field p"):
+        ExperimentConfig(exp, p=0.5)
 
 
 def test_config_from_dict_rejects_unknown_keys():
@@ -72,13 +83,9 @@ def test_config_from_dict_rejects_a_conflicting_pin():
 
 @pytest.mark.parametrize("exp", ["E2", "E3", "E7"])
 def test_exact_dyadic_experiments_reject_sizes(exp):
-    with pytest.raises(ValueError, match="kmin/kmax"):
-        run_experiment(ExperimentConfig(exp, sizes=(5,)))
-
-
-def test_sizes_override_the_dyadic_grid():
-    result = run_experiment(ExperimentConfig("E1", p=0.5, sizes=(5, 12, 33)))
-    assert [(r.k, r.n) for r in result.records] == [(2, 5), (3, 12), (5, 33)]
+    # every experiment runs on its dyadic kmin..kmax grid; a size list is not a config key
+    with pytest.raises(ValueError, match="unknown config keys: sizes"):
+        config_from_dict({"sizes": [5]}, experiment=exp)
 
 
 # --- determinism ------------------------------------------------------------------
@@ -160,15 +167,8 @@ def test_e1_recovers_the_registered_growth_rate():
     assert result.verdict
 
 
-def test_tolerance_override_can_flip_the_verdict():
-    cfg = ExperimentConfig("E1", p=0.5, kmin=4, kmax=8, tolerance=1e-6)
-    result = run_experiment(cfg)
-    assert not result.fits[0].fit.passed
-    assert not result.verdict
-
-
 # id -> (quantities in measure order, p column, check names); sampled ids draw
-# cfg.samples per point, the others one
+# cfg.samples per point, the others one and reject the field
 REGISTRY_SHAPE = {
     "E1": (["schatten_quasinorm"], [0.5, 2.0 / 3.0], []),
     "E2": (["witness_ratio", "multiplier_upper"], [0.5], ["witness_ratio_below_analytic_upper"]),
@@ -186,9 +186,9 @@ SAMPLED = {"E3", "E4", "E8"}
 @pytest.mark.parametrize("exp", EXPERIMENT_IDS)
 def test_registry_smoke(exp):
     quantities, ps, check_names = REGISTRY_SHAPE[exp]
-    result = run_experiment(ExperimentConfig(exp, kmin=2, kmax=4, samples=2))
-    records = result.records
     samples = 2 if exp in SAMPLED else 1
+    result = run_experiment(ExperimentConfig(exp, kmin=2, kmax=4, samples=samples if exp in SAMPLED else None))
+    records = result.records
     assert len(records) == len(ps) * 3 * samples * len(quantities)
     assert {r.quantity for r in records} == set(quantities)
     assert sorted({r.p for r in records}) == ps == [fr.p for fr in result.fits]

@@ -3,19 +3,12 @@
 import numpy as np
 import pytest
 
-from tritrunc import (
-    TrigPoly,
-    band_hankel_check,
-    besov_quasinorm,
-    delta_matrix,
-    dirichlet_plus,
-    hankel_matrix,
-    polynomial_hankel_sp_bound,
-    schatten_quasinorm,
-)
 from tritrunc.fitting import fit_powerlaw
-from tritrunc.kernels import apply_window
+from tritrunc.hankel import band_hankel_check, besov_quasinorm, hankel_matrix, polynomial_hankel_sp_bound
+from tritrunc.kernels import apply_window, dirichlet_plus
+from tritrunc.matrices import delta_matrix, schatten_quasinorm
 from tritrunc.rng import SplitMix64, derive_seed
+from tritrunc.trigpoly import TrigPoly
 
 from corpora import hankel_degree_bound_corpus
 
@@ -133,32 +126,25 @@ def test_besov_tracks_hankel_schatten_quasinorm(p):
 # --- band_hankel_check ----------------------------------------------------------
 
 
-def test_band_is_inferred_from_the_support():
-    ratio, ok = band_hankel_check(TrigPoly(5, [1.0]), 0.5)
-    assert ok
-    # z^5 lives in the level-3 band (4, 8); the explicit index must agree
-    ratio3, _ = band_hankel_check(TrigPoly(5, [1.0]), 0.5, n=3)
-    assert ratio == ratio3
-
-
 def test_band_check_rejects_support_outside_the_band():
     # the level-2 band is the open interval (2, 8): index 9 falls outside it,
     # while z^5 belongs to levels 2 and 3 both (adjacent bands overlap)
     with pytest.raises(ValueError, match="violates the level-2 band"):
         band_hankel_check(TrigPoly(9, [1.0]), 0.5, n=2)
     ratio2, ok2 = band_hankel_check(TrigPoly(5, [1.0]), 0.5, n=2)
-    assert ok2
-    with pytest.raises(ValueError, match="index >= 2"):
-        band_hankel_check(TrigPoly(1, [1.0]), 0.5)
+    ratio3, ok3 = band_hankel_check(TrigPoly(5, [1.0]), 0.5, n=3)
+    assert ok2 and ok3 and ratio2 == pytest.approx(4.0 * ratio3, rel=1e-12)  # 2^{1/p} per level
+    with pytest.raises(ValueError, match="violates the level-1 band"):
+        band_hankel_check(TrigPoly(1, [1.0]), 0.5, n=1)
     with pytest.raises(ValueError, match="band index"):
         band_hankel_check(TrigPoly(2, [1.0]), 0.5, n=0)
     with pytest.raises(ValueError, match="nonzero"):
-        band_hankel_check(TrigPoly(3, [0.0]), 0.5)
+        band_hankel_check(TrigPoly(3, [0.0]), 0.5, n=2)
 
 
 def test_band_check_ignores_explicit_zero_padding():
     f = TrigPoly(4, [0.0, 1.0, 1.0])  # nonzero support 5..6, inside level 3
-    ratio, ok = band_hankel_check(f, 0.5)
+    ratio, ok = band_hankel_check(f, 0.5, n=3)
     assert ok and 0 < ratio <= 1 + 1e-9
 
 
@@ -166,7 +152,7 @@ def test_band_check_ignores_explicit_zero_padding():
 def test_band_ratio_never_exceeds_one(p):
     rng = SplitMix64(derive_seed("hankel-band-ratio", p))
     for level in range(2, 7):
-        ratio, ok = band_hankel_check(band_poly(level, rng), p)
+        ratio, ok = band_hankel_check(band_poly(level, rng), p, level)
         assert ok
         assert ratio <= 1 + 1e-9
 

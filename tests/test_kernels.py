@@ -1,22 +1,9 @@
-import mpmath
 import numpy as np
 import pytest
 
-from oracles import dirichlet_lp_closed_form
-from tritrunc import (
-    TrigPoly,
-    apply_window,
-    bump_poly,
-    dirichlet_lp_ceiling,
-    dirichlet_plus,
-    fejer,
-    lp_piece,
-    lp_quasinorm,
-    resolvent_hp_norm,
-    riesz_plus,
-    standard_bump,
-    standard_window,
-)
+from oracles import direct_grid_eval
+from tritrunc.kernels import apply_window, bump_poly, dirichlet_plus, fejer, standard_bump, standard_window
+from tritrunc.trigpoly import TrigPoly, lp_quasinorm, riesz_plus
 
 
 # --- bump --------------------------------------------------------------------
@@ -94,9 +81,7 @@ def test_fejer_layout_and_mean():
 
 
 def test_fejer_is_nonnegative_on_the_circle():
-    from tritrunc import evaluate_on_grid
-
-    vals = evaluate_on_grid(fejer(24), 4096)
+    vals = direct_grid_eval(fejer(24), 4096)
     assert np.max(np.abs(vals.imag)) < 1e-10
     assert np.min(vals.real) > -1e-10
 
@@ -119,33 +104,33 @@ def test_riesz_half_of_bump_poly():
     assert g.coefficient(0) == 1.0
 
 
-# --- dyadic window polynomials -------------------------------------------------
+# --- Littlewood-Paley (dyadic window) pieces -------------------------------------
+# The level-n piece of f is apply_window(f, n); on a Dirichlet kernel long
+# enough to cover the band it is the bare window polynomial.
 
 
 def test_lp_piece_level_zero_is_z():
-    assert lp_piece(0) == TrigPoly(1, [1.0])
+    assert apply_window(dirichlet_plus(8), 0) == TrigPoly(1, [1.0])
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 9])
 def test_lp_piece_support_is_open_dyadic_band(n):
-    f = lp_piece(n)
-    assert f.lo == 2 ** (n - 1) + 1
-    assert f.hi == 2 ** (n + 1) - 1
+    f = apply_window(dirichlet_plus(2 ** (n + 2)), n)
+    nz = np.flatnonzero(f.coeffs) + f.lo
+    assert nz[0] == 2 ** (n - 1) + 1
+    assert nz[-1] <= 2 ** (n + 1) - 1  # the far tail of v may round to 0
     assert f.coefficient(2**n) == 1.0  # window peak sits at the band centre
 
 
-def test_lp_piece_max_degree_budget():
-    assert lp_piece(3, max_degree=16) == lp_piece(3)
-    with pytest.raises(ValueError):
-        lp_piece(3, max_degree=15)
-    with pytest.raises(ValueError):
-        lp_piece(-1)
+def test_apply_window_rejects_negative_level():
+    with pytest.raises(ValueError, match="level"):
+        apply_window(dirichlet_plus(8), -1)
 
 
 def test_apply_window_scales_coefficients_exactly():
     v = standard_window()
     f = TrigPoly(-2, np.arange(1.0, 9.0))  # support -2..5
-    g = apply_window(f, 1, v)
+    g = apply_window(f, 1)
     assert g.lo >= 1
     js = np.arange(g.lo, g.hi + 1)
     expected = f.coefficients_on(g.lo, g.hi) * v(js / 2.0)
@@ -165,51 +150,3 @@ def test_window_levels_partition_coefficients():
     want = f.restrict(lo=1)
     diff = total - want
     assert np.max(np.abs(diff.coefficients_on(diff.lo, diff.hi))) <= 1e-14
-
-
-# --- resolvent quadrature and the Dirichlet ceiling ---------------------------
-
-
-@pytest.mark.parametrize("p", [0.5, 0.75])
-def test_resolvent_matches_adaptive_quadrature(p):
-    a = mpmath.mpf(2) ** -40 * mpmath.pi
-    integrand = lambda t: (2 * mpmath.sin(t / 2)) ** (-p)
-    trunc = mpmath.quad(integrand, [a, 1e-9, 1e-5, 1e-2, 0.5, mpmath.pi])
-    full = mpmath.quad(integrand, [0, 1e-9, 1e-5, 1e-2, 0.5, mpmath.pi])
-    got = resolvent_hp_norm(p)
-    assert got == pytest.approx(float((trunc / mpmath.pi) ** (1.0 / p)), rel=1e-6)
-    # the truncated head only lowers the value, and by a bounded amount
-    full_norm = float((full / mpmath.pi) ** (1.0 / p))
-    assert got <= full_norm * (1.0 + 1e-12)
-    assert got >= full_norm * (1.0 - (2e-3 if p > 0.6 else 1e-5))
-
-
-def test_resolvent_rejects_out_of_range_p():
-    with pytest.raises(ValueError):
-        resolvent_hp_norm(1.0)
-    with pytest.raises(ValueError):
-        resolvent_hp_norm(0.0)
-
-
-def test_dirichlet_family_stays_below_ceiling():
-    """The L^p of every kernel length up to 2048 sits inside [1, ceiling].
-
-    The dense sweep uses the closed-form magnitude |sin(nt/2)/sin(t/2)| on
-    64x midpoint grids (error ~1e-3 against a >= 16% margin); a ladder of
-    anchor lengths then reruns the production quadrature at the default
-    floor and must agree with the closed form on the same grid.
-    """
-    for p in (0.5, 0.75):
-        ceiling = dirichlet_lp_ceiling(p)
-        assert ceiling > 1.0
-        vals = np.array(
-            [dirichlet_lp_closed_form(n, p, max(4096, 64 * n)) for n in range(2, 2049)]
-        )
-        assert vals.min() >= 1.0
-        assert vals.max() <= ceiling
-        for n in (2, 3, 17, 129, 512, 513, 1024, 2048):
-            f = dirichlet_plus(n)
-            got = lp_quasinorm(f, p)
-            ref = dirichlet_lp_closed_form(n, p, max(4096, 512 * n))
-            assert got == pytest.approx(ref, rel=1e-9)
-            assert 1.0 <= got <= ceiling

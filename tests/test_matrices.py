@@ -6,22 +6,21 @@ from hypothesis import strategies as st
 
 from oracles import chi_spectrum_closed_form, jacobi_singular_values
 from corpora import p_triangle_corpus
-from tritrunc import (
-    SplitMix64,
-    TrigPoly,
+from tritrunc.hankel import hankel_matrix
+from tritrunc.matrices import (
     block2x2,
     block_diag2,
     chi_matrix,
-    delta_lower_bound,
     delta_matrix,
-    derive_seed,
-    hankel_matrix,
     ones_matrix,
     schatten_quasinorm,
     schur_product,
     singular_values,
     triangular_projection,
 )
+from tritrunc.multipliers import delta_lower_bound
+from tritrunc.rng import SplitMix64, derive_seed
+from tritrunc.trigpoly import TrigPoly
 
 
 def test_chi_matrix_layout():
@@ -254,16 +253,12 @@ def test_block2x2_assembles_blocks():
     assert np.array_equal(m[2:, 2:], d)
 
 
-def test_block2x2_scalar_promotion():
-    x = np.ones((2, 2))
-    m = block2x2(x, x, 0, x)
-    assert m.shape == (4, 4)
-    assert np.all(m[2:, :2] == 0)
-
-
 def test_block2x2_all_scalars_rejected():
     with pytest.raises(ValueError):
         block2x2(0, 1, 2, 3)
+    x = np.ones((2, 2))
+    with pytest.raises(ValueError, match="c must be a 2-D array"):
+        block2x2(x, x, 0, x)  # every block must be a matrix
 
 
 def test_block2x2_mismatched_blocks_rejected():

@@ -4,29 +4,31 @@ import numpy as np
 import pytest
 
 from corpora import chi_doubling_decomposition
-from tritrunc import (
-    band_witness_pair,
+from tritrunc.hankel import hankel_matrix
+from tritrunc.kernels import dirichlet_plus, fejer
+from tritrunc.matrices import (
+    block2x2,
+    block_diag2,
     chi_matrix,
-    delta_lower_bound,
     delta_matrix,
-    dirichlet_plus,
+    ones_matrix,
+    schatten_quasinorm,
+    schur_product,
+)
+from tritrunc.multipliers import (
+    band_witness_pair,
+    delta_lower_bound,
     dirichlet_witness_upper,
     double_witness,
     embed,
     fejer_riesz_ratio,
-    hankel_matrix,
     hankel_multiplier_upper,
     random_witness_search,
-    schatten_quasinorm,
-    schur_product,
     witness_embed_size,
     witness_ratio,
 )
-from tritrunc.matrices import block2x2, block_diag2, ones_matrix
 from tritrunc.rng import SplitMix64, derive_seed
-from tritrunc.trigpoly import TrigPoly, lp_quasinorm
-from tritrunc.kernels import fejer
-from tritrunc.trigpoly import riesz_plus
+from tritrunc.trigpoly import TrigPoly, lp_quasinorm, riesz_plus
 
 from corpora import multiplier_upper_corpus
 
@@ -192,7 +194,8 @@ def test_p_triangle_controls_the_doubled_mask():
         b = rng.complex_matrix(2 * n, 2 * n)
         whole = schatten_quasinorm(schur_product(chi_matrix(2 * n), b), p) ** p
         diag = schatten_quasinorm(schur_product(block_diag2(chi_matrix(n)), b), p) ** p
-        corner_mask = block2x2(np.zeros((n, n)), ones_matrix(n), 0, np.zeros((n, n)))
+        zero = np.zeros((n, n))
+        corner_mask = block2x2(zero, ones_matrix(n), zero, zero)
         corner = schatten_quasinorm(schur_product(corner_mask, b), p) ** p
         assert whole <= diag + corner + 1e-9
 

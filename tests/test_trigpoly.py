@@ -6,18 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpora import endpoint_coefficient_corpus
-from oracles import direct_grid_eval, direct_lp
+from oracles import dirichlet_lp_closed_form, direct_lp
 import tritrunc.trigpoly as trigpoly
-from tritrunc import (
-    SplitMix64,
-    TrigPoly,
-    derive_seed,
-    evaluate_on_grid,
-    lp_quasinorm,
-    quadrature_floor,
-    riesz_minus,
-    riesz_plus,
-)
+from tritrunc.kernels import apply_window, bump_poly, dirichlet_plus, fejer
+from tritrunc.rng import SplitMix64, derive_seed
+from tritrunc.trigpoly import TrigPoly, lp_quasinorm, quadrature_floor, riesz_plus
 
 
 def rand_poly(gen, lo_min=-8, lo_max=8, max_span=12):
@@ -111,40 +104,6 @@ def test_is_analytic_semantics():
     assert not TrigPoly(-1, [1, 1]).is_analytic
 
 
-# --- evaluation: FFT route vs direct summation ------------------------------
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.integers(0, 2**32), st.integers(1, 64))
-def test_grid_evaluation_matches_direct_summation(seed, n_samples):
-    f = rand_poly(SplitMix64(seed))
-    fft_route = evaluate_on_grid(f, n_samples)
-    direct = direct_grid_eval(f, n_samples)
-    scale = max(np.max(np.abs(direct)), 1.0)
-    assert np.max(np.abs(fft_route - direct)) < 1e-10 * scale
-
-
-def test_grid_evaluation_small_grids_alias_exactly():
-    # fewer samples than coefficients: values still agree with pointwise sums
-    f = TrigPoly(0, np.arange(1.0, 11.0))
-    for n in (1, 2, 3, 7):
-        direct = direct_grid_eval(f, n)
-        assert np.max(np.abs(evaluate_on_grid(f, n) - direct)) < 1e-10 * np.max(np.abs(direct))
-
-
-def test_evaluate_on_grid_rejects_empty_grid():
-    with pytest.raises(ValueError):
-        evaluate_on_grid(TrigPoly(0, [1]), 0)
-
-
-def test_constant_and_monomial_values():
-    f = TrigPoly(0, [7.0])
-    assert np.allclose(evaluate_on_grid(f, 8), 7.0)
-    g = TrigPoly(3, [1.0])
-    vals = evaluate_on_grid(g, 16)
-    assert np.allclose(np.abs(vals), 1.0)
-
-
 # --- quadrature --------------------------------------------------------------
 
 
@@ -152,7 +111,6 @@ def test_quadrature_floor_formula():
     assert quadrature_floor(TrigPoly(0, [1])) == 4096
     assert quadrature_floor(TrigPoly(0, np.ones(9))) == 4608  # 512 * 9
     assert quadrature_floor(TrigPoly(-4, np.ones(9))) == 4608
-    assert quadrature_floor(TrigPoly(0, np.ones(9)), 16) == 4096
 
 
 def test_lp_below_floor_names_minimum():
@@ -168,10 +126,12 @@ def test_lp_rejects_bad_exponent(p):
 
 
 def test_monomials_are_exact_at_any_admissible_size():
+    # one FFT (4096, odd 4097) or folded into 128 rows (2^20)
     for k in (-3, 0, 5):
         f = TrigPoly(k, [2.0])
-        for p in (0.3, 1.0, 2.0):
-            assert lp_quasinorm(f, p) == pytest.approx(2.0, abs=1e-14)
+        for n in (4096, 4097, 2**20):
+            for p in (0.3, 1.0, 2.0):
+                assert lp_quasinorm(f, p, n) == pytest.approx(2.0, abs=1e-14)
 
 
 def test_lp_matches_direct_summation():
@@ -184,8 +144,6 @@ def test_lp_matches_direct_summation():
 
 
 def _folded_oracle_cases():
-    from tritrunc import apply_window, dirichlet_plus, fejer
-
     # stored span 2^k gives N = 2^(k+9): one FFT up to k = 4, folded from k = 5
     levels = ((3, 3), (4, 4), (4, 3), (5, 5), (5, 4), (8, 8), (8, 6))
     cases = [(apply_window(dirichlet_plus(2**k + 1), n), None) for k, n in levels]
@@ -208,8 +166,6 @@ def test_folded_lp_matches_direct_summation(block, monkeypatch):
 
 
 def test_folded_lp_memory_is_bounded():
-    from tritrunc import apply_window, dirichlet_plus
-
     f = apply_window(dirichlet_plus(2**14 + 1), 14)  # N = 2^23: 134 MB as one complex array
     tracemalloc.start()
     try:
@@ -218,15 +174,6 @@ def test_folded_lp_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 32e6
-
-
-def test_oversample_sets_the_grid():
-    f = TrigPoly(0, np.arange(1.0, 10.0))
-    assert lp_quasinorm(f, 0.5, oversample=1024) == lp_quasinorm(f, 0.5, 1024 * 9)
-    with pytest.raises(ValueError, match="4608"):
-        lp_quasinorm(f, 0.5, oversample=511)
-    with pytest.raises(ValueError, match="not both"):
-        lp_quasinorm(f, 0.5, 1024 * 9, oversample=1024)
 
 
 def test_lp_shift_invariant():
@@ -245,8 +192,6 @@ def test_parseval_at_p_two():
 
 
 def test_dirichlet_two_l1_is_4_over_pi():
-    from tritrunc import dirichlet_plus
-
     assert lp_quasinorm(dirichlet_plus(2), 1.0) == pytest.approx(4.0 / np.pi, rel=1e-7)
 
 
@@ -257,9 +202,18 @@ def test_endpoint_coefficient_corpus():
     assert worst <= 1.0 + 1e-6
 
 
-def test_quadrature_doubling_on_experiment_kernels():
-    from tritrunc import apply_window, bump_poly, dirichlet_plus, fejer
+def test_dirichlet_family_lp_anchor_ladder():
+    """The production quadrature of D_n at the default floor agrees with the
+    closed-form magnitude |sin(nt/2)/sin(t/2)| summed on the same grid, and
+    never falls below |D_n(0)| = 1 (|f|^p is subharmonic for analytic f)."""
+    for p in (0.5, 0.75):
+        for n in (2, 3, 17, 129, 512, 513, 1024, 2048):
+            got = lp_quasinorm(dirichlet_plus(n), p)
+            assert got == pytest.approx(dirichlet_lp_closed_form(n, p, max(4096, 512 * n)), rel=1e-9)
+            assert got >= 1.0
 
+
+def test_quadrature_doubling_on_experiment_kernels():
     family = [
         (dirichlet_plus(17), (0.5, 1.0)),
         (dirichlet_plus(257), (0.5, 2.0 / 3.0)),
@@ -288,19 +242,16 @@ def test_riesz_split_is_exact():
     gen = SplitMix64(derive_seed("trig", "riesz"))
     for _ in range(20):
         f = rand_poly(gen)
-        plus, minus = riesz_plus(f), riesz_minus(f)
+        plus = riesz_plus(f)
         assert plus.is_analytic
-        assert minus.hi < 0 or minus.is_zero
-        assert plus + minus == f
+        assert plus == f.restrict(lo=0)
+        assert plus + f.restrict(hi=-1) == f
 
 
 def test_riesz_edge_cases():
     f = TrigPoly(2, [1, 2])  # already analytic
     assert riesz_plus(f) is f
-    assert riesz_minus(f).is_zero
     g = TrigPoly(-3, [1, 2])  # entirely anti-analytic
-    assert riesz_minus(g) is g
     assert riesz_plus(g).is_zero
     h = TrigPoly(-1, [5, 7])
     assert riesz_plus(h) == TrigPoly(0, [7])
-    assert riesz_minus(h) == TrigPoly(-1, [5])
