@@ -101,17 +101,6 @@ def _load_config_doc(path):
     return doc
 
 
-def _merged_config(args, experiment, out=None):
-    doc = _load_config_doc(args.config) if args.config else {}
-    for key in ("seed", "p", "kmin", "kmax"):
-        val = getattr(args, key)
-        if val is not None:
-            doc[key] = val
-    if out is not None:
-        doc["out"] = out
-    return config_from_dict(doc, experiment=experiment)
-
-
 def _print_result(result):
     cfg = result.config
     print(f"[{cfg.experiment}] {experiment_description(cfg.experiment)}")
@@ -151,10 +140,12 @@ def _cmd_besov(args):
 
 
 def _multiplier_interval(k, args):
-    lower = delta_lower_bound(k, args.p).ratio
+    # the search's pool holds the constructive witness, so it never loses to it
     if args.budget > 0:
         mask = embed(delta_matrix(2**k + 1), witness_embed_size(k))
-        lower = max(lower, random_witness_search(mask, args.p, args.budget, args.seed).ratio)
+        lower = random_witness_search(mask, args.p, args.budget, args.seed).ratio
+    else:
+        lower = delta_lower_bound(k, args.p).ratio
     return lower, dirichlet_witness_upper(k, args.p)
 
 
@@ -179,28 +170,28 @@ def _cmd_multiplier_bound(args):
 
 
 def _cmd_experiment(args):
-    if args.action == "run":
-        cfg = _merged_config(args, args.id, out=args.out)
-        result = run_experiment(cfg)
-        _print_result(result)
-        return 0 if result.verdict else 1
-
     doc = _load_config_doc(args.config) if args.config else {}
-    if "experiment" in doc:
-        raise ValueError("a config used with 'experiment all' must not pin one experiment id")
-    # every config is resolved before any experiment runs or any file is made
-    cfgs = [
-        _merged_config(args, exp_id, out=None if args.out is None else os.path.join(args.out, f"{exp_id}.csv"))
-        for exp_id in EXPERIMENT_IDS
-    ]
-    if args.out is not None:
-        os.makedirs(args.out, exist_ok=True)
+    doc.update({key: getattr(args, key) for key in ("seed", "p", "kmin", "kmax") if getattr(args, key) is not None})
+    if args.action == "run":
+        outs = {args.id: args.out}
+    elif "experiment" in doc or "out" in doc:
+        raise ValueError("a config used with 'experiment all' must not pin one experiment id or output path")
+    else:
+        outs = {exp: None if args.out is None else os.path.join(args.out, f"{exp}.csv") for exp in EXPERIMENT_IDS}
+    cfgs = [config_from_dict(doc if out is None else {**doc, "out": out}, experiment=exp) for exp, out in outs.items()]
+    if args.action == "all" and args.out is not None:
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ValueError(f"cannot use --out {args.out} as the output directory: {exc}") from exc
+    # every config is resolved, and the output directory made, before any experiment runs
     ok = True
     for cfg in cfgs:
         result = run_experiment(cfg)
         _print_result(result)
         ok = ok and result.verdict
-    print(f"overall: {'pass' if ok else 'FAIL'}")
+    if args.action == "all":
+        print(f"overall: {'pass' if ok else 'FAIL'}")
     return 0 if ok else 1
 
 

@@ -12,6 +12,7 @@ BLAS thread count only (E8's differ in trailing digits between 1 and 2).
 from __future__ import annotations
 
 import json
+import numbers
 import os
 import time
 from collections import namedtuple
@@ -23,7 +24,8 @@ import numpy as np
 from .fitting import ScalingFit, fit_powerlaw
 from .hankel import HARD_TOL, band_hankel_check, besov_quasinorm
 from .kernels import bump_poly, dirichlet_plus
-from .matrices import _check_p, delta_matrix, schatten_quasinorm, singular_values, triangular_projection
+from .matrices import (_check_p, _schatten_from_spectrum, delta_matrix, schatten_quasinorm, singular_values,
+                       triangular_projection)
 from .multipliers import delta_lower_bound, dirichlet_witness_upper, fejer_riesz_ratio
 from .rng import SplitMix64, derive_seed
 from .trigpoly import TrigPoly, lp_quasinorm, riesz_plus
@@ -50,12 +52,11 @@ CSV_HEADER = "experiment,p,k,n,sample,quantity,value,wall_ms"
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One batch run: which experiment, at which exponent, over which grid.
-
-    Omitted fields fall back to the experiment's registered defaults.  A
-    field the experiment does not use is rejected rather than ignored: p on
-    the fixed-exponent experiments, samples on the single-sample ones.
-    """
+    """One batch run, and the one owner of its plan: construction fills in
+    the registered kmin, kmax and samples (``exponents`` and ``grid`` read the
+    rest) and rejects every plan a run would trip over later.  That includes
+    a field the experiment does not use: p on the fixed-exponent experiments,
+    samples on the single-sample ones."""
 
     experiment: str
     p: float | None = None
@@ -72,14 +73,37 @@ class ExperimentConfig:
         if self.p is not None:
             if spec.fixed_p:
                 raise ValueError(f"{self.experiment} runs at fixed p; the field p does not apply")
-            _check_p(self.p)
-        if self.kmin is not None and self.kmax is not None and self.kmin > self.kmax:
+            object.__setattr__(self, "p", _check_p(self.p))
+        if self.samples is not None and spec.samples is None:
+            raise ValueError(f"{self.experiment} takes one sample per point; the field samples does not apply")
+        for name, default in (("kmin", spec.ks[0]), ("kmax", spec.ks[1]), ("samples", spec.samples), ("seed", None)):
+            value = default if getattr(self, name) is None else getattr(self, name)
+            if value is None and name == "samples":  # a single-sample experiment
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if self.samples is not None and self.samples < 1:
+            raise ValueError("samples must be >= 1")
+        if self.out is not None and not (isinstance(self.out, str) and self.out):
+            raise ValueError(f"out must be a nonempty path, got {self.out!r}")
+        derive_seed(self.seed)
+        if self.kmin > self.kmax:
             raise ValueError(f"kmin={self.kmin} exceeds kmax={self.kmax}")
-        if self.samples is not None:
-            if spec.samples is None:
-                raise ValueError(f"{self.experiment} takes one sample per point; the field samples does not apply")
-            if int(self.samples) < 1:
-                raise ValueError("samples must be >= 1")
+        if self.kmin < 1:
+            raise ValueError(f"every level must be >= 1, got kmin={self.kmin}")
+        if self.kmax - self.kmin < 2:
+            raise ValueError(f"a fit needs at least 3 levels, got kmin={self.kmin} kmax={self.kmax}")
+
+    @property
+    def exponents(self):
+        """The exponents to sweep: p alone, or the registered ones."""
+        return _REGISTRY[self.experiment].exponents if self.p is None else (self.p,)
+
+    @property
+    def grid(self):
+        """The (k, n) points: n = 2^k + the registered offset for k = kmin..kmax."""
+        return [(k, 2**k + _REGISTRY[self.experiment].offset) for k in range(self.kmin, self.kmax + 1)]
 
 
 _CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
@@ -194,7 +218,7 @@ class _Spec:
 def _mask_schatten(cfg, p, k, n, s, memo):
     if n not in memo:  # one decomposition per size serves every exponent
         memo[n] = singular_values(delta_matrix(n))
-    return {"schatten_quasinorm": float(np.sum(memo[n] ** p) ** (1.0 / p))}
+    return {"schatten_quasinorm": _schatten_from_spectrum(memo[n], p)}
 
 
 def _multiplier_interval(cfg, p, k, n, s, memo):
@@ -212,7 +236,7 @@ def _band_ratio(cfg, p, k, n, s, memo):
     lo = 2 ** (k - 1) + 1
     gen = SplitMix64(derive_seed(cfg.experiment, cfg.seed, k, s))
     band = TrigPoly(lo, gen.complex_normal(2 ** (k + 1) - lo))
-    return {"band_ratio": band_hankel_check(band, p, k)[0]}
+    return {"band_ratio": band_hankel_check(band, p, k)}
 
 
 def _band_ratio_above_one(k, n, s, v):
@@ -224,7 +248,7 @@ def _weak_decay(cfg, p, k, n, s, memo):
     gen = SplitMix64(derive_seed(cfg.experiment, cfg.seed, n, s))
     t_mat = gen.complex_matrix(n, n)
     decay = singular_values(triangular_projection(t_mat))
-    trace_norm = float(np.sum(singular_values(t_mat)))
+    trace_norm = schatten_quasinorm(t_mat, 1.0)
     return {"weak_decay_max": float(np.max((1.0 + np.arange(n)) * decay) / trace_norm)}
 
 
@@ -300,21 +324,14 @@ def experiment_description(experiment):
 
 
 def _run(cfg, spec):
-    """The one sweep loop: resolve cfg against the spec, measure and time
-    every point, then fit and judge.  Returns (records, fits, checks)."""
-    kmin = spec.ks[0] if cfg.kmin is None else int(cfg.kmin)
-    kmax = spec.ks[1] if cfg.kmax is None else int(cfg.kmax)
-    if kmin > kmax:
-        raise ValueError(f"kmin={kmin} exceeds kmax={kmax}")
-    grid = [(k, 2**k + spec.offset) for k in range(kmin, kmax + 1)]
-    ps = spec.exponents if cfg.p is None else (float(cfg.p),)
-    samples = int(cfg.samples or spec.samples or 1)
+    """The one sweep loop over cfg's resolved plan: measure and time every
+    point, then fit and judge.  Returns (records, fits, checks)."""
     memo, records, fits, details = {}, [], [], []
-    for p in ps:
+    for p in cfg.exponents:
         pts = []
-        for k, n in grid:
+        for k, n in cfg.grid:
             fit_vals = []
-            for s in range(samples):
+            for s in range(cfg.samples or 1):
                 t0 = time.perf_counter()
                 values = spec.measure(cfg, p, k, n, s, memo)
                 wall = (time.perf_counter() - t0) * 1e3
@@ -346,6 +363,8 @@ def run_experiment(cfg):
     validated before any computation starts.
     """
     if cfg.out is not None:
+        if os.path.isdir(cfg.out):
+            raise ValueError(f"output path is a directory: {cfg.out}")
         parent = os.path.dirname(os.path.abspath(cfg.out))
         if not os.path.isdir(parent):
             raise ValueError(f"output directory does not exist: {parent}")

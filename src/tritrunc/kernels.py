@@ -19,15 +19,11 @@ makes v(1) = 1 exact and the telescoping partition of unity hold to rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from .trigpoly import TrigPoly
 
 __all__ = [
-    "PointwiseFunction",
     "standard_bump",
     "standard_window",
     "dirichlet_plus",
@@ -37,22 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PointwiseFunction:
-    """A bump or a window made callable pointwise: the evaluator sees a 1-D
-    float array; a scalar argument gives a float, an array of any shape an
-    array of that shape."""
-
-    evaluator: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.asarray(self.evaluator(np.atleast_1d(x).ravel()))
-        return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
-
-
 def _sigma(s):
-    s = np.asarray(s, dtype=float)
     out = np.zeros(s.shape)
     pos = s > 0
     out[pos] = np.exp(-1.0 / s[pos])
@@ -60,41 +41,36 @@ def _sigma(s):
 
 
 def _smooth_step(s):
-    s = np.asarray(s, dtype=float)
     a = _sigma(s)
     b = _sigma(1.0 - s)
     # a + b > 0 everywhere: a = 0 only for s <= 0, where b = sigma(1-s) > 0.
     return a / (a + b)
 
 
-def standard_bump():
-    """The reference bump q(t) = exp(1 - 1/(1 - t^2)) on (-1, 1), 0 outside."""
-
-    def _q(t):
-        out = np.zeros(t.shape)
-        inside = np.abs(t) < 1
-        ti = t[inside]
-        out[inside] = np.exp(1.0 - 1.0 / (1.0 - ti * ti))
-        return out
-
-    return PointwiseFunction(_q)
+def standard_bump(t):
+    """The reference bump q(t) = exp(1 - 1/(1 - t^2)) on (-1, 1), 0 outside,
+    elementwise on an array of any shape."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros(t.shape)
+    inside = np.abs(t) < 1
+    ti = t[inside]
+    out[inside] = np.exp(1.0 - 1.0 / (1.0 - ti * ti))
+    return out
 
 
-def standard_window():
-    """The reference dyadic window v(x) = h(log2 x + 1) - h(log2 x).
+def standard_window(x):
+    """The reference dyadic window v(x) = h(log2 x + 1) - h(log2 x),
+    elementwise on an array of any shape.
 
     v vanishes outside [1/2, 2], v(1) = 1 exactly, and for every x >= 1 the
     dilates satisfy sum_{j>=0} v(2^-j x) = 1 (telescoping of the step h).
     """
-
-    def _v(x):
-        out = np.zeros(x.shape)
-        pos = x > 0
-        s = np.log2(x[pos])
-        out[pos] = _smooth_step(s + 1.0) - _smooth_step(s)
-        return out
-
-    return PointwiseFunction(_v)
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(x.shape)
+    pos = x > 0
+    s = np.log2(x[pos])
+    out[pos] = _smooth_step(s + 1.0) - _smooth_step(s)
+    return out
 
 
 def dirichlet_plus(n):
@@ -128,7 +104,7 @@ def bump_poly(m):
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     ks = np.arange(-(m - 1), m)
-    return TrigPoly(-(m - 1), standard_bump()(ks / m))
+    return TrigPoly(-(m - 1), standard_bump(ks / m))
 
 
 def apply_window(f, n):
@@ -148,5 +124,5 @@ def apply_window(f, n):
         return TrigPoly(0, [0.0])
     lo = max(f.lo, 1)
     js = np.arange(lo, f.hi + 1)
-    return TrigPoly(lo, f.coefficients_on(lo, f.hi) * standard_window()(js / 2.0**n))
+    return TrigPoly(lo, f.coefficients_on(lo, f.hi) * standard_window(js / 2.0**n))
 

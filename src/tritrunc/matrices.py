@@ -4,6 +4,8 @@ Schatten quasinorms, and the structured 0/1 matrices used throughout
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 __all__ = [
@@ -30,7 +32,9 @@ def _as_matrix(a, name="matrix"):
 
 
 def _check_p(p):
-    """The one exponent validator: p as a float, or ValueError unless 0 < p < inf."""
+    """The one exponent validator: p as a float, or ValueError unless p is a real number in (0, inf)."""
+    if isinstance(p, bool) or not isinstance(p, numbers.Real):
+        raise ValueError(f"exponent p must be a real number, got {p!r}")
     p = float(p)
     if not (p > 0) or not np.isfinite(p):
         raise ValueError(f"exponent p must be positive and finite, got {p}")
@@ -72,9 +76,12 @@ def schatten_quasinorm(a, p):
     p-triangle inequality.  The zero matrix returns 0.
     """
     p = _check_p(p)
-    s = singular_values(a)
-    total = float(np.sum(s**p))
-    return total ** (1.0 / p)
+    return _schatten_from_spectrum(singular_values(a), p)
+
+
+def _schatten_from_spectrum(s, p):
+    """(sum of s**p)^(1/p) for singular values s and a checked exponent p."""
+    return float(np.sum(s**p)) ** (1.0 / p)
 
 
 def chi_matrix(n):

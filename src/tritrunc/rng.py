@@ -17,8 +17,9 @@ small, fully specified primitives provide that:
 * ``derive_seed`` — FNV-1a (64-bit, offset 0xCBF29CE484222325, prime
   0x100000001B3) over a type-tagged byte encoding of the arguments:
   strings as 's' + UTF-8 bytes, integers as 'i' + 8-byte little-endian
-  two's complement, floats as 'f' + IEEE-754 binary64 little-endian; each
-  part is preceded by its tag and followed by a 0xFF separator.
+  two's complement (so only -2^63 <= i < 2^63; any other integer is a
+  ValueError), floats as 'f' + IEEE-754 binary64 little-endian; each part
+  is preceded by its tag and followed by a 0xFF separator.
 
 Gaussians come from Box-Muller on 53-bit uniforms; complex Gaussians have
 independent standard-normal real and imaginary parts.
@@ -58,7 +59,10 @@ def derive_seed(*parts):
         if isinstance(part, str):
             blob = b"s" + part.encode("utf-8")
         elif isinstance(part, (int, np.integer)):
-            blob = b"i" + int(part).to_bytes(8, "little", signed=True)
+            try:
+                blob = b"i" + int(part).to_bytes(8, "little", signed=True)
+            except OverflowError:
+                raise ValueError(f"seed part {part} lies outside the 64-bit range [-2^63, 2^63)") from None
         elif isinstance(part, float):
             blob = b"f" + struct.pack("<d", part)
         else:

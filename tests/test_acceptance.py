@@ -228,7 +228,7 @@ def test_identity_witness_doubling_factor(announce):
 
 
 def test_identity_window_partition_of_unity(announce):
-    v = standard_window()
+    v = standard_window
     xs = np.geomspace(1.0, 2.0**20, 10_000)
     total = np.zeros_like(xs)
     for n in range(24):

@@ -11,6 +11,10 @@ import pytest
 from tritrunc.cli import build_parser, main
 from tritrunc.hankel import besov_quasinorm
 from tritrunc.kernels import dirichlet_plus
+from tritrunc.matrices import delta_matrix
+from tritrunc.multipliers import delta_lower_bound, embed, random_witness_search, witness_embed_size
+
+BIG_SEED = str(2**63)  # one past the largest seed derive_seed encodes
 
 
 def run_cli(capsys, *argv):
@@ -121,6 +125,15 @@ def test_multiplier_bound_over_a_range_of_levels(capsys):
         assert code == 2 and out == "" and "error" in err
 
 
+def test_budgeted_lower_end_is_the_search_value(capsys):
+    # the search's pool holds the constructive witness, so its best ratio alone is the lower end
+    code, out, _ = run_cli(capsys, "multiplier-bound", "--delta-k", "3", "--p", "0.5", "--budget", "6", "--seed", "4")
+    assert code == 0
+    lower = float(out.splitlines()[0].removeprefix("lower "))
+    mask = embed(delta_matrix(9), witness_embed_size(3))
+    assert lower == random_witness_search(mask, 0.5, 6, 4).ratio >= delta_lower_bound(3, 0.5).ratio
+
+
 def test_multiplier_bound_rejects_k_zero(capsys):
     code, _, err = run_cli(capsys, "multiplier-bound", "--delta-k", "0", "--p", "0.5")
     assert code == 2 and "error:" in err
@@ -193,6 +206,78 @@ def test_experiment_all_resolves_every_config_before_running(capsys, tmp_path):
     code, out, err = run_cli(capsys, "experiment", "all", "--p", "0.5", "--out", str(results))
     assert code == 2 and out == "" and "E4 runs at fixed p" in err
     assert not results.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["experiment", "all", "--kmin", "9"],  # E1 has 3 levels at kmin 9, E2 only one
+        ["experiment", "run", "E3", "--kmin", "0", "--kmax", "3"],
+        ["experiment", "run", "E1", "--seed", BIG_SEED],
+        ["experiment", "all", "--seed", BIG_SEED],
+        ["multiplier-bound", "--delta-k", "3", "--p", "0.5", "--budget", "5", "--seed", BIG_SEED],
+        ["multiplier-bound", "--kmin", "2", "--kmax", "3", "--p", "0.5", "--budget", "5", "--seed", BIG_SEED],
+    ],
+)
+def test_a_bad_plan_exits_two_before_any_work(capsys, tmp_path, argv):
+    if argv[0] == "experiment":
+        argv = argv + ["--out", str(tmp_path / "results")]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("action", [["run", "E6"], ["all"]])
+@pytest.mark.parametrize(
+    "doc", [{"kmin": [3]}, {"seed": [1]}, {"p": [0.5]}, {"seed": "abc"}, {"kmin": True}, {"seed": 2**63}]
+)
+def test_a_bad_config_field_exits_two_before_any_work(capsys, tmp_path, action, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    results = tmp_path / "results"
+    code, out, err = run_cli(capsys, "experiment", *action, "--config", str(cfg), "--out", str(results))
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert not results.exists()
+
+
+def test_experiment_all_rejects_an_out_that_is_a_file(capsys, tmp_path):
+    target = tmp_path / "results"
+    target.write_text("keep\n")
+    code, out, err = run_cli(capsys, "experiment", "all", "--out", str(target))
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert target.read_text() == "keep\n" and list(tmp_path.iterdir()) == [target]
+
+
+def test_experiment_all_rejects_a_config_that_pins_the_output(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out": str(tmp_path / "x.csv")}))
+    code, out, err = run_cli(capsys, "experiment", "all", "--config", str(cfg))
+    assert code == 2 and out == "" and "must not pin" in err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_experiment_all_reads_the_config_once(capsys, tmp_path, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kmin": 2, "kmax": 4}))
+    opened, real_open = [], open
+
+    def counting_open(file, *args, **kwargs):
+        if str(file) == str(cfg):
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    code, out, _ = run_cli(capsys, "experiment", "all", "--config", str(cfg))
+    assert code in (0, 1) and out.count("verdict:") == 9
+    assert len(opened) == 1
+
+
+def test_experiment_all_writes_every_experiment(capsys, tmp_path):
+    results = tmp_path / "nested" / "results"
+    code, out, _ = run_cli(capsys, "experiment", "all", "--kmin", "2", "--kmax", "4", "--out", str(results))
+    assert code in (0, 1) and out.splitlines()[-1] in ("overall: pass", "overall: FAIL")
+    want = sorted(f"E{i}.{ext}" for i in range(1, 10) for ext in ("csv", "fits.json"))
+    assert sorted(path.name for path in results.iterdir()) == want
 
 
 def test_flags_override_the_config(capsys, tmp_path):

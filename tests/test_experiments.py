@@ -1,7 +1,9 @@
 """Batch pipeline: config plumbing, determinism, and on-disk formats."""
 
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from tritrunc.experiments import (
@@ -42,6 +44,23 @@ def test_config_rejects_unknown_experiment():
         (dict(sizes=[8, 16]), "unknown config keys: sizes"),
         (dict(oversample=512), "unknown config keys: oversample"),
         (dict(tolerance=0.5), "unknown config keys: tolerance"),
+        (dict(experiment="E2", kmin=9), "at least 3 levels, got kmin=9 kmax=9"),  # E2's kmax is 9
+        (dict(kmin=12), "kmin=12 exceeds kmax=11"),
+        (dict(experiment="E3", kmin=0, kmax=3), "every level must be >= 1"),
+        (dict(kmin=[3]), "kmin must be an integer"),
+        (dict(kmin=True), "kmin must be an integer"),
+        (dict(kmax=11.0), "kmax must be an integer"),
+        (dict(experiment="E3", samples="2"), "samples must be an integer"),
+        (dict(seed="abc"), "seed must be an integer"),
+        (dict(seed=[1]), "seed must be an integer"),
+        (dict(seed=None), "seed must be an integer"),
+        (dict(seed=2**63), "outside the 64-bit range"),
+        (dict(seed=-(2**63) - 1), "outside the 64-bit range"),
+        (dict(p=[0.5]), "p must be a real number"),
+        (dict(p="0.5"), "p must be a real number"),
+        (dict(p=True), "p must be a real number"),
+        (dict(out=5), "out must be a nonempty path"),
+        (dict(out=""), "out must be a nonempty path"),
     ],
 )
 def test_config_field_validation(kwargs, message):
@@ -81,6 +100,18 @@ def test_config_from_dict_rejects_a_conflicting_pin():
     assert config_from_dict({"experiment": "E1"}, experiment="E1").experiment == "E1"
 
 
+def test_config_resolves_the_registered_plan():
+    cfg = ExperimentConfig("E2")
+    assert (cfg.kmin, cfg.kmax, cfg.samples, cfg.exponents) == (4, 9, None, (0.5,))
+    assert cfg.grid == [(k, 2**k + 1) for k in range(4, 10)]
+    assert ExperimentConfig("E8", kmax=6).samples == 10
+    cfg = ExperimentConfig("E3", p=1, kmin=np.int64(2), kmax=4, samples=3, seed=2**63 - 1)
+    assert cfg.exponents == (1.0,) and type(cfg.p) is float and type(cfg.kmin) is int
+    assert cfg.grid == [(2, 4), (3, 8), (4, 16)] and cfg.samples == 3
+    # the resolved config is itself a valid config for the same run
+    assert config_from_dict(dataclasses.asdict(cfg)) == cfg
+
+
 @pytest.mark.parametrize("exp", ["E2", "E3", "E7"])
 def test_exact_dyadic_experiments_reject_sizes(exp):
     # every experiment runs on its dyadic kmin..kmax grid; a size list is not a config key
@@ -113,8 +144,8 @@ def test_the_seed_changes_the_data():
 
 
 def test_fits_need_at_least_three_grid_points():
-    with pytest.raises(ValueError, match="at least 3"):
-        run_experiment(ExperimentConfig("E4", kmin=5, kmax=5, samples=2))
+    with pytest.raises(ValueError, match="at least 3 levels"):
+        ExperimentConfig("E4", kmin=5, kmax=5, samples=2)
 
 
 # --- on-disk formats ---------------------------------------------------------------
@@ -148,6 +179,8 @@ def test_output_location_is_validated_before_compute(tmp_path):
     cfg = ExperimentConfig("E1", out=str(tmp_path / "missing" / "x.csv"))
     with pytest.raises(ValueError, match="does not exist"):
         run_experiment(cfg)
+    with pytest.raises(ValueError, match="is a directory"):
+        run_experiment(ExperimentConfig("E1", out=str(tmp_path)))
 
 
 def test_records_are_sorted_by_the_published_key():

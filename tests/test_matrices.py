@@ -99,7 +99,7 @@ def test_zero_matrix_quasinorm_is_zero():
     assert schatten_quasinorm(np.zeros((4, 4)), 2.0) == 0.0
 
 
-@pytest.mark.parametrize("p", [0.0, -1.0, np.inf, np.nan])
+@pytest.mark.parametrize("p", [0.0, -1.0, np.inf, np.nan, [0.5], "0.5", True, None])
 def test_schatten_rejects_bad_exponents(p):
     with pytest.raises(ValueError):
         schatten_quasinorm(np.eye(2), p)

@@ -105,6 +105,14 @@ def test_derive_seed_rejects_unsupported_types():
         derive_seed([1, 2])
 
 
+def test_derive_seed_rejects_integers_outside_64_bits():
+    assert derive_seed(2**63 - 1) == derive_seed_reference(2**63 - 1)
+    assert derive_seed(-(2**63)) == derive_seed_reference(-(2**63))
+    for part in (2**63, -(2**63) - 1, 2**64):
+        with pytest.raises(ValueError, match="outside the 64-bit range"):
+            derive_seed("x", part)
+
+
 def test_derive_seed_feeds_distinct_streams():
     a = SplitMix64(derive_seed("stream", 0)).uniform(4)
     b = SplitMix64(derive_seed("stream", 1)).uniform(4)
