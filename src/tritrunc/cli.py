@@ -37,6 +37,7 @@ from .multipliers import (
     random_witness_search,
     witness_embed_size,
 )
+from .rng import derive_seed
 
 __all__ = ["main", "build_parser"]
 
@@ -152,6 +153,7 @@ def _multiplier_interval(k, args):
 def _cmd_multiplier_bound(args):
     if args.budget < 0:
         raise ValueError("--budget must be >= 0")
+    derive_seed(args.seed)  # the seed is checked with any budget, not only where the search reads it
     if args.delta_k is not None:
         if args.kmax is not None:
             raise ValueError("--kmax goes with --kmin, not --delta-k")

@@ -5,8 +5,12 @@ a dyadic size grid, measures its quantities per point (seeded per point, so
 runs are schedule-independent), fits a power law, and judges the slope
 against the registered target.  A registry entry declares only what differs
 between experiments; one sweep loop, ``_run``, does the rest.  Results are
-emitted as CSV records plus a JSON fit summary, byte-reproducible at a fixed
-BLAS thread count only (E8's differ in trailing digits between 1 and 2).
+emitted as CSV records plus a JSON fit summary.  The sampled experiments (E3,
+E4, E8) compute every point at one BLAS thread, in as many single-thread
+worker processes as the caller's BLAS thread budget allows (``_worker_count``),
+so their output is byte-identical at any thread count.
+E1, E2 and E9 run in this process and are byte-reproducible at a fixed BLAS
+thread count only; E5, E6 and E7 do not depend on it.
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ from __future__ import annotations
 import json
 import numbers
 import os
+import pickle
+import sys
 import time
 from collections import namedtuple
 from dataclasses import dataclass, fields
@@ -323,25 +329,109 @@ def experiment_description(experiment):
     return f"{spec.name}: {spec.blurb}"
 
 
+# Every worker starts with these at 1; the caller's budget is read from the
+# first two, in the order OpenBLAS reads them.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# A worker imports tritrunc from the directory given as its argument, the one
+# this module was loaded from.
+_WORKER_MAIN = "import sys; sys.path.insert(0, sys.argv[1]); from tritrunc.experiments import _serve; _serve()"
+
+
+def _worker_count(points):
+    """Worker processes for a sampled run of ``points`` points, or 0 to keep
+    it in this process.
+
+    The budget is the BLAS thread count the caller granted:
+    OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else the CPUs this process
+    may use.  A budget of one keeps the run here, at that one thread; a larger
+    one spends its threads on single-thread workers, capped by the CPUs and
+    by the points.  Either way every point computes at one BLAS thread."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    budget = cpus
+    for var in _BLAS_THREAD_VARS[:2]:
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            budget = int(value)
+            break
+    return 0 if budget == 1 else min(budget, cpus, points)
+
+
+def _measure(cfg, memo, point):
+    """Measure one (p, k, n, s) point; returns ({quantity: value}, wall_ms)."""
+    t0 = time.perf_counter()
+    values = _REGISTRY[cfg.experiment].measure(cfg, *point, memo)
+    return values, (time.perf_counter() - t0) * 1e3
+
+
+def _serve():
+    """A worker's whole life: read (cfg, points) pickled on stdin, and write
+    their measurements, or the exception that stopped them, to stdout."""
+    cfg, points = pickle.load(sys.stdin.buffer)
+    try:
+        out = [_measure(cfg, {}, point) for point in points]
+    except Exception as exc:  # the worker's boundary: the parent raises it
+        out = exc
+    pickle.dump(out, sys.stdout.buffer)
+
+
+def _measure_all(cfg, points):
+    """Measure every point, returned in the order of ``points``.
+
+    Only a sampled experiment (E3, E4, E8) goes to worker processes: its
+    points share no state.  E1 and E9 share one decomposition per size
+    through the run's memo, and each of their largest points is one
+    eigensolve that a single-thread worker would run slower."""
+    workers = 0 if cfg.samples is None else _worker_count(len(points))
+    if not workers:
+        memo = {}
+        return [_measure(cfg, memo, point) for point in points]
+    import subprocess  # here, so that importing tritrunc does not load it
+
+    env = dict(os.environ, **dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    # dealt round-robin from the largest point down, so that the workers'
+    # shares of every size differ by at most one point
+    largest_first = range(len(points) - 1, -1, -1)
+    deals = [largest_first[w::workers] for w in range(workers)]
+    procs, results = [], [None] * len(points)
+    try:
+        for deal in deals:
+            procs.append(subprocess.Popen([sys.executable, "-c", _WORKER_MAIN, here],
+                                          stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env))
+            with procs[-1].stdin as pipe:
+                pipe.write(pickle.dumps((cfg, [points[i] for i in deal])))
+        for proc, deal in zip(procs, deals):
+            out = proc.stdout.read()
+            if proc.wait() != 0:
+                raise RuntimeError(f"a worker process exited with code {proc.returncode}")
+            got = pickle.loads(out)
+            if isinstance(got, Exception):
+                raise got
+            for i, value in zip(deal, got):
+                results[i] = value
+    finally:
+        for proc in procs:
+            with proc:  # closes its pipes and waits for it
+                if proc.poll() is None:
+                    proc.kill()
+    return results
+
+
 def _run(cfg, spec):
     """The one sweep loop over cfg's resolved plan: measure and time every
     point, then fit and judge.  Returns (records, fits, checks)."""
-    memo, records, fits, details = {}, [], [], []
-    for p in cfg.exponents:
-        pts = []
-        for k, n in cfg.grid:
-            fit_vals = []
-            for s in range(cfg.samples or 1):
-                t0 = time.perf_counter()
-                values = spec.measure(cfg, p, k, n, s, memo)
-                wall = (time.perf_counter() - t0) * 1e3
-                for quantity, value in values.items():
-                    records.append(SeriesRecord(cfg.experiment, p, k, n, s, quantity, value, wall))
-                    wall = 0.0  # the point's whole time sits on its first quantity's row
-                fit_vals += [values[q] for q in spec.fit_on or list(values)[:1]]
-                if spec.check is not None:
-                    details.append(spec.check.fails(k, n, s, values))
-            pts.append((spec.fit_x(k, n), spec.reduce(fit_vals)))
+    points = [(p, k, n, s) for p in cfg.exponents for k, n in cfg.grid for s in range(cfg.samples or 1)]
+    records, details, fit_vals = [], [], {}
+    for (p, k, n, s), (values, wall) in zip(points, _measure_all(cfg, points)):
+        for quantity, value in values.items():
+            records.append(SeriesRecord(cfg.experiment, p, k, n, s, quantity, value, wall))
+            wall = 0.0  # the point's whole time sits on its first quantity's row
+        fit_vals.setdefault(p, {}).setdefault((k, n), []).extend(values[q] for q in spec.fit_on or list(values)[:1])
+        if spec.check is not None:
+            details.append(spec.check.fails(k, n, s, values))
+    fits = []
+    for p, at_p in fit_vals.items():
+        pts = [(spec.fit_x(k, n), spec.reduce(vals)) for (k, n), vals in at_p.items()]
         fit = fit_powerlaw(pts, spec.target(p), spec.tolerance, one_sided=spec.one_sided)
         fits.append(FitRecord(cfg.experiment, p, fit))
     if spec.check is None:

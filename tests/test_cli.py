@@ -217,6 +217,9 @@ def test_experiment_all_resolves_every_config_before_running(capsys, tmp_path):
         ["experiment", "all", "--seed", BIG_SEED],
         ["multiplier-bound", "--delta-k", "3", "--p", "0.5", "--budget", "5", "--seed", BIG_SEED],
         ["multiplier-bound", "--kmin", "2", "--kmax", "3", "--p", "0.5", "--budget", "5", "--seed", BIG_SEED],
+        # budget 0 never reads the seed, and still rejects one it could not encode
+        ["multiplier-bound", "--delta-k", "3", "--p", "0.5", "--seed", BIG_SEED],
+        ["multiplier-bound", "--kmin", "2", "--kmax", "3", "--p", "0.5", "--budget", "0", "--seed", BIG_SEED],
     ],
 )
 def test_a_bad_plan_exits_two_before_any_work(capsys, tmp_path, argv):

@@ -2,10 +2,15 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from tritrunc import cli, experiments
 from tritrunc.experiments import (
     DEFAULT_SEED,
     EXPERIMENT_IDS,
@@ -146,6 +151,120 @@ def test_the_seed_changes_the_data():
 def test_fits_need_at_least_three_grid_points():
     with pytest.raises(ValueError, match="at least 3 levels"):
         ExperimentConfig("E4", kmin=5, kmax=5, samples=2)
+
+
+# --- worker processes -------------------------------------------------------------
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# small plans of the sampled experiments, the ones dealt to worker processes; each
+# reaches a size (E3 k = 6, E4 and E8 n = 128) whose values move with the BLAS thread count
+SAMPLED_PLANS = {"E3": {"kmin": 4, "kmax": 6, "samples": 4}, "E4": {"kmin": 5, "kmax": 7, "samples": 3},
+                 "E8": {"kmin": 5, "kmax": 7, "samples": 2}}
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """Every process started through subprocess.Popen while the test runs."""
+    procs = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            procs.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    return procs
+
+
+def run_python(args, **env):
+    """Run a fresh interpreter that imports tritrunc from this checkout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))), **env)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_worker_count_follows_the_blas_thread_budget(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    for var in BLAS_VARS:
+        monkeypatch.delenv(var, raising=False)
+    assert experiments._worker_count(100) == 4  # no budget granted: the CPUs
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    assert experiments._worker_count(100) == 3
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "8")  # read first, capped by the CPUs
+    assert experiments._worker_count(100) == 4
+    assert experiments._worker_count(2) == 2  # and by the points
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # one thread: the run stays in this process
+    assert experiments._worker_count(100) == 0
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "")  # unset in effect: the next variable decides
+    assert experiments._worker_count(100) == 3
+
+
+@pytest.mark.parametrize("exp", sorted(SAMPLED_PLANS))
+def test_sampled_runs_are_identical_for_any_worker_count(exp, tmp_path, monkeypatch, capsys, started):
+    (tmp_path / "plan.json").write_text(json.dumps(SAMPLED_PLANS[exp]), encoding="utf-8")
+    argv = ["experiment", "run", exp, "--config", str(tmp_path / "plan.json"), "--out"]
+    outputs = []
+    for threads in (1, 2):  # one thread runs in this process, two deal to workers where there are two CPUs
+        proc = run_python(["-m", "tritrunc", *argv, str(tmp_path / f"t{threads}.csv")],
+                          **dict.fromkeys(BLAS_VARS, str(threads)))
+        assert proc.returncode == 0 and proc.stderr == ""
+        outputs.append((proc.stdout, strip_wall((tmp_path / f"t{threads}.csv").read_text(encoding="utf-8")),
+                        (tmp_path / f"t{threads}.fits.json").read_text(encoding="utf-8")))
+    monkeypatch.setattr(experiments, "_worker_count", lambda points: 3)
+    code = cli.main([*argv, str(tmp_path / "w3.csv")])
+    outputs.append((capsys.readouterr().out, strip_wall((tmp_path / "w3.csv").read_text(encoding="utf-8")),
+                    (tmp_path / "w3.fits.json").read_text(encoding="utf-8")))
+    assert code == 0
+    assert outputs[0] == outputs[1] == outputs[2]
+    # the two command-line processes and the three workers of the last run
+    assert len(started) == 2 + 3 and all(proc.returncode == 0 for proc in started)
+
+
+def test_pooled_points_merge_in_serial_order(monkeypatch):
+    # a check that fails on every point lists every point in its detail, in (k, s) order
+    spec = experiments._REGISTRY["E3"]
+    check = experiments._Check("every_point", lambda k, n, s, v: f"k={k} s={s} {v['band_ratio']!r}", "")
+    monkeypatch.setitem(experiments._REGISTRY, "E3", dataclasses.replace(spec, check=check))
+    cfg = ExperimentConfig("E3", kmin=2, kmax=4, samples=3)
+    results = []
+    for workers in (0, 3):
+        monkeypatch.setattr(experiments, "_worker_count", lambda points: workers)
+        results.append(run_experiment(cfg))
+    serial, pooled = ([dataclasses.replace(r, wall_ms=0.0) for r in result.records] for result in results)
+    assert serial == pooled
+    assert results[0].fits == results[1].fits and results[0].checks == results[1].checks
+    assert [d.split(" ")[:2] for d in results[1].checks[0].detail.split("; ")] == [
+        [f"k={k}", f"s={s}"] for k in (2, 3, 4) for s in range(3)
+    ]
+
+
+def test_a_worker_error_reaches_the_caller(monkeypatch, capsys, started):
+    monkeypatch.setattr(experiments, "_worker_count", lambda points: 2)
+    cfg = ExperimentConfig("E3", kmin=2, kmax=4, samples=2)
+    object.__setattr__(cfg, "seed", 2**64)  # past the plan check, so derive_seed raises in the workers
+    with pytest.raises(ValueError, match="outside the 64-bit range"):
+        run_experiment(cfg)
+    assert len(started) == 2 and all(proc.returncode is not None for proc in started)
+    # through the command line the same error is a usage error
+    monkeypatch.setattr(cli, "config_from_dict", lambda doc, experiment: cfg)
+    assert cli.main(["experiment", "run", "E3"]) == 2
+    assert "outside the 64-bit range" in capsys.readouterr().err
+    assert len(started) == 4 and all(proc.returncode is not None for proc in started)
+
+
+def test_a_failed_worker_process_is_an_error(monkeypatch, started):
+    monkeypatch.setattr(experiments, "_worker_count", lambda points: 2)
+    monkeypatch.setattr(experiments, "_WORKER_MAIN", "import sys; sys.stdin.buffer.read(); sys.exit(3)")
+    with pytest.raises(RuntimeError, match="exited with code 3"):
+        run_experiment(ExperimentConfig("E3", kmin=2, kmax=4, samples=2))
+    # the first worker's exit is the error; the other has exited too, or was killed
+    assert started[0].returncode == 3 and all(proc.returncode is not None for proc in started[1:])
+
+
+def test_importing_tritrunc_loads_no_process_machinery():
+    code = "import sys, tritrunc.cli; print(sorted({'subprocess', 'multiprocessing'} & set(sys.modules)))"
+    proc = run_python(["-c", code])
+    assert proc.returncode == 0 and proc.stdout == "[]\n"
 
 
 # --- on-disk formats ---------------------------------------------------------------
