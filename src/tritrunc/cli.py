@@ -10,7 +10,8 @@ Subcommands:
 * ``experiment run ID`` one registered experiment; ``experiment all`` runs
                         every registered experiment and aggregates verdicts.
 
-Exit codes: 0 all verdicts pass, 1 an assertion failed, 2 usage/config error.
+Exit codes: 0 all verdicts pass, 1 an assertion failed, 2 usage/config error
+(including an input too large to allocate).
 """
 
 from __future__ import annotations
@@ -213,6 +214,10 @@ def main(argv=None):
         return _cmd_experiment(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # an input too large to allocate is a usage error, not a failed check
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

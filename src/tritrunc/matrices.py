@@ -60,7 +60,12 @@ def singular_values(a):
     stable: each value carries an absolute error of order
     max(shape) * eps * operator norm, so values at that level are rounding
     noise on either route.  The symmetric route costs about a third of the
-    SVD.  Non-convergence raises ``numpy.linalg.LinAlgError`` (it is never
+    SVD.  A complex input of exactly repeated entries that is nearly rank
+    deficient (the all-ones matrix with one entry moved, cast to complex)
+    runs LAPACK's values-only SVD through subnormal arithmetic on its
+    rounding noise: 6 to 23 ms at n = 97 against 1.5 ms for a generic
+    input (one OpenBLAS thread, 2-core x86 box).
+    Non-convergence raises ``numpy.linalg.LinAlgError`` (it is never
     silently ignored).
     """
     a = _as_matrix(a)

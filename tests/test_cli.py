@@ -144,6 +144,16 @@ def test_multiplier_bound_rejects_a_negative_budget(capsys):
     assert code == 2 and out == "" and "--budget must be >= 0" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    # each input's first array is terabytes, so its allocation fails at once
+    [["multiplier-bound", "--delta-k", "40", "--p", "0.5"], ["spnorm", "--chi", "1000000", "--p", "0.5"]],
+)
+def test_an_input_too_large_to_allocate_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error: out of memory")
+
+
 # --- experiment run ----------------------------------------------------------------
 
 

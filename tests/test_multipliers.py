@@ -218,6 +218,67 @@ def test_witness_search_never_loses_to_the_constructive_witness():
         assert found.ratio >= delta_lower_bound(k, 0.5).ratio
 
 
+def _pool_and_rank_one_best(k, p, budget, seed):
+    """Best ratio of the search's pool and rank-one phase on the level-k mask, through plain witness_ratio."""
+    size = witness_embed_size(k)
+    a = embed(delta_matrix(2**k + 1), size)
+    p_k, _ = band_witness_pair(k)
+    ratios = [
+        witness_ratio(a, np.ones_like(a), p).ratio,
+        witness_ratio(a, np.eye(size), p).ratio,
+        witness_ratio(a, embed(hankel_matrix(p_k), size), p).ratio,
+    ]
+    gen = SplitMix64(derive_seed("witness-search", seed))
+    for _ in range(budget // 2):
+        u = gen.complex_normal(size)
+        v = gen.complex_normal(size)
+        ratios.append(witness_ratio(a, np.outer(u, v.conj()), p).ratio)
+    return max(ratios)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_witness_search_replays_through_the_plain_frame(k):
+    # the ascent's phase frame draws from its own stream, so the search's own
+    # draws, and with no accepted ascent step its value, are those of a plain search
+    a = embed(delta_matrix(2**k + 1), witness_embed_size(k))
+    for budget in (25, 50):
+        for seed in (3, 11):
+            assert random_witness_search(a, 0.5, budget, seed).ratio == _pool_and_rank_one_best(k, 0.5, budget, seed)
+
+
+def test_witness_search_reuses_the_numerator_off_the_mask(monkeypatch):
+    calls = {"svd": 0, "eigvalsh": 0}
+    for name in calls:
+        solver = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _solver=solver, **kwargs):
+            calls[_name] += 1
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    k = 6
+    random_witness_search(embed(delta_matrix(2**k + 1), witness_embed_size(k)), 0.5, 100, 1)
+    # pool: 6 symmetric solves; rank-one phase: 50 x 2 SVDs; ascent: 50 framed
+    # denominators plus a numerator only for the 11 trials on the mask
+    # (recomputing every numerator took 200 SVDs)
+    assert calls == {"svd": 161, "eigvalsh": 6}
+
+
+def test_accepted_ascent_step_reports_its_unframed_witness():
+    # at p = 1 the ascent climbs from the all-ones witness on this diagonally
+    # dominant multiplier; a rank-one incumbent at p < 1 hardly ever accepts a step
+    n, p, budget = 8, 1.0, 60
+    gen = SplitMix64(derive_seed("ascent-multiplier", n))
+    a = 5 * np.diag(1 + gen.uniform(n)) + gen.uniform(n * n).reshape(n, n)
+    rep = random_witness_search(a, p, budget, seed=4)
+    moved = np.count_nonzero(rep.witness != 1)
+    assert 1 <= moved <= budget - budget // 2  # the all-ones start, moved in the accepted entries only
+    assert rep.ratio > witness_ratio(a, np.ones((n, n)), p).ratio
+    eps = np.finfo(float).eps
+    slack = (1 + (n - 1) * (n * eps) ** p) ** (1 / p) - 1
+    assert witness_ratio(rep.multiplier, rep.witness, p).ratio == pytest.approx(rep.ratio, rel=slack, abs=0)
+
+
 def test_witness_search_validates():
     with pytest.raises(ValueError, match="square"):
         random_witness_search(np.ones((2, 3)), 0.5, budget=4, seed=0)
