@@ -31,13 +31,7 @@ from .experiments import (
 from .hankel import besov_quasinorm
 from .kernels import dirichlet_plus
 from .matrices import chi_matrix, delta_matrix, ones_matrix, schatten_quasinorm
-from .multipliers import (
-    delta_lower_bound,
-    dirichlet_witness_upper,
-    embed,
-    random_witness_search,
-    witness_embed_size,
-)
+from .multipliers import delta_lower_bound, dirichlet_witness_upper, random_witness_search
 from .rng import derive_seed
 
 __all__ = ["main", "build_parser"]
@@ -68,7 +62,8 @@ def build_parser():
     level.add_argument("--kmin", type=int, metavar="A", help="first level of a range (with --kmax)")
     mb.add_argument("--kmax", type=int, metavar="B", help="last level of the range")
     mb.add_argument("--p", type=float, required=True, help="exponent in (0, 1]")
-    mb.add_argument("--budget", type=int, default=0, help="extra randomized witness-search evaluations")
+    mb.add_argument("--budget", type=int, default=0, metavar="B", help="witness-search S_p evaluations: "
+                    "B // 2 rank-one draws beyond the all-ones, identity and constructive witnesses")
     mb.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     ex = sub.add_parser("experiment", help="run registered scaling experiments")
@@ -142,16 +137,17 @@ def _cmd_besov(args):
 
 
 def _multiplier_interval(k, args):
-    # the search's pool holds the constructive witness, so it never loses to it
+    rep = delta_lower_bound(k, args.p)
+    lower = rep.ratio
     if args.budget > 0:
-        mask = embed(delta_matrix(2**k + 1), witness_embed_size(k))
-        lower = random_witness_search(mask, args.p, args.budget, args.seed).ratio
-    else:
-        lower = delta_lower_bound(k, args.p).ratio
+        # a rank-one draw spends two S_p evaluations, so B evaluations buy B // 2 draws
+        lower = max(lower, random_witness_search(rep.multiplier, args.p, args.budget // 2, args.seed).ratio)
     return lower, dirichlet_witness_upper(k, args.p)
 
 
 def _cmd_multiplier_bound(args):
+    if not 0 < args.p <= 1:
+        raise ValueError(f"--p must lie in (0, 1], got {args.p!r}")
     if args.budget < 0:
         raise ValueError("--budget must be >= 0")
     derive_seed(args.seed)  # the seed is checked with any budget, not only where the search reads it

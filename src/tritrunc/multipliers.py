@@ -10,7 +10,7 @@ sandwiched without claiming the exact value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,20 +61,15 @@ def embed(a, size):
     return out
 
 
-def witness_ratio(a, b, p, numerator=None):
-    """Evaluate the witness b against the multiplier a at exponent p.
-
-    A caller that already holds ||a * b||_p, up to rounding, passes it as
-    ``numerator`` and skips that spectrum.
-    """
+def witness_ratio(a, b, p):
+    """Evaluate the witness b against the multiplier a at exponent p."""
     a = np.asarray(a)
     b = np.asarray(b)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: multiplier {a.shape} vs witness {b.shape}")
     if not np.any(b):
         raise ValueError("zero witness")
-    if numerator is None:
-        numerator = schatten_quasinorm(schur_product(a, b), p)
+    numerator = schatten_quasinorm(schur_product(a, b), p)
     denominator = schatten_quasinorm(b, p)
     return WitnessReport(
         p=float(p), multiplier=a, witness=b, numerator=numerator, denominator=denominator
@@ -147,50 +142,23 @@ def double_witness(a, b, p):
     return base, doubled
 
 
-def _delta_pattern_size(a):
-    """If a is the 0/1 anti-triangular pattern (possibly zero-padded), its size."""
-    a = np.asarray(a)
-    if a.shape[0] != a.shape[1] or np.iscomplexobj(a) and np.any(a.imag):
-        return None
-    r = a.real
-    if not np.array_equal(r, r.astype(bool).astype(r.dtype)):
-        return None
-    m = int(np.sum(r[0] != 0))
-    if m < 2 or m > a.shape[0]:
-        return None
-    return m if np.array_equal(r, embed(delta_matrix(m), a.shape[0])) else None
+def random_witness_search(a, p, draws, seed):
+    """Best witness ratio over a fixed pool and seeded rank-one draws.
 
-
-def random_witness_search(a, p, budget, seed):
-    """Best witness ratio found under a fixed evaluation budget, deterministically.
-
-    The candidate pool always contains the all-ones witness and the identity
-    pattern; when the multiplier is a (possibly padded) anti-triangular 0/1
-    Hankel pattern of size 2^k + 1, the constructive bump witness joins the
-    pool, so the search never loses to it.  Half the budget then goes to
-    rank-one complex-Gaussian draws, half to single-entry perturbation ascent
-    on the incumbent (step 0.1 * max|B|, decayed by 0.95 per 100 rejections).
-    Equal seeds give identical reports.
-
-    Each ascent trial B is evaluated in a fixed phase frame, as
-    witness_ratio(a, D1 B D2) with unimodular diagonal D1, D2 drawn once per
-    search from a stream of their own, so the search's own draws are those
-    of an unframed search.  In exact arithmetic the ratio does not change:
-    a * (D1 B D2) = D1 (a * B) D2, and S_p is unitarily invariant.  The frame
-    is there for speed.  A trial such as ones + delta e_ij has exactly equal
-    entries, and LAPACK's complex SVD of such a nearly rank-deficient matrix
-    grinds through subnormal arithmetic: 6 to 23 ms at n = 97 (one OpenBLAS
-    thread, 2-core x86 box), against 1.5 ms for the same trial in the frame
-    or for a generic matrix.  Where a[i, j] == 0, a * B equals a times the
-    incumbent, so the trial reuses the incumbent's numerator.  An accepted
-    trial is reported with the unframed B as its witness.
+    The pool is the all-ones witness and the identity; on top of it come
+    ``draws`` rank-one complex-Gaussian witnesses u v^*, each costing two
+    S_p evaluations.  ``draws = 0`` searches the pool alone.  Equal seeds
+    give identical reports.  The search knows nothing of the multiplier's
+    structure: ``tritrunc multiplier-bound --budget B`` runs it with
+    B // 2 draws on the padded level-k mask and prints the larger of its
+    ratio and the constructive witness's (delta_lower_bound).
     """
     a = np.asarray(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"multiplier must be square, got {a.shape}")
-    budget = int(budget)
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    draws = int(draws)
+    if draws < 0:
+        raise ValueError("draws must be >= 0")
     gen = SplitMix64(derive_seed("witness-search", int(seed)))
     size = a.shape[0]
 
@@ -198,49 +166,12 @@ def random_witness_search(a, p, budget, seed):
     rep = witness_ratio(a, np.eye(size), p)
     if rep.ratio > best.ratio:
         best = rep
-
-    frame_size = size
-    m = _delta_pattern_size(a)
-    if m is not None and m >= 3 and (m - 1) & (m - 2) == 0:
-        k = (m - 1).bit_length() - 1  # m = 2^k + 1 with k >= 1
-        p_k, _ = band_witness_pair(k)
-        frame_size = max(size, witness_embed_size(k))
-        rep = witness_ratio(embed(a, frame_size), embed(hankel_matrix(p_k), frame_size), p)
-        if rep.ratio > best.ratio:
-            best = rep
-    # the ascent's phase frame covers the largest candidate; a smaller incumbent uses its leading block
-    frame = SplitMix64(derive_seed("witness-search-frame", int(seed)))
-    phases = np.exp(2j * np.pi * frame.uniform(2 * frame_size))
-
-    n_rank1 = budget // 2
-    for _ in range(n_rank1):
+    for _ in range(draws):
         u = gen.complex_normal(size)
         v = gen.complex_normal(size)
         rep = witness_ratio(a, np.outer(u, v.conj()), p)
         if rep.ratio > best.ratio:
             best = rep
-
-    witness = best.witness.astype(complex, copy=True)
-    multiplier = best.multiplier
-    numerator = best.numerator
-    step = 0.1 * float(np.max(np.abs(witness)))
-    rejected = 0
-    n = witness.shape[0]
-    row_phase, col_phase = phases[:n, None], phases[frame_size : frame_size + n]
-    for _ in range(budget - n_rank1):
-        i, j = gen.integers(2, n)
-        delta = step * complex(gen.normal(1)[0], gen.normal(1)[0])
-        trial = witness.copy()
-        trial[i, j] += delta
-        reuse = None if multiplier[i, j] != 0 else numerator
-        rep = witness_ratio(multiplier, row_phase * trial * col_phase, p, numerator=reuse)
-        if rep.ratio > best.ratio:
-            best = replace(rep, witness=trial)
-            witness, numerator = trial, rep.numerator
-        else:
-            rejected += 1
-            if rejected % 100 == 0:
-                step *= 0.95
     return best
 
 

@@ -8,11 +8,11 @@ from pathlib import Path
 
 import pytest
 
+from tritrunc import cli
 from tritrunc.cli import build_parser, main
 from tritrunc.hankel import besov_quasinorm
 from tritrunc.kernels import dirichlet_plus
-from tritrunc.matrices import delta_matrix
-from tritrunc.multipliers import delta_lower_bound, embed, random_witness_search, witness_embed_size
+from tritrunc.multipliers import delta_lower_bound, random_witness_search
 
 BIG_SEED = str(2**63)  # one past the largest seed derive_seed encodes
 
@@ -126,12 +126,47 @@ def test_multiplier_bound_over_a_range_of_levels(capsys):
 
 
 def test_budgeted_lower_end_is_the_search_value(capsys):
-    # the search's pool holds the constructive witness, so its best ratio alone is the lower end
-    code, out, _ = run_cli(capsys, "multiplier-bound", "--delta-k", "3", "--p", "0.5", "--budget", "6", "--seed", "4")
+    # B evaluations buy B // 2 rank-one draws on the padded mask, and the
+    # constructive witness stays in the running (it wins at k = 1, p = 1)
+    for k, p, budget, seed in ((1, 1.0, 6, 11), (2, 0.5, 6, 1), (3, 0.5, 7, 4), (4, 0.5, 40, 9)):
+        code, out, _ = run_cli(capsys, "multiplier-bound", "--delta-k", str(k), "--p", str(p),
+                               "--budget", str(budget), "--seed", str(seed))
+        assert code == 0
+        lower = float(out.splitlines()[0].removeprefix("lower "))
+        rep = delta_lower_bound(k, p)
+        assert lower == max(rep.ratio, random_witness_search(rep.multiplier, p, budget // 2, seed).ratio)
+
+
+# recorded while the search still ran a single-entry ascent, which never
+# accepted a step on these masks; the p = 0.75 row at level 1 moves if the
+# search is given B draws in place of B // 2
+GOLDEN = [
+    (["--delta-k", "6", "--p", "0.5", "--budget", "200"],
+     ["lower 56.754105528565624", "upper 199.58396794534923"]),
+    (["--kmin", "1", "--kmax", "5", "--seed", "11", "--p", "1.0", "--budget", "1"],
+     ["level 1 lower 1 upper 1.4359910881576892",
+      "level 2 lower 0.94227621948934404 upper 1.6421884224280721",
+      "level 3 lower 1.0174135056743925 upper 1.8800820748620919",
+      "level 4 lower 1.1190871597115208 upper 2.1377327434321209",
+      "level 5 lower 1.2389522515691911 upper 2.4065257257792352"]),
+    (["--kmin", "1", "--kmax", "5", "--seed", "11", "--p", "0.75", "--budget", "7"],
+     ["level 1 lower 1.241023868962897 upper 2.4411467741972843",
+      "level 2 lower 1.4963537869499881 upper 3.1941441636738697",
+      "level 3 lower 1.895577789050517 upper 4.2612859382191566",
+      "level 4 lower 2.4699647909542244 upper 5.7087880991537805",
+      "level 5 lower 3.2548892303178834 upper 7.6186807251019388"]),
+]
+
+
+@pytest.mark.parametrize("argv, want", GOLDEN)
+def test_multiplier_bound_keeps_its_recorded_outputs(capsys, argv, want):
+    code, out, _ = run_cli(capsys, "multiplier-bound", *argv)
     assert code == 0
-    lower = float(out.splitlines()[0].removeprefix("lower "))
-    mask = embed(delta_matrix(9), witness_embed_size(3))
-    assert lower == random_witness_search(mask, 0.5, 6, 4).ratio >= delta_lower_bound(3, 0.5).ratio
+    got = [line.split() for line in out.splitlines()]
+    expected = [line.split() for line in want]
+    assert [row[:-1:2] for row in got] == [row[:-1:2] for row in expected]  # labels
+    values = [[float(x) for x in row[1::2]] for row in got]
+    assert values == [pytest.approx([float(x) for x in row[1::2]], rel=1e-12, abs=0) for row in expected]
 
 
 def test_multiplier_bound_rejects_k_zero(capsys):
@@ -142,6 +177,17 @@ def test_multiplier_bound_rejects_k_zero(capsys):
 def test_multiplier_bound_rejects_a_negative_budget(capsys):
     code, out, err = run_cli(capsys, "multiplier-bound", "--delta-k", "3", "--p", "0.5", "--budget", "-5")
     assert code == 2 and out == "" and "--budget must be >= 0" in err
+
+
+@pytest.mark.parametrize("p", ["2", "0", "-0.5", "nan"])
+@pytest.mark.parametrize("level", [["--delta-k", "6"], ["--kmin", "1", "--kmax", "6"]])
+def test_multiplier_bound_rejects_p_before_any_work(capsys, monkeypatch, level, p):
+    calls = []
+    monkeypatch.setattr(cli, "delta_lower_bound", lambda *a: calls.append("delta_lower_bound"))
+    monkeypatch.setattr(cli, "random_witness_search", lambda *a: calls.append("random_witness_search"))
+    code, out, err = run_cli(capsys, "multiplier-bound", *level, "--p", p, "--budget", "200")
+    assert code == 2 and out == "" and "--p must lie in (0, 1]" in err
+    assert calls == []
 
 
 @pytest.mark.parametrize(
