@@ -211,6 +211,14 @@ def test_witness_search_is_deterministic():
     assert np.array_equal(first.witness, second.witness)
 
 
+def test_witness_search_never_loses_to_the_constructive_witness():
+    # the all-ones and identity pool alone beats the bump witness on the unpadded mask
+    for k in (2, 3):
+        a = delta_matrix(2**k + 1)
+        found = random_witness_search(a, 0.5, draws=3, seed=1)
+        assert found.ratio >= delta_lower_bound(k, 0.5).ratio
+
+
 def _pool_and_rank_one_best(a, p, draws, seed):
     """Best ratio of the all-ones and identity pool and the seeded rank-one draws, through plain witness_ratio."""
     size = a.shape[0]
