@@ -62,8 +62,9 @@ def build_parser():
     level.add_argument("--kmin", type=int, metavar="A", help="first level of a range (with --kmax)")
     mb.add_argument("--kmax", type=int, metavar="B", help="last level of the range")
     mb.add_argument("--p", type=float, required=True, help="exponent in (0, 1]")
-    mb.add_argument("--budget", type=int, default=0, metavar="B", help="witness-search S_p evaluations: "
-                    "B // 2 rank-one draws beyond the all-ones, identity and constructive witnesses")
+    mb.add_argument("--budget", type=int, default=0, metavar="B", help="witness-search budget: B // 2 seeded "
+                    "rank-one draws beyond the all-ones, identity and constructive witnesses, which run at "
+                    "every budget")
     mb.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     ex = sub.add_parser("experiment", help="run registered scaling experiments")
@@ -138,11 +139,9 @@ def _cmd_besov(args):
 
 def _multiplier_interval(k, args):
     rep = delta_lower_bound(k, args.p)
-    lower = rep.ratio
-    if args.budget > 0:
-        # a rank-one draw spends two S_p evaluations, so B evaluations buy B // 2 draws
-        lower = max(lower, random_witness_search(rep.multiplier, args.p, args.budget // 2, args.seed).ratio)
-    return lower, dirichlet_witness_upper(k, args.p)
+    # --budget B buys B // 2 rank-one draws; the all-ones and identity pool runs at every budget
+    found = random_witness_search(rep.multiplier, args.p, args.budget // 2, args.seed)
+    return max(rep.ratio, found.ratio), dirichlet_witness_upper(k, args.p)
 
 
 def _cmd_multiplier_bound(args):
@@ -150,7 +149,7 @@ def _cmd_multiplier_bound(args):
         raise ValueError(f"--p must lie in (0, 1], got {args.p!r}")
     if args.budget < 0:
         raise ValueError("--budget must be >= 0")
-    derive_seed(args.seed)  # the seed is checked with any budget, not only where the search reads it
+    derive_seed(args.seed)  # a seed the stream cannot encode is rejected before any work
     if args.delta_k is not None:
         if args.kmax is not None:
             raise ValueError("--kmax goes with --kmin, not --delta-k")

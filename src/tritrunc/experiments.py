@@ -30,9 +30,9 @@ import numpy as np
 from .fitting import ScalingFit, fit_powerlaw
 from .hankel import HARD_TOL, band_hankel_check, besov_quasinorm
 from .kernels import bump_poly, dirichlet_plus
-from .matrices import (_check_p, _schatten_from_spectrum, delta_matrix, schatten_quasinorm, singular_values,
-                       triangular_projection)
-from .multipliers import delta_lower_bound, dirichlet_witness_upper, fejer_riesz_ratio
+from .matrices import (_check_p, _schatten_from_spectrum, chi_matrix, delta_matrix, schatten_quasinorm,
+                       singular_values, triangular_projection)
+from .multipliers import delta_lower_bound, dirichlet_witness_upper, fejer_riesz_ratio, witness_ratio
 from .rng import SplitMix64, derive_seed
 from .trigpoly import TrigPoly, lp_quasinorm, riesz_plus
 
@@ -279,16 +279,15 @@ def _top_term_below_2k(k, n, s, v):
 
 
 def _projection_ratios(cfg, p, k, n, s, memo):
-    out = {}
-    for fam in ("rank_one", "gaussian"):
-        gen = SplitMix64(derive_seed(cfg.experiment, cfg.seed, fam, n, s))
-        if fam == "rank_one":
-            t_mat = np.outer(gen.complex_normal(n), gen.complex_normal(n).conj())
-        else:
-            t_mat = gen.complex_matrix(n, n)
-        num = schatten_quasinorm(triangular_projection(t_mat), p)
-        out[f"projection_ratio_{fam}"] = num / (n ** (1.0 / p - 1.0) * schatten_quasinorm(t_mat, p))
-    return out
+    scale = n ** (1.0 / p - 1.0)
+    # a rank-one T = u v^* goes through the factored witness: P_n(T) = chi_n * T, and S_p(T) = ||u|| ||v||
+    gen = SplitMix64(derive_seed(cfg.experiment, cfg.seed, "rank_one", n, s))
+    u, v = gen.complex_normal_rows(2, n)
+    rank_one = witness_ratio(chi_matrix(n), (u, v), p).ratio / scale
+    gen = SplitMix64(derive_seed(cfg.experiment, cfg.seed, "gaussian", n, s))
+    t_mat = gen.complex_matrix(n, n)
+    gaussian = schatten_quasinorm(triangular_projection(t_mat), p) / (scale * schatten_quasinorm(t_mat, p))
+    return {"projection_ratio_rank_one": rank_one, "projection_ratio_gaussian": gaussian}
 
 
 _REGISTRY = {

@@ -111,6 +111,22 @@ class SplitMix64:
         im = self.normal(n)
         return (re + 1j * im).reshape(shape)
 
+    def complex_normal_rows(self, count, size):
+        """count x size array whose row i is the i-th of count consecutive complex_normal(size) calls.
+
+        The stream is counter-based, so one bulk evaluation is bit-identical
+        to the consecutive calls and leaves the counter where they would.
+        """
+        count, size = int(count), int(size)
+        half = (size + 1) // 2
+        # per row: the real part's u1, u2 blocks, then the imaginary part's; the transcendental
+        # functions get contiguous operands, as in normal(), so numpy picks the same loop
+        u = self.uniform(count * 4 * half).reshape(count, 2, 2, half)
+        r = np.sqrt(-2.0 * np.log(np.ascontiguousarray(u[:, :, 0])))
+        theta = 2.0 * np.pi * np.ascontiguousarray(u[:, :, 1])
+        parts = np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=-1)[..., :size]
+        return parts[:, 0] + 1j * parts[:, 1]
+
     def complex_matrix(self, rows, cols):
         return self.complex_normal((int(rows), int(cols)))
 

@@ -6,13 +6,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tritrunc import cli
 from tritrunc.cli import build_parser, main
 from tritrunc.hankel import besov_quasinorm
 from tritrunc.kernels import dirichlet_plus
-from tritrunc.multipliers import delta_lower_bound, random_witness_search
+from tritrunc.multipliers import delta_lower_bound, random_witness_search, witness_embed_size
+
+from oracles import chi_spectrum_closed_form
 
 BIG_SEED = str(2**63)  # one past the largest seed derive_seed encodes
 
@@ -126,9 +129,9 @@ def test_multiplier_bound_over_a_range_of_levels(capsys):
 
 
 def test_budgeted_lower_end_is_the_search_value(capsys):
-    # B evaluations buy B // 2 rank-one draws on the padded mask, and the
-    # constructive witness stays in the running (it wins at k = 1, p = 1)
-    for k, p, budget, seed in ((1, 1.0, 6, 11), (2, 0.5, 6, 1), (3, 0.5, 7, 4), (4, 0.5, 40, 9)):
+    # B evaluations buy B // 2 rank-one draws on the padded mask, the pool runs at
+    # every budget, and the constructive witness stays in the running (it wins at k = 1, p = 1)
+    for k, p, budget, seed in ((1, 1.0, 6, 11), (2, 0.5, 0, 3), (2, 0.5, 6, 1), (3, 0.5, 7, 4), (4, 0.5, 40, 9)):
         code, out, _ = run_cli(capsys, "multiplier-bound", "--delta-k", str(k), "--p", str(p),
                                "--budget", str(budget), "--seed", str(seed))
         assert code == 0
@@ -137,12 +140,10 @@ def test_budgeted_lower_end_is_the_search_value(capsys):
         assert lower == max(rep.ratio, random_witness_search(rep.multiplier, p, budget // 2, seed).ratio)
 
 
-# recorded while the search still ran a single-entry ascent, which never
-# accepted a step on these masks; the p = 0.75 row at level 1 moves if the
-# search is given B draws in place of B // 2
+# the level-1 row at p = 0.75 moves if the search is given B draws in place of B // 2
 GOLDEN = [
     (["--delta-k", "6", "--p", "0.5", "--budget", "200"],
-     ["lower 56.754105528565624", "upper 199.58396794534923"]),
+     ["lower 56.754172417903249", "upper 199.58396794534923"]),
     (["--kmin", "1", "--kmax", "5", "--seed", "11", "--p", "1.0", "--budget", "1"],
      ["level 1 lower 1 upper 1.4359910881576892",
       "level 2 lower 0.94227621948934404 upper 1.6421884224280721",
@@ -150,12 +151,18 @@ GOLDEN = [
       "level 4 lower 1.1190871597115208 upper 2.1377327434321209",
       "level 5 lower 1.2389522515691911 upper 2.4065257257792352"]),
     (["--kmin", "1", "--kmax", "5", "--seed", "11", "--p", "0.75", "--budget", "7"],
-     ["level 1 lower 1.241023868962897 upper 2.4411467741972843",
-      "level 2 lower 1.4963537869499881 upper 3.1941441636738697",
-      "level 3 lower 1.895577789050517 upper 4.2612859382191566",
-      "level 4 lower 2.4699647909542244 upper 5.7087880991537805",
-      "level 5 lower 3.2548892303178834 upper 7.6186807251019388"]),
+     ["level 1 lower 1.2410238689650339 upper 2.4411467741972843",
+      "level 2 lower 1.4963537869537578 upper 3.1941441636738697",
+      "level 3 lower 1.8955777890578887 upper 4.2612859382191566",
+      "level 4 lower 2.4699647909619076 upper 5.7087880991537805",
+      "level 5 lower 3.2548892304474162 upper 7.6186807251019388"]),
 ]
+# lower ends of GOLDEN rows 1 and 3 while each draw and the all-ones witness paid
+# two SVDs; those SVDs' rounding floors at p < 1 biased the ratios low
+SVD_ROUTE_LOWER = {
+    0: [56.754105528565624],
+    2: [1.241023868962897, 1.4963537869499881, 1.895577789050517, 2.4699647909542244, 3.2548892303178834],
+}
 
 
 @pytest.mark.parametrize("argv, want", GOLDEN)
@@ -167,6 +174,31 @@ def test_multiplier_bound_keeps_its_recorded_outputs(capsys, argv, want):
     assert [row[:-1:2] for row in got] == [row[:-1:2] for row in expected]  # labels
     values = [[float(x) for x in row[1::2]] for row in got]
     assert values == [pytest.approx([float(x) for x in row[1::2]], rel=1e-12, abs=0) for row in expected]
+
+
+@pytest.mark.parametrize("row", sorted(SVD_ROUTE_LOWER))
+def test_recorded_lower_ends_are_the_all_ones_closed_form(row):
+    # on these rows the all-ones witness wins, so the lower end is S_p(Delta_n) / N
+    # for the padded size N; the SVD route's values stay as floors
+    argv, want = GOLDEN[row]
+    p = float(argv[argv.index("--p") + 1])
+    levels = [int(argv[1])] if argv[0] == "--delta-k" else range(int(argv[1]), int(argv[3]) + 1)
+    lowers = [float(words[words.index("lower") + 1]) for words in map(str.split, want) if "lower" in words]
+    for k, lower, floor in zip(levels, lowers, SVD_ROUTE_LOWER[row], strict=True):
+        closed = float(np.sum(chi_spectrum_closed_form(2**k + 1) ** p) ** (1.0 / p)) / witness_embed_size(k)
+        assert lower == pytest.approx(closed, rel=1e-12, abs=0)
+        assert floor <= lower <= floor * (1 + 2e-6)
+
+
+def test_budget_zero_runs_the_pool(capsys):
+    # the all-ones witness lifts the lower end far above the constructive witness
+    # (0.83 at k = 2 and p = 1/2, below the single-entry witness's 1)
+    code, out, _ = run_cli(capsys, "multiplier-bound", "--kmin", "2", "--kmax", "6", "--p", "0.5", "--budget", "0")
+    assert code == 0
+    for line in out.splitlines():
+        k, lower = int(line.split()[1]), float(line.split()[3])
+        assert lower == random_witness_search(delta_lower_bound(k, 0.5).multiplier, 0.5, 0, 0).ratio
+        assert lower > 4 * delta_lower_bound(k, 0.5).ratio
 
 
 def test_multiplier_bound_rejects_k_zero(capsys):
@@ -273,7 +305,7 @@ def test_experiment_all_resolves_every_config_before_running(capsys, tmp_path):
         ["experiment", "all", "--seed", BIG_SEED],
         ["multiplier-bound", "--delta-k", "3", "--p", "0.5", "--budget", "5", "--seed", BIG_SEED],
         ["multiplier-bound", "--kmin", "2", "--kmax", "3", "--p", "0.5", "--budget", "5", "--seed", BIG_SEED],
-        # budget 0 never reads the seed, and still rejects one it could not encode
+        # budget 0 draws nothing from the seed's stream, and still rejects a seed it could not encode
         ["multiplier-bound", "--delta-k", "3", "--p", "0.5", "--seed", BIG_SEED],
         ["multiplier-bound", "--kmin", "2", "--kmax", "3", "--p", "0.5", "--budget", "0", "--seed", BIG_SEED],
     ],

@@ -19,6 +19,8 @@ from tritrunc.experiments import (
     experiment_description,
     run_experiment,
 )
+from tritrunc.matrices import schatten_quasinorm, triangular_projection
+from tritrunc.rng import SplitMix64, derive_seed
 
 
 def strip_wall(csv_text):
@@ -306,6 +308,18 @@ def test_records_are_sorted_by_the_published_key():
     result = run_experiment(ExperimentConfig("E8", kmin=4, kmax=6, samples=2))
     keys = [(r.experiment, r.p, r.k, r.n, r.quantity, r.sample) for r in result.records]
     assert keys == sorted(keys)
+
+
+def test_e8_rank_one_ratio_is_the_projection_of_its_seeded_draw():
+    # at p = 1 the dense route has no rounding floor, so the factored value must match it
+    result = run_experiment(ExperimentConfig("E8", p=1.0, kmin=4, kmax=6, samples=2))
+    rows = [r for r in result.records if r.quantity == "projection_ratio_rank_one"]
+    assert len(rows) == 6
+    for r in rows:
+        gen = SplitMix64(derive_seed("E8", DEFAULT_SEED, "rank_one", r.n, r.sample))
+        t_mat = np.outer(gen.complex_normal(r.n), gen.complex_normal(r.n).conj())
+        want = schatten_quasinorm(triangular_projection(t_mat), 1.0) / schatten_quasinorm(t_mat, 1.0)
+        assert r.value == pytest.approx(want, rel=1e-12)
 
 
 # --- verdicts ----------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from corpora import chi_doubling_decomposition
+from tritrunc import multipliers
 from tritrunc.hankel import hankel_matrix
 from tritrunc.kernels import dirichlet_plus, fejer
 from tritrunc.matrices import (
@@ -31,6 +32,7 @@ from tritrunc.rng import SplitMix64, derive_seed
 from tritrunc.trigpoly import TrigPoly, lp_quasinorm, riesz_plus
 
 from corpora import multiplier_upper_corpus
+from oracles import chi_spectrum_closed_form
 
 
 # --- witness_ratio and embed ----------------------------------------------------
@@ -48,6 +50,65 @@ def test_witness_ratio_validates_inputs():
         witness_ratio(chi_matrix(2), ones_matrix(3), 0.5)
     with pytest.raises(ValueError, match="zero witness"):
         witness_ratio(chi_matrix(2), np.zeros((2, 2)), 0.5)
+
+
+def test_pair_witness_validates_inputs():
+    a = chi_matrix(3)
+    for u, v in ((np.ones(3), np.ones(2)), (np.ones(2), np.ones(3)), (np.ones((3, 1)), np.ones(3)),
+                 (np.ones(3), np.ones((1, 3)))):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            witness_ratio(a, (u, v), 0.5)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        witness_ratio(np.ones((3, 2)), (np.ones(2), np.ones(3)), 0.5)
+    for u, v in ((np.zeros(3), np.ones(3)), (np.ones(3), np.zeros(3, dtype=complex))):
+        with pytest.raises(ValueError, match="zero witness"):
+            witness_ratio(a, (u, v), 0.5)
+    with pytest.raises(ValueError, match="p must be"):
+        witness_ratio(np.zeros((3, 3)), (np.ones(3), np.ones(3)), 0.0)
+
+
+def test_pair_witness_is_the_rank_one_matrix():
+    # away from the rounding floor (p >= 1) the factored form agrees with the dense one
+    rng = SplitMix64(derive_seed("pair-witness"))
+    for m, n in ((1, 1), (3, 5), (6, 4), (9, 9)):
+        a = rng.complex_matrix(m, n)
+        u, v = rng.complex_normal(m), rng.complex_normal(n)
+        for p in (1.0, 2.0):
+            pair, dense = witness_ratio(a, (u, v), p), witness_ratio(a, np.outer(u, v.conj()), p)
+            assert np.array_equal(pair.witness, dense.witness)
+            assert pair.numerator == pytest.approx(dense.numerator, rel=1e-12)
+            assert pair.denominator == pytest.approx(dense.denominator, rel=1e-12)
+
+
+def test_pair_witness_ignores_the_phases():
+    rng = SplitMix64(derive_seed("pair-witness-phases"))
+    a = embed(delta_matrix(9), witness_embed_size(3))
+    for p in (0.5, 0.75, 1.0):
+        u, v = rng.complex_normal(13), rng.complex_normal(13)
+        assert witness_ratio(a, (u, v), p).ratio == pytest.approx(
+            witness_ratio(a, (np.abs(u), np.abs(v)), p).ratio, rel=1e-14, abs=0
+        )
+
+
+def test_pair_witness_trims_zero_rows_and_columns():
+    # a witness factor that misses the mask's support scores zero, with no spectrum
+    a = embed(delta_matrix(3), 5)
+    u = np.array([0.0, 0.0, 0.0, 1.0, 2.0])
+    assert witness_ratio(a, (u, np.ones(5)), 0.5).numerator == 0.0
+    rep = witness_ratio(a, (np.array([0.0, 1.0, 0.0, 3.0, 0.0]), np.ones(5)), 1.0)
+    assert rep.numerator == pytest.approx(np.sqrt(2.0), rel=1e-15)  # row 1 of the mask: two ones
+    assert rep.denominator == pytest.approx(np.sqrt(10.0) * np.sqrt(5.0), rel=1e-15)
+
+
+@pytest.mark.parametrize("p", [0.5, 0.75, 1.0])
+@pytest.mark.parametrize("k", range(1, 9))
+def test_all_ones_pair_on_the_padded_mask_is_the_closed_form(k, p):
+    # S_p(Delta_n) / N: the mask's closed-form spectrum over the exact denominator ||1_N||^2 = N
+    n, size = 2**k + 1, witness_embed_size(k)
+    ones = np.ones(size)
+    want = float(np.sum(chi_spectrum_closed_form(n) ** p) ** (1.0 / p)) / size
+    got = witness_ratio(embed(delta_matrix(n), size), (ones, ones), p).ratio
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_embed_preserves_schatten_quasinorms():
@@ -220,21 +281,22 @@ def test_witness_search_never_loses_to_the_constructive_witness():
 
 
 def _pool_and_rank_one_best(a, p, draws, seed):
-    """Best ratio of the all-ones and identity pool and the seeded rank-one draws, through plain witness_ratio."""
+    """Best ratio of the all-ones and identity pool and the seeded rank-one draws, one witness_ratio call each."""
     size = a.shape[0]
-    ratios = [witness_ratio(a, np.ones_like(a), p).ratio, witness_ratio(a, np.eye(size), p).ratio]
+    ones = np.ones(size)
+    ratios = [witness_ratio(a, (ones, ones), p).ratio, witness_ratio(a, np.eye(size), p).ratio]
     gen = SplitMix64(derive_seed("witness-search", seed))
     for _ in range(draws):
         u = gen.complex_normal(size)
         v = gen.complex_normal(size)
-        ratios.append(witness_ratio(a, np.outer(u, v.conj()), p).ratio)
+        ratios.append(witness_ratio(a, (u, v), p).ratio)
     return max(ratios)
 
 
 @pytest.mark.parametrize("k", [3, 4, 5])
 def test_witness_search_replays_through_the_plain_frame(k):
     # the search's value is exactly the best of its pool and its stream's draws,
-    # each evaluated by a plain witness_ratio call
+    # drawn one complex_normal call at a time and each evaluated as a pair
     a = embed(delta_matrix(2**k + 1), witness_embed_size(k))
     for p in (0.5, 1.0):
         for draws in (12, 25):
@@ -242,20 +304,44 @@ def test_witness_search_replays_through_the_plain_frame(k):
                 assert random_witness_search(a, p, draws, seed).ratio == _pool_and_rank_one_best(a, p, draws, seed)
 
 
-def test_witness_search_spends_two_spectra_per_draw(monkeypatch):
+def test_witness_search_draws_across_stream_blocks(monkeypatch):
+    # the bulk draws come in blocks that continue one stream
+    monkeypatch.setattr(multipliers, "_DRAW_BLOCK", 2)
+    a = embed(delta_matrix(5), witness_embed_size(2))
+    for draws in (1, 2, 5):
+        assert random_witness_search(a, 0.75, draws, 4).ratio == _pool_and_rank_one_best(a, 0.75, draws, 4)
+
+
+def test_witness_search_reports_the_winning_draw_as_a_matrix():
+    a = delta_matrix(3)
+    best = random_witness_search(a, 1.0, 40, 2)
+    gen = SplitMix64(derive_seed("witness-search", 2))
+    draws = [(gen.complex_normal(3), gen.complex_normal(3)) for _ in range(40)]
+    ratios = [witness_ratio(a, pair, 1.0).ratio for pair in draws]
+    assert best.ratio == max(ratios) > 1.0  # a draw beats the pool here
+    u, v = draws[int(np.argmax(ratios))]
+    assert np.array_equal(best.witness, np.outer(u, v.conj()))
+
+
+def test_witness_search_spends_one_spectrum_per_draw(monkeypatch):
     calls = {"svd": 0, "eigvalsh": 0}
+    svd_inputs = set()
     for name in calls:
         solver = getattr(np.linalg, name)
 
-        def counted(*args, _name=name, _solver=solver, **kwargs):
+        def counted(a, *args, _name=name, _solver=solver, **kwargs):
             calls[_name] += 1
-            return _solver(*args, **kwargs)
+            if _name == "svd":
+                svd_inputs.add((a.shape, a.dtype.kind))
+            return _solver(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
     k = 6
     random_witness_search(embed(delta_matrix(2**k + 1), witness_embed_size(k)), 0.5, 50, 1)
-    # pool: 4 symmetric solves on the real symmetric padded mask; draws: 50 x 2 complex SVDs
-    assert calls == {"svd": 100, "eigvalsh": 4}
+    # pool: one symmetric solve for the all-ones numerator (its denominator is exact) and
+    # two for the identity; draws: one real SVD each, of the numerator trimmed to the 65 x 65 mask
+    assert calls == {"svd": 50, "eigvalsh": 3}
+    assert svd_inputs == {((65, 65), "f")}
 
 
 def test_witness_search_validates():

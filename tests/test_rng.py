@@ -62,6 +62,20 @@ def test_complex_normal_shapes_and_dtype():
     assert g.complex_matrix(2, 5).shape == (2, 5)
 
 
+@pytest.mark.parametrize("seed", [0, 5, 2**64 - 1])
+@pytest.mark.parametrize("size", [1, 2, 3, 13, 97])
+def test_complex_normal_rows_are_consecutive_complex_normal_calls(seed, size):
+    bulk, one_by_one = SplitMix64(seed), SplitMix64(seed)
+    bulk.uniform(3), one_by_one.uniform(3)  # start off the stream's origin
+    rows = bulk.complex_normal_rows(7, size)
+    want = np.stack([one_by_one.complex_normal(size) for _ in range(7)])
+    assert rows.shape == (7, size) and rows.dtype == want.dtype
+    assert rows.tobytes() == want.tobytes()
+    # the counter lands where the consecutive calls leave it
+    assert bulk.uniform(5).tobytes() == one_by_one.uniform(5).tobytes()
+    assert bulk.complex_normal_rows(0, size).shape == (0, size)
+
+
 def test_integers_follow_the_modular_map():
     seed, upper = 42, 37
     got = SplitMix64(seed).integers(50, upper)
