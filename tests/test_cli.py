@@ -129,7 +129,7 @@ def test_multiplier_bound_over_a_range_of_levels(capsys):
 
 
 def test_budgeted_lower_end_is_the_search_value(capsys):
-    # B evaluations buy B // 2 rank-one draws on the padded mask, the pool runs at
+    # --budget B buys B // 2 rank-one draws on the padded mask, the pool runs at
     # every budget, and the constructive witness stays in the running (it wins at k = 1, p = 1)
     for k, p, budget, seed in ((1, 1.0, 6, 11), (2, 0.5, 0, 3), (2, 0.5, 6, 1), (3, 0.5, 7, 4), (4, 0.5, 40, 9)):
         code, out, _ = run_cli(capsys, "multiplier-bound", "--delta-k", str(k), "--p", str(p),
