@@ -24,14 +24,12 @@ __all__ = [
     "WitnessReport",
     "witness_ratio",
     "band_witness_pair",
-    "witness_embed_size",
     "delta_lower_bound",
     "hankel_multiplier_upper",
     "double_witness",
     "random_witness_search",
     "fejer_riesz_ratio",
     "dirichlet_witness_upper",
-    "embed",
 ]
 
 _DRAW_BLOCK = 256  # rank-one draws per bulk stream evaluation in random_witness_search
@@ -39,7 +37,11 @@ _DRAW_BLOCK = 256  # rank-one draws per bulk stream evaluation in random_witness
 
 @dataclass(frozen=True)
 class WitnessReport:
-    """One certified lower-bound evaluation ||a * b|| / ||b|| <= ||a||_mult."""
+    """One certified lower-bound evaluation ||a * b|| / ||b|| <= ||a||_mult.
+
+    The multiplier may be smaller than the witness; it is then read as zero
+    outside its top-left block, which leaves its multiplier quasinorm as it is.
+    """
 
     p: float
     multiplier: np.ndarray
@@ -52,19 +54,12 @@ class WitnessReport:
         return self.numerator / self.denominator
 
 
-def embed(a, size):
-    """Zero-pad a matrix to size x size (bottom/right); spectra are unchanged."""
-    a = np.asarray(a)
-    size = int(size)
-    if a.shape[0] > size or a.shape[1] > size:
-        raise ValueError(f"cannot embed shape {a.shape} into {size}x{size}")
-    out = np.zeros((size, size), dtype=a.dtype)
-    out[: a.shape[0], : a.shape[1]] = a
-    return out
-
-
 def witness_ratio(a, b, p):
     """Evaluate the witness b against the multiplier a at exponent p.
+
+    A matrix b may be larger than a: a is read as zero outside its top-left
+    block, so the numerator is the S_p quasinorm of a * b[:m, :n] for an
+    m x n multiplier, and the denominator is that of the whole of b.
 
     A tuple ``b = (u, v)`` stands for the rank-one witness u v^* and is
     evaluated in factored form.  Its denominator is ||u|| ||v|| for every p,
@@ -77,11 +72,11 @@ def witness_ratio(a, b, p):
     if isinstance(b, tuple):
         return _rank_one_ratio(a, *b, p)
     b = np.asarray(b)
-    if a.shape != b.shape:
+    if b.ndim != a.ndim or any(m > n for m, n in zip(a.shape, b.shape)):
         raise ValueError(f"dimension mismatch: multiplier {a.shape} vs witness {b.shape}")
     if not np.any(b):
         raise ValueError("zero witness")
-    numerator = schatten_quasinorm(schur_product(a, b), p)
+    numerator = schatten_quasinorm(schur_product(a, b[tuple(map(slice, a.shape))]), p)
     denominator = schatten_quasinorm(b, p)
     return WitnessReport(
         p=float(p), multiplier=a, witness=b, numerator=numerator, denominator=denominator
@@ -122,24 +117,16 @@ def band_witness_pair(k):
     return p_k, r_k
 
 
-def witness_embed_size(k):
-    """Common square size housing both the mask and the witness at level k."""
-    return 2 ** (k - 1) + 2**k + 1
-
-
 def delta_lower_bound(k, p):
     """Constructive lower-bound report for the size-(2^k + 1) anti-triangular mask.
 
-    Evaluates the bump-localized Hankel witness against the 0/1 Hankel mask,
-    both zero-padded to the common square size.  The resulting ratio grows
-    like 2^{k(1/p - 1)} with an absolute prefactor that the scaling
-    experiments fit empirically.
+    Evaluates the bump-localized Hankel witness, of size 3 * 2^{k-1}, against
+    the 0/1 Hankel mask Delta_n, n = 2^k + 1, at the mask's own size (see
+    witness_ratio).  The resulting ratio grows like 2^{k(1/p - 1)} with an
+    absolute prefactor that the scaling experiments fit empirically.
     """
     p_k, _ = band_witness_pair(k)
-    size = witness_embed_size(k)
-    mask = embed(delta_matrix(2 ** int(k) + 1), size)
-    witness = embed(hankel_matrix(p_k), size)
-    return witness_ratio(mask, witness, p)
+    return witness_ratio(delta_matrix(2 ** int(k) + 1), hankel_matrix(p_k), p)
 
 
 def hankel_multiplier_upper(f, p):
@@ -181,8 +168,8 @@ def random_witness_search(a, p, draws, seed):
     alone.  Equal seeds give identical reports: draw i is the i-th pair of
     consecutive complex_normal(size) calls on the "witness-search" stream.
     The search knows nothing of the multiplier's structure: ``tritrunc
-    multiplier-bound --budget B`` runs it with B // 2 draws on the padded
-    level-k mask and prints the larger of its ratio and the constructive
+    multiplier-bound --budget B`` runs it with B // 2 draws on the level-k
+    mask Delta_n and prints the larger of its ratio and the constructive
     witness's (delta_lower_bound).
     """
     a = np.asarray(a)

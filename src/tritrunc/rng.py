@@ -52,6 +52,18 @@ def _mix(x):
     return x
 
 
+def _box_muller(u):
+    """Box-Muller on uniforms u[..., 0, :] (radii) and u[..., 1, :] (angles).
+
+    Returns the cosine normals followed by the sine normals along the last
+    axis.  The transcendental functions get contiguous operands, so numpy
+    picks the same loop, and the same bits, whatever the leading shape.
+    """
+    r = np.sqrt(-2.0 * np.log(np.ascontiguousarray(u[..., 0, :])))
+    theta = 2.0 * np.pi * np.ascontiguousarray(u[..., 1, :])
+    return np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+
+
 def derive_seed(*parts):
     """Hash a tuple of strings/ints/floats into a 64-bit stream seed."""
     h = _FNV_OFFSET
@@ -95,36 +107,23 @@ class SplitMix64:
     def normal(self, count):
         """count standard normals via Box-Muller (pairs; odd tail dropped)."""
         count = int(count)
-        half = (count + 1) // 2
-        u1 = self.uniform(half)
-        u2 = self.uniform(half)
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * np.pi * u2
-        out = np.concatenate([r * np.cos(theta), r * np.sin(theta)])
-        return out[:count]
+        return _box_muller(self.uniform(2 * ((count + 1) // 2)).reshape(2, -1))[:count]
 
     def complex_normal(self, shape):
         """Array of complex Gaussians: independent N(0,1) real/imag parts."""
         shape = (shape,) if isinstance(shape, int) else tuple(shape)
-        n = int(np.prod(shape))
-        re = self.normal(n)
-        im = self.normal(n)
-        return (re + 1j * im).reshape(shape)
+        return self.complex_normal_rows(1, int(np.prod(shape)))[0].reshape(shape)
 
     def complex_normal_rows(self, count, size):
         """count x size array whose row i is the i-th of count consecutive complex_normal(size) calls.
 
-        The stream is counter-based, so one bulk evaluation is bit-identical
-        to the consecutive calls and leaves the counter where they would.
+        Each row takes the real part's normal(size) words, then the imaginary
+        part's.  The stream is counter-based, so one bulk evaluation leaves
+        the counter where count separate evaluations would.
         """
         count, size = int(count), int(size)
         half = (size + 1) // 2
-        # per row: the real part's u1, u2 blocks, then the imaginary part's; the transcendental
-        # functions get contiguous operands, as in normal(), so numpy picks the same loop
-        u = self.uniform(count * 4 * half).reshape(count, 2, 2, half)
-        r = np.sqrt(-2.0 * np.log(np.ascontiguousarray(u[:, :, 0])))
-        theta = 2.0 * np.pi * np.ascontiguousarray(u[:, :, 1])
-        parts = np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=-1)[..., :size]
+        parts = _box_muller(self.uniform(count * 4 * half).reshape(count, 2, 2, half))[..., :size]
         return parts[:, 0] + 1j * parts[:, 1]
 
     def complex_matrix(self, rows, cols):

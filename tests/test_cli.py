@@ -13,7 +13,7 @@ from tritrunc import cli
 from tritrunc.cli import build_parser, main
 from tritrunc.hankel import besov_quasinorm
 from tritrunc.kernels import dirichlet_plus
-from tritrunc.multipliers import delta_lower_bound, random_witness_search, witness_embed_size
+from tritrunc.multipliers import delta_lower_bound, random_witness_search
 
 from oracles import chi_spectrum_closed_form
 
@@ -129,8 +129,8 @@ def test_multiplier_bound_over_a_range_of_levels(capsys):
 
 
 def test_budgeted_lower_end_is_the_search_value(capsys):
-    # --budget B buys B // 2 rank-one draws on the padded mask, the pool runs at
-    # every budget, and the constructive witness stays in the running (it wins at k = 1, p = 1)
+    # --budget B buys B // 2 rank-one draws on the level-k mask, the pool runs at
+    # every budget, and the constructive witness stays in the running
     for k, p, budget, seed in ((1, 1.0, 6, 11), (2, 0.5, 0, 3), (2, 0.5, 6, 1), (3, 0.5, 7, 4), (4, 0.5, 40, 9)):
         code, out, _ = run_cli(capsys, "multiplier-bound", "--delta-k", str(k), "--p", str(p),
                                "--budget", str(budget), "--seed", str(seed))
@@ -143,26 +143,27 @@ def test_budgeted_lower_end_is_the_search_value(capsys):
 # the level-1 row at p = 0.75 moves if the search is given B draws in place of B // 2
 GOLDEN = [
     (["--delta-k", "6", "--p", "0.5", "--budget", "200"],
-     ["lower 56.754172417903249", "upper 199.58396794534923"]),
+     ["lower 84.694688069794083", "upper 199.58396794534923"]),
     (["--kmin", "1", "--kmax", "5", "--seed", "11", "--p", "1.0", "--budget", "1"],
-     ["level 1 lower 1 upper 1.4359910881576892",
-      "level 2 lower 0.94227621948934404 upper 1.6421884224280721",
-      "level 3 lower 1.0174135056743925 upper 1.8800820748620919",
-      "level 4 lower 1.1190871597115208 upper 2.1377327434321209",
-      "level 5 lower 1.2389522515691911 upper 2.4065257257792352"]),
+     ["level 1 lower 1.2012918238698922 upper 1.4359910881576892",
+      "level 2 lower 1.3191867072850816 upper 1.6421884224280721",
+      "level 3 lower 1.4695972859741222 upper 1.8800820748620919",
+      "level 4 lower 1.6457164113404721 upper 2.1377327434321209",
+      "level 5 lower 1.8396563735421374 upper 2.4065257257792352"]),
     (["--kmin", "1", "--kmax", "5", "--seed", "11", "--p", "0.75", "--budget", "7"],
-     ["level 1 lower 1.2410238689650339 upper 2.4411467741972843",
-      "level 2 lower 1.4963537869537578 upper 3.1941441636738697",
-      "level 3 lower 1.8955777890578887 upper 4.2612859382191566",
-      "level 4 lower 2.4699647909619076 upper 5.7087880991537805",
-      "level 5 lower 3.2548892304474162 upper 7.6186807251019388"]),
+     ["level 1 lower 1.6546984919533787 upper 2.4411467741972843",
+      "level 2 lower 2.094895301735261 upper 3.1941441636738697",
+      "level 3 lower 2.7380568064169499 upper 4.2612859382191566",
+      "level 4 lower 3.6323011631792754 upper 5.7087880991537805",
+      "level 5 lower 4.8330173421794971 upper 7.6186807251019388"]),
 ]
-# lower ends of GOLDEN rows 1 and 3 while each draw and the all-ones witness paid
-# two SVDs; those SVDs' rounding floors at p < 1 biased the ratios low
-SVD_ROUTE_LOWER = {
-    0: [56.754105528565624],
-    2: [1.241023868962897, 1.4963537869499881, 1.895577789050517, 2.4699647909542244, 3.2548892303178834],
-}
+# lower ends of the GOLDEN rows while the mask was searched zero-padded to the bump
+# witness's size 3 * 2^(k-1) + 1, where the all-ones witness scored S_p(Delta_n) / N
+PADDED_LOWER = [
+    [56.754172417903249],
+    [1.0, 0.94227621948934404, 1.0174135056743925, 1.1190871597115208, 1.2389522515691911],
+    [1.2410238689650339, 1.4963537869537578, 1.8955777890578887, 2.4699647909619076, 3.2548892304474162],
+]
 
 
 @pytest.mark.parametrize("argv, want", GOLDEN)
@@ -176,18 +177,19 @@ def test_multiplier_bound_keeps_its_recorded_outputs(capsys, argv, want):
     assert values == [pytest.approx([float(x) for x in row[1::2]], rel=1e-12, abs=0) for row in expected]
 
 
-@pytest.mark.parametrize("row", sorted(SVD_ROUTE_LOWER))
+@pytest.mark.parametrize("row", range(len(GOLDEN)))
 def test_recorded_lower_ends_are_the_all_ones_closed_form(row):
-    # on these rows the all-ones witness wins, so the lower end is S_p(Delta_n) / N
-    # for the padded size N; the SVD route's values stay as floors
+    # on these rows the all-ones witness wins, so the lower end is S_p(Delta_n) / n;
+    # searching the zero-padded mask gave less, and those values stay as floors
     argv, want = GOLDEN[row]
     p = float(argv[argv.index("--p") + 1])
     levels = [int(argv[1])] if argv[0] == "--delta-k" else range(int(argv[1]), int(argv[3]) + 1)
     lowers = [float(words[words.index("lower") + 1]) for words in map(str.split, want) if "lower" in words]
-    for k, lower, floor in zip(levels, lowers, SVD_ROUTE_LOWER[row], strict=True):
-        closed = float(np.sum(chi_spectrum_closed_form(2**k + 1) ** p) ** (1.0 / p)) / witness_embed_size(k)
+    for k, lower, floor in zip(levels, lowers, PADDED_LOWER[row], strict=True):
+        n = 2**k + 1
+        closed = float(np.sum(chi_spectrum_closed_form(n) ** p) ** (1.0 / p)) / n
         assert lower == pytest.approx(closed, rel=1e-12, abs=0)
-        assert floor <= lower <= floor * (1 + 2e-6)
+        assert lower >= floor
 
 
 def test_budget_zero_runs_the_pool(capsys):
@@ -209,6 +211,14 @@ def test_multiplier_bound_rejects_k_zero(capsys):
 def test_multiplier_bound_rejects_a_negative_budget(capsys):
     code, out, err = run_cli(capsys, "multiplier-bound", "--delta-k", "3", "--p", "0.5", "--budget", "-5")
     assert code == 2 and out == "" and "--budget must be >= 0" in err
+
+
+def test_lower_ends_meet_the_trivial_bound_at_p_one(capsys):
+    # a single-entry witness scores 1 against any nonzero 0/1 mask, so every lower end is at least 1
+    code, out, _ = run_cli(capsys, "multiplier-bound", "--kmin", "1", "--kmax", "7", "--p", "1.0", "--budget", "0")
+    assert code == 0
+    lowers = [float(line.split()[3]) for line in out.splitlines()]
+    assert len(lowers) == 7 and min(lowers) >= 1.0
 
 
 @pytest.mark.parametrize("p", ["2", "0", "-0.5", "nan"])
@@ -431,3 +441,13 @@ def test_readme_spnorm_example_prints_its_value(capsys):
     command, comment = line.split("#", 1)
     code, out, _ = run_cli(capsys, *shlex.split(command)[1:])
     assert code == 0 and out == comment.split()[0] + "\n"
+
+
+def test_readme_multiplier_bound_example_prints_its_lower_end(capsys):
+    (line,) = [line for line in _readme_command_lines()
+               if line.startswith("tritrunc multiplier-bound --delta-k 6 --p 0.5 --budget 200 ")]
+    command, comment = line.split("#", 1)
+    code, out, _ = run_cli(capsys, *shlex.split(command)[1:])
+    (label, value), want = out.splitlines()[0].split(), comment.split()
+    assert code == 0 and label == want[0] == "lower"
+    assert float(value) == pytest.approx(float(want[1]), rel=1e-12, abs=0)

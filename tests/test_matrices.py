@@ -182,7 +182,7 @@ def test_jacobi_cross_check_structured():
 
 @pytest.mark.parametrize("k", [4, 5])
 def test_jacobi_referee_at_p_below_one(k):
-    # E2's witness (25x25 at k = 4, 49x49 at k = 5) has columns far below its
+    # E2's witness (24x24 at k = 4, 48x48 at k = 5) has columns far below its
     # Frobenius norm; a stopping test relative to ||A||_F^2 leaves them
     # unrotated, and its S_{1/2} was 1.7e-7 and 5.0e-6 off the 40-digit value
     b = delta_lower_bound(k, 0.5).witness

@@ -1,5 +1,7 @@
 """Schur-multiplier witnesses: certified lower bounds against analytic ceilings."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -21,11 +23,9 @@ from tritrunc.multipliers import (
     delta_lower_bound,
     dirichlet_witness_upper,
     double_witness,
-    embed,
     fejer_riesz_ratio,
     hankel_multiplier_upper,
     random_witness_search,
-    witness_embed_size,
     witness_ratio,
 )
 from tritrunc.rng import SplitMix64, derive_seed
@@ -35,7 +35,12 @@ from corpora import multiplier_upper_corpus
 from oracles import chi_spectrum_closed_form
 
 
-# --- witness_ratio and embed ----------------------------------------------------
+# --- witness_ratio ----------------------------------------------------------------
+
+
+def _pad(a, rows, cols):
+    """a zero-padded to rows x cols (bottom/right)."""
+    return np.pad(a, [(0, rows - a.shape[0]), (0, cols - a.shape[1])])
 
 
 def test_witness_ratio_on_the_all_ones_witness():
@@ -46,10 +51,25 @@ def test_witness_ratio_on_the_all_ones_witness():
 
 
 def test_witness_ratio_validates_inputs():
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        witness_ratio(chi_matrix(2), ones_matrix(3), 0.5)
+    # a multiplier larger than the witness in either dimension has no reading
+    for a, b in ((chi_matrix(3), ones_matrix(2)), (np.ones((3, 2)), np.ones((2, 3))),
+                 (np.ones((2, 3)), np.ones((3, 2))), (np.ones(3), np.ones((3, 3)))):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            witness_ratio(a, b, 0.5)
     with pytest.raises(ValueError, match="zero witness"):
         witness_ratio(chi_matrix(2), np.zeros((2, 2)), 0.5)
+
+
+def test_a_smaller_multiplier_is_zero_outside_its_block():
+    # against a larger witness the multiplier counts as its zero-padded copy
+    rng = SplitMix64(derive_seed("smaller-multiplier"))
+    b = rng.complex_matrix(5, 7)
+    for a in (chi_matrix(3), rng.complex_matrix(2, 6), rng.complex_matrix(5, 7)):
+        for p in (0.5, 1.0, 2.0):
+            got, want = witness_ratio(a, b, p), witness_ratio(_pad(a, *b.shape), b, p)
+            assert got.numerator == pytest.approx(want.numerator, rel=1e-12)
+            assert got.denominator == want.denominator
+            assert got.multiplier.shape == a.shape
 
 
 def test_pair_witness_validates_inputs():
@@ -82,7 +102,7 @@ def test_pair_witness_is_the_rank_one_matrix():
 
 def test_pair_witness_ignores_the_phases():
     rng = SplitMix64(derive_seed("pair-witness-phases"))
-    a = embed(delta_matrix(9), witness_embed_size(3))
+    a = _pad(delta_matrix(9), 13, 13)
     for p in (0.5, 0.75, 1.0):
         u, v = rng.complex_normal(13), rng.complex_normal(13)
         assert witness_ratio(a, (u, v), p).ratio == pytest.approx(
@@ -92,7 +112,7 @@ def test_pair_witness_ignores_the_phases():
 
 def test_pair_witness_trims_zero_rows_and_columns():
     # a witness factor that misses the mask's support scores zero, with no spectrum
-    a = embed(delta_matrix(3), 5)
+    a = _pad(delta_matrix(3), 5, 5)
     u = np.array([0.0, 0.0, 0.0, 1.0, 2.0])
     assert witness_ratio(a, (u, np.ones(5)), 0.5).numerator == 0.0
     rep = witness_ratio(a, (np.array([0.0, 1.0, 0.0, 3.0, 0.0]), np.ones(5)), 1.0)
@@ -103,26 +123,40 @@ def test_pair_witness_trims_zero_rows_and_columns():
 @pytest.mark.parametrize("p", [0.5, 0.75, 1.0])
 @pytest.mark.parametrize("k", range(1, 9))
 def test_all_ones_pair_on_the_padded_mask_is_the_closed_form(k, p):
-    # S_p(Delta_n) / N: the mask's closed-form spectrum over the exact denominator ||1_N||^2 = N
-    n, size = 2**k + 1, witness_embed_size(k)
-    ones = np.ones(size)
-    want = float(np.sum(chi_spectrum_closed_form(n) ** p) ** (1.0 / p)) / size
-    got = witness_ratio(embed(delta_matrix(n), size), (ones, ones), p).ratio
-    assert got == pytest.approx(want, rel=1e-12, abs=0)
+    # S_p(Delta_n) / N: the mask's closed-form spectrum over the exact denominator ||1_N||^2 = N,
+    # with the mask at its own size (N = n) and zero-padded to the bump witness's size
+    n = 2**k + 1
+    s_p = float(np.sum(chi_spectrum_closed_form(n) ** p) ** (1.0 / p))
+    for size in (n, 3 * 2 ** (k - 1) + 1):
+        ones = np.ones(size)
+        got = witness_ratio(_pad(delta_matrix(n), size, size), (ones, ones), p).ratio
+        assert got == pytest.approx(s_p / size, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("p, c_p", [(0.5, 1.393204), (2.0 / 3.0, 1.765935), (0.75, 2.127934)])
+def test_all_ones_lower_end_tends_to_the_main_theorem_constant(p, c_p):
+    # S_p(Delta_n) / n over n^{1/p-1}, from the closed-form spectrum alone (no LAPACK), is a
+    # Riemann sum rising to C_p = (2^{-p} B((1-p)/2, 1/2) / pi)^{1/p}
+    a = (1.0 - p) / 2.0
+    limit = (2.0**-p * math.gamma(a) * math.gamma(0.5) / math.gamma(a + 0.5) / math.pi) ** (1.0 / p)
+    assert limit == pytest.approx(c_p, abs=1e-6)
+    ratios = []
+    for k in range(4, 21):
+        n = 2**k + 1
+        ratios.append(float(np.sum(chi_spectrum_closed_form(n) ** p) ** (1.0 / p)) / n / n ** (1.0 / p - 1.0))
+    assert all(lo < hi for lo, hi in zip(ratios, ratios[1:]))
+    assert ratios[-1] < limit
+    if p == 0.5:
+        assert limit - ratios[-1] < 1e-3
 
 
 def test_embed_preserves_schatten_quasinorms():
     rng = SplitMix64(derive_seed("embed-spectrum"))
     a = rng.complex_matrix(4, 6)
     for p in (0.5, 1.0, 2.0):
-        assert schatten_quasinorm(embed(a, 9), p) == pytest.approx(
+        assert schatten_quasinorm(_pad(a, 9, 9), p) == pytest.approx(
             schatten_quasinorm(a, p), rel=1e-12
         )
-
-
-def test_embed_rejects_shrinking():
-    with pytest.raises(ValueError, match="cannot embed"):
-        embed(np.ones((3, 3)), 2)
 
 
 # --- the constructive witness pair ----------------------------------------------
@@ -149,23 +183,31 @@ def test_band_witness_pair_rejects_k_zero():
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_masking_the_witness_is_a_schur_product(k):
     # truncating the polynomial to index <= 2^k acts on the Hankel side as the
-    # entrywise product with the padded 0/1 anti-triangular pattern
+    # entrywise product with the 0/1 anti-triangular pattern, zero outside its block
     p_k, r_k = band_witness_pair(k)
-    size = witness_embed_size(k)
-    assert hankel_matrix(p_k).shape == (size - 1, size - 1)
-    masked = schur_product(
-        embed(delta_matrix(2**k + 1), size), embed(hankel_matrix(p_k), size)
-    )
-    assert np.array_equal(masked, embed(hankel_matrix(r_k), size))
+    n, size = 2**k + 1, 3 * 2 ** (k - 1)
+    assert hankel_matrix(p_k).shape == hankel_matrix(r_k).shape == (size, size)
+    masked = schur_product(_pad(delta_matrix(n), size, size), hankel_matrix(p_k))
+    assert np.array_equal(masked, hankel_matrix(r_k))
+    assert np.array_equal(masked[:n, :n], schur_product(delta_matrix(n), hankel_matrix(p_k)[:n, :n]))
 
 
 def test_delta_lower_bound_report_shape():
+    # the mask at its own size against the larger bump witness
     rep = delta_lower_bound(3, 0.5)
-    size = witness_embed_size(3)
     assert rep.p == 0.5
-    assert rep.multiplier.shape == (size, size)
-    assert rep.witness.shape == (size, size)
+    assert np.array_equal(rep.multiplier, delta_matrix(9))
+    assert rep.witness.shape == (12, 12)
     assert rep.ratio > 1.0
+
+
+@pytest.mark.parametrize("k", range(4, 9))
+def test_delta_lower_bound_matches_the_padded_mask(k):
+    # E2's witnesses: the mask read as zero outside its block scores as its zero-padded
+    # copy, up to the spectra's rounding floor at p = 1/2
+    rep = delta_lower_bound(k, 0.5)
+    padded = witness_ratio(_pad(rep.multiplier, *rep.witness.shape), rep.witness, 0.5)
+    assert rep.ratio == pytest.approx(padded.ratio, rel=1e-8, abs=0)
 
 
 def test_delta_lower_bound_is_deterministic_and_grows():
@@ -297,7 +339,7 @@ def _pool_and_rank_one_best(a, p, draws, seed):
 def test_witness_search_replays_through_the_plain_frame(k):
     # the search's value is exactly the best of its pool and its stream's draws,
     # drawn one complex_normal call at a time and each evaluated as a pair
-    a = embed(delta_matrix(2**k + 1), witness_embed_size(k))
+    a = delta_matrix(2**k + 1)
     for p in (0.5, 1.0):
         for draws in (12, 25):
             for seed in (3, 11):
@@ -307,7 +349,7 @@ def test_witness_search_replays_through_the_plain_frame(k):
 def test_witness_search_draws_across_stream_blocks(monkeypatch):
     # the bulk draws come in blocks that continue one stream
     monkeypatch.setattr(multipliers, "_DRAW_BLOCK", 2)
-    a = embed(delta_matrix(5), witness_embed_size(2))
+    a = delta_matrix(5)
     for draws in (1, 2, 5):
         assert random_witness_search(a, 0.75, draws, 4).ratio == _pool_and_rank_one_best(a, 0.75, draws, 4)
 
@@ -337,9 +379,9 @@ def test_witness_search_spends_one_spectrum_per_draw(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     k = 6
-    random_witness_search(embed(delta_matrix(2**k + 1), witness_embed_size(k)), 0.5, 50, 1)
+    random_witness_search(delta_matrix(2**k + 1), 0.5, 50, 1)
     # pool: one symmetric solve for the all-ones numerator (its denominator is exact) and
-    # two for the identity; draws: one real SVD each, of the numerator trimmed to the 65 x 65 mask
+    # two for the identity; draws: one real SVD each, of the 65 x 65 numerator
     assert calls == {"svd": 50, "eigvalsh": 3}
     assert svd_inputs == {((65, 65), "f")}
 
@@ -349,7 +391,7 @@ def test_witness_search_validates():
         random_witness_search(np.ones((2, 3)), 0.5, draws=4, seed=0)
     with pytest.raises(ValueError, match="draws"):
         random_witness_search(np.ones((2, 2)), 0.5, draws=-1, seed=0)
-    a = embed(delta_matrix(9), witness_embed_size(3))
+    a = delta_matrix(9)
     assert random_witness_search(a, 0.5, draws=0, seed=0).ratio == _pool_and_rank_one_best(a, 0.5, 0, 0)
 
 

@@ -54,6 +54,24 @@ def test_normal_handles_odd_counts():
     assert SplitMix64(7).normal(5).shape == (5,)
 
 
+@pytest.mark.parametrize("count", [1, 2, 7, 64])
+def test_normal_is_box_muller_on_two_uniform_blocks(count):
+    # radii from the first (count + 1) // 2 uniforms, angles from the next; cosines, then sines
+    half = (count + 1) // 2
+    u = SplitMix64(3).uniform(2 * half)
+    r, theta = np.sqrt(-2.0 * np.log(u[:half])), 2.0 * np.pi * u[half:]
+    want = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:count]
+    assert SplitMix64(3).normal(count).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("size", [1, 2, 5, 97])
+def test_complex_normal_is_two_normal_calls(seed, size):
+    # the real parts take one normal(size) call's words, the imaginary parts the next call's
+    z, twin = SplitMix64(seed).complex_normal(size), SplitMix64(seed)
+    assert np.array_equal(z.real, twin.normal(size)) and np.array_equal(z.imag, twin.normal(size))
+
+
 def test_complex_normal_shapes_and_dtype():
     g = SplitMix64(11)
     z = g.complex_normal((3, 4))
