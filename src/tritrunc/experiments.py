@@ -8,9 +8,10 @@ between experiments; one sweep loop, ``_run``, does the rest.  Results are
 emitted as CSV records plus a JSON fit summary.  The sampled experiments (E3,
 E4, E8) compute every point at one BLAS thread, in as many single-thread
 worker processes as the caller's BLAS thread budget allows (``_worker_count``),
-so their output is byte-identical at any thread count.
-E1, E2 and E9 run in this process and are byte-reproducible at a fixed BLAS
-thread count only; E5, E6 and E7 do not depend on it.
+so their output is byte-identical at any thread count.  E1 and E9 read the
+mask spectrum in closed form, and E5, E6 and E7 compute no spectrum, so none
+of them depends on it either; E2 alone runs its decompositions in this
+process and is byte-reproducible at a fixed BLAS thread count only.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from .fitting import ScalingFit, fit_powerlaw
 from .hankel import HARD_TOL, band_hankel_check, besov_quasinorm
 from .kernels import bump_poly, dirichlet_plus
-from .matrices import (_check_p, _schatten_from_spectrum, chi_matrix, delta_matrix, schatten_quasinorm,
+from .matrices import (_check_p, _schatten_from_spectrum, chi_matrix, mask_spectrum, schatten_quasinorm,
                        singular_values, triangular_projection)
 from .multipliers import delta_lower_bound, dirichlet_witness_upper, fejer_riesz_ratio, witness_ratio
 from .rng import SplitMix64, derive_seed
@@ -197,12 +198,11 @@ _Check = namedtuple("_Check", "name fails summary")
 class _Spec:
     """One registered experiment; _run owns everything it does not declare.
 
-    measure(cfg, p, k, n, s, memo) returns {quantity: value} for one point;
-    memo is a dict that lives for one run.  The grid is n = 2^k + offset for
-    k in ks.  fixed_p makes the config reject p; samples None is one sample
-    per point and makes it reject samples.  The fit reads the fit_on
-    quantities (default: the first), reduce()d over the point's samples, at
-    x = fit_x(k, n)."""
+    measure(cfg, p, k, n, s) returns {quantity: value} for one point.  The
+    grid is n = 2^k + offset for k in ks.  fixed_p makes the config reject p;
+    samples None is one sample per point and makes it reject samples.  The
+    fit reads the fit_on quantities (default: the first), reduce()d over the
+    point's samples, at x = fit_x(k, n)."""
 
     name: str
     blurb: str
@@ -221,13 +221,11 @@ class _Spec:
     check: _Check | None = None
 
 
-def _mask_schatten(cfg, p, k, n, s, memo):
-    if n not in memo:  # one decomposition per size serves every exponent
-        memo[n] = singular_values(delta_matrix(n))
-    return {"schatten_quasinorm": _schatten_from_spectrum(memo[n], p)}
+def _mask_schatten(cfg, p, k, n, s):
+    return {"schatten_quasinorm": _schatten_from_spectrum(mask_spectrum(n), p)}
 
 
-def _multiplier_interval(cfg, p, k, n, s, memo):
+def _multiplier_interval(cfg, p, k, n, s):
     ratio = delta_lower_bound(k, p).ratio
     return {"witness_ratio": ratio, "multiplier_upper": dirichlet_witness_upper(k, p)}
 
@@ -238,7 +236,7 @@ def _ratio_above_upper(k, n, s, v):
         return f"k={k}: ratio {ratio:.6g} > upper {upper:.6g}"
 
 
-def _band_ratio(cfg, p, k, n, s, memo):
+def _band_ratio(cfg, p, k, n, s):
     lo = 2 ** (k - 1) + 1
     gen = SplitMix64(derive_seed(cfg.experiment, cfg.seed, k, s))
     band = TrigPoly(lo, gen.complex_normal(2 ** (k + 1) - lo))
@@ -250,7 +248,7 @@ def _band_ratio_above_one(k, n, s, v):
         return f"level {k} sample {s}: ratio {v['band_ratio']:.12g} > 1"
 
 
-def _weak_decay(cfg, p, k, n, s, memo):
+def _weak_decay(cfg, p, k, n, s):
     gen = SplitMix64(derive_seed(cfg.experiment, cfg.seed, n, s))
     t_mat = gen.complex_matrix(n, n)
     decay = singular_values(triangular_projection(t_mat))
@@ -258,17 +256,17 @@ def _weak_decay(cfg, p, k, n, s, memo):
     return {"weak_decay_max": float(np.max((1.0 + np.arange(n)) * decay) / trace_norm)}
 
 
-def _fejer_log(cfg, p, k, n, s, memo):
+def _fejer_log(cfg, p, k, n, s):
     ratio = fejer_riesz_ratio(n)
     return {"riesz_ratio": ratio, "normalized_ratio": ratio / np.log1p(n)}
 
 
-def _riesz_jump(cfg, p, k, n, s, memo):
+def _riesz_jump(cfg, p, k, n, s):
     bump = bump_poly(n)
     return {"riesz_projection_ratio": lp_quasinorm(riesz_plus(bump), p) / lp_quasinorm(bump, p)}
 
 
-def _dirichlet_besov(cfg, p, k, n, s, memo):
+def _dirichlet_besov(cfg, p, k, n, s):
     report = besov_quasinorm(dirichlet_plus(n), p)
     return {"besov_total": report.total, "top_level_term": dict(report.levels)[k]}
 
@@ -278,7 +276,7 @@ def _top_term_below_2k(k, n, s, v):
         return f"k={k}: top level term {v['top_level_term']:.6g} < {2.0**k * (1 - 1e-6):.6g}"
 
 
-def _projection_ratios(cfg, p, k, n, s, memo):
+def _projection_ratios(cfg, p, k, n, s):
     scale = n ** (1.0 / p - 1.0)
     # a rank-one T = u v^* goes through the factored witness: P_n(T) = chi_n * T, and S_p(T) = ||u|| ||v||
     gen = SplitMix64(derive_seed(cfg.experiment, cfg.seed, "rank_one", n, s))
@@ -349,16 +347,16 @@ def _worker_count(points):
     budget = cpus
     for var in _BLAS_THREAD_VARS[:2]:
         value = os.environ.get(var, "").strip()
-        if value.isdigit() and int(value) > 0:
+        if value.isdecimal() and int(value) > 0:
             budget = int(value)
             break
     return 0 if budget == 1 else min(budget, cpus, points)
 
 
-def _measure(cfg, memo, point):
+def _measure(cfg, point):
     """Measure one (p, k, n, s) point; returns ({quantity: value}, wall_ms)."""
     t0 = time.perf_counter()
-    values = _REGISTRY[cfg.experiment].measure(cfg, *point, memo)
+    values = _REGISTRY[cfg.experiment].measure(cfg, *point)
     return values, (time.perf_counter() - t0) * 1e3
 
 
@@ -367,7 +365,7 @@ def _serve():
     their measurements, or the exception that stopped them, to stdout."""
     cfg, points = pickle.load(sys.stdin.buffer)
     try:
-        out = [_measure(cfg, {}, point) for point in points]
+        out = [_measure(cfg, point) for point in points]
     except Exception as exc:  # the worker's boundary: the parent raises it
         out = exc
     pickle.dump(out, sys.stdout.buffer)
@@ -376,14 +374,13 @@ def _serve():
 def _measure_all(cfg, points):
     """Measure every point, returned in the order of ``points``.
 
-    Only a sampled experiment (E3, E4, E8) goes to worker processes: its
-    points share no state.  E1 and E9 share one decomposition per size
-    through the run's memo, and each of their largest points is one
-    eigensolve that a single-thread worker would run slower."""
+    Only a sampled experiment (E3, E4, E8) goes to worker processes.  A
+    worker's start-up, a fresh interpreter importing numpy (0.25 to 0.5 s),
+    costs as much as a whole single-sample run (E5, the largest, ~0.5 s),
+    so those stay in this process."""
     workers = 0 if cfg.samples is None else _worker_count(len(points))
     if not workers:
-        memo = {}
-        return [_measure(cfg, memo, point) for point in points]
+        return [_measure(cfg, point) for point in points]
     import subprocess  # here, so that importing tritrunc does not load it
 
     env = dict(os.environ, **dict.fromkeys(_BLAS_THREAD_VARS, "1"))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import apply_window
-from .matrices import _check_p, schatten_quasinorm
+from .matrices import _check_p, _check_size, schatten_quasinorm
 from .trigpoly import TrigPoly, lp_quasinorm
 
 __all__ = [
@@ -97,9 +97,7 @@ def band_hankel_check(f, p, n):
     """
     p = _check_p(p)
     _require_analytic(f, "band_hankel_check")
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"band index must be >= 1, got {n}")
+    n = _check_size(n, "band index")
     lo_band, hi_band = 2 ** (n - 1) + 1, 2 ** (n + 1) - 1
     nz = np.nonzero(f.coeffs)[0]
     if nz.size == 0:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .matrices import _check_size
 from .trigpoly import TrigPoly
 
 __all__ = [
@@ -75,9 +76,7 @@ def standard_window(x):
 
 def dirichlet_plus(n):
     """Analytic Dirichlet kernel: coefficients 1 on 0..n-1."""
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _check_size(n)
     return TrigPoly(0, np.ones(n))
 
 
@@ -86,9 +85,7 @@ def fejer(m):
 
     Nonnegative on the circle with mean 1 under this normalization.
     """
-    m = int(m)
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    m = _check_size(m, "m")
     js = np.arange(-m, m + 1)
     return TrigPoly(-m, 1.0 - np.abs(js) / (m + 1.0))
 
@@ -100,9 +97,7 @@ def bump_poly(m):
     q is even, so the coefficients are symmetric and the polynomial is
     real-valued on the circle.
     """
-    m = int(m)
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    m = _check_size(m, "m")
     ks = np.arange(-(m - 1), m)
     return TrigPoly(-(m - 1), standard_bump(ks / m))
 

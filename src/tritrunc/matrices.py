@@ -1,6 +1,7 @@
 """Dense complex matrix algebra: Schur-Hadamard products, singular values,
 Schatten quasinorms, and the structured 0/1 matrices used throughout
-(upper-triangular mask, its Hankel companion, all-ones)."""
+(upper-triangular mask, its Hankel companion, all-ones), with the masks'
+singular spectrum in closed form."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ __all__ = [
     "schatten_quasinorm",
     "chi_matrix",
     "delta_matrix",
+    "mask_spectrum",
     "ones_matrix",
     "triangular_projection",
     "block_diag2",
@@ -39,6 +41,14 @@ def _check_p(p):
     if not (p > 0) or not np.isfinite(p):
         raise ValueError(f"exponent p must be positive and finite, got {p}")
     return p
+
+
+def _check_size(n, name="n"):
+    """The one validator of a positive size or level: n as an int, or ValueError unless n >= 1."""
+    n = int(n)
+    if n < 1:
+        raise ValueError(f"{name} must be >= 1, got {n}")
+    return n
 
 
 def schur_product(a, b):
@@ -90,9 +100,7 @@ def chi_matrix(n):
     Entry (j, k) is 1 iff j <= k, 0-based.  Schur multiplication by this mask
     is the triangular projection.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _check_size(n)
     return np.triu(np.ones((n, n)))
 
 
@@ -102,20 +110,24 @@ def delta_matrix(n):
     This block carries every nonzero entry of the corresponding infinite
     matrix, so all its spectral quantities are exact.  It equals the Hankel
     matrix of the analytic Dirichlet kernel of length n, and it is chi_matrix(n)
-    with the rows reversed, so both share one singular spectrum.
+    with the columns reversed, so both share one singular spectrum (mask_spectrum).
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _check_size(n)
     idx = np.arange(n)
     return (np.add.outer(idx, idx) < n).astype(float)
 
 
+def mask_spectrum(n):
+    """Singular values of chi_matrix(n) and delta_matrix(n), nonincreasing, in
+    closed form (no LAPACK): 1 / (2 sin((2j - 1) pi / (2(2n + 1)))), j = 1..n."""
+    n = _check_size(n)
+    j = np.arange(1, n + 1)
+    return 0.5 / np.sin((2 * j - 1) * np.pi / (2.0 * (2 * n + 1)))
+
+
 def ones_matrix(n):
     """n-by-n all-ones matrix: rank one, single singular value n."""
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _check_size(n)
     return np.ones((n, n))
 
 

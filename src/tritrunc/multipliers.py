@@ -16,7 +16,7 @@ import numpy as np
 
 from .hankel import hankel_matrix
 from .kernels import bump_poly, dirichlet_plus, fejer
-from .matrices import _check_p, block2x2, block_diag2, delta_matrix, schatten_quasinorm, schur_product
+from .matrices import _check_p, _check_size, block2x2, block_diag2, delta_matrix, schatten_quasinorm, schur_product
 from .rng import SplitMix64, derive_seed
 from .trigpoly import lp_quasinorm, riesz_plus
 
@@ -109,9 +109,7 @@ def band_witness_pair(k):
     entrywise product with the anti-triangular 0/1 matrix of size 2^k + 1,
     which is what makes the pair a constructive multiplier witness.
     """
-    k = int(k)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = _check_size(k, "k")
     p_k = bump_poly(2 ** (k - 1)).shift(2**k)
     r_k = p_k.restrict(hi=2**k)
     return p_k, r_k

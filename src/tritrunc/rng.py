@@ -37,19 +37,10 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
+_BLOCK = 1 << 15  # words per block of a draw's evaluation, so its temporaries stay in cache
+
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
-
-
-def _mix(x):
-    x = x.astype(np.uint64, copy=True)
-    with np.errstate(over="ignore"):
-        x ^= x >> np.uint64(30)
-        x *= _MIX1
-        x ^= x >> np.uint64(27)
-        x *= _MIX2
-        x ^= x >> np.uint64(31)
-    return x
 
 
 def _box_muller(u):
@@ -93,10 +84,19 @@ class SplitMix64:
         self._next = 0
 
     def _raw(self, count):
-        idx = np.arange(self._next + 1, self._next + int(count) + 1, dtype=np.uint64)
+        words = np.arange(self._next + 1, self._next + int(count) + 1, dtype=np.uint64)
         self._next += int(count)
         with np.errstate(over="ignore"):
-            return _mix(self._seed + idx * _GAMMA)
+            for lo in range(0, len(words), _BLOCK):
+                x = words[lo:lo + _BLOCK]  # a view: seed + i * gamma, then mix(x), in place
+                x *= _GAMMA
+                x += self._seed
+                x ^= x >> np.uint64(30)
+                x *= _MIX1
+                x ^= x >> np.uint64(27)
+                x *= _MIX2
+                x ^= x >> np.uint64(31)
+        return words
 
     def uniform(self, count):
         """count uniforms in (0, 1], using the top 53 bits of each word."""

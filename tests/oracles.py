@@ -68,16 +68,6 @@ def direct_lp(f, p, n_samples):
     return float(np.mean(vals ** float(p)) ** (1.0 / float(p)))
 
 
-def chi_spectrum_closed_form(n):
-    """Singular values of the n x n upper-triangular all-ones matrix.
-
-    s_j = 1 / (2 sin((2j+1) pi / (2(2n+1)))), j = 0..n-1, descending; the 0/1
-    Hankel companion shares them (row reversal is an isometry).
-    """
-    j = np.arange(int(n))
-    return 0.5 / np.sin((2 * j + 1) * np.pi / (2.0 * (2 * n + 1)))
-
-
 def dirichlet_lp_closed_form(n, p, n_samples):
     """L^p of the length-n analytic Dirichlet kernel from |sin(n t/2)/sin(t/2)|."""
     m = int(n_samples)

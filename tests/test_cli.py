@@ -13,9 +13,8 @@ from tritrunc import cli
 from tritrunc.cli import build_parser, main
 from tritrunc.hankel import besov_quasinorm
 from tritrunc.kernels import dirichlet_plus
+from tritrunc.matrices import mask_spectrum
 from tritrunc.multipliers import delta_lower_bound, random_witness_search
-
-from oracles import chi_spectrum_closed_form
 
 BIG_SEED = str(2**63)  # one past the largest seed derive_seed encodes
 
@@ -187,7 +186,7 @@ def test_recorded_lower_ends_are_the_all_ones_closed_form(row):
     lowers = [float(words[words.index("lower") + 1]) for words in map(str.split, want) if "lower" in words]
     for k, lower, floor in zip(levels, lowers, PADDED_LOWER[row], strict=True):
         n = 2**k + 1
-        closed = float(np.sum(chi_spectrum_closed_form(n) ** p) ** (1.0 / p)) / n
+        closed = float(np.sum(mask_spectrum(n) ** p) ** (1.0 / p)) / n
         assert lower == pytest.approx(closed, rel=1e-12, abs=0)
         assert lower >= floor
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tritrunc import cli, experiments
+from tritrunc import cli, experiments, matrices
 from tritrunc.experiments import (
     DEFAULT_SEED,
     EXPERIMENT_IDS,
@@ -199,6 +199,10 @@ def test_worker_count_follows_the_blas_thread_budget(monkeypatch):
     assert experiments._worker_count(100) == 0
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "")  # unset in effect: the next variable decides
     assert experiments._worker_count(100) == 3
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "\u00b2")  # a digit int() rejects: not a budget either
+    assert experiments._worker_count(100) == 3
+    monkeypatch.delenv("OMP_NUM_THREADS")
+    assert experiments._worker_count(100) == 4
 
 
 @pytest.mark.parametrize("exp", sorted(SAMPLED_PLANS))
@@ -220,6 +224,39 @@ def test_sampled_runs_are_identical_for_any_worker_count(exp, tmp_path, monkeypa
     assert outputs[0] == outputs[1] == outputs[2]
     # the two command-line processes and the three workers of the last run
     assert len(started) == 2 + 3 and all(proc.returncode == 0 for proc in started)
+
+
+@pytest.mark.parametrize("exp", ["E1", "E9"])
+def test_mask_runs_are_identical_at_any_thread_count(exp, tmp_path):
+    outputs = []
+    for threads in (1, 2):
+        out = tmp_path / f"t{threads}.csv"
+        proc = run_python(["-m", "tritrunc", "experiment", "run", exp, "--out", str(out)],
+                          **dict.fromkeys(BLAS_VARS, str(threads)))
+        assert proc.returncode == 0 and proc.stderr == ""
+        outputs.append((proc.stdout, strip_wall(out.read_text(encoding="utf-8")),
+                        (tmp_path / f"t{threads}.fits.json").read_text(encoding="utf-8")))
+    assert outputs[0] == outputs[1]
+
+
+def test_mask_runs_compute_no_spectrum(monkeypatch):
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for owner in (matrices, experiments):
+        monkeypatch.setattr(owner, "singular_values", counted("singular_values", owner.singular_values))
+    for name in ("svd", "eigvalsh", "eigh", "eigvals", "eig"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    for exp in ("E1", "E9"):
+        assert run_experiment(ExperimentConfig(exp)).verdict
+    assert calls == []
+    schatten_quasinorm(np.eye(2), 0.5)  # the counters do see a call
+    assert calls == ["singular_values", "eigvalsh"]
 
 
 def test_pooled_points_merge_in_serial_order(monkeypatch):

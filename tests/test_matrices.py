@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import chi_spectrum_closed_form, jacobi_singular_values
+from oracles import jacobi_singular_values
 from corpora import p_triangle_corpus
 from tritrunc.hankel import hankel_matrix
 from tritrunc.matrices import (
@@ -12,6 +12,7 @@ from tritrunc.matrices import (
     block_diag2,
     chi_matrix,
     delta_matrix,
+    mask_spectrum,
     ones_matrix,
     schatten_quasinorm,
     schur_product,
@@ -47,7 +48,7 @@ def test_ones_matrix_spectrum():
 
 @pytest.mark.parametrize("n", [0, -3])
 def test_structured_sizes_must_be_positive(n):
-    for builder in (chi_matrix, delta_matrix, ones_matrix):
+    for builder in (chi_matrix, delta_matrix, ones_matrix, mask_spectrum):
         with pytest.raises(ValueError):
             builder(n)
 
@@ -108,8 +109,19 @@ def test_schatten_rejects_bad_exponents(p):
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 21, 34, 40, 257])
 def test_chi_spectrum_closed_form(n):
     s = singular_values(chi_matrix(n))
-    ref = chi_spectrum_closed_form(n)
+    ref = mask_spectrum(n)
+    assert np.all(np.diff(ref) < 0)
     assert np.max(np.abs(s - ref) / ref) < 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 21, 34, 40])
+def test_mask_spectrum_matches_a_40_digit_eigensolve(n):
+    # the referee the LAPACK comparisons are not: delta_matrix(n) is symmetric,
+    # so its singular values are its absolute eigenvalues
+    with mpmath.workdps(40):
+        eigs = mpmath.eigsy(mpmath.matrix(delta_matrix(n).tolist()), eigvals_only=True)
+        ref = np.array(sorted((float(abs(e)) for e in eigs), reverse=True))
+    assert np.max(np.abs(mask_spectrum(n) - ref) / ref) <= 4 * np.finfo(float).eps
 
 
 def test_chi_and_delta_share_spectrum():
@@ -137,7 +149,7 @@ def test_jacobi_cross_check_small_sizes():
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 256, 1024, 2048])
 def test_symmetric_route_mask_matches_closed_form(n):
     s = singular_values(delta_matrix(n))
-    ref = chi_spectrum_closed_form(n)
+    ref = mask_spectrum(n)
     assert np.all(np.diff(s) <= 0)
     assert np.max(np.abs(s - ref) / ref) < 1e-12
 
@@ -176,7 +188,7 @@ def test_nonsymmetric_and_complex_inputs_keep_the_svd():
 
 def test_jacobi_cross_check_structured():
     for n in (2, 5, 16):
-        ref = chi_spectrum_closed_form(n)
+        ref = mask_spectrum(n)
         assert np.max(np.abs(jacobi_singular_values(chi_matrix(n)) - ref) / ref) < 1e-10
 
 

@@ -14,6 +14,7 @@ from tritrunc.matrices import (
     block_diag2,
     chi_matrix,
     delta_matrix,
+    mask_spectrum,
     ones_matrix,
     schatten_quasinorm,
     schur_product,
@@ -32,7 +33,6 @@ from tritrunc.rng import SplitMix64, derive_seed
 from tritrunc.trigpoly import TrigPoly, lp_quasinorm, riesz_plus
 
 from corpora import multiplier_upper_corpus
-from oracles import chi_spectrum_closed_form
 
 
 # --- witness_ratio ----------------------------------------------------------------
@@ -126,7 +126,7 @@ def test_all_ones_pair_on_the_padded_mask_is_the_closed_form(k, p):
     # S_p(Delta_n) / N: the mask's closed-form spectrum over the exact denominator ||1_N||^2 = N,
     # with the mask at its own size (N = n) and zero-padded to the bump witness's size
     n = 2**k + 1
-    s_p = float(np.sum(chi_spectrum_closed_form(n) ** p) ** (1.0 / p))
+    s_p = float(np.sum(mask_spectrum(n) ** p) ** (1.0 / p))
     for size in (n, 3 * 2 ** (k - 1) + 1):
         ones = np.ones(size)
         got = witness_ratio(_pad(delta_matrix(n), size, size), (ones, ones), p).ratio
@@ -143,7 +143,7 @@ def test_all_ones_lower_end_tends_to_the_main_theorem_constant(p, c_p):
     ratios = []
     for k in range(4, 21):
         n = 2**k + 1
-        ratios.append(float(np.sum(chi_spectrum_closed_form(n) ** p) ** (1.0 / p)) / n / n ** (1.0 / p - 1.0))
+        ratios.append(float(np.sum(mask_spectrum(n) ** p) ** (1.0 / p)) / n / n ** (1.0 / p - 1.0))
     assert all(lo < hi for lo, hi in zip(ratios, ratios[1:]))
     assert ratios[-1] < limit
     if p == 0.5:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tritrunc import rng
 from tritrunc.rng import SplitMix64, derive_seed
 
 from oracles import derive_seed_reference, splitmix64_reference, uniform53_reference
@@ -37,6 +38,17 @@ def test_stream_is_counter_based():
     g1, g2 = SplitMix64(99), SplitMix64(99)
     split = np.concatenate([g1.uniform(3), g1.uniform(2)])
     assert np.array_equal(split, g2.uniform(5))
+
+
+def test_a_draw_across_evaluation_blocks_is_the_reference_stream():
+    # a draw is evaluated block by block; one that starts mid-stream and crosses two
+    # block boundaries is still the plain stream, and leaves the counter after its end
+    seed = 0xDEADBEEFCAFEBABE
+    gen = SplitMix64(seed)
+    gen.uniform(5)
+    count = 2 * rng._BLOCK + 7
+    assert gen._raw(count).tolist() == splitmix64_reference(seed, count, start=6)
+    assert gen._raw(1).tolist() == splitmix64_reference(seed, 1, start=6 + count)
 
 
 # --- derived distributions -------------------------------------------------------
