@@ -5,17 +5,17 @@ a dyadic size grid, measures its quantities per point (seeded per point, so
 runs are schedule-independent), fits a power law, and judges the slope
 against the registered target.  A registry entry declares only what differs
 between experiments; one sweep loop, ``_run``, does the rest.  Results are
-emitted as CSV records plus a JSON fit summary.  The sampled experiments (E3,
-E4, E8) compute every point at one BLAS thread, in as many single-thread
-worker processes as the caller's BLAS thread budget allows (``_worker_count``),
-so their output is byte-identical at any thread count.  E1 and E9 read the
-mask spectrum in closed form, and E5, E6 and E7 compute no spectrum, so none
-of them depends on it either; E2 alone runs its decompositions in this
-process and is byte-reproducible at a fixed BLAS thread count only.
+emitted as CSV records plus a JSON fit summary.  Every point computes at one
+BLAS thread, so every output is byte-identical at any thread count: a budget
+of one thread keeps runs in this process, and a larger one deals every run's
+points to a pool of single-thread worker processes (``_worker_count``),
+started once per process and reaped at exit.
 """
 
 from __future__ import annotations
 
+import atexit
+import contextlib
 import json
 import numbers
 import os
@@ -329,28 +329,23 @@ def experiment_description(experiment):
 # Every worker starts with these at 1; the caller's budget is read from the
 # first two, in the order OpenBLAS reads them.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-# A worker imports tritrunc from the directory given as its argument, the one
-# this module was loaded from.
+# A worker imports tritrunc from its argument, the directory this module was loaded from.
 _WORKER_MAIN = "import sys; sys.path.insert(0, sys.argv[1]); from tritrunc.experiments import _serve; _serve()"
+_POOL = []  # the live workers: started by the first dealt run, reaped at exit or when a run fails
 
 
-def _worker_count(points):
-    """Worker processes for a sampled run of ``points`` points, or 0 to keep
-    it in this process.
+def _worker_count():
+    """Worker processes to deal runs to, or 0 to keep them in this process.
 
     The budget is the BLAS thread count the caller granted:
     OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else the CPUs this process
-    may use.  A budget of one keeps the run here, at that one thread; a larger
-    one spends its threads on single-thread workers, capped by the CPUs and
-    by the points.  Either way every point computes at one BLAS thread."""
+    may use.  A budget of one keeps every run here, at that one thread; a
+    larger one spends its threads on single-thread workers, capped by the
+    CPUs.  Either way every point computes at one BLAS thread."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    budget = cpus
-    for var in _BLAS_THREAD_VARS[:2]:
-        value = os.environ.get(var, "").strip()
-        if value.isdecimal() and int(value) > 0:
-            budget = int(value)
-            break
-    return 0 if budget == 1 else min(budget, cpus, points)
+    granted = (os.environ.get(var, "").strip() for var in _BLAS_THREAD_VARS[:2])
+    budget = next((int(value) for value in granted if value.isdecimal() and int(value) > 0), cpus)
+    return 0 if budget == 1 else min(budget, cpus)
 
 
 def _measure(cfg, point):
@@ -361,56 +356,67 @@ def _measure(cfg, point):
 
 
 def _serve():
-    """A worker's whole life: read (cfg, points) pickled on stdin, and write
-    their measurements, or the exception that stopped them, to stdout."""
-    cfg, points = pickle.load(sys.stdin.buffer)
-    try:
-        out = [_measure(cfg, point) for point in points]
-    except Exception as exc:  # the worker's boundary: the parent raises it
-        out = exc
-    pickle.dump(out, sys.stdout.buffer)
+    """A worker's life: answer each (cfg, points) request pickled on stdin
+    with their measurements, or the exception that stopped them, on stdout,
+    until stdin ends."""
+    while sys.stdin.buffer.peek(1):
+        cfg, points = pickle.load(sys.stdin.buffer)
+        try:
+            out = [_measure(cfg, point) for point in points]
+        except Exception as exc:  # the worker's boundary: the parent raises it
+            out = exc
+        pickle.dump(out, sys.stdout.buffer)
+        sys.stdout.buffer.flush()
+
+
+def _reap():
+    """Kill every worker and wait for it; the next dealt run starts new ones."""
+    while _POOL:
+        # leaving the Popen closes its pipes, which may fail to flush a request to a dead worker, and waits
+        with contextlib.suppress(BrokenPipeError), _POOL.pop() as proc:
+            proc.kill()
+
+
+atexit.register(_reap)
 
 
 def _measure_all(cfg, points):
     """Measure every point, returned in the order of ``points``.
 
-    Only a sampled experiment (E3, E4, E8) goes to worker processes.  A
-    worker's start-up, a fresh interpreter importing numpy (0.25 to 0.5 s),
-    costs as much as a whole single-sample run (E5, the largest, ~0.5 s),
-    so those stay in this process."""
-    workers = 0 if cfg.samples is None else _worker_count(len(points))
+    With no workers granted (``_worker_count``) they are measured in this
+    process, where a tracer or profiler sees them; else the pool gets them."""
+    workers = _worker_count()
     if not workers:
         return [_measure(cfg, point) for point in points]
-    import subprocess  # here, so that importing tritrunc does not load it
+    if len(_POOL) != workers:  # the first dealt run, or a changed budget
+        _reap()
+        import subprocess  # here, so that importing tritrunc does not load it
 
-    env = dict(os.environ, **dict.fromkeys(_BLAS_THREAD_VARS, "1"))
-    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, **dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+        here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        _POOL.extend(subprocess.Popen([sys.executable, "-c", _WORKER_MAIN, here], stdin=subprocess.PIPE,
+                                      stdout=subprocess.PIPE, env=env) for _ in range(workers))
     # dealt round-robin from the largest point down, so that the workers'
     # shares of every size differ by at most one point
     largest_first = range(len(points) - 1, -1, -1)
     deals = [largest_first[w::workers] for w in range(workers)]
-    procs, results = [], [None] * len(points)
+    results = {}
     try:
-        for deal in deals:
-            procs.append(subprocess.Popen([sys.executable, "-c", _WORKER_MAIN, here],
-                                          stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env))
-            with procs[-1].stdin as pipe:
-                pipe.write(pickle.dumps((cfg, [points[i] for i in deal])))
-        for proc, deal in zip(procs, deals):
-            out = proc.stdout.read()
-            if proc.wait() != 0:
-                raise RuntimeError(f"a worker process exited with code {proc.returncode}")
-            got = pickle.loads(out)
+        for proc, deal in zip(_POOL, deals):
+            pickle.dump((cfg, [points[i] for i in deal]), proc.stdin)
+            proc.stdin.flush()
+        for proc, deal in zip(_POOL, deals):
+            got = pickle.load(proc.stdout)
             if isinstance(got, Exception):
                 raise got
-            for i, value in zip(deal, got):
-                results[i] = value
-    finally:
-        for proc in procs:
-            with proc:  # closes its pipes and waits for it
-                if proc.poll() is None:
-                    proc.kill()
-    return results
+            results.update(zip(deal, got))
+    except (BrokenPipeError, EOFError) as exc:  # the worker died: its exit code is the error
+        _reap()  # kills only the live ones, and waits for all
+        raise RuntimeError(f"a worker process exited with code {proc.returncode}") from exc
+    except BaseException:
+        _reap()  # the other workers' answers are unread
+        raise
+    return [results[i] for i in range(len(points))]
 
 
 def _run(cfg, spec):

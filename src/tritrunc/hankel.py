@@ -50,9 +50,9 @@ def _require_analytic(f, op):
 
 
 def hankel_matrix(f):
-    """The (d+1) x (d+1) Hankel matrix with entries phi^(j+k), d = degree(phi)."""
+    """The (d+1) x (d+1) Hankel matrix with entries phi^(j+k), d = f.hi (stored, untrimmed)."""
     _require_analytic(f, "hankel_matrix")
-    d = f.degree
+    d = f.hi
     c = f.coefficients_on(0, 2 * d)
     idx = np.add.outer(np.arange(d + 1), np.arange(d + 1))
     m = c[idx]
@@ -62,7 +62,7 @@ def hankel_matrix(f):
 def besov_quasinorm(f, p):
     """Dyadic (Littlewood-Paley) quasinorm of an analytic polynomial.
 
-    Sums 2^n * ||f * V_n||_p^p over the levels n with 2^{n-1} <= degree(f)
+    Sums 2^n * ||f * V_n||_p^p over the levels n with 2^{n-1} <= f.hi
     — every later level is exactly zero because the window is evaluated on
     the coefficients — plus the |phi^(0)|^p augmentation, and reports the
     1/p-th root.
@@ -72,13 +72,8 @@ def besov_quasinorm(f, p):
 
     levels = []
     n = 0
-    while 2.0 ** (n - 1) <= f.degree:
-        piece = apply_window(f, n)
-        if piece.is_zero:
-            term = 0.0
-        else:
-            term = 2.0**n * lp_quasinorm(piece, p) ** p
-        levels.append((n, term))
+    while 2.0 ** (n - 1) <= f.hi:
+        levels.append((n, 2.0**n * lp_quasinorm(apply_window(f, n), p) ** p))
         n += 1
 
     zero_term = abs(f.coefficient(0)) ** p
@@ -123,7 +118,7 @@ def polynomial_hankel_sp_bound(f, p):
     if p > 1:
         raise ValueError(f"p must lie in (0, 1], got {p}")
     _require_analytic(f, "polynomial_hankel_sp_bound")
-    m = f.degree + 1
+    m = f.hi + 1
     lhs = schatten_quasinorm(hankel_matrix(f), p)
     rhs = 2.0 ** (1.0 / p - 1.0) * m ** (1.0 / p) * lp_quasinorm(f, p)
     return float(lhs), float(rhs)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hankel import hankel_matrix
+from .hankel import _require_analytic, hankel_matrix
 from .kernels import bump_poly, dirichlet_plus, fejer
 from .matrices import _check_p, _check_size, block2x2, block_diag2, delta_matrix, schatten_quasinorm, schur_product
 from .rng import SplitMix64, derive_seed
@@ -137,9 +137,8 @@ def hankel_multiplier_upper(f, p):
     p = _check_p(p)
     if p > 1:
         raise ValueError(f"p must lie in (0, 1], got {p}")
-    if not f.is_analytic:
-        raise ValueError("hankel_multiplier_upper requires an analytic polynomial")
-    m = f.degree + 1
+    _require_analytic(f, "hankel_multiplier_upper")
+    m = f.hi + 1
     return (2.0 * m) ** (1.0 / p - 1.0) * lp_quasinorm(f, p)
 
 
@@ -197,13 +196,13 @@ def random_witness_search(a, p, draws, seed):
 def fejer_riesz_ratio(m):
     """L^1 growth of the analytic half of the Fejér kernel.
 
-    Returns ||analytic part of K_m||_{L^1} / ||K_m||_{L^1} by quadrature; the
-    denominator is 1 up to quadrature error (the kernel is nonnegative with
-    mean one), and the ratio grows logarithmically in m — the p = 1 shadow of
-    the unboundedness of triangular truncation.
+    Returns ||analytic part of K_m||_{L^1} / ||K_m||_{L^1} by quadrature.  The
+    denominator is exactly 1 and is not computed: K_m is nonnegative with mean
+    one, and the midpoint rule on N > m nodes integrates its mean exactly.  The
+    ratio grows logarithmically in m — the p = 1 shadow of the unboundedness
+    of triangular truncation.
     """
-    k_m = fejer(m)
-    return lp_quasinorm(riesz_plus(k_m), 1.0) / lp_quasinorm(k_m, 1.0)
+    return lp_quasinorm(riesz_plus(fejer(m)), 1.0)
 
 
 def dirichlet_witness_upper(k, p):

@@ -52,11 +52,6 @@ class TrigPoly:
     def hi(self):
         return self.lo + len(self.coeffs) - 1
 
-    @property
-    def degree(self):
-        """Stored top index (no trimming of zero coefficients)."""
-        return self.hi
-
     def coefficient(self, j):
         """The coefficient of z^j (0 outside the stored window)."""
         j = int(j)

@@ -159,14 +159,22 @@ def test_fits_need_at_least_three_grid_points():
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-# small plans of the sampled experiments, the ones dealt to worker processes; each
-# reaches a size (E3 k = 6, E4 and E8 n = 128) whose values move with the BLAS thread count
+# small plans of the sampled experiments; each reaches a size (E3 k = 6, E4 and
+# E8 n = 128) whose values move with the BLAS thread count
 SAMPLED_PLANS = {"E3": {"kmin": 4, "kmax": 6, "samples": 4}, "E4": {"kmin": 5, "kmax": 7, "samples": 3},
                  "E8": {"kmin": 5, "kmax": 7, "samples": 2}}
 
 
 @pytest.fixture
-def started(monkeypatch):
+def fresh_pool():
+    """No worker lives before or after the test, so its first dealt run starts the pool."""
+    experiments._reap()
+    yield
+    experiments._reap()
+
+
+@pytest.fixture
+def started(monkeypatch, fresh_pool):
     """Every process started through subprocess.Popen while the test runs."""
     procs = []
 
@@ -185,57 +193,59 @@ def run_python(args, **env):
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=300)
 
 
+def run_cli_at(threads, *argv):
+    """``tritrunc experiment run`` in a fresh interpreter at a BLAS thread budget; returns
+    (exit code, stderr, stdout, CSV without wall_ms, fits.json) for the output path argv[-1]."""
+    proc = run_python(["-m", "tritrunc", "experiment", "run", *argv], **dict.fromkeys(BLAS_VARS, str(threads)))
+    out = Path(argv[-1])
+    return (proc.returncode, proc.stderr, proc.stdout, strip_wall(out.read_text(encoding="utf-8")),
+            out.with_suffix(".fits.json").read_text(encoding="utf-8"))
+
+
 def test_worker_count_follows_the_blas_thread_budget(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     for var in BLAS_VARS:
         monkeypatch.delenv(var, raising=False)
-    assert experiments._worker_count(100) == 4  # no budget granted: the CPUs
+    assert experiments._worker_count() == 4  # no budget granted: the CPUs
     monkeypatch.setenv("OMP_NUM_THREADS", "3")
-    assert experiments._worker_count(100) == 3
+    assert experiments._worker_count() == 3
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "8")  # read first, capped by the CPUs
-    assert experiments._worker_count(100) == 4
-    assert experiments._worker_count(2) == 2  # and by the points
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # one thread: the run stays in this process
-    assert experiments._worker_count(100) == 0
+    assert experiments._worker_count() == 4
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # one thread: runs stay in this process
+    assert experiments._worker_count() == 0
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "")  # unset in effect: the next variable decides
-    assert experiments._worker_count(100) == 3
+    assert experiments._worker_count() == 3
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "\u00b2")  # a digit int() rejects: not a budget either
-    assert experiments._worker_count(100) == 3
+    assert experiments._worker_count() == 3
     monkeypatch.delenv("OMP_NUM_THREADS")
-    assert experiments._worker_count(100) == 4
+    assert experiments._worker_count() == 4
 
 
 @pytest.mark.parametrize("exp", sorted(SAMPLED_PLANS))
 def test_sampled_runs_are_identical_for_any_worker_count(exp, tmp_path, monkeypatch, capsys, started):
+    # one thread runs in the command-line process; three workers are more than this host's CPUs
     (tmp_path / "plan.json").write_text(json.dumps(SAMPLED_PLANS[exp]), encoding="utf-8")
-    argv = ["experiment", "run", exp, "--config", str(tmp_path / "plan.json"), "--out"]
-    outputs = []
-    for threads in (1, 2):  # one thread runs in this process, two deal to workers where there are two CPUs
-        proc = run_python(["-m", "tritrunc", *argv, str(tmp_path / f"t{threads}.csv")],
-                          **dict.fromkeys(BLAS_VARS, str(threads)))
-        assert proc.returncode == 0 and proc.stderr == ""
-        outputs.append((proc.stdout, strip_wall((tmp_path / f"t{threads}.csv").read_text(encoding="utf-8")),
-                        (tmp_path / f"t{threads}.fits.json").read_text(encoding="utf-8")))
-    monkeypatch.setattr(experiments, "_worker_count", lambda points: 3)
-    code = cli.main([*argv, str(tmp_path / "w3.csv")])
-    outputs.append((capsys.readouterr().out, strip_wall((tmp_path / "w3.csv").read_text(encoding="utf-8")),
-                    (tmp_path / "w3.fits.json").read_text(encoding="utf-8")))
-    assert code == 0
-    assert outputs[0] == outputs[1] == outputs[2]
-    # the two command-line processes and the three workers of the last run
-    assert len(started) == 2 + 3 and all(proc.returncode == 0 for proc in started)
+    argv = [exp, "--config", str(tmp_path / "plan.json"), "--out"]
+    code, err, *serial = run_cli_at(1, *argv, str(tmp_path / "t1.csv"))
+    assert code == 0 and err == ""
+    monkeypatch.setattr(experiments, "_worker_count", lambda: 3)
+    assert cli.main(["experiment", "run", *argv, str(tmp_path / "w3.csv")]) == 0
+    pooled = [capsys.readouterr().out, strip_wall((tmp_path / "w3.csv").read_text(encoding="utf-8")),
+              (tmp_path / "w3.fits.json").read_text(encoding="utf-8")]
+    assert serial == pooled
+    # the command-line process and the three workers of the pooled run, still serving
+    assert len(started) == 1 + 3 and started[0].returncode == 0
+    assert experiments._POOL == started[1:] and all(proc.poll() is None for proc in started[1:])
 
 
-@pytest.mark.parametrize("exp", ["E1", "E9"])
+# every registered id, the sampled ones at a small plan; E2 differs at the parent's 2 threads
+@pytest.mark.parametrize("exp", EXPERIMENT_IDS)
 def test_mask_runs_are_identical_at_any_thread_count(exp, tmp_path):
-    outputs = []
-    for threads in (1, 2):
-        out = tmp_path / f"t{threads}.csv"
-        proc = run_python(["-m", "tritrunc", "experiment", "run", exp, "--out", str(out)],
-                          **dict.fromkeys(BLAS_VARS, str(threads)))
-        assert proc.returncode == 0 and proc.stderr == ""
-        outputs.append((proc.stdout, strip_wall(out.read_text(encoding="utf-8")),
-                        (tmp_path / f"t{threads}.fits.json").read_text(encoding="utf-8")))
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(SAMPLED_PLANS.get(exp, {})), encoding="utf-8")
+    outputs = [run_cli_at(threads, exp, "--config", str(plan), "--out", str(tmp_path / f"t{threads}.csv"))
+               for threads in (1, 2)]
+    assert outputs[0][:2] == (1 if exp == "E7" else 0, "")  # E7's registered fit is the known red
     assert outputs[0] == outputs[1]
 
 
@@ -248,6 +258,7 @@ def test_mask_runs_compute_no_spectrum(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    monkeypatch.setattr(experiments, "_worker_count", lambda: 0)  # in this process, where the counters are
     for owner in (matrices, experiments):
         monkeypatch.setattr(owner, "singular_values", counted("singular_values", owner.singular_values))
     for name in ("svd", "eigvalsh", "eigh", "eigvals", "eig"):
@@ -259,7 +270,7 @@ def test_mask_runs_compute_no_spectrum(monkeypatch):
     assert calls == ["singular_values", "eigvalsh"]
 
 
-def test_pooled_points_merge_in_serial_order(monkeypatch):
+def test_pooled_points_merge_in_serial_order(monkeypatch, fresh_pool):
     # a check that fails on every point lists every point in its detail, in (k, s) order
     spec = experiments._REGISTRY["E3"]
     check = experiments._Check("every_point", lambda k, n, s, v: f"k={k} s={s} {v['band_ratio']!r}", "")
@@ -267,7 +278,7 @@ def test_pooled_points_merge_in_serial_order(monkeypatch):
     cfg = ExperimentConfig("E3", kmin=2, kmax=4, samples=3)
     results = []
     for workers in (0, 3):
-        monkeypatch.setattr(experiments, "_worker_count", lambda points: workers)
+        monkeypatch.setattr(experiments, "_worker_count", lambda: workers)
         results.append(run_experiment(cfg))
     serial, pooled = ([dataclasses.replace(r, wall_ms=0.0) for r in result.records] for result in results)
     assert serial == pooled
@@ -277,27 +288,76 @@ def test_pooled_points_merge_in_serial_order(monkeypatch):
     ]
 
 
+def test_a_second_dealt_run_starts_no_process(monkeypatch, started):
+    monkeypatch.setattr(experiments, "_worker_count", lambda: 2)
+    assert run_experiment(ExperimentConfig("E8", kmin=4, kmax=6, samples=2)).verdict
+    assert len(started) == 2 and experiments._POOL == started
+    # a single-sample experiment goes to the same workers
+    assert run_experiment(ExperimentConfig("E1")).verdict
+    assert len(started) == 2 and experiments._POOL == started
+    assert all(proc.poll() is None for proc in started)
+
+
 def test_a_worker_error_reaches_the_caller(monkeypatch, capsys, started):
-    monkeypatch.setattr(experiments, "_worker_count", lambda points: 2)
+    monkeypatch.setattr(experiments, "_worker_count", lambda: 2)
     cfg = ExperimentConfig("E3", kmin=2, kmax=4, samples=2)
     object.__setattr__(cfg, "seed", 2**64)  # past the plan check, so derive_seed raises in the workers
     with pytest.raises(ValueError, match="outside the 64-bit range"):
         run_experiment(cfg)
-    assert len(started) == 2 and all(proc.returncode is not None for proc in started)
+    # the other worker's answer is unread, so the whole pool is gone
+    assert experiments._POOL == [] and len(started) == 2
+    assert all(proc.returncode is not None for proc in started)
     # through the command line the same error is a usage error
     monkeypatch.setattr(cli, "config_from_dict", lambda doc, experiment: cfg)
     assert cli.main(["experiment", "run", "E3"]) == 2
     assert "outside the 64-bit range" in capsys.readouterr().err
-    assert len(started) == 4 and all(proc.returncode is not None for proc in started)
+    assert experiments._POOL == [] and len(started) == 4
+    assert all(proc.returncode is not None for proc in started)
+    # and the next run starts a new pool and succeeds
+    assert run_experiment(ExperimentConfig("E3", kmin=2, kmax=4, samples=2)).verdict
+    assert experiments._POOL == started[4:] and len(started) == 6
 
 
 def test_a_failed_worker_process_is_an_error(monkeypatch, started):
-    monkeypatch.setattr(experiments, "_worker_count", lambda points: 2)
-    monkeypatch.setattr(experiments, "_WORKER_MAIN", "import sys; sys.stdin.buffer.read(); sys.exit(3)")
-    with pytest.raises(RuntimeError, match="exited with code 3"):
-        run_experiment(ExperimentConfig("E3", kmin=2, kmax=4, samples=2))
+    monkeypatch.setattr(experiments, "_worker_count", lambda: 2)
+    cfg = ExperimentConfig("E3", kmin=2, kmax=4, samples=2)
+    # dies at the read: each worker exits once its request has arrived
+    monkeypatch.setattr(experiments, "_WORKER_MAIN", "import sys; sys.stdin.buffer.read(1); sys.exit(3)")
+    with pytest.raises(RuntimeError, match="exited with code 3") as info:
+        run_experiment(cfg)
+    assert isinstance(info.value.__cause__, EOFError)
     # the first worker's exit is the error; the other has exited too, or was killed
-    assert started[0].returncode == 3 and all(proc.returncode is not None for proc in started[1:])
+    assert started[0].returncode == 3 and started[1].returncode is not None and experiments._POOL == []
+    # dies at the write: both workers have exited before the run
+    dead = [subprocess.Popen([sys.executable, "-c", "import sys; sys.exit(3)"], stdin=subprocess.PIPE,
+                             stdout=subprocess.PIPE) for _ in range(2)]
+    assert [proc.wait() for proc in dead] == [3, 3]
+    experiments._POOL.extend(dead)
+    with pytest.raises(RuntimeError, match="exited with code 3") as info:
+        run_experiment(cfg)
+    assert isinstance(info.value.__cause__, BrokenPipeError) and experiments._POOL == []
+    assert all(proc.stdin.closed and proc.stdout.closed for proc in dead)
+
+
+def test_a_process_that_dealt_a_run_leaves_no_worker_behind():
+    # this exit hook is registered before tritrunc's own, so it runs after it
+    code = """if True:
+        import atexit
+        procs = []
+        atexit.register(lambda: print([proc.poll() for proc in procs]))
+        from tritrunc import experiments
+        experiments._worker_count = lambda: 2
+        assert experiments.run_experiment(experiments.ExperimentConfig("E8", kmin=4, kmax=6, samples=2)).verdict
+        procs.extend(experiments._POOL)
+        print([proc.pid for proc in procs])
+    """
+    proc = run_python(["-c", code])
+    assert proc.returncode == 0 and proc.stderr == ""
+    pids, codes = map(json.loads, proc.stdout.splitlines())
+    assert len(pids) == 2 and codes == [-9, -9]  # killed and waited for at exit
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 def test_importing_tritrunc_loads_no_process_machinery():

@@ -404,7 +404,13 @@ def test_fejer_riesz_ratio_grows():
 
 
 def test_fejer_riesz_ratio_matches_direct_quadrature():
+    # the denominator ||K_m||_1 is exactly 1 (next test), so the ratio is its numerator
     m = 16
-    k_m = fejer(m)
-    direct = lp_quasinorm(riesz_plus(k_m), 1.0) / lp_quasinorm(k_m, 1.0)
-    assert fejer_riesz_ratio(m) == direct
+    assert fejer_riesz_ratio(m) == lp_quasinorm(riesz_plus(fejer(m)), 1.0)
+
+
+@pytest.mark.parametrize("m", [2**k for k in range(4, 12)])  # E5's registered grid
+def test_fejer_l1_quadrature_is_one(m):
+    # K_m >= 0 has mean one, which the midpoint rule on N > m nodes integrates exactly
+    value = lp_quasinorm(fejer(m), 1.0)
+    assert abs(value - 1.0) <= 2 * np.spacing(value)  # 2 ulp

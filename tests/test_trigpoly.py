@@ -24,7 +24,7 @@ def rand_poly(gen, lo_min=-8, lo_max=8, max_span=12):
 
 def test_window_properties():
     f = TrigPoly(-2, [1, 0, 3, 0, 5])
-    assert (f.lo, f.hi, f.degree) == (-2, 2, 2)
+    assert (f.lo, f.hi) == (-2, 2)
     assert f.coefficient(0) == 3
     assert f.coefficient(99) == 0
     assert f.coefficient(-2) == 1
