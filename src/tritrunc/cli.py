@@ -11,7 +11,7 @@ Subcommands:
                         every registered experiment and aggregates verdicts.
 
 Exit codes: 0 all verdicts pass, 1 an assertion failed, 2 usage/config error
-(including an input too large to allocate).
+(including an input too large to allocate and a result too large for a double).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .experiments import (
 )
 from .hankel import besov_quasinorm
 from .kernels import dirichlet_plus
-from .matrices import chi_matrix, delta_matrix, ones_matrix, schatten_quasinorm
+from .matrices import _check_p, _check_size, _schatten_from_spectrum, mask_spectrum
 from .multipliers import delta_lower_bound, dirichlet_witness_upper, random_witness_search
 from .rng import derive_seed
 
@@ -117,13 +117,13 @@ def _print_result(result):
 
 
 def _cmd_spnorm(args):
-    if args.chi is not None:
-        mat = chi_matrix(args.chi)
-    elif args.delta is not None:
-        mat = delta_matrix(args.delta)
+    # both masks share the closed-form spectrum; the all-ones matrix has one singular value, N
+    p = _check_p(args.p)
+    if args.ones is None:
+        spectrum = mask_spectrum(args.delta if args.chi is None else args.chi)
     else:
-        mat = ones_matrix(args.ones)
-    print(f"{schatten_quasinorm(mat, args.p):.17g}")
+        spectrum = float(_check_size(args.ones))
+    print(f"{_schatten_from_spectrum(spectrum, p):.17g}")
     return 0
 
 
@@ -213,6 +213,10 @@ def main(argv=None):
     except MemoryError as exc:
         # an input too large to allocate is a usage error, not a failed check
         print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        # and so is a result too large for a double
+        print(f"error: result out of range: {exc}", file=sys.stderr)
         return 2
 
 

@@ -1,7 +1,7 @@
-"""Dense complex matrix algebra: Schur-Hadamard products, singular values,
-Schatten quasinorms, and the structured 0/1 matrices used throughout
-(upper-triangular mask, its Hankel companion, all-ones), with the masks'
-singular spectrum in closed form."""
+"""Dense complex matrix algebra: Schur-Hadamard products, singular values
+(one LAPACK route, the SVD), Schatten quasinorms, and the structured 0/1
+masks used throughout (upper-triangular mask, its Hankel companion), with
+their singular spectrum in closed form."""
 
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ __all__ = [
     "chi_matrix",
     "delta_matrix",
     "mask_spectrum",
-    "ones_matrix",
     "triangular_projection",
     "block_diag2",
     "block2x2",
@@ -38,8 +37,8 @@ def _check_p(p):
     if isinstance(p, bool) or not isinstance(p, numbers.Real):
         raise ValueError(f"exponent p must be a real number, got {p!r}")
     p = float(p)
-    if not (p > 0) or not np.isfinite(p):
-        raise ValueError(f"exponent p must be positive and finite, got {p}")
+    if not (p > 0) or not np.isfinite(p) or not np.isfinite(1.0 / p):
+        raise ValueError(f"exponent p must be positive and finite with a finite reciprocal, got {p}")
     return p
 
 
@@ -63,20 +62,12 @@ def schur_product(a, b):
 def singular_values(a):
     """Singular values of ``a``, sorted nonincreasing.
 
-    Backed by LAPACK via numpy.  A real square matrix that exactly equals its
-    transpose (the 0/1 masks, the all-ones matrix, real Hankel matrices) goes
-    to the symmetric eigensolver, and its singular values are the absolute
-    eigenvalues; every other input goes to the SVD.  Both routes are backward
-    stable: each value carries an absolute error of order
-    max(shape) * eps * operator norm, so values at that level are rounding
-    noise on either route.  The symmetric route costs about a third of the
-    SVD.  Non-convergence raises ``numpy.linalg.LinAlgError`` (it is never
-    silently ignored).
+    Every input goes to LAPACK's SVD via numpy.  It is backward stable: each
+    value carries an absolute error of order max(shape) * eps * operator norm,
+    so values at that level are rounding noise.  Non-convergence raises
+    ``numpy.linalg.LinAlgError`` (it is never silently ignored).
     """
-    a = _as_matrix(a)
-    if not np.iscomplexobj(a) and a.shape[0] == a.shape[1] and np.array_equal(a, a.T):
-        return -np.sort(-np.abs(np.linalg.eigvalsh(a)))
-    return np.linalg.svd(a, compute_uv=False)
+    return np.linalg.svd(_as_matrix(a), compute_uv=False)
 
 
 def schatten_quasinorm(a, p):
@@ -123,12 +114,6 @@ def mask_spectrum(n):
     n = _check_size(n)
     j = np.arange(1, n + 1)
     return 0.5 / np.sin((2 * j - 1) * np.pi / (2.0 * (2 * n + 1)))
-
-
-def ones_matrix(n):
-    """n-by-n all-ones matrix: rank one, single singular value n."""
-    n = _check_size(n)
-    return np.ones((n, n))
 
 
 def triangular_projection(a):

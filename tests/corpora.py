@@ -6,7 +6,7 @@ of the doubled triangular mask, shared the same way, sits here too."""
 import numpy as np
 
 from tritrunc.hankel import hankel_matrix, polynomial_hankel_sp_bound
-from tritrunc.matrices import block2x2, block_diag2, chi_matrix, ones_matrix, schatten_quasinorm
+from tritrunc.matrices import block2x2, block_diag2, chi_matrix, schatten_quasinorm
 from tritrunc.multipliers import hankel_multiplier_upper, witness_ratio
 from tritrunc.rng import SplitMix64, derive_seed
 from tritrunc.trigpoly import TrigPoly, lp_quasinorm
@@ -96,7 +96,8 @@ def chi_doubling_decomposition(n):
     chi_n = chi_matrix(n)
     chi_2n = chi_matrix(2 * n)
     zero = np.zeros((n, n))
-    assembled = block2x2(chi_n, ones_matrix(n), zero, chi_n)
-    corner = block2x2(zero, ones_matrix(n), zero, zero)
+    ones = np.ones((n, n))
+    assembled = block2x2(chi_n, ones, zero, chi_n)
+    corner = block2x2(zero, ones, zero, zero)
     split = block_diag2(chi_n) + corner
     return bool(np.array_equal(chi_2n, assembled) and np.array_equal(chi_2n, split))

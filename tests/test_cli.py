@@ -38,17 +38,23 @@ def test_spnorm_delta_matches_chi(capsys):
     code_a, out_a, _ = run_cli(capsys, "spnorm", "--chi", "7", "--p", "0.5")
     code_b, out_b, _ = run_cli(capsys, "spnorm", "--delta", "7", "--p", "0.5")
     assert code_a == code_b == 0
-    # same singular values in exact arithmetic; LAPACK roundoff depends on the
-    # row order, so the printed 17-digit values agree only to ~1e-13
-    assert float(out_a) == pytest.approx(float(out_b), rel=1e-12)
+    assert out_a == out_b
 
 
 def test_spnorm_ones(capsys):
     code, out, _ = run_cli(capsys, "spnorm", "--ones", "3", "--p", "0.5")
     assert code == 0
-    # rank one in exact arithmetic; LAPACK leaves ~1e-17 residual values whose
-    # p-th powers are magnified to ~1e-8 by p = 1/2, so compare loosely
-    assert float(out) == pytest.approx(3.0, rel=1e-6)
+    assert float(out) == pytest.approx(3.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("which", ["--chi", "--delta", "--ones"])
+def test_spnorm_reads_closed_forms(capsys, monkeypatch, which):
+    calls = []
+    for name in set(np.linalg.__all__) - {"LinAlgError"}:
+        monkeypatch.setattr(np.linalg, name, lambda *a, _name=name, **k: calls.append(_name))
+    code, out, err = run_cli(capsys, "spnorm", which, "512", "--p", "0.5")
+    assert code == 0 and err == "" and float(out) > 0
+    assert calls == []
 
 
 def test_spnorm_rejects_nonpositive_p(capsys):
@@ -234,11 +240,26 @@ def test_multiplier_bound_rejects_p_before_any_work(capsys, monkeypatch, level, 
 @pytest.mark.parametrize(
     "argv",
     # each input's first array is terabytes, so its allocation fails at once
-    [["multiplier-bound", "--delta-k", "40", "--p", "0.5"], ["spnorm", "--chi", "1000000", "--p", "0.5"]],
+    [["multiplier-bound", "--delta-k", "40", "--p", "0.5"], ["besov", "--dirichlet", "1000000000000", "--p", "0.5"]],
 )
 def test_an_input_too_large_to_allocate_is_a_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == "" and err.startswith("error: out of memory")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spnorm", "--chi", "3", "--p", "0.001"],  # 1/p powers overflow a double
+        ["besov", "--dirichlet", "9", "--p", "0.001"],
+        ["multiplier-bound", "--delta-k", "3", "--p", "0.001"],
+        ["experiment", "run", "E1", "--p", "0.001"],
+        ["spnorm", "--chi", "3", "--p", "1e-320"],  # 1/p itself is inf
+    ],
+)
+def test_a_result_out_of_range_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error:")
 
 
 # --- experiment run ----------------------------------------------------------------

@@ -267,7 +267,7 @@ def test_mask_runs_compute_no_spectrum(monkeypatch):
         assert run_experiment(ExperimentConfig(exp)).verdict
     assert calls == []
     schatten_quasinorm(np.eye(2), 0.5)  # the counters do see a call
-    assert calls == ["singular_values", "eigvalsh"]
+    assert calls == ["singular_values", "svd"]
 
 
 def test_pooled_points_merge_in_serial_order(monkeypatch, fresh_pool):

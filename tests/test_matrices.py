@@ -13,7 +13,6 @@ from tritrunc.matrices import (
     chi_matrix,
     delta_matrix,
     mask_spectrum,
-    ones_matrix,
     schatten_quasinorm,
     schur_product,
     singular_values,
@@ -41,14 +40,14 @@ def test_delta_is_chi_columns_reversed():
 
 
 def test_ones_matrix_spectrum():
-    s = singular_values(ones_matrix(6))
+    s = singular_values(np.ones((6, 6)))
     assert s[0] == pytest.approx(6.0, abs=1e-12)
     assert np.all(s[1:] < 1e-12)
 
 
 @pytest.mark.parametrize("n", [0, -3])
 def test_structured_sizes_must_be_positive(n):
-    for builder in (chi_matrix, delta_matrix, ones_matrix, mask_spectrum):
+    for builder in (chi_matrix, delta_matrix, mask_spectrum):
         with pytest.raises(ValueError):
             builder(n)
 
@@ -100,7 +99,7 @@ def test_zero_matrix_quasinorm_is_zero():
     assert schatten_quasinorm(np.zeros((4, 4)), 2.0) == 0.0
 
 
-@pytest.mark.parametrize("p", [0.0, -1.0, np.inf, np.nan, [0.5], "0.5", True, None])
+@pytest.mark.parametrize("p", [0.0, -1.0, np.inf, np.nan, [0.5], "0.5", True, None, 1e-320])
 def test_schatten_rejects_bad_exponents(p):
     with pytest.raises(ValueError):
         schatten_quasinorm(np.eye(2), p)
@@ -143,7 +142,7 @@ def test_jacobi_cross_check_small_sizes():
         assert np.max(np.abs(lapack - jacobi)) < 1e-8 * scale
 
 
-# --- the symmetric route: real A == A^T goes to the symmetric eigensolver --------
+# --- the SVD route: symmetric inputs (real A == A^T) go to the SVD like every other ---
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 256, 1024, 2048])
@@ -169,20 +168,24 @@ def test_symmetric_route_indefinite_matches_jacobi():
 @pytest.mark.parametrize("p", [0.5, 2.0 / 3.0])
 @pytest.mark.parametrize("n", [1, 2, 7, 64, 100, 512])
 def test_symmetric_route_ones_within_rounding_floor(n, p):
-    # the n - 1 zero eigenvalues come out at rounding level, at most n * eps * n
+    # the n - 1 zero singular values come out at rounding level, at most n * eps * n
     # each, and for p < 1 they add to S_p
     eps = np.finfo(float).eps
     slack = (1.0 + (n - 1) * (n * eps) ** p) ** (1.0 / p) - 1.0 + 1e-12
-    got = schatten_quasinorm(ones_matrix(n), p)
+    got = schatten_quasinorm(np.ones((n, n)), p)
     assert abs(got - n) <= slack * n
     assert got >= n * (1.0 - 1e-12)
 
 
-def test_nonsymmetric_and_complex_inputs_keep_the_svd():
+def test_every_input_goes_to_the_svd():
     gen = SplitMix64(derive_seed("matrices", "routing"))
     complex_hankel = hankel_matrix(TrigPoly(0, gen.complex_normal(9)))
+    real_hankel = hankel_matrix(TrigPoly(0, gen.normal(9)))
     assert np.iscomplexobj(complex_hankel) and np.array_equal(complex_hankel, complex_hankel.T)
-    for a in (chi_matrix(37), complex_hankel, gen.normal(15).reshape(3, 5)):
+    assert not np.iscomplexobj(real_hankel) and np.array_equal(real_hankel, real_hankel.T)
+    inputs = (chi_matrix(37), delta_matrix(37), np.ones((6, 6)), real_hankel, complex_hankel,
+              gen.normal(15).reshape(3, 5))
+    for a in inputs:
         assert np.array_equal(singular_values(a), np.linalg.svd(a, compute_uv=False))
 
 
@@ -203,6 +206,23 @@ def test_jacobi_referee_at_p_below_one(k):
         ref = float(mpmath.fsum(mpmath.sqrt(abs(e)) for e in eigs) ** 2)
     got = float(np.sum(np.sqrt(jacobi_singular_values(b))) ** 2)
     assert got == pytest.approx(ref, rel=1e-10)
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_delta_lower_bound_ratio_matches_a_40_digit_eigensolve(k):
+    # numerator and denominator matrices are real symmetric, so their singular values
+    # are their absolute eigenvalues; a symmetric-eigensolver route was 2.2e-9 and
+    # 6.5e-10 off here
+    rep = delta_lower_bound(k, 0.5)
+    n = rep.multiplier.shape[0]
+    numerator = schur_product(rep.multiplier, rep.witness[:n, :n])
+    with mpmath.workdps(40):
+        s_half = [
+            mpmath.fsum(mpmath.sqrt(abs(e)) for e in mpmath.eigsy(mpmath.matrix(m.tolist()), eigvals_only=True)) ** 2
+            for m in (numerator, rep.witness)
+        ]
+        ref = float(s_half[0] / s_half[1])
+    assert rep.ratio == pytest.approx(ref, rel=1e-10, abs=0)
 
 
 def test_p_triangle_corpus():
