@@ -30,8 +30,8 @@ from .experiments import (
 )
 from .hankel import besov_quasinorm
 from .kernels import dirichlet_plus
-from .matrices import _check_p, _check_size, _schatten_from_spectrum, mask_spectrum
-from .multipliers import delta_lower_bound, dirichlet_witness_upper, random_witness_search
+from .matrices import _check_p, _check_size, _schatten_from_spectrum, delta_matrix, mask_spectrum
+from .multipliers import dirichlet_witness_upper, random_witness_search
 from .rng import derive_seed
 
 __all__ = ["main", "build_parser"]
@@ -63,8 +63,7 @@ def build_parser():
     mb.add_argument("--kmax", type=int, metavar="B", help="last level of the range")
     mb.add_argument("--p", type=float, required=True, help="exponent in (0, 1]")
     mb.add_argument("--budget", type=int, default=0, metavar="B", help="witness-search budget: B // 2 seeded "
-                    "rank-one draws beyond the all-ones, identity and constructive witnesses, which run at "
-                    "every budget")
+                    "rank-one draws beyond the all-ones and identity witnesses, which run at every budget")
     mb.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     ex = sub.add_parser("experiment", help="run registered scaling experiments")
@@ -138,10 +137,9 @@ def _cmd_besov(args):
 
 
 def _multiplier_interval(k, args):
-    rep = delta_lower_bound(k, args.p)
     # --budget B buys B // 2 rank-one draws; the all-ones and identity pool runs at every budget
-    found = random_witness_search(rep.multiplier, args.p, args.budget // 2, args.seed)
-    return max(rep.ratio, found.ratio), dirichlet_witness_upper(k, args.p)
+    found = random_witness_search(delta_matrix(2**k + 1), args.p, args.budget // 2, args.seed)
+    return found.ratio, dirichlet_witness_upper(k, args.p)
 
 
 def _cmd_multiplier_bound(args):

@@ -80,7 +80,7 @@ class ExperimentConfig:
         if self.p is not None:
             if spec.fixed_p:
                 raise ValueError(f"{self.experiment} runs at fixed p; the field p does not apply")
-            object.__setattr__(self, "p", _check_p(self.p))
+            object.__setattr__(self, "p", _check_p(self.p, spec.max_p))
         if self.samples is not None and spec.samples is None:
             raise ValueError(f"{self.experiment} takes one sample per point; the field samples does not apply")
         for name, default in (("kmin", spec.ks[0]), ("kmax", spec.ks[1]), ("samples", spec.samples), ("seed", None)):
@@ -199,10 +199,10 @@ class _Spec:
     """One registered experiment; _run owns everything it does not declare.
 
     measure(cfg, p, k, n, s) returns {quantity: value} for one point.  The
-    grid is n = 2^k + offset for k in ks.  fixed_p makes the config reject p;
-    samples None is one sample per point and makes it reject samples.  The
-    fit reads the fit_on quantities (default: the first), reduce()d over the
-    point's samples, at x = fit_x(k, n)."""
+    grid is n = 2^k + offset for k in ks.  fixed_p makes the config reject p,
+    and max_p any p above it; samples None is one sample per point and makes
+    it reject samples.  The fit reads the fit_on quantities (default: the
+    first), reduce()d over the point's samples, at x = fit_x(k, n)."""
 
     name: str
     blurb: str
@@ -212,6 +212,7 @@ class _Spec:
     tolerance: float
     exponents: tuple = (0.5,)
     fixed_p: bool = False
+    max_p: float = np.inf
     samples: int | None = None
     fit_on: tuple = ()
     reduce: Callable = max
@@ -292,7 +293,7 @@ _REGISTRY = {
     "E1": _Spec("delta_schatten", "Schatten growth of the anti-triangular mask, p < 1", (4, 11),
                 _mask_schatten, lambda p: 1.0 / p, 0.10, exponents=(0.5, 2.0 / 3.0)),
     "E2": _Spec("delta_multiplier_lower", "constructive multiplier lower bounds vs analytic uppers", (4, 9),
-                _multiplier_interval, lambda p: 1.0 / p - 1.0, 0.20, offset=1, fit_x=lambda k, n: 2**k,
+                _multiplier_interval, lambda p: 1.0 / p - 1.0, 0.20, max_p=1.0, offset=1, fit_x=lambda k, n: 2**k,
                 check=_Check("witness_ratio_below_analytic_upper", _ratio_above_upper,
                              "all {count} ratios below the analytic upper bound")),
     "E3": _Spec("band_hankel", "two-sided dyadic band estimate for Hankel matrices", (2, 9),

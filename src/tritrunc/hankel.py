@@ -114,9 +114,7 @@ def polynomial_hankel_sp_bound(f, p):
     (lhs, rhs) = (||Gamma_phi||_{S_p}, that bound) so callers can assert
     lhs <= rhs with their preferred slack.
     """
-    p = _check_p(p)
-    if p > 1:
-        raise ValueError(f"p must lie in (0, 1], got {p}")
+    p = _check_p(p, 1.0)
     _require_analytic(f, "polynomial_hankel_sp_bound")
     m = f.hi + 1
     lhs = schatten_quasinorm(hankel_matrix(f), p)

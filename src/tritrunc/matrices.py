@@ -32,13 +32,15 @@ def _as_matrix(a, name="matrix"):
     return m
 
 
-def _check_p(p):
-    """The one exponent validator: p as a float, or ValueError unless p is a real number in (0, inf)."""
+def _check_p(p, p_max=np.inf):
+    """The one exponent validator: p as a float, or ValueError unless p is a real number in (0, p_max]."""
     if isinstance(p, bool) or not isinstance(p, numbers.Real):
         raise ValueError(f"exponent p must be a real number, got {p!r}")
     p = float(p)
     if not (p > 0) or not np.isfinite(p) or not np.isfinite(1.0 / p):
         raise ValueError(f"exponent p must be positive and finite with a finite reciprocal, got {p}")
+    if p > p_max:
+        raise ValueError(f"p must lie in (0, {p_max:g}], got {p}")
     return p
 
 

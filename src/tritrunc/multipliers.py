@@ -121,7 +121,9 @@ def delta_lower_bound(k, p):
     Evaluates the bump-localized Hankel witness, of size 3 * 2^{k-1}, against
     the 0/1 Hankel mask Delta_n, n = 2^k + 1, at the mask's own size (see
     witness_ratio).  The resulting ratio grows like 2^{k(1/p - 1)} with an
-    absolute prefactor that the scaling experiments fit empirically.
+    absolute prefactor that E2, its one caller, fits empirically.  ``tritrunc
+    multiplier-bound`` skips it: its search's all-ones witness scores at least
+    1.2 times as much (measured at k = 1..10, p from 0.05 to 1).
     """
     p_k, _ = band_witness_pair(k)
     return witness_ratio(delta_matrix(2 ** int(k) + 1), hankel_matrix(p_k), p)
@@ -134,9 +136,7 @@ def hankel_multiplier_upper(f, p):
     against the Hankel matrix of phi must stay below it (up to quadrature
     slack in the L^p factor).
     """
-    p = _check_p(p)
-    if p > 1:
-        raise ValueError(f"p must lie in (0, 1], got {p}")
+    p = _check_p(p, 1.0)
     _require_analytic(f, "hankel_multiplier_upper")
     m = f.hi + 1
     return (2.0 * m) ** (1.0 / p - 1.0) * lp_quasinorm(f, p)
@@ -166,8 +166,7 @@ def random_witness_search(a, p, draws, seed):
     consecutive complex_normal(size) calls on the "witness-search" stream.
     The search knows nothing of the multiplier's structure: ``tritrunc
     multiplier-bound --budget B`` runs it with B // 2 draws on the level-k
-    mask Delta_n and prints the larger of its ratio and the constructive
-    witness's (delta_lower_bound).
+    mask Delta_n and prints its ratio as the lower end.
     """
     a = np.asarray(a)
     if a.shape[0] != a.shape[1]:

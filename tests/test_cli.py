@@ -9,11 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tritrunc import cli
+from tritrunc import cli, experiments
 from tritrunc.cli import build_parser, main
 from tritrunc.hankel import besov_quasinorm
 from tritrunc.kernels import dirichlet_plus
-from tritrunc.matrices import mask_spectrum
+from tritrunc.matrices import delta_matrix, mask_spectrum
 from tritrunc.multipliers import delta_lower_bound, random_witness_search
 
 BIG_SEED = str(2**63)  # one past the largest seed derive_seed encodes
@@ -134,15 +134,13 @@ def test_multiplier_bound_over_a_range_of_levels(capsys):
 
 
 def test_budgeted_lower_end_is_the_search_value(capsys):
-    # --budget B buys B // 2 rank-one draws on the level-k mask, the pool runs at
-    # every budget, and the constructive witness stays in the running
+    # --budget B buys B // 2 rank-one draws on the level-k mask, and the pool runs at every budget
     for k, p, budget, seed in ((1, 1.0, 6, 11), (2, 0.5, 0, 3), (2, 0.5, 6, 1), (3, 0.5, 7, 4), (4, 0.5, 40, 9)):
         code, out, _ = run_cli(capsys, "multiplier-bound", "--delta-k", str(k), "--p", str(p),
                                "--budget", str(budget), "--seed", str(seed))
         assert code == 0
         lower = float(out.splitlines()[0].removeprefix("lower "))
-        rep = delta_lower_bound(k, p)
-        assert lower == max(rep.ratio, random_witness_search(rep.multiplier, p, budget // 2, seed).ratio)
+        assert lower == random_witness_search(delta_matrix(2**k + 1), p, budget // 2, seed).ratio
 
 
 # the level-1 row at p = 0.75 moves if the search is given B draws in place of B // 2
@@ -204,7 +202,7 @@ def test_budget_zero_runs_the_pool(capsys):
     assert code == 0
     for line in out.splitlines():
         k, lower = int(line.split()[1]), float(line.split()[3])
-        assert lower == random_witness_search(delta_lower_bound(k, 0.5).multiplier, 0.5, 0, 0).ratio
+        assert lower == random_witness_search(delta_matrix(2**k + 1), 0.5, 0, 0).ratio
         assert lower > 4 * delta_lower_bound(k, 0.5).ratio
 
 
@@ -230,8 +228,8 @@ def test_lower_ends_meet_the_trivial_bound_at_p_one(capsys):
 @pytest.mark.parametrize("level", [["--delta-k", "6"], ["--kmin", "1", "--kmax", "6"]])
 def test_multiplier_bound_rejects_p_before_any_work(capsys, monkeypatch, level, p):
     calls = []
-    monkeypatch.setattr(cli, "delta_lower_bound", lambda *a: calls.append("delta_lower_bound"))
     monkeypatch.setattr(cli, "random_witness_search", lambda *a: calls.append("random_witness_search"))
+    monkeypatch.setattr(cli, "dirichlet_witness_upper", lambda *a: calls.append("dirichlet_witness_upper"))
     code, out, err = run_cli(capsys, "multiplier-bound", *level, "--p", p, "--budget", "200")
     assert code == 2 and out == "" and "--p must lie in (0, 1]" in err
     assert calls == []
@@ -317,6 +315,14 @@ def test_experiment_rejects_fields_it_would_ignore(capsys, tmp_path):
     sampled.write_text(json.dumps({"samples": 3}))
     code, out, err = run_cli(capsys, "experiment", "run", "E1", "--config", str(sampled))
     assert code == 2 and out == "" and "field samples does not apply" in err
+
+
+def test_experiment_rejects_p_above_one_for_e2_before_any_work(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(experiments, "_measure_all", lambda *a: calls.append("_measure_all"))
+    code, out, err = run_cli(capsys, "experiment", "run", "E2", "--p", "1.5")
+    assert code == 2 and out == "" and "p must lie in (0, 1], got 1.5" in err
+    assert calls == []
 
 
 def test_experiment_all_resolves_every_config_before_running(capsys, tmp_path):

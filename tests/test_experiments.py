@@ -87,6 +87,13 @@ def test_fixed_p_experiments_reject_p(exp):
         ExperimentConfig(exp, p=0.5)
 
 
+def test_multiplier_experiment_rejects_p_above_one():
+    # its analytic upper bound holds for p <= 1 only
+    with pytest.raises(ValueError, match=r"p must lie in \(0, 1\], got 1.5"):
+        ExperimentConfig("E2", p=1.5)
+    assert ExperimentConfig("E2", p=1).p == 1.0
+
+
 def test_config_from_dict_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown config keys: smaples"):
         config_from_dict({"experiment": "E1", "smaples": 3})
