@@ -136,32 +136,24 @@ def _cmd_besov(args):
     return 0
 
 
-def _multiplier_interval(k, args):
-    # --budget B buys B // 2 rank-one draws; the all-ones and identity pool runs at every budget
-    found = random_witness_search(delta_matrix(2**k + 1), args.p, args.budget // 2, args.seed)
-    return found.ratio, dirichlet_witness_upper(k, args.p)
-
-
 def _cmd_multiplier_bound(args):
-    if not 0 < args.p <= 1:
-        raise ValueError(f"--p must lie in (0, 1], got {args.p!r}")
-    if args.budget < 0:
-        raise ValueError("--budget must be >= 0")
+    p = _check_p(args.p, 1.0)
+    budget = _check_size(args.budget, "--budget", least=0)
     derive_seed(args.seed)  # a seed the stream cannot encode is rejected before any work
     if args.delta_k is not None:
         if args.kmax is not None:
             raise ValueError("--kmax goes with --kmin, not --delta-k")
-        if args.delta_k < 1:
-            raise ValueError("--delta-k must be >= 1")
-        lower, upper = _multiplier_interval(args.delta_k, args)
-        print(f"lower {lower:.17g}")
-        print(f"upper {upper:.17g}")
-        return 0
-    if args.kmax is None or not 1 <= args.kmin <= args.kmax:
-        raise ValueError("need --kmin A --kmax B with 1 <= A <= B")
-    for k in range(args.kmin, args.kmax + 1):
-        lower, upper = _multiplier_interval(k, args)
-        print(f"level {k} lower {lower:.17g} upper {upper:.17g}")
+        kmin = kmax = _check_size(args.delta_k, "--delta-k")  # the range K..K, printed as two lines
+        row = "lower {1:.17g}\nupper {2:.17g}"
+    else:
+        kmin, kmax = _check_size(args.kmin, "--kmin"), args.kmax
+        if kmax is None or kmin > kmax:
+            raise ValueError("need --kmin A --kmax B with 1 <= A <= B")
+        row = "level {0} lower {1:.17g} upper {2:.17g}"
+    for k in range(kmin, kmax + 1):
+        # --budget B buys B // 2 rank-one draws; the all-ones and identity pool runs at every budget
+        found = random_witness_search(delta_matrix(2**k + 1), p, budget // 2, args.seed)
+        print(row.format(k, found.ratio, dirichlet_witness_upper(k, p)))
     return 0
 
 

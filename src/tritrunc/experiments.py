@@ -31,7 +31,7 @@ import numpy as np
 from .fitting import ScalingFit, fit_powerlaw
 from .hankel import HARD_TOL, band_hankel_check, besov_quasinorm
 from .kernels import bump_poly, dirichlet_plus
-from .matrices import (_check_p, _schatten_from_spectrum, chi_matrix, mask_spectrum, schatten_quasinorm,
+from .matrices import (_check_p, _check_size, _schatten_from_spectrum, chi_matrix, mask_spectrum, schatten_quasinorm,
                        singular_values, triangular_projection)
 from .multipliers import delta_lower_bound, dirichlet_witness_upper, fejer_riesz_ratio, witness_ratio
 from .rng import SplitMix64, derive_seed
@@ -83,22 +83,18 @@ class ExperimentConfig:
             object.__setattr__(self, "p", _check_p(self.p, spec.max_p))
         if self.samples is not None and spec.samples is None:
             raise ValueError(f"{self.experiment} takes one sample per point; the field samples does not apply")
-        for name, default in (("kmin", spec.ks[0]), ("kmax", spec.ks[1]), ("samples", spec.samples), ("seed", None)):
+        for name, default in (("kmin", spec.ks[0]), ("kmax", spec.ks[1]), ("samples", spec.samples)):
             value = default if getattr(self, name) is None else getattr(self, name)
-            if value is None and name == "samples":  # a single-sample experiment
-                continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if self.samples is not None and self.samples < 1:
-            raise ValueError("samples must be >= 1")
+            if value is not None:  # samples stays None on a single-sample experiment
+                object.__setattr__(self, name, _check_size(value, name))
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))
         if self.out is not None and not (isinstance(self.out, str) and self.out):
             raise ValueError(f"out must be a nonempty path, got {self.out!r}")
         derive_seed(self.seed)
         if self.kmin > self.kmax:
             raise ValueError(f"kmin={self.kmin} exceeds kmax={self.kmax}")
-        if self.kmin < 1:
-            raise ValueError(f"every level must be >= 1, got kmin={self.kmin}")
         if self.kmax - self.kmin < 2:
             raise ValueError(f"a fit needs at least 3 levels, got kmin={self.kmin} kmax={self.kmax}")
 

@@ -112,9 +112,7 @@ def apply_window(f, n):
     circle convolution of f with the n-th window polynomial exactly (no
     quadrature and no floating residue on untouched bands).
     """
-    n = int(n)
-    if n < 0:
-        raise ValueError(f"level must be >= 0, got {n}")
+    n = _check_size(n, "level", least=0)
     if f.hi < 1:
         return TrigPoly(0, [0.0])
     lo = max(f.lo, 1)

@@ -44,11 +44,14 @@ def _check_p(p, p_max=np.inf):
     return p
 
 
-def _check_size(n, name="n"):
-    """The one validator of a positive size or level: n as an int, or ValueError unless n >= 1."""
+def _check_size(n, name="n", least=1):
+    """The one integer validator: n as an int, or ValueError unless n is an integer (numpy integers
+    included, bool not) and n >= least.  Sizes, levels and samples take least=1, counts least=0."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {n!r}")
     n = int(n)
-    if n < 1:
-        raise ValueError(f"{name} must be >= 1, got {n}")
+    if n < least:
+        raise ValueError(f"{name} must be >= {least}, got {n}")
     return n
 
 

@@ -126,7 +126,7 @@ def delta_lower_bound(k, p):
     1.2 times as much (measured at k = 1..10, p from 0.05 to 1).
     """
     p_k, _ = band_witness_pair(k)
-    return witness_ratio(delta_matrix(2 ** int(k) + 1), hankel_matrix(p_k), p)
+    return witness_ratio(delta_matrix(2**k + 1), hankel_matrix(p_k), p)
 
 
 def hankel_multiplier_upper(f, p):
@@ -171,9 +171,7 @@ def random_witness_search(a, p, draws, seed):
     a = np.asarray(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"multiplier must be square, got {a.shape}")
-    draws = int(draws)
-    if draws < 0:
-        raise ValueError("draws must be >= 0")
+    draws = _check_size(draws, "draws", least=0)
     gen = SplitMix64(derive_seed("witness-search", int(seed)))
     size = a.shape[0]
 
@@ -206,4 +204,5 @@ def fejer_riesz_ratio(m):
 
 def dirichlet_witness_upper(k, p):
     """Convenience: the analytic upper bound matching delta_lower_bound(k, p)."""
-    return hankel_multiplier_upper(dirichlet_plus(2 ** int(k) + 1), p)
+    k = _check_size(k, "k")
+    return hankel_multiplier_upper(dirichlet_plus(2**k + 1), p)

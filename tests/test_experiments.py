@@ -53,7 +53,7 @@ def test_config_rejects_unknown_experiment():
         (dict(tolerance=0.5), "unknown config keys: tolerance"),
         (dict(experiment="E2", kmin=9), "at least 3 levels, got kmin=9 kmax=9"),  # E2's kmax is 9
         (dict(kmin=12), "kmin=12 exceeds kmax=11"),
-        (dict(experiment="E3", kmin=0, kmax=3), "every level must be >= 1"),
+        (dict(experiment="E3", kmin=0, kmax=3), "kmin must be >= 1, got 0"),
         (dict(kmin=[3]), "kmin must be an integer"),
         (dict(kmin=True), "kmin must be an integer"),
         (dict(kmax=11.0), "kmax must be an integer"),

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from oracles import jacobi_singular_values
 from corpora import p_triangle_corpus
 from tritrunc.hankel import hankel_matrix
+from tritrunc.kernels import bump_poly, dirichlet_plus, fejer
 from tritrunc.matrices import (
     block2x2,
     block_diag2,
@@ -18,7 +19,7 @@ from tritrunc.matrices import (
     singular_values,
     triangular_projection,
 )
-from tritrunc.multipliers import delta_lower_bound
+from tritrunc.multipliers import band_witness_pair, delta_lower_bound
 from tritrunc.rng import SplitMix64, derive_seed
 from tritrunc.trigpoly import TrigPoly
 
@@ -39,7 +40,7 @@ def test_delta_is_chi_columns_reversed():
         assert np.array_equal(delta_matrix(n), chi_matrix(n)[:, ::-1])
 
 
-def test_ones_matrix_spectrum():
+def test_all_ones_spectrum_is_rank_one():
     s = singular_values(np.ones((6, 6)))
     assert s[0] == pytest.approx(6.0, abs=1e-12)
     assert np.all(s[1:] < 1e-12)
@@ -50,6 +51,17 @@ def test_structured_sizes_must_be_positive(n):
     for builder in (chi_matrix, delta_matrix, mask_spectrum):
         with pytest.raises(ValueError):
             builder(n)
+
+
+@pytest.mark.parametrize(
+    "builder", [chi_matrix, delta_matrix, mask_spectrum, dirichlet_plus, fejer, bump_poly, band_witness_pair]
+)
+def test_sizes_must_be_integers(builder):
+    # one integer validator: no truncation of a fraction, no bool, no string; numpy integers are integers
+    for bad in (2.9, 3.0, True, "3"):
+        with pytest.raises(ValueError, match="must be an integer"):
+            builder(bad)
+    np.testing.assert_equal(builder(np.int64(3)), builder(3))
 
 
 def test_schur_product_entrywise():
@@ -142,7 +154,7 @@ def test_jacobi_cross_check_small_sizes():
         assert np.max(np.abs(lapack - jacobi)) < 1e-8 * scale
 
 
-# --- the SVD route: symmetric inputs (real A == A^T) go to the SVD like every other ---
+# --- symmetric inputs (real A == A^T): the SVD, like every other input ---
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 256, 1024, 2048])

@@ -149,7 +149,7 @@ def test_all_ones_lower_end_tends_to_the_main_theorem_constant(p, c_p):
         assert limit - ratios[-1] < 1e-3
 
 
-def test_embed_preserves_schatten_quasinorms():
+def test_zero_padding_preserves_schatten_quasinorms():
     rng = SplitMix64(derive_seed("embed-spectrum"))
     a = rng.complex_matrix(4, 6)
     for p in (0.5, 1.0, 2.0):
@@ -177,6 +177,14 @@ def test_band_witness_pair_support(k):
 def test_band_witness_pair_rejects_k_zero():
     with pytest.raises(ValueError, match="k must be >= 1"):
         band_witness_pair(0)
+
+
+@pytest.mark.parametrize("k", [-1, 0, 2.7, True])
+def test_level_k_bounds_reject_a_bad_level(k):
+    # a bad level is rejected, never truncated or wrapped onto a valid one
+    for bound in (dirichlet_witness_upper, delta_lower_bound):
+        with pytest.raises(ValueError, match="k must be"):
+            bound(k, 0.5)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
@@ -392,6 +400,8 @@ def test_witness_search_validates():
         random_witness_search(np.ones((2, 3)), 0.5, draws=4, seed=0)
     with pytest.raises(ValueError, match="draws"):
         random_witness_search(np.ones((2, 2)), 0.5, draws=-1, seed=0)
+    with pytest.raises(ValueError, match="draws must be an integer, got 2.9"):
+        random_witness_search(np.ones((2, 2)), 0.5, draws=2.9, seed=0)
     a = delta_matrix(9)
     assert random_witness_search(a, 0.5, draws=0, seed=0).ratio == _pool_and_rank_one_best(a, 0.5, 0, 0)
 
