@@ -17,7 +17,6 @@ from __future__ import annotations
 import atexit
 import contextlib
 import json
-import numbers
 import os
 import pickle
 import sys
@@ -87,9 +86,7 @@ class ExperimentConfig:
             value = default if getattr(self, name) is None else getattr(self, name)
             if value is not None:  # samples stays None on a single-sample experiment
                 object.__setattr__(self, name, _check_size(value, name))
-        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _check_size(self.seed, "seed", least=None))
         if self.out is not None and not (isinstance(self.out, str) and self.out):
             raise ValueError(f"out must be a nonempty path, got {self.out!r}")
         derive_seed(self.seed)

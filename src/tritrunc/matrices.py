@@ -46,11 +46,11 @@ def _check_p(p, p_max=np.inf):
 
 def _check_size(n, name="n", least=1):
     """The one integer validator: n as an int, or ValueError unless n is an integer (numpy integers
-    included, bool not) and n >= least.  Sizes, levels and samples take least=1, counts least=0."""
+    included, bool not) and n >= least.  Sizes, levels and samples take 1, counts 0, offsets and seeds None."""
     if isinstance(n, bool) or not isinstance(n, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {n!r}")
     n = int(n)
-    if n < least:
+    if least is not None and n < least:
         raise ValueError(f"{name} must be >= {least}, got {n}")
     return n
 

@@ -172,7 +172,7 @@ def random_witness_search(a, p, draws, seed):
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"multiplier must be square, got {a.shape}")
     draws = _check_size(draws, "draws", least=0)
-    gen = SplitMix64(derive_seed("witness-search", int(seed)))
+    gen = SplitMix64(derive_seed("witness-search", _check_size(seed, "seed", least=None)))
     size = a.shape[0]
 
     ones = np.ones(size)

@@ -27,9 +27,12 @@ independent standard-normal real and imaginary parts.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
+
+from .matrices import _check_size
 
 __all__ = ["SplitMix64", "derive_seed"]
 
@@ -61,7 +64,7 @@ def derive_seed(*parts):
     for part in parts:
         if isinstance(part, str):
             blob = b"s" + part.encode("utf-8")
-        elif isinstance(part, (int, np.integer)):
+        elif isinstance(part, (int, np.integer)) and not isinstance(part, bool):
             try:
                 blob = b"i" + int(part).to_bytes(8, "little", signed=True)
             except OverflowError:
@@ -80,12 +83,13 @@ class SplitMix64:
     """Counter-based SplitMix64 stream over a 64-bit seed."""
 
     def __init__(self, seed):
-        self._seed = np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)
+        self._seed = np.uint64(_check_size(seed, "seed", least=None) & 0xFFFFFFFFFFFFFFFF)
         self._next = 0
 
     def _raw(self, count):
-        words = np.arange(self._next + 1, self._next + int(count) + 1, dtype=np.uint64)
-        self._next += int(count)
+        count = _check_size(count, "count", least=0)
+        words = np.arange(self._next + 1, self._next + count + 1, dtype=np.uint64)
+        self._next += count
         with np.errstate(over="ignore"):
             for lo in range(0, len(words), _BLOCK):
                 x = words[lo:lo + _BLOCK]  # a view: seed + i * gamma, then mix(x), in place
@@ -106,13 +110,13 @@ class SplitMix64:
 
     def normal(self, count):
         """count standard normals via Box-Muller (pairs; odd tail dropped)."""
-        count = int(count)
+        count = _check_size(count, "count", least=0)
         return _box_muller(self.uniform(2 * ((count + 1) // 2)).reshape(2, -1))[:count]
 
     def complex_normal(self, shape):
         """Array of complex Gaussians: independent N(0,1) real/imag parts."""
-        shape = (shape,) if isinstance(shape, int) else tuple(shape)
-        return self.complex_normal_rows(1, int(np.prod(shape)))[0].reshape(shape)
+        shape = tuple(_check_size(d, "shape", least=0) for d in ((shape,) if np.ndim(shape) == 0 else shape))
+        return self.complex_normal_rows(1, math.prod(shape))[0].reshape(shape)
 
     def complex_normal_rows(self, count, size):
         """count x size array whose row i is the i-th of count consecutive complex_normal(size) calls.
@@ -121,14 +125,15 @@ class SplitMix64:
         part's.  The stream is counter-based, so one bulk evaluation leaves
         the counter where count separate evaluations would.
         """
-        count, size = int(count), int(size)
+        count, size = _check_size(count, "count", least=0), _check_size(size, "size", least=0)
         half = (size + 1) // 2
         parts = _box_muller(self.uniform(count * 4 * half).reshape(count, 2, 2, half))[..., :size]
         return parts[:, 0] + 1j * parts[:, 1]
 
     def complex_matrix(self, rows, cols):
-        return self.complex_normal((int(rows), int(cols)))
+        return self.complex_normal((rows, cols))
 
     def integers(self, count, upper):
         """count integers uniform on 0..upper-1 (rejection-free modular map)."""
-        return (self._raw(count) % np.uint64(int(upper))).astype(np.int64)
+        upper = np.uint64(_check_size(upper, "upper"))
+        return (self._raw(count) % upper).astype(np.int64)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matrices import _check_p
+from .matrices import _check_p, _check_size
 
 __all__ = [
     "TrigPoly",
@@ -45,7 +45,7 @@ class TrigPoly:
             raise ValueError("coefficients must be finite")
         c = c.copy()
         c.setflags(write=False)
-        object.__setattr__(self, "lo", int(self.lo))
+        object.__setattr__(self, "lo", _check_size(self.lo, "lo", least=None))
         object.__setattr__(self, "coeffs", c)
 
     @property
@@ -54,14 +54,14 @@ class TrigPoly:
 
     def coefficient(self, j):
         """The coefficient of z^j (0 outside the stored window)."""
-        j = int(j)
+        j = _check_size(j, "j", least=None)
         if self.lo <= j <= self.hi:
             return complex(self.coeffs[j - self.lo])
         return 0j
 
     def coefficients_on(self, lo, hi):
         """Coefficients on the index window lo..hi inclusive, zero-padded."""
-        lo, hi = int(lo), int(hi)
+        lo, hi = _check_size(lo, "lo", least=None), _check_size(hi, "hi", least=None)
         if hi < lo:
             raise ValueError(f"empty window {lo}..{hi}")
         out = np.zeros(hi - lo + 1, dtype=complex)
@@ -85,12 +85,12 @@ class TrigPoly:
 
     def shift(self, m):
         """Multiply by z^m (shift the support window)."""
-        return TrigPoly(self.lo + int(m), self.coeffs)
+        return TrigPoly(self.lo + _check_size(m, "m", least=None), self.coeffs)
 
     def restrict(self, lo=None, hi=None):
         """Zero all coefficients outside lo..hi (window kept as stored)."""
-        lo = self.lo if lo is None else int(lo)
-        hi = self.hi if hi is None else int(hi)
+        lo = self.lo if lo is None else _check_size(lo, "lo", least=None)
+        hi = self.hi if hi is None else _check_size(hi, "hi", least=None)
         js = np.arange(self.lo, self.hi + 1)
         c = np.where((js >= lo) & (js <= hi), self.coeffs, 0)
         return TrigPoly(self.lo, c)
@@ -185,16 +185,14 @@ def lp_quasinorm(f, p, n_samples=None):
     """
     p = _check_p(p)
     floor = quadrature_floor(f)
-    if n_samples is None:
-        n_samples = floor
-    elif int(n_samples) < floor:
-        raise ValueError(f"n_samples={int(n_samples)} is below the quadrature floor; need at least {floor}")
+    n = floor if n_samples is None else _check_size(n_samples, "n_samples")
+    if n < floor:
+        raise ValueError(f"n_samples={n} is below the quadrature floor; need at least {floor}")
     nz = np.flatnonzero(f.coeffs)
     if nz.size == 0:
         return 0.0
     # dropping the unimodular factor z^(lo + nz[0]) leaves |f| unchanged
     c = f.coeffs[nz[0] : nz[-1] + 1]
-    n = int(n_samples)
     return float((_midpoint_power_sum(c, n, p) / n) ** (1.0 / p))
 
 

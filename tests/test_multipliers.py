@@ -402,6 +402,8 @@ def test_witness_search_validates():
         random_witness_search(np.ones((2, 2)), 0.5, draws=-1, seed=0)
     with pytest.raises(ValueError, match="draws must be an integer, got 2.9"):
         random_witness_search(np.ones((2, 2)), 0.5, draws=2.9, seed=0)
+    with pytest.raises(ValueError, match="seed must be an integer, got 2.7"):
+        random_witness_search(delta_matrix(5), 0.5, draws=3, seed=2.7)
     a = delta_matrix(9)
     assert random_witness_search(a, 0.5, draws=0, seed=0).ratio == _pool_and_rank_one_best(a, 0.5, 0, 0)
 

@@ -114,6 +114,44 @@ def test_integers_follow_the_modular_map():
     assert got.min() >= 0 and got.max() < upper
 
 
+# --- integer arguments ------------------------------------------------------------
+
+# entry point -> (its draw from stream g with the integer argument n, a value below n's floor or None)
+INTEGER_ARGUMENTS = {
+    "SplitMix64 seed": (lambda g, n: SplitMix64(n).uniform(4), None),
+    "uniform count": (lambda g, n: g.uniform(n), -3),
+    "normal count": (lambda g, n: g.normal(n), -1),
+    "complex_normal size": (lambda g, n: g.complex_normal(n), -1),
+    "complex_normal shape": (lambda g, n: g.complex_normal((2, n)), -1),
+    "complex_normal_rows count": (lambda g, n: g.complex_normal_rows(n, 2), -1),
+    "complex_normal_rows size": (lambda g, n: g.complex_normal_rows(2, n), -1),
+    "complex_matrix rows": (lambda g, n: g.complex_matrix(n, 2), -1),
+    "complex_matrix cols": (lambda g, n: g.complex_matrix(2, n), -1),
+    "integers count": (lambda g, n: g.integers(n, 7), -1),
+    "integers upper": (lambda g, n: g.integers(3, n), 0),
+}
+
+
+@pytest.mark.parametrize("name", list(INTEGER_ARGUMENTS))
+def test_integer_arguments_go_through_the_validator(name):
+    # no truncation of a fraction, no bool, no string, nothing below the floor, and a
+    # rejected call draws nothing: the stream goes on as a fresh one would
+    draw, below = INTEGER_ARGUMENTS[name]
+    for bad in (2.9, True, "3") + ((below,) if below is not None else ()):
+        gen = SplitMix64(5)
+        with pytest.raises(ValueError, match=r"must be (an integer|>=)"):
+            draw(gen, bad)
+        assert gen.uniform(3).tobytes() == SplitMix64(5).uniform(3).tobytes()
+    # numpy integers are integers, with bit-identical output
+    got, want = draw(SplitMix64(5), np.int64(3)), draw(SplitMix64(5), 3)
+    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+def test_seeds_wrap_modulo_2_64():
+    for seed, wrapped in ((-1, 2**64 - 1), (2**64 + 5, 5), (-(2**64), 0)):
+        assert SplitMix64(seed).uniform(8).tobytes() == SplitMix64(wrapped).uniform(8).tobytes()
+
+
 # --- seed derivation --------------------------------------------------------------
 
 
@@ -147,6 +185,8 @@ def test_derive_seed_distinguishes_types_and_order():
 def test_derive_seed_rejects_unsupported_types():
     with pytest.raises(TypeError):
         derive_seed([1, 2])
+    with pytest.raises(TypeError, match="cannot derive a seed from bool"):
+        derive_seed(True)
 
 
 def test_derive_seed_rejects_integers_outside_64_bits():

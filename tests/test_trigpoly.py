@@ -37,6 +37,33 @@ def test_coefficients_on_pads_with_zeros():
         f.coefficients_on(3, 1)
 
 
+POLY = TrigPoly(-2, [1.0, 2.0, 3.0, 4.0])
+
+# entry point -> (its output with the integer argument n, a value n may take)
+INTEGER_ARGUMENTS = {
+    "TrigPoly lo": (lambda n: TrigPoly(n, [1.0, 2.0]).coefficients_on(-4, 4), -1),
+    "coefficient": (lambda n: POLY.coefficient(n), -1),
+    "coefficients_on lo": (lambda n: POLY.coefficients_on(n, 3), -3),
+    "coefficients_on hi": (lambda n: POLY.coefficients_on(-3, n), 3),
+    "shift": (lambda n: POLY.shift(n).coefficients_on(-6, 6), -3),
+    "restrict lo": (lambda n: POLY.restrict(lo=n).coeffs, -1),
+    "restrict hi": (lambda n: POLY.restrict(hi=n).coeffs, 0),
+    "lp_quasinorm n_samples": (lambda n: lp_quasinorm(POLY, 0.5, n_samples=n), 4097),
+}
+
+
+@pytest.mark.parametrize("name", list(INTEGER_ARGUMENTS))
+def test_integer_arguments_go_through_the_validator(name):
+    # offsets and sample counts are integers: no truncation of a fraction, no bool, no string
+    call, n = INTEGER_ARGUMENTS[name]
+    for bad in (2.9, True, "3"):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call(bad)
+    # numpy integers are integers, with bit-identical output
+    got, want = np.asarray(call(np.int64(n))), np.asarray(call(n))
+    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
 def test_rejects_empty_and_non_finite():
     with pytest.raises(ValueError):
         TrigPoly(0, [])
