@@ -65,7 +65,9 @@ def besov_quasinorm(f, p):
     Sums 2^n * ||f * V_n||_p^p over the levels n with 2^{n-1} <= f.hi
     — every later level is exactly zero because the window is evaluated on
     the coefficients — plus the |phi^(0)|^p augmentation, and reports the
-    1/p-th root.
+    1/p-th root.  Each level's piece is stored on its nonzero coefficients
+    (apply_window), so its quadrature grid is sized by the piece's own span,
+    not by f's degree; an empty piece contributes 0 with no quadrature.
     """
     p = _check_p(p)
     _require_analytic(f, "besov_quasinorm")
@@ -73,7 +75,8 @@ def besov_quasinorm(f, p):
     levels = []
     n = 0
     while 2.0 ** (n - 1) <= f.hi:
-        levels.append((n, 2.0**n * lp_quasinorm(apply_window(f, n), p) ** p))
+        piece = apply_window(f, n)
+        levels.append((n, 0.0 if piece.is_zero else 2.0**n * lp_quasinorm(piece, p) ** p))
         n += 1
 
     zero_term = abs(f.coefficient(0)) ** p

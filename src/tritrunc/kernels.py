@@ -105,17 +105,30 @@ def bump_poly(m):
 def apply_window(f, n):
     """Multiply the j > 0 coefficients of f by v(2^-n j); zero all j <= 0.
 
-    v is the standard window, so for n >= 1 the nonzero support of the piece
-    lies in the open dyadic band (2^{n-1}, 2^{n+1}), with v = 1 at j = 2^n.
+    v is the standard window, so the nonzero support of the piece lies in the
+    open dyadic band (2^{n-1}, 2^{n+1}), with v = 1 at j = 2^n.
 
     This evaluates the window where the coefficients live, so it realizes the
     circle convolution of f with the n-th window polynomial exactly (no
-    quadrature and no floating residue on untouched bands).
+    quadrature and no floating residue on untouched bands).  The piece is
+    stored on its nonzero coefficients alone: the window is evaluated on the
+    band within f's support, and the ends where f or the tail of v is 0 are
+    trimmed, so the first and last stored coefficients are nonzero and the
+    stored window sizes the quadrature grid of lp_quasinorm.  An empty piece
+    is TrigPoly(0, [0.0]).
     """
     n = _check_size(n, "level", least=0)
-    if f.hi < 1:
+    # past n = bit_length(f.hi) the band starts above f.hi (and 2^n may be huge)
+    if n > f.hi.bit_length():
         return TrigPoly(0, [0.0])
-    lo = max(f.lo, 1)
-    js = np.arange(lo, f.hi + 1)
-    return TrigPoly(lo, f.coefficients_on(lo, f.hi) * standard_window(js / 2.0**n))
+    lo = max(f.lo, 1, 2**n // 2 + 1)
+    hi = min(f.hi, 2 ** (n + 1) - 1)
+    if hi < lo:
+        return TrigPoly(0, [0.0])
+    js = np.arange(lo, hi + 1)
+    c = f.coefficients_on(lo, hi) * standard_window(js / 2.0**n)
+    nz = np.flatnonzero(c)
+    if nz.size == 0:
+        return TrigPoly(0, [0.0])
+    return TrigPoly(lo + int(nz[0]), c[nz[0] : nz[-1] + 1])
 

@@ -2,8 +2,8 @@
 
 Nothing here imports the production numerics it is meant to check: singular
 values come from a from-scratch one-sided Jacobi iteration, grid values from
-direct Horner summation, and the reference RNG streams from pure-Python
-integer arithmetic.
+direct Horner summation or long-double FFTs, and the reference RNG streams
+from pure-Python integer arithmetic.
 """
 
 import numpy as np
@@ -66,6 +66,37 @@ def direct_grid_eval(f, n_samples, half_shift=False):
 def direct_lp(f, p, n_samples):
     vals = np.abs(direct_grid_eval(f, n_samples, half_shift=True))
     return float(np.mean(vals ** float(p)) ** (1.0 / float(p)))
+
+
+def longdouble_lp(f, p, n_samples):
+    """The N-point midpoint L^p sum of lp_quasinorm, evaluated in long double.
+
+    Node k = l + rows*j, with m = 2^a <= 1024 dividing N and rows = N/m, sits
+    at theta_k = pi(2l+1)/N + 2 pi j/m, so row l is the length-m inverse DFT of
+    the coefficients c_t e^{i pi t(2l+1)/N} aliased modulo m.  Every angle is
+    reduced exactly in integers and its exponential taken in long double, as
+    are the FFTs, |.|^p and the sum; z^lo is unimodular and dropped.
+    """
+    n = int(n_samples)
+    c = f.coeffs.astype(np.clongdouble)
+    m = min(n & -n, 1024)
+    rows, width = n // m, -(-c.size // m) * m
+    t = np.arange(c.size)
+    pi = np.arccos(np.longdouble(-1.0))
+    block = 64  # rows per pass
+
+    def turn(a):  # e^{i pi a / N} for integer a
+        return np.exp(1j * (pi * (a % (2 * n)) / n))
+
+    table = turn(2 * np.outer(np.arange(block), t))
+    total = np.longdouble(0.0)
+    for l0 in range(0, rows, block):
+        r = min(block, rows - l0)
+        tw = np.zeros((r, width), dtype=np.clongdouble)
+        tw[:, : c.size] = table[:r] * (c * turn(t * (2 * l0 + 1)))
+        vals = np.abs(np.fft.ifft(tw.reshape(r, -1, m).sum(axis=1), axis=1, norm="forward"))
+        total += np.sum(vals ** np.longdouble(p))
+    return (total / n) ** (1 / np.longdouble(p))
 
 
 def dirichlet_lp_closed_form(n, p, n_samples):

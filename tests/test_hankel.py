@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from tritrunc.fitting import fit_powerlaw
+import tritrunc.hankel as hankel
 from tritrunc.hankel import HARD_TOL, band_hankel_check, besov_quasinorm, hankel_matrix, polynomial_hankel_sp_bound
 from tritrunc.kernels import apply_window, dirichlet_plus
 from tritrunc.matrices import delta_matrix, schatten_quasinorm
 from tritrunc.rng import SplitMix64, derive_seed
-from tritrunc.trigpoly import TrigPoly
+from tritrunc.trigpoly import TrigPoly, lp_quasinorm, quadrature_floor
 
 from corpora import hankel_degree_bound_corpus
 
@@ -107,6 +108,55 @@ def test_three_adjacent_windows_reassemble_a_monomial():
     total = apply_window(f, 3) + apply_window(f, 4) + apply_window(f, 5)
     diff = total - f
     assert np.max(np.abs(diff.coefficients_on(diff.lo, diff.hi))) <= 1e-12
+
+
+def test_besov_passes_only_trimmed_pieces_to_the_quadrature(monkeypatch):
+    seen = []
+
+    def spy(f, p, n_samples=None):
+        seen.append(f)
+        return lp_quasinorm(f, p, n_samples)
+
+    monkeypatch.setattr(hankel, "lp_quasinorm", spy)
+    rng = SplitMix64(derive_seed("hankel-trimmed-pieces"))
+    padded = TrigPoly(0, np.concatenate([np.zeros(5), rng.complex_normal(60), np.zeros(7)]))
+    for f in (dirichlet_plus(2**7 + 1), dirichlet_plus(100), padded, TrigPoly(1, [1.0])):
+        seen.clear()
+        report = besov_quasinorm(f, 0.5)
+        assert 0 < len(seen) <= len(report.levels)
+        assert all(g.coeffs[0] != 0 and g.coeffs[-1] != 0 for g in seen)
+
+
+# Each level's grid is sized by its piece's nonzero span, 512 samples per
+# coefficient, not by the kernel's degree.
+
+
+def test_span_sized_level_grids_pass_the_doubling_certificate():
+    # measured worst case 2.2e-10 (k = 3..11, p = 1/2)
+    for k in range(3, 12):
+        f = dirichlet_plus(2**k + 1)
+        for n in range(k + 2):
+            piece = apply_window(f, n)
+            if piece.is_zero:
+                continue
+            floor = quadrature_floor(piece)
+            a, b = lp_quasinorm(piece, 0.5, floor), lp_quasinorm(piece, 0.5, 2 * floor)
+            assert a == pytest.approx(b, rel=1e-8), (k, n)
+
+
+def test_span_sized_levels_match_the_degree_sized_grid():
+    # E7's grid: every level against its piece stored on 1..2^k, which sizes
+    # the grid by the degree, 512 * 2^k samples (measured worst 1.8e-10)
+    for k in range(3, 11):
+        f = dirichlet_plus(2**k + 1)
+        for n, term in besov_quasinorm(f, 0.5).levels:
+            piece = apply_window(f, n)
+            if piece.is_zero:
+                assert term == 0.0
+                continue
+            wide = TrigPoly(1, piece.coefficients_on(1, 2**k))
+            assert quadrature_floor(wide) == max(4096, 512 * 2**k)
+            assert term == pytest.approx(2.0**n * lp_quasinorm(wide, 0.5) ** 0.5, rel=1e-9), (k, n)
 
 
 @pytest.mark.parametrize("p", [0.5, 2.0 / 3.0])

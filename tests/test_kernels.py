@@ -3,6 +3,7 @@ import pytest
 
 from oracles import direct_grid_eval
 from tritrunc.kernels import apply_window, bump_poly, dirichlet_plus, fejer, standard_bump, standard_window
+from tritrunc.rng import SplitMix64, derive_seed
 from tritrunc.trigpoly import TrigPoly, lp_quasinorm, riesz_plus
 
 
@@ -149,3 +150,53 @@ def test_window_levels_partition_coefficients():
     want = f.restrict(lo=1)
     diff = total - want
     assert np.max(np.abs(diff.coefficients_on(diff.lo, diff.hi))) <= 1e-14
+
+
+# The piece is stored on its nonzero coefficients alone, so its stored window
+# is what sizes lp_quasinorm's grid.
+
+
+def _assert_trimmed(piece):
+    if piece.is_zero:
+        assert piece == TrigPoly(0, [0.0]) and piece.coeffs.size == 1
+    else:
+        assert piece.coeffs[0] != 0 and piece.coeffs[-1] != 0
+
+
+def test_apply_window_stores_only_the_nonzero_piece():
+    f = dirichlet_plus(2**12 + 1)
+    for n in range(14):
+        piece = apply_window(f, n)
+        _assert_trimmed(piece)
+        assert not piece.is_zero or n == 13
+    gen = SplitMix64(derive_seed("kernels", "trimmed-window"))
+    for level in range(1, 11):
+        # a band polynomial with zero padding on both sides, and one cut short
+        lo, hi = 2 ** (level - 1) + 1, 2 ** (level + 1) - 1
+        band = TrigPoly(lo - 3, np.concatenate([np.zeros(3), gen.complex_normal(hi - lo + 1), np.zeros(5)]))
+        for n in range(level - 1, level + 2):
+            piece = apply_window(band, n)
+            _assert_trimmed(piece)
+            bare = apply_window(TrigPoly(lo, band.coefficients_on(lo, hi)), n)
+            assert piece.lo == bare.lo and np.array_equal(piece.coeffs, bare.coeffs)
+        half = TrigPoly(lo, gen.complex_normal(2 ** (level - 1)))  # lo..2^level
+        for n in (level, level + 1):
+            _assert_trimmed(apply_window(half, n))
+
+
+def test_apply_window_piece_that_rounds_to_zero_is_zero():
+    # v(2^-n j) underflows to 0 next to the band's edges: 2049 at level 12
+    # (exp(-1/s) with s ~ 7e-4) and 4095 at level 11 (1 - h rounds to 0)
+    for f, n in (
+        (dirichlet_plus(2**12 + 1), 13),
+        (TrigPoly(2049, [1.0]), 12),
+        (TrigPoly(4095, [1.0]), 11),
+        (TrigPoly(4094, [0.0, 1.0]), 11),
+    ):
+        piece = apply_window(f, n)
+        assert piece.is_zero
+        _assert_trimmed(piece)
+
+
+def test_apply_window_at_a_level_far_past_the_degree_is_zero():
+    assert apply_window(dirichlet_plus(9), 10**9).is_zero

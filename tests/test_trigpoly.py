@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpora import endpoint_coefficient_corpus
-from oracles import dirichlet_lp_closed_form, direct_lp
+from oracles import dirichlet_lp_closed_form, direct_lp, longdouble_lp
 import tritrunc.trigpoly as trigpoly
 from tritrunc.kernels import apply_window, bump_poly, dirichlet_plus, fejer
 from tritrunc.rng import SplitMix64, derive_seed
@@ -171,15 +171,36 @@ def test_lp_matches_direct_summation():
 
 
 def _folded_oracle_cases():
-    # stored span 2^k gives N = 2^(k+9): one FFT up to k = 4, folded from k = 5
+    # a level piece's floor is 512 x its nonzero span: one FFT where that is
+    # below 2 * 2^13, folded into rows of M >= max(2^13, span) above it
     levels = ((3, 3), (4, 4), (4, 3), (5, 5), (5, 4), (8, 8), (8, 6))
     cases = [(apply_window(dirichlet_plus(2**k + 1), n), None) for k, n in levels]
     cases.append((fejer(40), None))  # odd span
     gen = SplitMix64(derive_seed("trig", "folded-band"))
     cases.append((TrigPoly(33, gen.complex_normal(64)), None))
-    padded = apply_window(dirichlet_plus(2**5 + 1), 5)
+    # the level-5 piece of D(33) stored with zero padding on 1..32
+    padded = TrigPoly(1, apply_window(dirichlet_plus(2**5 + 1), 5).coefficients_on(1, 32))
     cases += [(padded, quadrature_floor(padded) + 1), (padded, 2 * quadrature_floor(padded))]
     return cases
+
+
+def test_folded_oracle_cases_include_folded_grids(monkeypatch):
+    lengths = []
+    ifft = np.fft.ifft
+
+    def spy(a, n=None, **kwargs):
+        lengths.append(n)
+        return ifft(a, n=n, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", spy)
+    folds = []
+    for f, n in _folded_oracle_cases():
+        n = quadrature_floor(f) if n is None else n
+        lengths.clear()
+        lp_quasinorm(f, 1.0, n)
+        folds.append(n // lengths[0])
+    assert sum(fold >= 2 for fold in folds) >= 3, folds
+    assert 1 in folds, folds
 
 
 @pytest.mark.parametrize("block", [None, 3 * 2**13])
@@ -193,14 +214,30 @@ def test_folded_lp_matches_direct_summation(block, monkeypatch):
 
 
 def test_folded_lp_memory_is_bounded():
-    f = apply_window(dirichlet_plus(2**14 + 1), 14)  # N = 2^23: 134 MB as one complex array
+    f = apply_window(dirichlet_plus(2**14 + 1), 14)
     tracemalloc.start()
     try:
-        lp_quasinorm(f, 0.5)
+        lp_quasinorm(f, 0.5, n_samples=2**23)  # 134 MB as one complex array
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 32e6
+
+
+@pytest.mark.parametrize(
+    "k, level, bound",
+    [
+        (10, 9, 2.5e-10),  # measured 2.11e-10 (N = 383488 = 2^9 * 7 * 107)
+        (12, 11, 1.7e-6),  # measured 1.40e-6 (N = 1534976 = 2^10 * 1499)
+    ],
+)
+def test_lp_rounding_floor_against_long_double(k, level, bound):
+    # the same N-point midpoint sum in long double: what separates the two is
+    # float64 rounding, summed through |.|^p where the piece is near 0
+    f = apply_window(dirichlet_plus(2**k + 1), level)
+    n = quadrature_floor(f)
+    exact = longdouble_lp(f, 0.5, n)
+    assert abs(lp_quasinorm(f, 0.5) - exact) / exact <= bound
 
 
 def test_lp_shift_invariant():
