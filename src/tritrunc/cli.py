@@ -12,11 +12,15 @@ Subcommands:
 
 Exit codes: 0 all verdicts pass, 1 an assertion failed, 2 usage/config error
 (including an input too large to allocate and a result too large for a double).
+
+``main`` may be called many times in one process: it builds its parser once,
+on the first call, and reuses it, since parsing keeps no state between calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -74,6 +78,11 @@ def build_parser():
     allp = exsub.add_parser("all", help="run every experiment; verdict is the conjunction")
     _experiment_flags(allp, out_help="output directory for per-experiment CSV/JSON")
     return parser
+
+
+@functools.cache
+def _parser():
+    return build_parser()
 
 
 def _experiment_flags(cmd, out_help="CSV output path (fit summary lands next to it)"):
@@ -184,9 +193,8 @@ def _cmd_experiment(args):
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

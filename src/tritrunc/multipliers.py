@@ -92,7 +92,9 @@ def _rank_one_ratio(a, u, v, p):
     if not (np.any(u) and np.any(v)):
         raise ValueError("zero witness")
     scaled = np.abs(u)[:, None] * a * np.abs(v)
-    scaled = scaled[np.ix_(scaled.any(axis=1), scaled.any(axis=0))]
+    rows, cols = scaled.any(axis=1), scaled.any(axis=0)
+    if not (rows.all() and cols.all()):  # a Gaussian draw has no zero row or column: no copy
+        scaled = scaled[np.ix_(rows, cols)]
     numerator = schatten_quasinorm(scaled, p) if scaled.size else 0.0
     return WitnessReport(
         p=float(p), multiplier=a, witness=np.outer(u, v.conj()), numerator=numerator,

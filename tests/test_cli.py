@@ -80,7 +80,72 @@ def test_unknown_subcommand_and_flag(capsys):
     assert run_cli(capsys, "spnorm", "--chi", "2", "--p", "1", "--bogus")[0] == 2
 
 
-# --- besov ----------------------------------------------------------------------
+# --- one parser per process ---------------------------------------------------------
+
+# successes, usage errors and help, interleaved; the --delta-k call comes right before a
+# --kmin/--kmax call, so a level left over from one call would turn the next into an error
+INTERLEAVED = [
+    (["spnorm", "--chi", "5", "--p", "0.5"], 0),
+    (["besov", "--dirichlet", "9", "--p", "0.5", "--levels"], 0),
+    (["spnorm", "--p", "1"], 2),
+    (["multiplier-bound", "--delta-k", "3", "--p", "0.5", "--budget", "4", "--seed", "3"], 0),
+    (["spnorm", "--chi", "2", "--delta", "2", "--p", "1"], 2),
+    (["multiplier-bound", "--delta-k", "3", "--kmax", "4", "--p", "0.5"], 2),
+    (["frobnicate"], 2),
+    (["--help"], 0),
+    (["spnorm", "--delta", "7", "--p", "0.75"], 0),
+    (["spnorm", "--help"], 0),
+    (["multiplier-bound", "--delta-k", "2", "--p", "0.75"], 0),
+    (["multiplier-bound", "--kmin", "1", "--kmax", "2", "--p", "0.75"], 0),
+    (["besov", "--dirichlet", "17", "--p", "1"], 0),
+    (["spnorm", "--ones", "4", "--p", "0.5"], 0),
+]
+
+
+@pytest.fixture
+def fresh_parser():
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def test_a_reused_parser_answers_like_a_fresh_one(capsys, fresh_parser):
+    def run_all(rebuild):
+        seen = []
+        for argv, _ in INTERLEAVED:
+            if rebuild:
+                cli._parser.cache_clear()
+            seen.append(run_cli(capsys, *argv))
+        return seen
+
+    reused, rebuilt = run_all(rebuild=False), run_all(rebuild=True)
+    assert [code for code, _, _ in reused] == [code for _, code in INTERLEAVED]
+    assert reused == rebuilt
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch, fresh_parser):
+    built = []
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    for i in range(20):
+        run_cli(capsys, *INTERLEAVED[i % len(INTERLEAVED)][0])
+    assert len(built) == 1
+
+
+def test_importing_the_cli_builds_no_parser():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import tritrunc.cli; print(tritrunc.cli._parser.cache_info().currsize)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0 and proc.stdout == "0\n"
+
+
+# --- besov----------------------------------------------------------------------
 
 
 def test_besov_prints_the_quasinorm(capsys):
