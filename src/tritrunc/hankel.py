@@ -22,7 +22,6 @@ __all__ = [
     "hankel_matrix",
     "besov_quasinorm",
     "band_hankel_check",
-    "polynomial_hankel_sp_bound",
 ]
 
 HARD_TOL = 1e-9  # slack for exact (quadrature-free) inequalities
@@ -107,19 +106,3 @@ def band_hankel_check(f, p, n):
         )
     band = TrigPoly(lo_band, f.coefficients_on(lo_band, hi_band))
     return float(schatten_quasinorm(hankel_matrix(band), p) / (2.0 ** ((n + 1) / p) * lp_quasinorm(band, p)))
-
-
-def polynomial_hankel_sp_bound(f, p):
-    """Degree-counting Schatten bound for Hankel matrices of polynomials.
-
-    For p <= 1 and phi of degree at most m - 1, the Schatten quasinorm of
-    Gamma_phi is at most 2^{1/p-1} m^{1/p} ||phi||_{L^p}.  Returns
-    (lhs, rhs) = (||Gamma_phi||_{S_p}, that bound) so callers can assert
-    lhs <= rhs with their preferred slack.
-    """
-    p = _check_p(p, 1.0)
-    _require_analytic(f, "polynomial_hankel_sp_bound")
-    m = f.hi + 1
-    lhs = schatten_quasinorm(hankel_matrix(f), p)
-    rhs = 2.0 ** (1.0 / p - 1.0) * m ** (1.0 / p) * lp_quasinorm(f, p)
-    return float(lhs), float(rhs)

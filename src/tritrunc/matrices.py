@@ -17,8 +17,6 @@ __all__ = [
     "delta_matrix",
     "mask_spectrum",
     "triangular_projection",
-    "block_diag2",
-    "block2x2",
 ]
 
 
@@ -130,20 +128,3 @@ def triangular_projection(a):
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"triangular_projection needs a square matrix, got shape {a.shape}")
     return np.triu(a)
-
-
-def block_diag2(m):
-    """Block-diagonal doubling diag(m, m); every singular value repeats twice."""
-    m = _as_matrix(m)
-    z = np.zeros_like(m)
-    return np.block([[m, z], [z, m]])
-
-
-def block2x2(a, b, c, d):
-    """Assemble [[a, b], [c, d]] from four matrix blocks."""
-    a, b, c, d = (_as_matrix(x, n) for x, n in zip((a, b, c, d), "abcd"))
-    if a.shape[0] != b.shape[0] or c.shape[0] != d.shape[0]:
-        raise ValueError(f"block2x2 row mismatch: {a.shape} {b.shape} / {c.shape} {d.shape}")
-    if a.shape[1] != c.shape[1] or b.shape[1] != d.shape[1]:
-        raise ValueError(f"block2x2 column mismatch: {a.shape} {b.shape} / {c.shape} {d.shape}")
-    return np.block([[a, b], [c, d]])

@@ -16,17 +16,15 @@ import numpy as np
 
 from .hankel import _require_analytic, hankel_matrix
 from .kernels import bump_poly, dirichlet_plus, fejer
-from .matrices import _check_p, _check_size, block2x2, block_diag2, delta_matrix, schatten_quasinorm, schur_product
+from .matrices import _as_matrix, _check_p, _check_size, delta_matrix, schatten_quasinorm, schur_product
 from .rng import SplitMix64, derive_seed
 from .trigpoly import lp_quasinorm, riesz_plus
 
 __all__ = [
     "WitnessReport",
     "witness_ratio",
-    "band_witness_pair",
     "delta_lower_bound",
     "hankel_multiplier_upper",
-    "double_witness",
     "random_witness_search",
     "fejer_riesz_ratio",
     "dirichlet_witness_upper",
@@ -102,32 +100,22 @@ def _rank_one_ratio(a, u, v, p):
     )
 
 
-def band_witness_pair(k):
-    """Bump-localized analytic polynomial and its left (masked) companion.
-
-    P_k is the bump sample of width 2^{k-1} recentred at 2^k, so its support
-    sits inside [2^{k-1}, 2^{k-1} + 2^k]; R_k keeps only the coefficients with
-    index <= 2^k (a Dirichlet mask).  On the Hankel side that mask *is* the
-    entrywise product with the anti-triangular 0/1 matrix of size 2^k + 1,
-    which is what makes the pair a constructive multiplier witness.
-    """
-    k = _check_size(k, "k")
-    p_k = bump_poly(2 ** (k - 1)).shift(2**k)
-    r_k = p_k.restrict(hi=2**k)
-    return p_k, r_k
-
-
 def delta_lower_bound(k, p):
     """Constructive lower-bound report for the size-(2^k + 1) anti-triangular mask.
 
-    Evaluates the bump-localized Hankel witness, of size 3 * 2^{k-1}, against
-    the 0/1 Hankel mask Delta_n, n = 2^k + 1, at the mask's own size (see
-    witness_ratio).  The resulting ratio grows like 2^{k(1/p - 1)} with an
-    absolute prefactor that E2, its one caller, fits empirically.  ``tritrunc
-    multiplier-bound`` skips it: its search's all-ones witness scores at least
-    1.2 times as much (measured at k = 1..10, p from 0.05 to 1).
+    The witness is the Hankel matrix, of size 3 * 2^{k-1}, of the bump sample
+    of width 2^{k-1} recentred at 2^k: its support sits strictly inside the
+    dyadic band (2^{k-1}, 2^{k+1}), and its coefficient at 2^k is the bump's
+    peak 1.  It is evaluated against the 0/1 Hankel mask Delta_n, n = 2^k + 1,
+    at the mask's own size (see witness_ratio); the mask keeps exactly the
+    witness's coefficients with index <= 2^k.  The resulting ratio grows like
+    2^{k(1/p - 1)} with an absolute prefactor that E2, its one caller, fits
+    empirically.  ``tritrunc multiplier-bound`` skips it: its search's
+    all-ones witness scores at least 1.2 times as much (measured at k = 1..10,
+    p from 0.05 to 1).
     """
-    p_k, _ = band_witness_pair(k)
+    k = _check_size(k, "k")
+    p_k = bump_poly(2 ** (k - 1)).shift(2**k)
     return witness_ratio(delta_matrix(2**k + 1), hankel_matrix(p_k), p)
 
 
@@ -144,19 +132,6 @@ def hankel_multiplier_upper(f, p):
     return (2.0 * m) ** (1.0 / p - 1.0) * lp_quasinorm(f, p)
 
 
-def double_witness(a, b, p):
-    """Witness doubling: diag(a, a) against the 2x2-of-b witness.
-
-    The doubled report's ratio equals 2^{1/p-1} times the base ratio exactly:
-    the entrywise product of diag(a, a) with [[b, b], [b, b]] is diag(a*b, a*b),
-    whose quasinorm gains 2^{1/p}, while the rank-doubling witness itself only
-    gains a factor 2.
-    """
-    base = witness_ratio(np.asarray(a), np.asarray(b), p)
-    doubled = witness_ratio(block_diag2(a), block2x2(b, b, b, b), p)
-    return base, doubled
-
-
 def random_witness_search(a, p, draws, seed):
     """Best witness ratio over a fixed pool and seeded rank-one draws.
 
@@ -170,7 +145,7 @@ def random_witness_search(a, p, draws, seed):
     multiplier-bound --budget B`` runs it with B // 2 draws on the level-k
     mask Delta_n and prints its ratio as the lower end.
     """
-    a = np.asarray(a)
+    a = _as_matrix(a, "multiplier")
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"multiplier must be square, got {a.shape}")
     draws = _check_size(draws, "draws", least=0)

@@ -87,14 +87,6 @@ class TrigPoly:
         """Multiply by z^m (shift the support window)."""
         return TrigPoly(self.lo + _check_size(m, "m", least=None), self.coeffs)
 
-    def restrict(self, lo=None, hi=None):
-        """Zero all coefficients outside lo..hi (window kept as stored)."""
-        lo = self.lo if lo is None else _check_size(lo, "lo", least=None)
-        hi = self.hi if hi is None else _check_size(hi, "hi", least=None)
-        js = np.arange(self.lo, self.hi + 1)
-        c = np.where((js >= lo) & (js <= hi), self.coeffs, 0)
-        return TrigPoly(self.lo, c)
-
     def __eq__(self, other):
         if not isinstance(other, TrigPoly):
             return NotImplemented
@@ -104,28 +96,6 @@ class TrigPoly:
 
     def __hash__(self):
         raise TypeError("TrigPoly is not hashable (padding-insensitive equality)")
-
-    def __add__(self, other):
-        if not isinstance(other, TrigPoly):
-            return NotImplemented
-        lo = min(self.lo, other.lo)
-        hi = max(self.hi, other.hi)
-        return TrigPoly(lo, self.coefficients_on(lo, hi) + other.coefficients_on(lo, hi))
-
-    def __sub__(self, other):
-        if not isinstance(other, TrigPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return TrigPoly(self.lo, -self.coeffs)
-
-    def __mul__(self, scalar):
-        if isinstance(scalar, TrigPoly):
-            return NotImplemented
-        return TrigPoly(self.lo, self.coeffs * complex(scalar))
-
-    __rmul__ = __mul__
 
     def __repr__(self):
         return f"TrigPoly(lo={self.lo}, hi={self.hi}, nnz={int(np.count_nonzero(self.coeffs))})"
@@ -215,4 +185,3 @@ def riesz_plus(f):
     if f.hi < 0:
         return TrigPoly(0, [0])
     return TrigPoly(0, f.coeffs[-f.lo :])
-

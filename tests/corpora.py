@@ -5,8 +5,8 @@ of the doubled triangular mask, shared the same way, sits here too."""
 
 import numpy as np
 
-from tritrunc.hankel import hankel_matrix, polynomial_hankel_sp_bound
-from tritrunc.matrices import block2x2, block_diag2, chi_matrix, schatten_quasinorm
+from tritrunc.hankel import hankel_matrix
+from tritrunc.matrices import chi_matrix, schatten_quasinorm
 from tritrunc.multipliers import hankel_multiplier_upper, witness_ratio
 from tritrunc.rng import SplitMix64, derive_seed
 from tritrunc.trigpoly import TrigPoly, lp_quasinorm
@@ -61,13 +61,15 @@ def endpoint_coefficient_corpus(instances=200):
 
 
 def hankel_degree_bound_corpus(instances=200):
+    # degree counting: ||Gamma_phi||_{S_p} <= 2^{1/p-1} m^{1/p} ||phi||_{L^p} for p <= 1, deg phi < m
     gen = SplitMix64(derive_seed("corpus", "hankel-degree-bound"))
     violations, worst = [], 0.0
     for i in range(instances):
         span = 1 + int(gen.integers(1, 21)[0])
         f = TrigPoly(0, gen.complex_normal(span))
         p = 0.1 + 0.9 * float(gen.uniform(1)[0])
-        lhs, rhs = polynomial_hankel_sp_bound(f, p)
+        lhs = schatten_quasinorm(hankel_matrix(f), p)
+        rhs = 2.0 ** (1.0 / p - 1.0) * span ** (1.0 / p) * lp_quasinorm(f, p)
         worst = max(worst, _record(violations, f"#{i} p={p:.4f} deg={span - 1}", lhs, rhs, 1e-4))
     return violations, instances, worst
 
@@ -97,7 +99,6 @@ def chi_doubling_decomposition(n):
     chi_2n = chi_matrix(2 * n)
     zero = np.zeros((n, n))
     ones = np.ones((n, n))
-    assembled = block2x2(chi_n, ones, zero, chi_n)
-    corner = block2x2(zero, ones, zero, zero)
-    split = block_diag2(chi_n) + corner
+    assembled = np.block([[chi_n, ones], [zero, chi_n]])
+    split = np.block([[chi_n, zero], [zero, chi_n]]) + np.block([[zero, ones], [zero, zero]])
     return bool(np.array_equal(chi_2n, assembled) and np.array_equal(chi_2n, split))

@@ -22,7 +22,7 @@ from tritrunc.fitting import ScalingFit, fit_powerlaw
 from tritrunc.hankel import hankel_matrix
 from tritrunc.kernels import dirichlet_plus, standard_window
 from tritrunc.matrices import chi_matrix, delta_matrix, schatten_quasinorm
-from tritrunc.multipliers import double_witness
+from tritrunc.multipliers import witness_ratio
 from tritrunc.rng import SplitMix64, derive_seed
 
 from corpora import (
@@ -217,7 +217,8 @@ def test_identity_witness_doubling_factor(announce):
         n = 2 + int(gen.integers(1, 7)[0])
         a, b = gen.complex_matrix(n, n), gen.complex_matrix(n, n)
         p = 2.0 / 3.0 + (1.0 - 2.0 / 3.0) * gen.uniform(1)[0]
-        base, doubled = double_witness(a, b, p)
+        base = witness_ratio(a, b, p)
+        doubled = witness_ratio(np.kron(np.eye(2), a), np.kron(np.ones((2, 2)), b), p)
         rel = abs(doubled.ratio - 2.0 ** (1.0 / p - 1.0) * base.ratio) / doubled.ratio
         worst = max(worst, rel)
     assert announce(

@@ -5,7 +5,7 @@ import pytest
 
 from tritrunc.fitting import fit_powerlaw
 import tritrunc.hankel as hankel
-from tritrunc.hankel import HARD_TOL, band_hankel_check, besov_quasinorm, hankel_matrix, polynomial_hankel_sp_bound
+from tritrunc.hankel import HARD_TOL, band_hankel_check, besov_quasinorm, hankel_matrix
 from tritrunc.kernels import apply_window, dirichlet_plus
 from tritrunc.matrices import delta_matrix, schatten_quasinorm
 from tritrunc.rng import SplitMix64, derive_seed
@@ -94,20 +94,14 @@ def test_three_adjacent_windows_reassemble_a_band():
     rng = SplitMix64(derive_seed("hankel-three-term"))
     for level in range(2, 9):
         f = band_poly(level, rng)
-        total = (
-            apply_window(f, level - 1)
-            + apply_window(f, level)
-            + apply_window(f, level + 1)
-        )
-        diff = total - f
-        assert np.max(np.abs(diff.coefficients_on(diff.lo, diff.hi))) <= 1e-12
+        total = sum(apply_window(f, n).coefficients_on(f.lo, f.hi) for n in (level - 1, level, level + 1))
+        assert np.max(np.abs(total - f.coeffs)) <= 1e-12
 
 
 def test_three_adjacent_windows_reassemble_a_monomial():
     f = TrigPoly(16, [1.0])  # sits exactly at the peak of level 4
-    total = apply_window(f, 3) + apply_window(f, 4) + apply_window(f, 5)
-    diff = total - f
-    assert np.max(np.abs(diff.coefficients_on(diff.lo, diff.hi))) <= 1e-12
+    total = sum(apply_window(f, n).coefficients_on(f.lo, f.hi) for n in (3, 4, 5))
+    assert np.max(np.abs(total - f.coeffs)) <= 1e-12
 
 
 def test_besov_passes_only_trimmed_pieces_to_the_quadrature(monkeypatch):
@@ -210,15 +204,13 @@ def test_band_ratio_never_exceeds_one(p):
 
 
 def test_degree_bound_formula():
-    f = TrigPoly(0, [1.0, 1.0])
-    lhs, rhs = polynomial_hankel_sp_bound(f, 0.5)
-    assert lhs == schatten_quasinorm(hankel_matrix(f), 0.5)
+    # ||Gamma_phi||_{S_p} <= 2^{1/p-1} m^{1/p} ||phi||_{L^p} for p <= 1 and deg phi < m;
+    # Gamma of 1 + z is [[1, 1], [1, 0]], with singular values phi and 1/phi (golden ratio)
+    f, p, m = TrigPoly(0, [1.0, 1.0]), 0.5, 2
+    lhs = schatten_quasinorm(hankel_matrix(f), p)
+    rhs = 2.0 ** (1.0 / p - 1.0) * m ** (1.0 / p) * lp_quasinorm(f, p)
+    assert lhs == pytest.approx(2.0 + np.sqrt(5.0), rel=1e-12)
     assert lhs <= rhs
-
-
-def test_degree_bound_rejects_p_above_one():
-    with pytest.raises(ValueError, match=r"\(0, 1\]"):
-        polynomial_hankel_sp_bound(TrigPoly(0, [1.0]), 1.5)
 
 
 def test_degree_bound_corpus():

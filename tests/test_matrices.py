@@ -9,8 +9,6 @@ from corpora import p_triangle_corpus
 from tritrunc.hankel import hankel_matrix
 from tritrunc.kernels import bump_poly, dirichlet_plus, fejer
 from tritrunc.matrices import (
-    block2x2,
-    block_diag2,
     chi_matrix,
     delta_matrix,
     mask_spectrum,
@@ -19,7 +17,7 @@ from tritrunc.matrices import (
     singular_values,
     triangular_projection,
 )
-from tritrunc.multipliers import band_witness_pair, delta_lower_bound
+from tritrunc.multipliers import delta_lower_bound
 from tritrunc.rng import SplitMix64, derive_seed
 from tritrunc.trigpoly import TrigPoly
 
@@ -53,9 +51,7 @@ def test_structured_sizes_must_be_positive(n):
             builder(n)
 
 
-@pytest.mark.parametrize(
-    "builder", [chi_matrix, delta_matrix, mask_spectrum, dirichlet_plus, fejer, bump_poly, band_witness_pair]
-)
+@pytest.mark.parametrize("builder", [chi_matrix, delta_matrix, mask_spectrum, dirichlet_plus, fejer, bump_poly])
 def test_sizes_must_be_integers(builder):
     # one integer validator: no truncation of a fraction, no bool, no string; numpy integers are integers
     for bad in (2.9, 3.0, True, "3"):
@@ -276,38 +272,6 @@ def test_singular_values_unitary_invariant():
         s0 = singular_values(a)
         s1 = singular_values(u @ a @ v)
         assert np.max(np.abs(s0 - s1)) <= 1e-9 * max(s0[0], 1.0)
-
-
-@given(st.integers(1, 12))
-def test_block_diag2_doubles_each_singular_value(n):
-    a = chi_matrix(n)
-    doubled = singular_values(block_diag2(a))
-    single = singular_values(a)
-    assert np.allclose(doubled, np.repeat(single, 2), rtol=0, atol=1e-10 * single[0])
-
-
-def test_block2x2_assembles_blocks():
-    a = np.ones((2, 2))
-    b = 2 * np.ones((2, 3))
-    c = 3 * np.ones((4, 2))
-    d = 4 * np.ones((4, 3))
-    m = block2x2(a, b, c, d)
-    assert m.shape == (6, 5)
-    assert np.array_equal(m[:2, :2], a)
-    assert np.array_equal(m[2:, 2:], d)
-
-
-def test_block2x2_all_scalars_rejected():
-    with pytest.raises(ValueError):
-        block2x2(0, 1, 2, 3)
-    x = np.ones((2, 2))
-    with pytest.raises(ValueError, match="c must be a 2-D array"):
-        block2x2(x, x, 0, x)  # every block must be a matrix
-
-
-def test_block2x2_mismatched_blocks_rejected():
-    with pytest.raises(ValueError):
-        block2x2(np.ones((2, 2)), np.ones((3, 3)), np.ones((2, 2)), np.ones((2, 2)))
 
 
 @settings(max_examples=40, deadline=None)

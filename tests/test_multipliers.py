@@ -8,10 +8,8 @@ import pytest
 from corpora import chi_doubling_decomposition
 from tritrunc import multipliers
 from tritrunc.hankel import hankel_matrix
-from tritrunc.kernels import dirichlet_plus, fejer
+from tritrunc.kernels import bump_poly, dirichlet_plus, fejer
 from tritrunc.matrices import (
-    block2x2,
-    block_diag2,
     chi_matrix,
     delta_matrix,
     mask_spectrum,
@@ -19,10 +17,8 @@ from tritrunc.matrices import (
     schur_product,
 )
 from tritrunc.multipliers import (
-    band_witness_pair,
     delta_lower_bound,
     dirichlet_witness_upper,
-    double_witness,
     fejer_riesz_ratio,
     hankel_multiplier_upper,
     random_witness_search,
@@ -158,28 +154,20 @@ def test_zero_padding_preserves_schatten_quasinorms():
         )
 
 
-# --- the constructive witness pair ----------------------------------------------
+# --- the constructive witness ---------------------------------------------------
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
-def test_band_witness_pair_support(k):
-    p_k, r_k = band_witness_pair(k)
+def test_delta_lower_bound_witness_is_the_recentred_bump(k):
+    p_k = bump_poly(2 ** (k - 1)).shift(2**k)
+    assert np.array_equal(delta_lower_bound(k, 0.5).witness, hankel_matrix(p_k))
     # strictly inside the open dyadic band (2^{k-1}, 2^{k+1})
     assert p_k.lo == 2 ** (k - 1) + 1
     assert p_k.hi == 3 * 2 ** (k - 1) - 1
     assert p_k.coefficient(2**k) == 1.0  # bump peak recentred at 2^k
-    assert r_k.lo == p_k.lo
-    # restrict zeroes coefficients without shrinking the stored window
-    assert r_k.coefficient(2**k) == 1.0
-    assert all(r_k.coefficient(j) == 0.0 for j in range(2**k + 1, r_k.hi + 1))
 
 
-def test_band_witness_pair_rejects_k_zero():
-    with pytest.raises(ValueError, match="k must be >= 1"):
-        band_witness_pair(0)
-
-
-@pytest.mark.parametrize("k", [-1, 0, 2.7, True])
+@pytest.mark.parametrize("k", [-1, 0, 2.7, True, 3.0, "3"])
 def test_level_k_bounds_reject_a_bad_level(k):
     # a bad level is rejected, never truncated or wrapped onto a valid one
     for bound in (dirichlet_witness_upper, delta_lower_bound):
@@ -191,7 +179,9 @@ def test_level_k_bounds_reject_a_bad_level(k):
 def test_masking_the_witness_is_a_schur_product(k):
     # truncating the polynomial to index <= 2^k acts on the Hankel side as the
     # entrywise product with the 0/1 anti-triangular pattern, zero outside its block
-    p_k, r_k = band_witness_pair(k)
+    p_k = bump_poly(2 ** (k - 1)).shift(2**k)
+    js = np.arange(p_k.lo, p_k.hi + 1)
+    r_k = TrigPoly(p_k.lo, np.where(js <= 2**k, p_k.coeffs, 0))
     n, size = 2**k + 1, 3 * 2 ** (k - 1)
     assert hankel_matrix(p_k).shape == hankel_matrix(r_k).shape == (size, size)
     masked = schur_product(_pad(delta_matrix(n), size, size), hankel_matrix(p_k))
@@ -253,9 +243,11 @@ def test_multiplier_upper_dominates_random_witnesses():
 
 
 # --- doubling -------------------------------------------------------------------
+# diag(a, a) against [[b, b], [b, b]]: the Schur product is diag(a*b, a*b), whose
+# quasinorm gains 2^{1/p}, while the rank-doubling witness only gains a factor 2
 
 
-def test_double_witness_gains_exactly_the_p_factor():
+def test_witness_doubling_gains_exactly_the_p_factor():
     # the doubled witness [[b, b], [b, b]] is rank deficient by construction;
     # its numerically-zero singular values (~eps) enter the denominator as
     # eps^p, so the identity is certifiable at 1e-9 only for p >= 2/3 (the
@@ -266,27 +258,30 @@ def test_double_witness_gains_exactly_the_p_factor():
         a = rng.complex_matrix(n, n)
         b = rng.complex_matrix(n, n)
         p = 2.0 / 3.0 + (1.0 - 2.0 / 3.0) * rng.uniform(1)[0]
-        base, doubled = double_witness(a, b, p)
+        base = witness_ratio(a, b, p)
+        doubled = witness_ratio(np.kron(np.eye(2), a), np.kron(np.ones((2, 2)), b), p)
         assert doubled.ratio == pytest.approx(
             2.0 ** (1.0 / p - 1.0) * base.ratio, rel=1e-9
         )
 
 
-def test_double_witness_at_one_half_meets_the_conditioning_floor():
+def test_witness_doubling_at_one_half_meets_the_conditioning_floor():
     # at p = 1/2 the eps-level junk contributes ~ n * eps^(1/2) ~ 1e-7
     # relative; the identity holds to that floor but not to 1e-9
     rng = SplitMix64(derive_seed("double-witness-half"))
     for _ in range(25):
         a = rng.complex_matrix(4, 4)
         b = rng.complex_matrix(4, 4)
-        base, doubled = double_witness(a, b, 0.5)
+        base = witness_ratio(a, b, 0.5)
+        doubled = witness_ratio(np.kron(np.eye(2), a), np.kron(np.ones((2, 2)), b), 0.5)
         assert doubled.ratio == pytest.approx(2.0 * base.ratio, rel=5e-7)
 
 
-def test_double_witness_identity_matrices():
+def test_witness_doubling_identity_matrices():
     # closed forms: base 1, doubled 2; the doubled side still pays the
     # rank-deficiency floor (eps^(1/2) junk at p = 1/2), even for 0/1 inputs
-    base, doubled = double_witness(np.eye(2), np.eye(2), 0.5)
+    base = witness_ratio(np.eye(2), np.eye(2), 0.5)
+    doubled = witness_ratio(np.kron(np.eye(2), np.eye(2)), np.kron(np.ones((2, 2)), np.eye(2)), 0.5)
     assert base.ratio == pytest.approx(1.0, rel=1e-12)
     assert doubled.ratio == pytest.approx(2.0, rel=5e-7)
 
@@ -303,9 +298,10 @@ def test_p_triangle_controls_the_doubled_mask():
     for n in (2, 3, 5, 8):
         b = rng.complex_matrix(2 * n, 2 * n)
         whole = schatten_quasinorm(schur_product(chi_matrix(2 * n), b), p) ** p
-        diag = schatten_quasinorm(schur_product(block_diag2(chi_matrix(n)), b), p) ** p
         zero = np.zeros((n, n))
-        corner_mask = block2x2(zero, np.ones((n, n)), zero, zero)
+        diag_mask = np.block([[chi_matrix(n), zero], [zero, chi_matrix(n)]])
+        diag = schatten_quasinorm(schur_product(diag_mask, b), p) ** p
+        corner_mask = np.block([[zero, np.ones((n, n))], [zero, zero]])
         corner = schatten_quasinorm(schur_product(corner_mask, b), p) ** p
         assert whole <= diag + corner + 1e-9
 
@@ -404,6 +400,9 @@ def test_witness_search_validates():
         random_witness_search(np.ones((2, 2)), 0.5, draws=2.9, seed=0)
     with pytest.raises(ValueError, match="seed must be an integer, got 2.7"):
         random_witness_search(delta_matrix(5), 0.5, draws=3, seed=2.7)
+    for bad in (np.ones(3), 5.0, np.ones((0, 0))):
+        with pytest.raises(ValueError, match="multiplier must be a 2-D array with positive shape"):
+            random_witness_search(bad, 0.5, draws=2, seed=0)
     a = delta_matrix(9)
     assert random_witness_search(a, 0.5, draws=0, seed=0).ratio == _pool_and_rank_one_best(a, 0.5, 0, 0)
 
