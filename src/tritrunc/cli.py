@@ -125,13 +125,12 @@ def _print_result(result):
 
 
 def _cmd_spnorm(args):
-    # both masks share the closed-form spectrum; the all-ones matrix has one singular value, N
+    # both masks share the closed-form spectrum; the all-ones matrix has rank one, so S_p is its one singular value N
     p = _check_p(args.p)
     if args.ones is None:
-        spectrum = mask_spectrum(args.delta if args.chi is None else args.chi)
+        print(f"{_schatten_from_spectrum(mask_spectrum(args.delta if args.chi is None else args.chi), p):.17g}")
     else:
-        spectrum = float(_check_size(args.ones))
-    print(f"{_schatten_from_spectrum(spectrum, p):.17g}")
+        print(_check_size(args.ones))
     return 0
 
 

@@ -29,10 +29,10 @@ import numpy as np
 
 from .fitting import ScalingFit, fit_powerlaw
 from .hankel import HARD_TOL, band_hankel_check, besov_quasinorm
-from .kernels import bump_poly, dirichlet_plus
+from .kernels import bump_poly, dirichlet_plus, fejer
 from .matrices import (_check_p, _check_size, _schatten_from_spectrum, chi_matrix, mask_spectrum, schatten_quasinorm,
                        singular_values, triangular_projection)
-from .multipliers import delta_lower_bound, dirichlet_witness_upper, fejer_riesz_ratio, witness_ratio
+from .multipliers import delta_lower_bound, dirichlet_witness_upper, witness_ratio
 from .rng import SplitMix64, derive_seed
 from .trigpoly import TrigPoly, lp_quasinorm, riesz_plus
 
@@ -215,6 +215,16 @@ class _Spec:
     check: _Check | None = None
 
 
+def _mask_growth(p):
+    """Exponent of S_p(chi_n) ~ n^max(1/p, 1), and of its Besov side ||D_n||_B (Peller)."""
+    return max(1.0 / p, 1.0)
+
+
+def _projection_growth(p):
+    """Exponent of ||P_n||_{S_p -> S_p} ~ n^max(1/p - 1, 0), as of the Riesz projection's on L^p."""
+    return max(1.0 / p - 1.0, 0.0)
+
+
 def _mask_schatten(cfg, p, k, n, s):
     return {"schatten_quasinorm": _schatten_from_spectrum(mask_spectrum(n), p)}
 
@@ -244,14 +254,16 @@ def _band_ratio_above_one(k, n, s, v):
 
 def _weak_decay(cfg, p, k, n, s):
     gen = SplitMix64(derive_seed(cfg.experiment, cfg.seed, n, s))
-    t_mat = gen.complex_matrix(n, n)
+    t_mat = gen.complex_normal((n, n))
     decay = singular_values(triangular_projection(t_mat))
     trace_norm = schatten_quasinorm(t_mat, 1.0)
     return {"weak_decay_max": float(np.max((1.0 + np.arange(n)) * decay) / trace_norm)}
 
 
 def _fejer_log(cfg, p, k, n, s):
-    ratio = fejer_riesz_ratio(n)
+    # ||analytic half of K_n||_1 / ||K_n||_1, whose denominator is exactly 1: K_n >= 0 has mean one,
+    # and the midpoint rule on N > n nodes integrates the mean exactly
+    ratio = lp_quasinorm(riesz_plus(fejer(n)), 1.0)
     return {"riesz_ratio": ratio, "normalized_ratio": ratio / np.log1p(n)}
 
 
@@ -271,22 +283,22 @@ def _top_term_below_2k(k, n, s, v):
 
 
 def _projection_ratios(cfg, p, k, n, s):
-    scale = n ** (1.0 / p - 1.0)
+    scale = n ** _projection_growth(p)
     # a rank-one T = u v^* goes through the factored witness: P_n(T) = chi_n * T, and S_p(T) = ||u|| ||v||
     gen = SplitMix64(derive_seed(cfg.experiment, cfg.seed, "rank_one", n, s))
     u, v = gen.complex_normal_rows(2, n)
     rank_one = witness_ratio(chi_matrix(n), (u, v), p).ratio / scale
     gen = SplitMix64(derive_seed(cfg.experiment, cfg.seed, "gaussian", n, s))
-    t_mat = gen.complex_matrix(n, n)
+    t_mat = gen.complex_normal((n, n))
     gaussian = schatten_quasinorm(triangular_projection(t_mat), p) / (scale * schatten_quasinorm(t_mat, p))
     return {"projection_ratio_rank_one": rank_one, "projection_ratio_gaussian": gaussian}
 
 
 _REGISTRY = {
     "E1": _Spec("delta_schatten", "Schatten growth of the anti-triangular mask, p < 1", (4, 11),
-                _mask_schatten, lambda p: 1.0 / p, 0.10, exponents=(0.5, 2.0 / 3.0)),
+                _mask_schatten, _mask_growth, 0.10, exponents=(0.5, 2.0 / 3.0)),
     "E2": _Spec("delta_multiplier_lower", "constructive multiplier lower bounds vs analytic uppers", (4, 9),
-                _multiplier_interval, lambda p: 1.0 / p - 1.0, 0.20, max_p=1.0, offset=1, fit_x=lambda k, n: 2**k,
+                _multiplier_interval, _projection_growth, 0.20, max_p=1.0, offset=1, fit_x=lambda k, n: 2**k,
                 check=_Check("witness_ratio_below_analytic_upper", _ratio_above_upper,
                              "all {count} ratios below the analytic upper bound")),
     "E3": _Spec("band_hankel", "two-sided dyadic band estimate for Hankel matrices", (2, 9),
@@ -300,16 +312,16 @@ _REGISTRY = {
                              lambda k, n, s, v: None if v["normalized_ratio"] > 0 else f"m={n}",
                              "all normalized ratios strictly positive")),
     "E6": _Spec("riesz_jump", "Riesz projection jump on bump polynomials, p < 1", (3, 10),
-                _riesz_jump, lambda p: 1.0 / p - 1.0, 0.15),
+                _riesz_jump, _projection_growth, 0.15),
     "E7": _Spec("dirichlet_besov", "dyadic-decomposition quasinorm growth of Dirichlet kernels", (3, 10),
-                _dirichlet_besov, lambda p: 1.0 / p, 0.10, offset=1,
+                _dirichlet_besov, _mask_growth, 0.10, offset=1,
                 check=_Check("top_level_term_at_least_2k", _top_term_below_2k,
                              "all {count} top level terms >= 2^k(1-1e-6)")),
     "E8": _Spec("projection_sp_bound", "normalized triangular-projection ratios stay bounded", (4, 9),
                 _projection_ratios, lambda p: 0.0, 0.05, samples=10, one_sided=True,
                 fit_on=("projection_ratio_rank_one", "projection_ratio_gaussian")),
     "E9": _Spec("delta_schatten_p_gt_1", "linear Schatten growth of the mask for p > 1", (4, 11),
-                _mask_schatten, lambda p: 1.0, 0.05, exponents=(2.0, 4.0)),
+                _mask_schatten, _mask_growth, 0.05, exponents=(2.0, 4.0)),
 }
 
 EXPERIMENT_IDS = tuple(_REGISTRY)

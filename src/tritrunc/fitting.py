@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,14 +31,15 @@ class ScalingFit:
 def fit_powerlaw(points, target, tolerance, one_sided=False):
     """Fit y = C * x^slope by closed-form least squares on the log-log points.
 
-    Requires at least 3 strictly positive points; the verdict compares the
-    slope against target within tolerance (two-sided by default).
+    Requires at least 3 points with finite, strictly positive coordinates; the
+    verdict compares the slope against target within tolerance (two-sided by
+    default).
     """
     pts = [(float(x), float(y)) for x, y in points]
     if len(pts) < 3:
         raise ValueError(f"need at least 3 points for a power-law fit, got {len(pts)}")
-    if any(x <= 0 or y <= 0 for x, y in pts):
-        raise ValueError("power-law fit requires strictly positive coordinates")
+    if not all(0.0 < v < math.inf for pt in pts for v in pt):  # NaN fails the comparison too
+        raise ValueError("power-law fit requires finite, strictly positive coordinates")
     target = float(target)
     tolerance = float(tolerance)
     if not (tolerance > 0):

@@ -10,15 +10,16 @@ sandwiched without claiming the exact value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .hankel import _require_analytic, hankel_matrix
-from .kernels import bump_poly, dirichlet_plus, fejer
+from .kernels import bump_poly, dirichlet_plus
 from .matrices import _as_matrix, _check_p, _check_size, delta_matrix, schatten_quasinorm, schur_product
 from .rng import SplitMix64, derive_seed
-from .trigpoly import lp_quasinorm, riesz_plus
+from .trigpoly import lp_quasinorm
 
 __all__ = [
     "WitnessReport",
@@ -26,7 +27,6 @@ __all__ = [
     "delta_lower_bound",
     "hankel_multiplier_upper",
     "random_witness_search",
-    "fejer_riesz_ratio",
     "dirichlet_witness_upper",
 ]
 
@@ -89,14 +89,16 @@ def _rank_one_ratio(a, u, v, p):
         raise ValueError(f"dimension mismatch: multiplier {a.shape} vs witness factors {u.shape}, {v.shape}")
     if not (np.any(u) and np.any(v)):
         raise ValueError("zero witness")
+    denominator = float(np.linalg.norm(u) * np.linalg.norm(v))
+    if not math.isfinite(denominator):
+        raise ValueError(f"witness norm ||u|| ||v|| is {denominator}, not finite")
     scaled = np.abs(u)[:, None] * a * np.abs(v)
     rows, cols = scaled.any(axis=1), scaled.any(axis=0)
     if not (rows.all() and cols.all()):  # a Gaussian draw has no zero row or column: no copy
         scaled = scaled[np.ix_(rows, cols)]
     numerator = schatten_quasinorm(scaled, p) if scaled.size else 0.0
     return WitnessReport(
-        p=float(p), multiplier=a, witness=np.outer(u, v.conj()), numerator=numerator,
-        denominator=float(np.linalg.norm(u) * np.linalg.norm(v)),
+        p=float(p), multiplier=a, witness=np.outer(u, v.conj()), numerator=numerator, denominator=denominator
     )
 
 
@@ -165,18 +167,6 @@ def random_witness_search(a, p, draws, seed):
             if rep.ratio > best.ratio:
                 best = rep
     return best
-
-
-def fejer_riesz_ratio(m):
-    """L^1 growth of the analytic half of the Fejér kernel.
-
-    Returns ||analytic part of K_m||_{L^1} / ||K_m||_{L^1} by quadrature.  The
-    denominator is exactly 1 and is not computed: K_m is nonnegative with mean
-    one, and the midpoint rule on N > m nodes integrates its mean exactly.  The
-    ratio grows logarithmically in m — the p = 1 shadow of the unboundedness
-    of triangular truncation.
-    """
-    return lp_quasinorm(riesz_plus(fejer(m)), 1.0)
 
 
 def dirichlet_witness_upper(k, p):

@@ -108,11 +108,6 @@ class SplitMix64:
             (self._raw(count) >> np.uint64(11)).astype(np.float64) + 1.0
         ) * 2.0**-53
 
-    def normal(self, count):
-        """count standard normals via Box-Muller (pairs; odd tail dropped)."""
-        count = _check_size(count, "count", least=0)
-        return _box_muller(self.uniform(2 * ((count + 1) // 2)).reshape(2, -1))[:count]
-
     def complex_normal(self, shape):
         """Array of complex Gaussians: independent N(0,1) real/imag parts."""
         shape = tuple(_check_size(d, "shape", least=0) for d in ((shape,) if np.ndim(shape) == 0 else shape))
@@ -121,17 +116,16 @@ class SplitMix64:
     def complex_normal_rows(self, count, size):
         """count x size array whose row i is the i-th of count consecutive complex_normal(size) calls.
 
-        Each row takes the real part's normal(size) words, then the imaginary
-        part's.  The stream is counter-based, so one bulk evaluation leaves
-        the counter where count separate evaluations would.
+        Each part of a row is Box-Muller on the next 2 * ceil(size / 2)
+        uniforms: radii from the first half, angles from the second, cosines
+        then sines, the odd tail dropped.  The real part draws first, then the
+        imaginary part.  The stream is counter-based, so one bulk evaluation
+        leaves the counter where count separate evaluations would.
         """
         count, size = _check_size(count, "count", least=0), _check_size(size, "size", least=0)
         half = (size + 1) // 2
         parts = _box_muller(self.uniform(count * 4 * half).reshape(count, 2, 2, half))[..., :size]
         return parts[:, 0] + 1j * parts[:, 1]
-
-    def complex_matrix(self, rows, cols):
-        return self.complex_normal((rows, cols))
 
     def integers(self, count, upper):
         """count integers uniform on 0..upper-1 (rejection-free modular map)."""

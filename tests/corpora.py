@@ -24,8 +24,8 @@ def p_triangle_corpus(instances=220):
     for i in range(instances):
         rows = 1 + int(gen.integers(1, 16)[0])
         cols = 1 + int(gen.integers(1, 16)[0])
-        t = gen.complex_matrix(rows, cols)
-        r = gen.complex_matrix(rows, cols)
+        t = gen.complex_normal((rows, cols))
+        r = gen.complex_normal((rows, cols))
         # p below ~0.01 overflows the 1/p root in float64; the sampled range
         # still sweeps the whole quasinorm regime.
         p = 0.01 + 0.99 * float(gen.uniform(1)[0])
@@ -80,7 +80,7 @@ def multiplier_upper_corpus(instances=200):
     for i in range(instances):
         span = 1 + int(gen.integers(1, 13)[0])
         f = TrigPoly(0, gen.complex_normal(span))
-        witness = gen.complex_matrix(span, span)
+        witness = gen.complex_normal((span, span))
         p = 0.1 + 0.9 * float(gen.uniform(1)[0])
         rep = witness_ratio(hankel_matrix(f), witness, p)
         upper = hankel_multiplier_upper(f, p)

@@ -3,7 +3,8 @@
 Nothing here imports the production numerics it is meant to check: singular
 values come from a from-scratch one-sided Jacobi iteration, grid values from
 direct Horner summation or long-double FFTs, and the reference RNG streams
-from pure-Python integer arithmetic.
+from pure-Python integer arithmetic (the Gaussians from Box-Muller written out
+over the stream's uniforms).
 """
 
 import numpy as np
@@ -123,6 +124,17 @@ def splitmix64_reference(seed, count, start=1):
 
 def uniform53_reference(seed, count):
     return [((x >> 11) + 1) * 2.0 ** -53 for x in splitmix64_reference(seed, count)]
+
+
+def normal_reference(gen, count):
+    """count standard normals by Box-Muller on gen's next 2 * ceil(count / 2)
+    uniforms: radii from the first half, angles from the second, cosines then
+    sines, the odd tail dropped.  Each part of SplitMix64.complex_normal(count)
+    is one such call, the real part's first."""
+    half = (count + 1) // 2
+    u = gen.uniform(2 * half)
+    r, theta = np.sqrt(-2.0 * np.log(u[:half])), 2.0 * np.pi * u[half:]
+    return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:count]
 
 
 def _tagged(part):

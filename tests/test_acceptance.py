@@ -215,7 +215,7 @@ def test_identity_witness_doubling_factor(announce):
     worst = 0.0
     for _ in range(100):
         n = 2 + int(gen.integers(1, 7)[0])
-        a, b = gen.complex_matrix(n, n), gen.complex_matrix(n, n)
+        a, b = gen.complex_normal((n, n)), gen.complex_normal((n, n))
         p = 2.0 / 3.0 + (1.0 - 2.0 / 3.0) * gen.uniform(1)[0]
         base = witness_ratio(a, b, p)
         doubled = witness_ratio(np.kron(np.eye(2), a), np.kron(np.ones((2, 2)), b), p)

@@ -42,9 +42,9 @@ def test_spnorm_delta_matches_chi(capsys):
 
 
 def test_spnorm_ones(capsys):
-    code, out, _ = run_cli(capsys, "spnorm", "--ones", "3", "--p", "0.5")
-    assert code == 0
-    assert float(out) == pytest.approx(3.0, rel=1e-15)
+    # rank one: S_p is the one singular value, N, at every p
+    for p in ("0.5", "1", "3"):
+        assert run_cli(capsys, "spnorm", "--ones", "3", "--p", p) == (0, "3\n", "")
 
 
 @pytest.mark.parametrize("which", ["--chi", "--delta", "--ones"])

@@ -19,8 +19,10 @@ from tritrunc.experiments import (
     experiment_description,
     run_experiment,
 )
+from tritrunc.kernels import fejer
 from tritrunc.matrices import schatten_quasinorm, triangular_projection
 from tritrunc.rng import SplitMix64, derive_seed
+from tritrunc.trigpoly import lp_quasinorm, riesz_plus
 
 
 def strip_wall(csv_text):
@@ -435,6 +437,24 @@ def test_e1_recovers_the_registered_growth_rate():
     assert fit.fit.target == 2.0
     assert 1.9 <= fit.fit.slope <= 2.1
     assert result.verdict
+
+
+# the laws hold on both sides of p = 1: S_p(chi_n) ~ n^max(1/p, 1) (E1, E9, and E7's Besov side)
+# and ||P_n||_{S_p} ~ n^max(1/p - 1, 0) (E6, E8), bounded for p > 1
+@pytest.mark.parametrize("exp, p, kmax, target", [("E1", 3.0, None, 1.0), ("E9", 0.5, None, 2.0),
+                                                  ("E6", 2.0, 7, 0.0), ("E7", 2.0, 7, 1.0), ("E8", 2.0, 7, 0.0)])
+def test_a_law_holds_on_the_other_side_of_p_one(exp, p, kmax, target):
+    result = run_experiment(ExperimentConfig(exp, p=p, kmax=kmax, samples=2 if exp == "E8" else None))
+    assert [fr.fit.target for fr in result.fits] == [target]
+    assert result.verdict
+
+
+def test_e5_ratio_is_the_l1_norm_of_the_analytic_fejer_half_and_grows():
+    # the ratio's denominator ||K_n||_1 is exactly 1 (test_fejer_l1_quadrature_is_one), so it is not computed
+    result = run_experiment(ExperimentConfig("E5", kmin=3, kmax=7))
+    rows = [r for r in result.records if r.quantity == "riesz_ratio"]
+    assert [r.value for r in rows] == [lp_quasinorm(riesz_plus(fejer(r.n)), 1.0) for r in rows]
+    assert 1.0 < rows[0].value and all(a.value < b.value for a, b in zip(rows, rows[1:]))
 
 
 # id -> (quantities in measure order, p column, check names); sampled ids draw

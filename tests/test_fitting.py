@@ -45,6 +45,12 @@ def test_fit_requires_three_positive_points():
         fit_powerlaw([(1.0, 1.0), (2.0, 2.0), (3.0, 3.0)], target=1.0, tolerance=0.0)
 
 
+@pytest.mark.parametrize("bad", [(1.0, np.nan), (1.0, np.inf), (np.inf, 1.0), (np.nan, 1.0), (-np.inf, 1.0)])
+def test_fit_rejects_non_finite_coordinates(bad):
+    with pytest.raises(ValueError, match="finite, strictly positive"):
+        fit_powerlaw([bad, (2.0, 2.0), (4.0, 4.0)], target=1.0, tolerance=0.1)
+
+
 def test_fit_is_a_frozen_record():
     fit = fit_powerlaw([(1.0, 1.0), (2.0, 2.0), (4.0, 4.0)], target=1.0, tolerance=0.1)
     assert isinstance(fit, ScalingFit)

@@ -19,13 +19,12 @@ from tritrunc.matrices import (
 from tritrunc.multipliers import (
     delta_lower_bound,
     dirichlet_witness_upper,
-    fejer_riesz_ratio,
     hankel_multiplier_upper,
     random_witness_search,
     witness_ratio,
 )
 from tritrunc.rng import SplitMix64, derive_seed
-from tritrunc.trigpoly import TrigPoly, lp_quasinorm, riesz_plus
+from tritrunc.trigpoly import TrigPoly, lp_quasinorm
 
 from corpora import multiplier_upper_corpus
 
@@ -58,8 +57,8 @@ def test_witness_ratio_validates_inputs():
 def test_a_smaller_multiplier_is_zero_outside_its_block():
     # against a larger witness the multiplier counts as its zero-padded copy
     rng = SplitMix64(derive_seed("smaller-multiplier"))
-    b = rng.complex_matrix(5, 7)
-    for a in (chi_matrix(3), rng.complex_matrix(2, 6), rng.complex_matrix(5, 7)):
+    b = rng.complex_normal((5, 7))
+    for a in (chi_matrix(3), rng.complex_normal((2, 6)), rng.complex_normal((5, 7))):
         for p in (0.5, 1.0, 2.0):
             got, want = witness_ratio(a, b, p), witness_ratio(_pad(a, *b.shape), b, p)
             assert got.numerator == pytest.approx(want.numerator, rel=1e-12)
@@ -82,11 +81,19 @@ def test_pair_witness_validates_inputs():
         witness_ratio(np.zeros((3, 3)), (np.ones(3), np.ones(3)), 0.0)
 
 
+def test_pair_witness_rejects_a_non_finite_factor():
+    # the norm ||u|| ||v|| is checked before |u| a |v|^T is formed, where inf * 0 would warn
+    for u, v in ((np.array([1, np.inf, 1.0]), np.ones(3)), (np.ones(3), np.array([1, np.nan, 1.0])),
+                 (np.ones(3), np.array([1, 1j * np.inf, 1]))):
+        with pytest.raises(ValueError, match=r"witness norm \|\|u\|\| \|\|v\|\| is (inf|nan), not finite"):
+            witness_ratio(delta_matrix(3), (u, v), 0.5)
+
+
 def test_pair_witness_is_the_rank_one_matrix():
     # away from the rounding floor (p >= 1) the factored form agrees with the dense one
     rng = SplitMix64(derive_seed("pair-witness"))
     for m, n in ((1, 1), (3, 5), (6, 4), (9, 9)):
-        a = rng.complex_matrix(m, n)
+        a = rng.complex_normal((m, n))
         u, v = rng.complex_normal(m), rng.complex_normal(n)
         for p in (1.0, 2.0):
             pair, dense = witness_ratio(a, (u, v), p), witness_ratio(a, np.outer(u, v.conj()), p)
@@ -147,7 +154,7 @@ def test_all_ones_lower_end_tends_to_the_main_theorem_constant(p, c_p):
 
 def test_zero_padding_preserves_schatten_quasinorms():
     rng = SplitMix64(derive_seed("embed-spectrum"))
-    a = rng.complex_matrix(4, 6)
+    a = rng.complex_normal((4, 6))
     for p in (0.5, 1.0, 2.0):
         assert schatten_quasinorm(_pad(a, 9, 9), p) == pytest.approx(
             schatten_quasinorm(a, p), rel=1e-12
@@ -255,8 +262,8 @@ def test_witness_doubling_gains_exactly_the_p_factor():
     rng = SplitMix64(derive_seed("double-witness"))
     for trial in range(100):
         n = 2 + int(rng.integers(1, 7)[0])
-        a = rng.complex_matrix(n, n)
-        b = rng.complex_matrix(n, n)
+        a = rng.complex_normal((n, n))
+        b = rng.complex_normal((n, n))
         p = 2.0 / 3.0 + (1.0 - 2.0 / 3.0) * rng.uniform(1)[0]
         base = witness_ratio(a, b, p)
         doubled = witness_ratio(np.kron(np.eye(2), a), np.kron(np.ones((2, 2)), b), p)
@@ -270,8 +277,8 @@ def test_witness_doubling_at_one_half_meets_the_conditioning_floor():
     # relative; the identity holds to that floor but not to 1e-9
     rng = SplitMix64(derive_seed("double-witness-half"))
     for _ in range(25):
-        a = rng.complex_matrix(4, 4)
-        b = rng.complex_matrix(4, 4)
+        a = rng.complex_normal((4, 4))
+        b = rng.complex_normal((4, 4))
         base = witness_ratio(a, b, 0.5)
         doubled = witness_ratio(np.kron(np.eye(2), a), np.kron(np.ones((2, 2)), b), 0.5)
         assert doubled.ratio == pytest.approx(2.0 * base.ratio, rel=5e-7)
@@ -296,7 +303,7 @@ def test_p_triangle_controls_the_doubled_mask():
     rng = SplitMix64(derive_seed("doubled-mask-triangle"))
     p = 0.5
     for n in (2, 3, 5, 8):
-        b = rng.complex_matrix(2 * n, 2 * n)
+        b = rng.complex_normal((2 * n, 2 * n))
         whole = schatten_quasinorm(schur_product(chi_matrix(2 * n), b), p) ** p
         zero = np.zeros((n, n))
         diag_mask = np.block([[chi_matrix(n), zero], [zero, chi_matrix(n)]])
@@ -408,17 +415,6 @@ def test_witness_search_validates():
 
 
 # --- the p = 1 shadow -----------------------------------------------------------
-
-
-def test_fejer_riesz_ratio_grows():
-    r8, r32, r128 = (fejer_riesz_ratio(m) for m in (8, 32, 128))
-    assert 1.0 < r8 < r32 < r128
-
-
-def test_fejer_riesz_ratio_matches_direct_quadrature():
-    # the denominator ||K_m||_1 is exactly 1 (next test), so the ratio is its numerator
-    m = 16
-    assert fejer_riesz_ratio(m) == lp_quasinorm(riesz_plus(fejer(m)), 1.0)
 
 
 @pytest.mark.parametrize("m", [2**k for k in range(4, 12)])  # E5's registered grid

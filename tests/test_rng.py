@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from tritrunc import rng
 from tritrunc.rng import SplitMix64, derive_seed
 
-from oracles import derive_seed_reference, splitmix64_reference, uniform53_reference
+from oracles import derive_seed_reference, normal_reference, splitmix64_reference, uniform53_reference
 
 
 # --- raw stream -----------------------------------------------------------------
@@ -54,34 +54,21 @@ def test_a_draw_across_evaluation_blocks_is_the_reference_stream():
 # --- derived distributions -------------------------------------------------------
 
 
-def test_normal_is_deterministic_and_roughly_standard():
-    a = SplitMix64(7).normal(20000)
-    b = SplitMix64(7).normal(20000)
-    assert np.array_equal(a, b)
-    assert abs(np.mean(a)) < 0.05
-    assert abs(np.std(a) - 1.0) < 0.05
-
-
-def test_normal_handles_odd_counts():
-    assert SplitMix64(7).normal(5).shape == (5,)
-
-
-@pytest.mark.parametrize("count", [1, 2, 7, 64])
-def test_normal_is_box_muller_on_two_uniform_blocks(count):
-    # radii from the first (count + 1) // 2 uniforms, angles from the next; cosines, then sines
-    half = (count + 1) // 2
-    u = SplitMix64(3).uniform(2 * half)
-    r, theta = np.sqrt(-2.0 * np.log(u[:half])), 2.0 * np.pi * u[half:]
-    want = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:count]
-    assert SplitMix64(3).normal(count).tobytes() == want.tobytes()
+def test_complex_normal_is_deterministic_and_roughly_standard():
+    a = SplitMix64(7).complex_normal(10000)
+    assert np.array_equal(a, SplitMix64(7).complex_normal(10000))
+    for part in (a.real, a.imag):
+        assert abs(np.mean(part)) < 0.05
+        assert abs(np.std(part) - 1.0) < 0.05
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
 @pytest.mark.parametrize("size", [1, 2, 5, 97])
 def test_complex_normal_is_two_normal_calls(seed, size):
-    # the real parts take one normal(size) call's words, the imaginary parts the next call's
+    # the real parts are one Box-Muller block over the stream's uniforms, the imaginary parts the next block
     z, twin = SplitMix64(seed).complex_normal(size), SplitMix64(seed)
-    assert np.array_equal(z.real, twin.normal(size)) and np.array_equal(z.imag, twin.normal(size))
+    assert z.real.tobytes() == normal_reference(twin, size).tobytes()
+    assert z.imag.tobytes() == normal_reference(twin, size).tobytes()
 
 
 def test_complex_normal_shapes_and_dtype():
@@ -89,7 +76,6 @@ def test_complex_normal_shapes_and_dtype():
     z = g.complex_normal((3, 4))
     assert z.shape == (3, 4) and np.iscomplexobj(z)
     assert g.complex_normal(6).shape == (6,)
-    assert g.complex_matrix(2, 5).shape == (2, 5)
 
 
 @pytest.mark.parametrize("seed", [0, 5, 2**64 - 1])
@@ -120,13 +106,10 @@ def test_integers_follow_the_modular_map():
 INTEGER_ARGUMENTS = {
     "SplitMix64 seed": (lambda g, n: SplitMix64(n).uniform(4), None),
     "uniform count": (lambda g, n: g.uniform(n), -3),
-    "normal count": (lambda g, n: g.normal(n), -1),
     "complex_normal size": (lambda g, n: g.complex_normal(n), -1),
     "complex_normal shape": (lambda g, n: g.complex_normal((2, n)), -1),
     "complex_normal_rows count": (lambda g, n: g.complex_normal_rows(n, 2), -1),
     "complex_normal_rows size": (lambda g, n: g.complex_normal_rows(2, n), -1),
-    "complex_matrix rows": (lambda g, n: g.complex_matrix(n, 2), -1),
-    "complex_matrix cols": (lambda g, n: g.complex_matrix(2, n), -1),
     "integers count": (lambda g, n: g.integers(n, 7), -1),
     "integers upper": (lambda g, n: g.integers(3, n), 0),
 }

@@ -1,7 +1,12 @@
-"""Each module's ``__all__`` is its public surface; a change to it edits this pin."""
+"""Each module's ``__all__``, with the public methods of its public classes, is
+its public surface; a change to it edits these pins.  Every public name serves
+a CLI path or an experiment, so each has a caller in the library itself."""
 
+import ast
 import importlib
+import inspect
 import pkgutil
+from pathlib import Path
 
 import tritrunc
 
@@ -39,12 +44,72 @@ PUBLIC = {
         "delta_lower_bound",
         "hankel_multiplier_upper",
         "random_witness_search",
-        "fejer_riesz_ratio",
         "dirichlet_witness_upper",
     ),
     "rng": ("SplitMix64", "derive_seed"),
     "trigpoly": ("TrigPoly", "lp_quasinorm", "quadrature_floor", "riesz_plus"),
 }
+
+
+# public class -> its public methods and properties
+METHODS = {
+    "experiments.ExperimentConfig": ("exponents", "grid"),
+    "experiments.SeriesRecord": (),
+    "experiments.CheckResult": (),
+    "experiments.FitRecord": ("to_json_dict",),
+    "experiments.ExperimentResult": ("verdict",),
+    "fitting.ScalingFit": (),
+    "hankel.BesovReport": (),
+    "multipliers.WitnessReport": ("ratio",),
+    "rng.SplitMix64": ("uniform", "complex_normal", "complex_normal_rows", "integers"),
+    "trigpoly.TrigPoly": ("hi", "coefficient", "coefficients_on", "is_analytic", "is_zero", "shift"),
+}
+
+# public names with no caller in the library, each with the reason it stays
+NO_LIBRARY_CALLER = {
+    "rng.SplitMix64.integers": "the benchmark's tracer test counts the words it draws",
+}
+
+
+def _public_classes():
+    """(module, name, class) for every class in a pinned __all__."""
+    for module, surface in PUBLIC.items():
+        for name in surface:
+            obj = getattr(importlib.import_module(f"tritrunc.{module}"), name)
+            if inspect.isclass(obj):
+                yield module, name, obj
+
+
+def _public_methods(cls):
+    return tuple(attr for attr, val in vars(cls).items() if not attr.startswith("_")
+                 and (inspect.isfunction(val) or isinstance(val, (property, staticmethod, classmethod))))
+
+
+def _references():
+    """name -> the (module, enclosing definitions) of every Name or attribute that reads it in the library."""
+    refs = {}
+
+    class Visitor(ast.NodeVisitor):
+        def __init__(self, module):
+            self.module, self.scope = module, ()
+
+        def _define(self, node):
+            self.scope += (node.name,)
+            self.generic_visit(node)
+            self.scope = self.scope[:-1]
+
+        visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _define
+
+        def visit_Name(self, node):
+            refs.setdefault(node.id, []).append((self.module, self.scope))
+
+        def visit_Attribute(self, node):
+            refs.setdefault(node.attr, []).append((self.module, self.scope))
+            self.generic_visit(node)
+
+    for path in Path(tritrunc.__file__).parent.glob("*.py"):
+        Visitor(path.stem).visit(ast.parse(path.read_text(encoding="utf-8")))
+    return refs
 
 
 def test_every_module_exports_exactly_its_pinned_surface():
@@ -55,3 +120,20 @@ def test_every_module_exports_exactly_its_pinned_surface():
         module = importlib.import_module(f"tritrunc.{name}")
         assert tuple(module.__all__) == surface, name
         assert all(hasattr(module, attr) for attr in surface), name
+
+
+def test_every_public_class_has_exactly_its_pinned_methods():
+    classes = {f"{module}.{name}": cls for module, name, cls in _public_classes()}
+    assert set(classes) == set(METHODS)
+    for name, cls in classes.items():
+        assert _public_methods(cls) == METHODS[name], name
+
+
+def test_every_public_name_has_a_library_caller():
+    # a reference counts unless it sits inside the name's own definition; dunders are not public names
+    refs = _references()
+    owned = [(module, (name,)) for module, surface in PUBLIC.items() for name in surface]
+    owned += [(module, (name, attr)) for module, name, cls in _public_classes() for attr in _public_methods(cls)]
+    uncalled = {".".join((module,) + own) for module, own in owned
+                if all(where == module and scope[:len(own)] == own for where, scope in refs.get(own[-1], []))}
+    assert uncalled == set(NO_LIBRARY_CALLER)
