@@ -19,10 +19,8 @@ from tritrunc.experiments import (
     experiment_description,
     run_experiment,
 )
-from tritrunc.kernels import fejer
 from tritrunc.matrices import schatten_quasinorm, triangular_projection
 from tritrunc.rng import SplitMix64, derive_seed
-from tritrunc.trigpoly import lp_quasinorm, riesz_plus
 
 
 def strip_wall(csv_text):
@@ -447,14 +445,6 @@ def test_a_law_holds_on_the_other_side_of_p_one(exp, p, kmax, target):
     result = run_experiment(ExperimentConfig(exp, p=p, kmax=kmax, samples=2 if exp == "E8" else None))
     assert [fr.fit.target for fr in result.fits] == [target]
     assert result.verdict
-
-
-def test_e5_ratio_is_the_l1_norm_of_the_analytic_fejer_half_and_grows():
-    # the ratio's denominator ||K_n||_1 is exactly 1 (test_fejer_l1_quadrature_is_one), so it is not computed
-    result = run_experiment(ExperimentConfig("E5", kmin=3, kmax=7))
-    rows = [r for r in result.records if r.quantity == "riesz_ratio"]
-    assert [r.value for r in rows] == [lp_quasinorm(riesz_plus(fejer(r.n)), 1.0) for r in rows]
-    assert 1.0 < rows[0].value and all(a.value < b.value for a, b in zip(rows, rows[1:]))
 
 
 # id -> (quantities in measure order, p column, check names); sampled ids draw

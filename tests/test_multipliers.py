@@ -7,6 +7,7 @@ import pytest
 
 from corpora import chi_doubling_decomposition
 from tritrunc import multipliers
+from tritrunc.experiments import ExperimentConfig, run_experiment
 from tritrunc.hankel import hankel_matrix
 from tritrunc.kernels import bump_poly, dirichlet_plus, fejer
 from tritrunc.matrices import (
@@ -24,7 +25,7 @@ from tritrunc.multipliers import (
     witness_ratio,
 )
 from tritrunc.rng import SplitMix64, derive_seed
-from tritrunc.trigpoly import TrigPoly, lp_quasinorm
+from tritrunc.trigpoly import TrigPoly, lp_quasinorm, riesz_plus
 
 from corpora import multiplier_upper_corpus
 
@@ -415,6 +416,24 @@ def test_witness_search_validates():
 
 
 # --- the p = 1 shadow -----------------------------------------------------------
+
+
+def _e5_riesz_ratios(kmin, kmax):
+    # E5's ratio ||analytic half of K_m||_1 / ||K_m||_1, keyed by m
+    result = run_experiment(ExperimentConfig("E5", kmin=kmin, kmax=kmax))
+    return {r.n: r.value for r in result.records if r.quantity == "riesz_ratio"}
+
+
+def test_fejer_riesz_ratio_grows():
+    ratios = _e5_riesz_ratios(3, 7)
+    r8, r32, r128 = (ratios[m] for m in (8, 32, 128))
+    assert 1.0 < r8 < r32 < r128
+
+
+def test_fejer_riesz_ratio_matches_direct_quadrature():
+    # the denominator ||K_m||_1 is exactly 1 (next test), so the ratio is its numerator
+    m = 16
+    assert _e5_riesz_ratios(3, 7)[m] == lp_quasinorm(riesz_plus(fejer(m)), 1.0)
 
 
 @pytest.mark.parametrize("m", [2**k for k in range(4, 12)])  # E5's registered grid
