@@ -64,7 +64,9 @@ def witness_ratio(a, b, p):
     with no spectrum.  Its numerator is the S_p quasinorm of a * u v^* =
     D_u a D_v^*; the unitary phases of the diagonals drop out, so it is that
     of the matrix |u| a |v|^T (real for a real a), with its zero rows and
-    columns removed.  The report's witness is still the matrix u v^*.
+    columns removed.  The report's witness is still the matrix u v^*.  A
+    pair whose ||u|| ||v|| overflows or underflows the double range raises
+    ValueError, as does a non-finite factor.
     """
     a = np.asarray(a)
     if isinstance(b, tuple):
@@ -89,9 +91,10 @@ def _rank_one_ratio(a, u, v, p):
         raise ValueError(f"dimension mismatch: multiplier {a.shape} vs witness factors {u.shape}, {v.shape}")
     if not (np.any(u) and np.any(v)):
         raise ValueError("zero witness")
-    denominator = float(np.linalg.norm(u) * np.linalg.norm(v))
-    if not math.isfinite(denominator):
-        raise ValueError(f"witness norm ||u|| ||v|| is {denominator}, not finite")
+    with np.errstate(over="ignore", under="ignore"):  # the check below reports either
+        denominator = float(np.linalg.norm(u) * np.linalg.norm(v))
+    if not (math.isfinite(denominator) and denominator > 0):
+        raise ValueError(f"witness norm ||u|| ||v|| is {denominator}, not finite and positive")
     scaled = np.abs(u)[:, None] * a * np.abs(v)
     rows, cols = scaled.any(axis=1), scaled.any(axis=0)
     if not (rows.all() and cols.all()):  # a Gaussian draw has no zero row or column: no copy

@@ -90,6 +90,13 @@ def test_pair_witness_rejects_a_non_finite_factor():
             witness_ratio(delta_matrix(3), (u, v), 0.5)
 
 
+def test_pair_witness_rejects_a_norm_outside_the_double_range():
+    # finite nonzero factors whose ||u|| ||v|| overflows to inf or underflows to 0
+    for u, v in ((np.full(3, 1e200), np.ones(3)), (np.full(3, 1e-170), np.full(3, 1e-170))):
+        with pytest.raises(ValueError, match=r"witness norm \|\|u\|\| \|\|v\|\| is (inf|0\.0), not finite and positive"):
+            witness_ratio(delta_matrix(3), (u, v), 0.5)
+
+
 def test_pair_witness_is_the_rank_one_matrix():
     # away from the rounding floor (p >= 1) the factored form agrees with the dense one
     rng = SplitMix64(derive_seed("pair-witness"))

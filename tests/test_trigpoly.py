@@ -152,13 +152,16 @@ def test_lp_matches_direct_summation():
 
 
 def _folded_oracle_cases():
-    # a level piece's floor is 512 x its nonzero span: one FFT where that is
-    # below 2 * 2^13, folded into rows of M >= max(2^13, span) above it
+    # a level piece's floor is 512 x its nonzero span: folded into rows of
+    # M >= max(2^13, span) where that is at least 2 * 2^13; below it, one FFT
+    # of M = N for complex input and odd N, and of M = N/2 (the mirrored half)
+    # for real input at even N, such as N = 4096 and 8192
     levels = ((3, 3), (4, 4), (4, 3), (5, 5), (5, 4), (8, 8), (8, 6))
     cases = [(apply_window(dirichlet_plus(2**k + 1), n), None) for k, n in levels]
     cases.append((fejer(40), None))  # odd span
     gen = SplitMix64(derive_seed("trig", "folded-band"))
     cases.append((TrigPoly(33, gen.complex_normal(64)), None))
+    cases.append((TrigPoly(-3, gen.complex_normal(8)), None))  # complex, one FFT of N = 4096
     # the level-5 piece of D(33) stored with zero padding on 1..32
     padded = TrigPoly(1, apply_window(dirichlet_plus(2**5 + 1), 5).coefficients_on(1, 32))
     cases += [(padded, quadrature_floor(padded) + 1), (padded, 2 * quadrature_floor(padded))]
@@ -182,6 +185,31 @@ def test_folded_oracle_cases_include_folded_grids(monkeypatch):
         folds.append(n // lengths[0])
     assert sum(fold >= 2 for fold in folds) >= 3, folds
     assert 1 in folds, folds
+
+
+def test_real_coefficients_transform_half_the_grid(monkeypatch):
+    # for real c, |f| at node N-1-k equals |f| at node k: at even N only N/2
+    # samples are transformed; complex coefficients and odd N keep all N
+    samples = []
+    ifft = np.fft.ifft
+
+    def spy(a, n=None, **kwargs):
+        samples.append(a.shape[0] * n)
+        return ifft(a, n=n, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", spy)
+    grids = []
+    for f, n in _folded_oracle_cases():
+        n = quadrature_floor(f) if n is None else n
+        real = not np.any(f.coeffs.imag)
+        samples.clear()
+        lp_quasinorm(f, 1.0, n)
+        assert sum(samples) == (n // 2 if real and n % 2 == 0 else n), (f, n)
+        grids.append((real, n))
+    # real at N = 4096 and 8192 (formerly one unfolded FFT) and at odd N; complex
+    assert {4096, 8192} <= {n for real, n in grids if real}, grids
+    assert any(real and n % 2 for real, n in grids), grids
+    assert not all(real for real, _ in grids), grids
 
 
 @pytest.mark.parametrize("block", [None, 3 * 2**13])
@@ -208,7 +236,7 @@ def test_folded_lp_memory_is_bounded():
 @pytest.mark.parametrize(
     "k, level, bound",
     [
-        (10, 9, 2.5e-10),  # measured 2.11e-10 (N = 383488 = 2^9 * 7 * 107)
+        (10, 9, 1.7e-10),  # measured 1.50e-10 (N = 383488 = 2^9 * 7 * 107)
         (12, 11, 1.7e-6),  # measured 1.40e-6 (N = 1534976 = 2^10 * 1499)
     ],
 )
