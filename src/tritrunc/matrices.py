@@ -5,6 +5,7 @@ their singular spectrum in closed form."""
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -25,7 +26,7 @@ def _as_matrix(a, name="matrix"):
     m = np.asarray(a)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"{name} must be a 2-D array with positive shape, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or (np.iscomplexobj(m) and not np.all(np.isfinite(m.imag))):
+    if not np.isfinite(m).all():
         raise ValueError(f"{name} has non-finite entries")
     return m
 
@@ -35,7 +36,7 @@ def _check_p(p, p_max=np.inf):
     if isinstance(p, bool) or not isinstance(p, numbers.Real):
         raise ValueError(f"exponent p must be a real number, got {p!r}")
     p = float(p)
-    if not (p > 0) or not np.isfinite(p) or not np.isfinite(1.0 / p):
+    if not (p > 0) or not math.isfinite(p) or not math.isfinite(1.0 / p):
         raise ValueError(f"exponent p must be positive and finite with a finite reciprocal, got {p}")
     if p > p_max:
         raise ValueError(f"p must lie in (0, {p_max:g}], got {p}")

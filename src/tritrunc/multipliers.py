@@ -89,11 +89,11 @@ def _rank_one_ratio(a, u, v, p):
     v = np.asarray(v)
     if u.ndim != 1 or v.ndim != 1 or a.shape != (u.size, v.size):
         raise ValueError(f"dimension mismatch: multiplier {a.shape} vs witness factors {u.shape}, {v.shape}")
-    if not (np.any(u) and np.any(v)):
-        raise ValueError("zero witness")
-    with np.errstate(over="ignore", under="ignore"):  # the check below reports either
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):  # the checks below report each
         denominator = float(np.linalg.norm(u) * np.linalg.norm(v))
     if not (math.isfinite(denominator) and denominator > 0):
+        if not (np.any(u) and np.any(v)):  # a zero factor gives 0, or nan against an infinite one
+            raise ValueError("zero witness")
         raise ValueError(f"witness norm ||u|| ||v|| is {denominator}, not finite and positive")
     scaled = np.abs(u)[:, None] * a * np.abs(v)
     rows, cols = scaled.any(axis=1), scaled.any(axis=0)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import mpmath
 import numpy as np
 import pytest
@@ -107,10 +109,24 @@ def test_zero_matrix_quasinorm_is_zero():
     assert schatten_quasinorm(np.zeros((4, 4)), 2.0) == 0.0
 
 
-@pytest.mark.parametrize("p", [0.0, -1.0, np.inf, np.nan, [0.5], "0.5", True, None, 1e-320])
+@pytest.mark.parametrize("p", [0.0, -1.0, np.inf, np.nan, [0.5], "0.5", True, None, 1e-320, -0.0,
+                               pytest.param(np.float64(np.nan), id="float64-nan"),
+                               pytest.param(np.float64(5e-324), id="float64-5e-324")])
 def test_schatten_rejects_bad_exponents(p):
     with pytest.raises(ValueError):
         schatten_quasinorm(np.eye(2), p)
+
+
+def test_schatten_takes_any_real_exponent():
+    assert schatten_quasinorm(chi_matrix(2), Fraction(1, 2)) == schatten_quasinorm(chi_matrix(2), 0.5)
+
+
+@pytest.mark.parametrize("bad", [complex(0, np.nan), complex(0, np.inf)])
+def test_schatten_rejects_a_non_finite_imaginary_part(bad):
+    a = np.ones((3, 3), dtype=complex)
+    a[2, 1] = bad
+    with pytest.raises(ValueError, match="non-finite entries"):
+        schatten_quasinorm(a, 0.5)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 21, 34, 40, 257])
@@ -161,7 +177,7 @@ def test_symmetric_route_mask_matches_closed_form(n):
     assert np.max(np.abs(s - ref) / ref) < 1e-12
 
 
-def test_symmetric_route_indefinite_matches_jacobi():
+def test_svd_of_symmetric_indefinite_input_matches_jacobi():
     gen = SplitMix64(derive_seed("matrices", "symmetric"))
     for _ in range(40):
         n = 1 + int(gen.integers(1, 12)[0])

@@ -53,6 +53,12 @@ def test_witness_ratio_validates_inputs():
             witness_ratio(a, b, 0.5)
     with pytest.raises(ValueError, match="zero witness"):
         witness_ratio(chi_matrix(2), np.zeros((2, 2)), 0.5)
+    for bad in (complex(0, np.nan), complex(0, np.inf)):  # a non-finite imaginary part alone
+        b = np.ones((2, 2), dtype=complex)
+        b[1, 0] = bad
+        for a, w in ((chi_matrix(2), b), (b, np.ones((2, 2)))):
+            with pytest.raises(ValueError, match="non-finite entries"):
+                witness_ratio(a, w, 0.5)
 
 
 def test_a_smaller_multiplier_is_zero_outside_its_block():
@@ -75,7 +81,9 @@ def test_pair_witness_validates_inputs():
             witness_ratio(a, (u, v), 0.5)
     with pytest.raises(ValueError, match="dimension mismatch"):
         witness_ratio(np.ones((3, 2)), (np.ones(2), np.ones(3)), 0.5)
-    for u, v in ((np.zeros(3), np.ones(3)), (np.ones(3), np.zeros(3, dtype=complex))):
+    # a zero factor is named even against an infinite one, whose norm product is 0 * inf = nan
+    for u, v in ((np.zeros(3), np.ones(3)), (np.ones(3), np.zeros(3, dtype=complex)),
+                 (np.zeros(3), np.array([1, np.inf, 1.0])), (np.array([1, np.inf, 1.0]), np.zeros(3))):
         with pytest.raises(ValueError, match="zero witness"):
             witness_ratio(a, (u, v), 0.5)
     with pytest.raises(ValueError, match="p must be"):
@@ -95,6 +103,20 @@ def test_pair_witness_rejects_a_norm_outside_the_double_range():
     for u, v in ((np.full(3, 1e200), np.ones(3)), (np.full(3, 1e-170), np.full(3, 1e-170))):
         with pytest.raises(ValueError, match=r"witness norm \|\|u\|\| \|\|v\|\| is (inf|0\.0), not finite and positive"):
             witness_ratio(delta_matrix(3), (u, v), 0.5)
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0])
+@pytest.mark.parametrize("n", [9, 33, 65])
+def test_pair_witness_is_bit_identical_to_its_formula(n, p):
+    # exact equality: a shortcut that changes the rounding of either end fails here
+    rng = SplitMix64(derive_seed("pair-witness-bits", n))
+    a = delta_matrix(n)
+    for _ in range(3):
+        u, v = rng.complex_normal(n), rng.complex_normal(n)
+        rep = witness_ratio(a, (u, v), p)
+        s = np.linalg.svd(np.abs(u)[:, None] * a * np.abs(v), compute_uv=False)
+        assert rep.numerator == float(np.sum(s**p)) ** (1 / p)
+        assert rep.denominator == float(np.linalg.norm(u) * np.linalg.norm(v))
 
 
 def test_pair_witness_is_the_rank_one_matrix():
