@@ -35,7 +35,7 @@ from .experiments import (
 from .hankel import besov_quasinorm
 from .kernels import dirichlet_plus
 from .matrices import _check_p, _check_size, _schatten_from_spectrum, delta_matrix, mask_spectrum
-from .multipliers import dirichlet_witness_upper, random_witness_search
+from .multipliers import hankel_multiplier_upper, random_witness_search
 from .rng import derive_seed
 
 __all__ = ["main", "build_parser"]
@@ -161,7 +161,7 @@ def _cmd_multiplier_bound(args):
     for k in range(kmin, kmax + 1):
         # --budget B buys B // 2 rank-one draws; the all-ones and identity pool runs at every budget
         found = random_witness_search(delta_matrix(2**k + 1), p, budget // 2, args.seed)
-        print(row.format(k, found.ratio, dirichlet_witness_upper(k, p)))
+        print(row.format(k, found.ratio, hankel_multiplier_upper(dirichlet_plus(2**k + 1), p)))
     return 0
 
 

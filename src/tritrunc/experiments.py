@@ -31,8 +31,8 @@ from .fitting import ScalingFit, fit_powerlaw
 from .hankel import HARD_TOL, band_hankel_check, besov_quasinorm
 from .kernels import bump_poly, dirichlet_plus, fejer
 from .matrices import (_check_p, _check_size, _schatten_from_spectrum, chi_matrix, mask_spectrum, schatten_quasinorm,
-                       singular_values, triangular_projection)
-from .multipliers import delta_lower_bound, dirichlet_witness_upper, witness_ratio
+                       schur_product, singular_values)
+from .multipliers import delta_lower_bound, hankel_multiplier_upper, witness_ratio
 from .rng import SplitMix64, derive_seed
 from .trigpoly import TrigPoly, lp_quasinorm, riesz_plus
 
@@ -231,7 +231,7 @@ def _mask_schatten(cfg, p, k, n, s):
 
 def _multiplier_interval(cfg, p, k, n, s):
     ratio = delta_lower_bound(k, p).ratio
-    return {"witness_ratio": ratio, "multiplier_upper": dirichlet_witness_upper(k, p)}
+    return {"witness_ratio": ratio, "multiplier_upper": hankel_multiplier_upper(dirichlet_plus(n), p)}
 
 
 def _ratio_above_upper(k, n, s, v):
@@ -255,7 +255,7 @@ def _band_ratio_above_one(k, n, s, v):
 def _weak_decay(cfg, p, k, n, s):
     gen = SplitMix64(derive_seed(cfg.experiment, cfg.seed, n, s))
     t_mat = gen.complex_normal((n, n))
-    decay = singular_values(triangular_projection(t_mat))
+    decay = singular_values(schur_product(chi_matrix(n), t_mat))
     trace_norm = schatten_quasinorm(t_mat, 1.0)
     return {"weak_decay_max": float(np.max((1.0 + np.arange(n)) * decay) / trace_norm)}
 
@@ -283,14 +283,14 @@ def _top_term_below_2k(k, n, s, v):
 
 
 def _projection_ratios(cfg, p, k, n, s):
-    scale = n ** _projection_growth(p)
-    # a rank-one T = u v^* goes through the factored witness: P_n(T) = chi_n * T, and S_p(T) = ||u|| ||v||
+    # ||P_n(T)||_p / ||T||_p with P_n(T) = chi_n * T, the witness ratio of T against chi_n; a rank-one
+    # T = u v^* goes through the factored witness, whose S_p(T) is ||u|| ||v||
+    scale, chi = n ** _projection_growth(p), chi_matrix(n)
     gen = SplitMix64(derive_seed(cfg.experiment, cfg.seed, "rank_one", n, s))
     u, v = gen.complex_normal_rows(2, n)
-    rank_one = witness_ratio(chi_matrix(n), (u, v), p).ratio / scale
+    rank_one = witness_ratio(chi, (u, v), p).ratio / scale
     gen = SplitMix64(derive_seed(cfg.experiment, cfg.seed, "gaussian", n, s))
-    t_mat = gen.complex_normal((n, n))
-    gaussian = schatten_quasinorm(triangular_projection(t_mat), p) / (scale * schatten_quasinorm(t_mat, p))
+    gaussian = witness_ratio(chi, gen.complex_normal((n, n)), p).ratio / scale
     return {"projection_ratio_rank_one": rank_one, "projection_ratio_gaussian": gaussian}
 
 

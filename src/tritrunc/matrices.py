@@ -17,7 +17,6 @@ __all__ = [
     "chi_matrix",
     "delta_matrix",
     "mask_spectrum",
-    "triangular_projection",
 ]
 
 
@@ -93,7 +92,8 @@ def chi_matrix(n):
     """n-by-n upper-triangular all-ones matrix (diagonal included).
 
     Entry (j, k) is 1 iff j <= k, 0-based.  Schur multiplication by this mask
-    is the triangular projection.
+    is the triangular projection P_n, and the library's one route to it:
+    ``schur_product(chi_matrix(n), a)`` zeroes the strictly lower triangle.
     """
     n = _check_size(n)
     return np.triu(np.ones((n, n)))
@@ -119,13 +119,3 @@ def mask_spectrum(n):
     j = np.arange(1, n + 1)
     return 0.5 / np.sin((2 * j - 1) * np.pi / (2.0 * (2 * n + 1)))
 
-
-def triangular_projection(a):
-    """Zero out the strictly lower triangle of a square matrix.
-
-    Equals ``schur_product(chi_matrix(n), a)`` and is idempotent.
-    """
-    a = _as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"triangular_projection needs a square matrix, got shape {a.shape}")
-    return np.triu(a)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hankel import _require_analytic, hankel_matrix
-from .kernels import bump_poly, dirichlet_plus
+from .kernels import bump_poly
 from .matrices import _as_matrix, _check_p, _check_size, delta_matrix, schatten_quasinorm, schur_product
 from .rng import SplitMix64, derive_seed
 from .trigpoly import lp_quasinorm
@@ -27,7 +27,6 @@ __all__ = [
     "delta_lower_bound",
     "hankel_multiplier_upper",
     "random_witness_search",
-    "dirichlet_witness_upper",
 ]
 
 _DRAW_BLOCK = 256  # rank-one draws per bulk stream evaluation in random_witness_search
@@ -66,7 +65,7 @@ def witness_ratio(a, b, p):
     of the matrix |u| a |v|^T (real for a real a), with its zero rows and
     columns removed.  The report's witness is still the matrix u v^*.  A
     pair whose ||u|| ||v|| overflows or underflows the double range raises
-    ValueError, as does a non-finite factor.
+    ValueError, as does a non-finite factor or multiplier entry.
     """
     a = np.asarray(a)
     if isinstance(b, tuple):
@@ -89,13 +88,15 @@ def _rank_one_ratio(a, u, v, p):
     v = np.asarray(v)
     if u.ndim != 1 or v.ndim != 1 or a.shape != (u.size, v.size):
         raise ValueError(f"dimension mismatch: multiplier {a.shape} vs witness factors {u.shape}, {v.shape}")
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):  # the checks below report each
+    # the checks below report each overflow and nan: the norm's here, and those of |u| a |v|^T
+    # (0 * inf against an infinite multiplier entry, say) in the spectrum's input check
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         denominator = float(np.linalg.norm(u) * np.linalg.norm(v))
+        scaled = np.abs(u)[:, None] * a * np.abs(v)
     if not (math.isfinite(denominator) and denominator > 0):
         if not (np.any(u) and np.any(v)):  # a zero factor gives 0, or nan against an infinite one
             raise ValueError("zero witness")
         raise ValueError(f"witness norm ||u|| ||v|| is {denominator}, not finite and positive")
-    scaled = np.abs(u)[:, None] * a * np.abs(v)
     rows, cols = scaled.any(axis=1), scaled.any(axis=0)
     if not (rows.all() and cols.all()):  # a Gaussian draw has no zero row or column: no copy
         scaled = scaled[np.ix_(rows, cols)]
@@ -171,8 +172,3 @@ def random_witness_search(a, p, draws, seed):
                 best = rep
     return best
 
-
-def dirichlet_witness_upper(k, p):
-    """Convenience: the analytic upper bound matching delta_lower_bound(k, p)."""
-    k = _check_size(k, "k")
-    return hankel_multiplier_upper(dirichlet_plus(2**k + 1), p)

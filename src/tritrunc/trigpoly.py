@@ -42,7 +42,7 @@ class TrigPoly:
         c = np.atleast_1d(np.asarray(self.coeffs, dtype=complex))
         if c.ndim != 1 or c.size < 1:
             raise ValueError("coeffs must be a nonempty 1-D sequence")
-        if not np.all(np.isfinite(c.real)) or not np.all(np.isfinite(c.imag)):
+        if not np.isfinite(c).all():  # complex-aware: both parts finite
             raise ValueError("coefficients must be finite")
         c = c.copy()
         c.setflags(write=False)

@@ -294,7 +294,7 @@ def test_lower_ends_meet_the_trivial_bound_at_p_one(capsys):
 def test_multiplier_bound_rejects_p_before_any_work(capsys, monkeypatch, level, p):
     calls = []
     monkeypatch.setattr(cli, "random_witness_search", lambda *a: calls.append("random_witness_search"))
-    monkeypatch.setattr(cli, "dirichlet_witness_upper", lambda *a: calls.append("dirichlet_witness_upper"))
+    monkeypatch.setattr(cli, "hankel_multiplier_upper", lambda *a: calls.append("hankel_multiplier_upper"))
     code, out, err = run_cli(capsys, "multiplier-bound", *level, "--p", p, "--budget", "200")
     want = "p must lie in (0, 1], got 2.0" if p == "2" else "exponent p must be positive and finite"
     assert code == 2 and out == "" and want in err

@@ -19,7 +19,7 @@ from tritrunc.experiments import (
     experiment_description,
     run_experiment,
 )
-from tritrunc.matrices import schatten_quasinorm, triangular_projection
+from tritrunc.matrices import schatten_quasinorm
 from tritrunc.rng import SplitMix64, derive_seed
 
 
@@ -414,15 +414,33 @@ def test_records_are_sorted_by_the_published_key():
     assert keys == sorted(keys)
 
 
+def _trace_norm(a):
+    return np.linalg.svd(a, compute_uv=False).sum()
+
+
 def test_e8_rank_one_ratio_is_the_projection_of_its_seeded_draw():
-    # at p = 1 the dense route has no rounding floor, so the factored value must match it
+    # both families against ||triu(T)||_1 / ||T||_1 from each seeded draw; at p = 1 the dense
+    # rank-one route has no rounding floor, so the factored value must match it
     result = run_experiment(ExperimentConfig("E8", p=1.0, kmin=4, kmax=6, samples=2))
-    rows = [r for r in result.records if r.quantity == "projection_ratio_rank_one"]
-    assert len(rows) == 6
-    for r in rows:
-        gen = SplitMix64(derive_seed("E8", DEFAULT_SEED, "rank_one", r.n, r.sample))
-        t_mat = np.outer(gen.complex_normal(r.n), gen.complex_normal(r.n).conj())
-        want = schatten_quasinorm(triangular_projection(t_mat), 1.0) / schatten_quasinorm(t_mat, 1.0)
+    assert len(result.records) == 12
+    for r in result.records:
+        family = r.quantity.removeprefix("projection_ratio_")
+        gen = SplitMix64(derive_seed("E8", DEFAULT_SEED, family, r.n, r.sample))
+        if family == "rank_one":
+            t_mat = np.outer(gen.complex_normal(r.n), gen.complex_normal(r.n).conj())
+        else:
+            t_mat = gen.complex_normal((r.n, r.n))
+        assert r.value == pytest.approx(_trace_norm(np.triu(t_mat)) / _trace_norm(t_mat), rel=1e-12)
+
+
+def test_e4_weak_decay_is_the_projection_spectrum_of_its_seeded_draw():
+    # max_j (j + 1) s_j(triu(T)) / ||T||_1 from each seeded draw, at n = 16, 32 and 64
+    result = run_experiment(ExperimentConfig("E4", kmin=4, kmax=6, samples=2))
+    assert len(result.records) == 6
+    for r in result.records:
+        t_mat = SplitMix64(derive_seed("E4", DEFAULT_SEED, r.n, r.sample)).complex_normal((r.n, r.n))
+        decay = np.linalg.svd(np.triu(t_mat), compute_uv=False)
+        want = np.max((1.0 + np.arange(r.n)) * decay) / _trace_norm(t_mat)
         assert r.value == pytest.approx(want, rel=1e-12)
 
 

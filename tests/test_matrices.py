@@ -17,7 +17,6 @@ from tritrunc.matrices import (
     schatten_quasinorm,
     schur_product,
     singular_values,
-    triangular_projection,
 )
 from tritrunc.multipliers import delta_lower_bound
 from tritrunc.rng import SplitMix64, derive_seed
@@ -81,16 +80,13 @@ def test_schur_product_rejects_non_finite():
 
 
 def test_triangular_projection_matches_chi_mask():
+    # P_n is Schur multiplication by chi_n: it zeroes the strictly lower triangle, and is idempotent
     gen = SplitMix64(derive_seed("matrices", "proj"))
-    a = gen.complex_normal((7, 7))
-    assert np.array_equal(triangular_projection(a), schur_product(chi_matrix(7), a))
-    # idempotent
-    assert np.array_equal(triangular_projection(triangular_projection(a)), triangular_projection(a))
-
-
-def test_triangular_projection_requires_square():
-    with pytest.raises(ValueError):
-        triangular_projection(np.ones((2, 3)))
+    for n in (1, 2, 7):
+        a = gen.complex_normal((n, n))
+        projected = schur_product(chi_matrix(n), a)
+        assert np.array_equal(projected, np.triu(a))
+        assert np.array_equal(schur_product(chi_matrix(n), projected), projected)
 
 
 def test_chi2_trace_norm_is_sqrt5():

@@ -19,7 +19,6 @@ from tritrunc.matrices import (
 )
 from tritrunc.multipliers import (
     delta_lower_bound,
-    dirichlet_witness_upper,
     hankel_multiplier_upper,
     random_witness_search,
     witness_ratio,
@@ -56,7 +55,9 @@ def test_witness_ratio_validates_inputs():
     for bad in (complex(0, np.nan), complex(0, np.inf)):  # a non-finite imaginary part alone
         b = np.ones((2, 2), dtype=complex)
         b[1, 0] = bad
-        for a, w in ((chi_matrix(2), b), (b, np.ones((2, 2)))):
+        # as a multiplier, in the pair form too, where a zero factor entry meets it as 0 * inf, with no warning
+        pairs = [(b, (u, np.ones(2))) for u in (np.ones(2), np.array([1.0, 0.0]))]
+        for a, w in [(chi_matrix(2), b), (b, np.ones((2, 2)))] + pairs:
             with pytest.raises(ValueError, match="non-finite entries"):
                 witness_ratio(a, w, 0.5)
 
@@ -91,7 +92,7 @@ def test_pair_witness_validates_inputs():
 
 
 def test_pair_witness_rejects_a_non_finite_factor():
-    # the norm ||u|| ||v|| is checked before |u| a |v|^T is formed, where inf * 0 would warn
+    # a non-finite factor fails the norm ||u|| ||v||, and 0 * inf in |u| a |v|^T raises no warning
     for u, v in ((np.array([1, np.inf, 1.0]), np.ones(3)), (np.ones(3), np.array([1, np.nan, 1.0])),
                  (np.ones(3), np.array([1, 1j * np.inf, 1]))):
         with pytest.raises(ValueError, match=r"witness norm \|\|u\|\| \|\|v\|\| is (inf|nan), not finite"):
@@ -207,9 +208,8 @@ def test_delta_lower_bound_witness_is_the_recentred_bump(k):
 @pytest.mark.parametrize("k", [-1, 0, 2.7, True, 3.0, "3"])
 def test_level_k_bounds_reject_a_bad_level(k):
     # a bad level is rejected, never truncated or wrapped onto a valid one
-    for bound in (dirichlet_witness_upper, delta_lower_bound):
-        with pytest.raises(ValueError, match="k must be"):
-            bound(k, 0.5)
+    with pytest.raises(ValueError, match="k must be"):
+        delta_lower_bound(k, 0.5)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
@@ -255,15 +255,8 @@ def test_delta_lower_bound_is_deterministic_and_grows():
 @pytest.mark.parametrize("k", [3, 4, 5])
 def test_lower_bound_stays_below_the_analytic_ceiling(k, p):
     lower = delta_lower_bound(k, p).ratio
-    upper = dirichlet_witness_upper(k, p)
+    upper = hankel_multiplier_upper(dirichlet_plus(2**k + 1), p)
     assert lower <= upper * (1 + 1e-4)
-
-
-def test_dirichlet_witness_upper_is_the_generic_bound():
-    k, p = 4, 0.5
-    assert dirichlet_witness_upper(k, p) == hankel_multiplier_upper(
-        dirichlet_plus(2**k + 1), p
-    )
 
 
 def test_hankel_multiplier_upper_validates():

@@ -6,6 +6,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import tritrunc
@@ -36,7 +37,6 @@ PUBLIC = {
         "chi_matrix",
         "delta_matrix",
         "mask_spectrum",
-        "triangular_projection",
     ),
     "multipliers": (
         "WitnessReport",
@@ -44,7 +44,6 @@ PUBLIC = {
         "delta_lower_bound",
         "hankel_multiplier_upper",
         "random_witness_search",
-        "dirichlet_witness_upper",
     ),
     "rng": ("SplitMix64", "derive_seed"),
     "trigpoly": ("TrigPoly", "lp_quasinorm", "quadrature_floor", "riesz_plus"),
@@ -69,6 +68,9 @@ METHODS = {
 NO_LIBRARY_CALLER = {
     "rng.SplitMix64.integers": "the benchmark's tracer test counts the words it draws",
 }
+
+# backticked identifiers in the README module table that name no library object
+README_NON_NAMES = {"tritrunc"}  # the command, in the cli row
 
 
 def _public_classes():
@@ -137,3 +139,17 @@ def test_every_public_name_has_a_library_caller():
     uncalled = {".".join((module,) + own) for module, own in owned
                 if all(where == module and scope[:len(own)] == own for where, scope in refs.get(own[-1], []))}
     assert uncalled == set(NO_LIBRARY_CALLER)
+
+
+def test_readme_module_table_names_only_public_names():
+    # each backticked identifier in a module's row is in its __all__ or a public method of its public classes
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## What's inside", 1)[1].split("\n## ", 1)[0]
+    rows = dict(re.findall(r"^\| `tritrunc\.(\w+)` \| (.*) \|$", section, flags=re.M))
+    assert set(rows) == set(PUBLIC)
+    methods = {module: set() for module in PUBLIC}
+    for module, _, cls in _public_classes():
+        methods[module].update(_public_methods(cls))
+    for module, contents in rows.items():
+        named = {tok for tok in re.findall(r"`([^`]+)`", contents) if tok.isidentifier()} - README_NON_NAMES
+        assert named <= set(PUBLIC[module]) | methods[module], module

@@ -65,8 +65,10 @@ def test_integer_arguments_go_through_the_validator(name):
 def test_rejects_empty_and_non_finite():
     with pytest.raises(ValueError):
         TrigPoly(0, [])
-    with pytest.raises(ValueError):
-        TrigPoly(0, [1.0, np.nan])
+    # a non-finite real or imaginary part, nan or infinite, is rejected
+    for bad in (np.nan, -np.inf, complex(1.0, np.inf), complex(0.0, np.nan)):
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            TrigPoly(0, [1.0, bad])
     with pytest.raises(ValueError):
         TrigPoly(0, [[1.0, 2.0]])
 
