@@ -77,7 +77,8 @@ def schatten_quasinorm(a, p):
     """Schatten quasinorm (sum of p-th powers of singular values)^(1/p).
 
     Defined for every p > 0; for p < 1 this is a quasinorm satisfying the
-    p-triangle inequality.  The zero matrix returns 0.
+    p-triangle inequality.  The zero matrix returns 0; for any other matrix,
+    a power sum that overflows to inf or underflows to 0 raises OverflowError.
     """
     p = _check_p(p)
     return _schatten_from_spectrum(singular_values(a), p)
@@ -85,7 +86,19 @@ def schatten_quasinorm(a, p):
 
 def _schatten_from_spectrum(s, p):
     """(sum of s**p)^(1/p) for singular values s and a checked exponent p."""
-    return float(np.sum(s**p)) ** (1.0 / p)
+    with np.errstate(over="ignore"):
+        total = float(np.sum(s**p))
+    if total == 0 and not s.any():  # the zero matrix
+        return 0.0
+    return _power_sum_root(total, p)
+
+
+def _power_sum_root(total, p):
+    """total^(1/p) for the power sum of a nonzero input, or OverflowError, naming p, when
+    that sum overflowed to inf or underflowed to 0."""
+    if not 0 < total < math.inf:
+        raise OverflowError(f"the power sum at p={p:g} leaves the double range")
+    return total ** (1.0 / p)
 
 
 def chi_matrix(n):

@@ -34,15 +34,8 @@ _DRAW_BLOCK = 256  # rank-one draws per bulk stream evaluation in random_witness
 
 @dataclass(frozen=True)
 class WitnessReport:
-    """One certified lower-bound evaluation ||a * b|| / ||b|| <= ||a||_mult.
+    """One certified lower-bound evaluation ||a * b|| / ||b|| <= ||a||_mult."""
 
-    The multiplier may be smaller than the witness; it is then read as zero
-    outside its top-left block, which leaves its multiplier quasinorm as it is.
-    """
-
-    p: float
-    multiplier: np.ndarray
-    witness: np.ndarray
     numerator: float
     denominator: float
 
@@ -63,9 +56,9 @@ def witness_ratio(a, b, p):
     with no spectrum.  Its numerator is the S_p quasinorm of a * u v^* =
     D_u a D_v^*; the unitary phases of the diagonals drop out, so it is that
     of the matrix |u| a |v|^T (real for a real a), with its zero rows and
-    columns removed.  The report's witness is still the matrix u v^*.  A
-    pair whose ||u|| ||v|| overflows or underflows the double range raises
-    ValueError, as does a non-finite factor or multiplier entry.
+    columns removed.  A pair whose ||u|| ||v|| overflows or underflows the
+    double range raises ValueError, as does a non-finite factor or multiplier
+    entry.
     """
     a = np.asarray(a)
     if isinstance(b, tuple):
@@ -77,9 +70,7 @@ def witness_ratio(a, b, p):
         raise ValueError("zero witness")
     numerator = schatten_quasinorm(schur_product(a, b[tuple(map(slice, a.shape))]), p)
     denominator = schatten_quasinorm(b, p)
-    return WitnessReport(
-        p=float(p), multiplier=a, witness=b, numerator=numerator, denominator=denominator
-    )
+    return WitnessReport(numerator=numerator, denominator=denominator)
 
 
 def _rank_one_ratio(a, u, v, p):
@@ -101,9 +92,7 @@ def _rank_one_ratio(a, u, v, p):
     if not (rows.all() and cols.all()):  # a Gaussian draw has no zero row or column: no copy
         scaled = scaled[np.ix_(rows, cols)]
     numerator = schatten_quasinorm(scaled, p) if scaled.size else 0.0
-    return WitnessReport(
-        p=float(p), multiplier=a, witness=np.outer(u, v.conj()), numerator=numerator, denominator=denominator
-    )
+    return WitnessReport(numerator=numerator, denominator=denominator)
 
 
 def delta_lower_bound(k, p):

@@ -319,6 +319,8 @@ def test_an_input_too_large_to_allocate_is_a_usage_error(capsys, argv):
         ["multiplier-bound", "--delta-k", "3", "--p", "0.001"],
         ["experiment", "run", "E1", "--p", "0.001"],
         ["spnorm", "--chi", "3", "--p", "1e-320"],  # 1/p itself is inf
+        ["spnorm", "--chi", "64", "--p", "400"],  # p-th powers overflow a double
+        ["besov", "--dirichlet", "9", "--p", "800"],
     ],
 )
 def test_a_result_out_of_range_is_a_usage_error(capsys, argv):

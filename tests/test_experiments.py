@@ -245,7 +245,7 @@ def test_sampled_runs_are_identical_for_any_worker_count(exp, tmp_path, monkeypa
     assert experiments._POOL == started[1:] and all(proc.poll() is None for proc in started[1:])
 
 
-# every registered id, the sampled ones at a small plan; E2 differs at the parent's 2 threads
+# every registered id, the sampled ones at a small plan
 @pytest.mark.parametrize("exp", EXPERIMENT_IDS)
 def test_mask_runs_are_identical_at_any_thread_count(exp, tmp_path):
     plan = tmp_path / "plan.json"

@@ -103,6 +103,14 @@ def test_chi2_singular_values_closed_form():
 def test_zero_matrix_quasinorm_is_zero():
     assert schatten_quasinorm(np.zeros((4, 4)), 0.5) == 0.0
     assert schatten_quasinorm(np.zeros((4, 4)), 2.0) == 0.0
+    assert schatten_quasinorm(np.zeros((4, 4)), 400.0) == 0.0
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1e3])
+def test_a_power_sum_outside_the_double_range_raises(scale):
+    # 1e-3^400 underflows to 0 and 1e3^400 overflows to inf: neither is returned as the S_400 value
+    with pytest.raises(OverflowError, match=r"power sum at p=400 leaves the double range"):
+        schatten_quasinorm(scale * np.eye(3), 400)
 
 
 @pytest.mark.parametrize("p", [0.0, -1.0, np.inf, np.nan, [0.5], "0.5", True, None, 1e-320, -0.0,
@@ -220,7 +228,7 @@ def test_jacobi_referee_at_p_below_one(k):
     # E2's witness (24x24 at k = 4, 48x48 at k = 5) has columns far below its
     # Frobenius norm; a stopping test relative to ||A||_F^2 leaves them
     # unrotated, and its S_{1/2} was 1.7e-7 and 5.0e-6 off the 40-digit value
-    b = delta_lower_bound(k, 0.5).witness
+    b = hankel_matrix(bump_poly(2 ** (k - 1)).shift(2**k))
     with mpmath.workdps(40):
         eigs = mpmath.eigsy(mpmath.matrix(b.tolist()), eigvals_only=True)
         ref = float(mpmath.fsum(mpmath.sqrt(abs(e)) for e in eigs) ** 2)
@@ -233,16 +241,16 @@ def test_delta_lower_bound_ratio_matches_a_40_digit_eigensolve(k):
     # numerator and denominator matrices are real symmetric, so their singular values
     # are their absolute eigenvalues; a symmetric-eigensolver route was 2.2e-9 and
     # 6.5e-10 off here
-    rep = delta_lower_bound(k, 0.5)
-    n = rep.multiplier.shape[0]
-    numerator = schur_product(rep.multiplier, rep.witness[:n, :n])
+    n = 2**k + 1
+    b = hankel_matrix(bump_poly(2 ** (k - 1)).shift(2**k))
+    numerator = schur_product(delta_matrix(n), b[:n, :n])
     with mpmath.workdps(40):
         s_half = [
             mpmath.fsum(mpmath.sqrt(abs(e)) for e in mpmath.eigsy(mpmath.matrix(m.tolist()), eigvals_only=True)) ** 2
-            for m in (numerator, rep.witness)
+            for m in (numerator, b)
         ]
         ref = float(s_half[0] / s_half[1])
-    assert rep.ratio == pytest.approx(ref, rel=1e-10, abs=0)
+    assert delta_lower_bound(k, 0.5).ratio == pytest.approx(ref, rel=1e-10, abs=0)
 
 
 def test_p_triangle_corpus():

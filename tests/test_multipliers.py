@@ -1,6 +1,7 @@
 """Schur-multiplier witnesses: certified lower bounds against analytic ceilings."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,7 +72,6 @@ def test_a_smaller_multiplier_is_zero_outside_its_block():
             got, want = witness_ratio(a, b, p), witness_ratio(_pad(a, *b.shape), b, p)
             assert got.numerator == pytest.approx(want.numerator, rel=1e-12)
             assert got.denominator == want.denominator
-            assert got.multiplier.shape == a.shape
 
 
 def test_pair_witness_validates_inputs():
@@ -128,9 +128,24 @@ def test_pair_witness_is_the_rank_one_matrix():
         u, v = rng.complex_normal(m), rng.complex_normal(n)
         for p in (1.0, 2.0):
             pair, dense = witness_ratio(a, (u, v), p), witness_ratio(a, np.outer(u, v.conj()), p)
-            assert np.array_equal(pair.witness, dense.witness)
             assert pair.numerator == pytest.approx(dense.numerator, rel=1e-12)
             assert pair.denominator == pytest.approx(dense.denominator, rel=1e-12)
+
+
+def test_pair_witness_holds_no_dense_rank_one_matrix():
+    # at E8's largest rank-one point, the real |u| a |v|^T and the spectrum's workspace fit in
+    # 2.5 n^2 doubles; the complex u v^* alone would add 2 n^2
+    n = 512
+    rng = SplitMix64(derive_seed("pair-witness-memory"))
+    a, u, v = chi_matrix(n), rng.complex_normal(n), rng.complex_normal(n)
+    witness_ratio(a, (u, v), 0.5)  # warm-up: first-call allocations are not the evaluation's
+    tracemalloc.start()
+    try:
+        witness_ratio(a, (u, v), 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * n * n * 8
 
 
 def test_pair_witness_ignores_the_phases():
@@ -198,7 +213,7 @@ def test_zero_padding_preserves_schatten_quasinorms():
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_delta_lower_bound_witness_is_the_recentred_bump(k):
     p_k = bump_poly(2 ** (k - 1)).shift(2**k)
-    assert np.array_equal(delta_lower_bound(k, 0.5).witness, hankel_matrix(p_k))
+    assert delta_lower_bound(k, 0.5) == witness_ratio(delta_matrix(2**k + 1), hankel_matrix(p_k), 0.5)
     # strictly inside the open dyadic band (2^{k-1}, 2^{k+1})
     assert p_k.lo == 2 ** (k - 1) + 1
     assert p_k.hi == 3 * 2 ** (k - 1) - 1
@@ -227,11 +242,8 @@ def test_masking_the_witness_is_a_schur_product(k):
 
 
 def test_delta_lower_bound_report_shape():
-    # the mask at its own size against the larger bump witness
+    # the mask at its own size scores above 1 against the larger bump witness
     rep = delta_lower_bound(3, 0.5)
-    assert rep.p == 0.5
-    assert np.array_equal(rep.multiplier, delta_matrix(9))
-    assert rep.witness.shape == (12, 12)
     assert rep.ratio > 1.0
 
 
@@ -239,9 +251,9 @@ def test_delta_lower_bound_report_shape():
 def test_delta_lower_bound_matches_the_padded_mask(k):
     # E2's witnesses: the mask read as zero outside its block scores as its zero-padded
     # copy, up to the spectra's rounding floor at p = 1/2
-    rep = delta_lower_bound(k, 0.5)
-    padded = witness_ratio(_pad(rep.multiplier, *rep.witness.shape), rep.witness, 0.5)
-    assert rep.ratio == pytest.approx(padded.ratio, rel=1e-8, abs=0)
+    b = hankel_matrix(bump_poly(2 ** (k - 1)).shift(2**k))
+    padded = witness_ratio(_pad(delta_matrix(2**k + 1), *b.shape), b, 0.5)
+    assert delta_lower_bound(k, 0.5).ratio == pytest.approx(padded.ratio, rel=1e-8, abs=0)
 
 
 def test_delta_lower_bound_is_deterministic_and_grows():
@@ -343,8 +355,7 @@ def test_witness_search_is_deterministic():
     a = delta_matrix(5)
     first = random_witness_search(a, 0.5, draws=20, seed=7)
     second = random_witness_search(a, 0.5, draws=20, seed=7)
-    assert first.ratio == second.ratio
-    assert np.array_equal(first.witness, second.witness)
+    assert first == second
 
 
 def test_witness_search_never_loses_to_the_constructive_witness():
@@ -389,15 +400,14 @@ def test_witness_search_draws_across_stream_blocks(monkeypatch):
         assert random_witness_search(a, 0.75, draws, 4).ratio == _pool_and_rank_one_best(a, 0.75, draws, 4)
 
 
-def test_witness_search_reports_the_winning_draw_as_a_matrix():
+def test_witness_search_reports_the_winning_draw():
     a = delta_matrix(3)
     best = random_witness_search(a, 1.0, 40, 2)
     gen = SplitMix64(derive_seed("witness-search", 2))
     draws = [(gen.complex_normal(3), gen.complex_normal(3)) for _ in range(40)]
     ratios = [witness_ratio(a, pair, 1.0).ratio for pair in draws]
     assert best.ratio == max(ratios) > 1.0  # a draw beats the pool here
-    u, v = draws[int(np.argmax(ratios))]
-    assert np.array_equal(best.witness, np.outer(u, v.conj()))
+    assert best == witness_ratio(a, draws[int(np.argmax(ratios))], 1.0)
 
 
 def test_witness_search_spends_one_spectrum_per_draw(monkeypatch):

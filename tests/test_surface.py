@@ -1,8 +1,10 @@
-"""Each module's ``__all__``, with the public methods of its public classes, is
-its public surface; a change to it edits these pins.  Every public name serves
-a CLI path or an experiment, so each has a caller in the library itself."""
+"""Each module's ``__all__``, with the public methods of its public classes and
+the fields of its public dataclasses, is its public surface; a change to it
+edits these pins.  Every public name serves a CLI path or an experiment, so
+each has a caller in the library itself."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -62,6 +64,19 @@ METHODS = {
     "multipliers.WitnessReport": ("ratio",),
     "rng.SplitMix64": ("uniform", "complex_normal", "complex_normal_rows", "integers"),
     "trigpoly.TrigPoly": ("hi", "coefficient", "coefficients_on", "is_analytic", "is_zero", "shift"),
+}
+
+# public dataclass -> its fields, in declaration order
+FIELDS = {
+    "experiments.ExperimentConfig": ("experiment", "p", "kmin", "kmax", "samples", "seed", "out"),
+    "experiments.SeriesRecord": ("experiment", "p", "k", "n", "sample", "quantity", "value", "wall_ms"),
+    "experiments.CheckResult": ("name", "ok", "detail"),
+    "experiments.FitRecord": ("experiment", "p", "fit"),
+    "experiments.ExperimentResult": ("config", "records", "fits", "checks"),
+    "fitting.ScalingFit": ("points", "slope", "intercept", "max_residual", "target", "tolerance", "passed", "one_sided"),
+    "hankel.BesovReport": ("p", "levels", "zero_term", "total"),
+    "multipliers.WitnessReport": ("numerator", "denominator"),
+    "trigpoly.TrigPoly": ("lo", "coeffs"),
 }
 
 # public names with no caller in the library, each with the reason it stays
@@ -129,6 +144,13 @@ def test_every_public_class_has_exactly_its_pinned_methods():
     assert set(classes) == set(METHODS)
     for name, cls in classes.items():
         assert _public_methods(cls) == METHODS[name], name
+
+
+def test_every_public_dataclass_has_exactly_its_pinned_fields():
+    classes = {f"{module}.{name}": cls for module, name, cls in _public_classes() if dataclasses.is_dataclass(cls)}
+    assert set(classes) == set(FIELDS)
+    for name, cls in classes.items():
+        assert tuple(f.name for f in dataclasses.fields(cls)) == FIELDS[name], name
 
 
 def test_every_public_name_has_a_library_caller():

@@ -135,6 +135,14 @@ def test_lp_rejects_bad_exponent(p):
         lp_quasinorm(TrigPoly(0, [1]), p)
 
 
+@pytest.mark.parametrize("scale", [1e-3, 1e3])
+def test_lp_power_sum_outside_the_double_range_raises(scale):
+    # |f|^400 underflows to 0 at |f| ~ 1e-3 and overflows to inf at ~ 1e3; the zero polynomial stays 0
+    with pytest.raises(OverflowError, match=r"power sum at p=400 leaves the double range"):
+        lp_quasinorm(TrigPoly(0, [scale, scale]), 400)
+    assert lp_quasinorm(TrigPoly(0, [0.0, 0.0]), 400) == 0.0
+
+
 def test_monomials_are_exact_at_any_admissible_size():
     # one FFT (4096, odd 4097) or folded into 128 rows (2^20)
     for k in (-3, 0, 5):
