@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import apply_window
-from .matrices import _check_p, _check_size, schatten_quasinorm
+from .matrices import _PowerSumUnderflow, _check_p, _check_size, _power_sum_root, schatten_quasinorm
 from .trigpoly import TrigPoly, lp_quasinorm
 
 __all__ = [
@@ -66,7 +66,9 @@ def besov_quasinorm(f, p):
     the coefficients — plus the |phi^(0)|^p augmentation, and reports the
     1/p-th root.  Each level's piece is stored on its nonzero coefficients
     (apply_window), so its quadrature grid is sized by the piece's own span,
-    not by f's degree; an empty piece contributes 0 with no quadrature.
+    not by f's degree; an empty piece contributes 0 with no quadrature.  A
+    piece whose L^p power sum underflows contributes 0 too; a nonzero f whose
+    total power sum overflows to inf or underflows to 0 raises OverflowError.
     """
     p = _check_p(p)
     _require_analytic(f, "besov_quasinorm")
@@ -75,11 +77,16 @@ def besov_quasinorm(f, p):
     n = 0
     while 2.0 ** (n - 1) <= f.hi:
         piece = apply_window(f, n)
-        levels.append((n, 0.0 if piece.is_zero else 2.0**n * lp_quasinorm(piece, p) ** p))
+        try:
+            term = 0.0 if piece.is_zero else 2.0**n * lp_quasinorm(piece, p) ** p
+        except _PowerSumUnderflow:  # |piece|^p is below the smallest double: it adds 0, as rounding would
+            term = 0.0
+        levels.append((n, term))
         n += 1
 
     zero_term = abs(f.coefficient(0)) ** p
-    total = (sum(term for _, term in levels) + zero_term) ** (1.0 / p)
+    power_sum = sum(term for _, term in levels) + zero_term
+    total = 0.0 if f.is_zero else _power_sum_root(power_sum, p)
     return BesovReport(p=p, levels=tuple(levels), zero_term=zero_term, total=total)
 
 

@@ -93,11 +93,16 @@ def _schatten_from_spectrum(s, p):
     return _power_sum_root(total, p)
 
 
+class _PowerSumUnderflow(OverflowError):
+    """The power sum of a nonzero input underflowed to 0."""
+
+
 def _power_sum_root(total, p):
     """total^(1/p) for the power sum of a nonzero input, or OverflowError, naming p, when
-    that sum overflowed to inf or underflowed to 0."""
+    that sum overflowed to inf or underflowed to 0 (then the subclass _PowerSumUnderflow)."""
     if not 0 < total < math.inf:
-        raise OverflowError(f"the power sum at p={p:g} leaves the double range")
+        error = _PowerSumUnderflow if total == 0 else OverflowError
+        raise error(f"the power sum at p={p:g} leaves the double range")
     return total ** (1.0 / p)
 
 

@@ -195,7 +195,7 @@ def lp_quasinorm(f, p, n_samples=None):
     c = f.coeffs[nz[0] : nz[-1] + 1]
     with np.errstate(over="ignore"):
         total = _midpoint_power_sum(c, n, p)
-    return float(_power_sum_root(total / n, p))
+    return _power_sum_root(total / n, p)
 
 
 def riesz_plus(f):

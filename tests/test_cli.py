@@ -165,6 +165,18 @@ def test_besov_levels_breakdown(capsys):
     assert len(lines) == 1 + len(report.levels) + 1
 
 
+@pytest.mark.parametrize(
+    "argv, want",
+    # the top level's piece, ~1.5e-154 z^513 and ~9.2e-3 z^9, has a p-th power below the
+    # smallest double: it adds 0 to an ordinary total, as it always did
+    [(["besov", "--dirichlet", "514", "--p", "3"], "240.13853052879807\n"),
+     (["besov", "--dirichlet", "10", "--p", "160"], "3.7673431724397828\n")],
+    ids=["D514-p3", "D10-p160"],
+)
+def test_besov_level_whose_power_sum_underflows_adds_zero(capsys, argv, want):
+    assert run_cli(capsys, *argv) == (0, want, "")
+
+
 # --- multiplier-bound --------------------------------------------------------------
 
 

@@ -81,6 +81,21 @@ def test_besov_of_z_is_one(p):
 
 def test_besov_of_zero_polynomial_is_zero():
     assert besov_quasinorm(TrigPoly(0, [0.0]), 0.5).total == 0.0
+    assert besov_quasinorm(TrigPoly(0, [0.0, 0.0, 0.0]), 400.0).total == 0.0
+
+
+def test_besov_level_whose_power_sum_underflows_adds_zero():
+    # level 4's piece of D(10) is v(9/16) z^9 ~ 9.2e-3 z^9, and (9.2e-3)^160 is below the smallest double
+    report = besov_quasinorm(dirichlet_plus(10), 160)
+    assert report.levels[4] == (4, 0.0)
+    assert report.total == (sum(term for _, term in report.levels) + report.zero_term) ** (1 / 160)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1e3])
+def test_besov_power_sum_outside_the_double_range_raises(scale):
+    # every term of a 1e-3 polynomial underflows at p = 400, and a 1e3 one overflows
+    with pytest.raises(OverflowError, match=r"power sum at p=400 leaves the double range"):
+        besov_quasinorm(TrigPoly(0, [scale, scale, scale]), 400)
 
 
 def test_besov_rejects_bad_exponents_and_negative_frequencies():
