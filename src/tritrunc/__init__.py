@@ -2,7 +2,7 @@
 
 Schatten quasinorms and Schur-Hadamard products, trigonometric polynomial
 kernels with L^p quadrature, Hankel matrices and dyadic-decomposition
-quasinorms, certified Schur-multiplier bounds, and a batch experiment
+quasinorms, Schur-multiplier intervals with stated errors, and a batch experiment
 pipeline that reproduces the associated power-law scaling at desk scale.
 Import from the modules; each module's ``__all__`` is its public surface.
 """

@@ -4,9 +4,8 @@ Subcommands:
 
 * ``spnorm``            Schatten quasinorm of a built-in structured matrix.
 * ``besov``             dyadic-decomposition quasinorm of a Dirichlet kernel.
-* ``multiplier-bound``  certified [lower, upper] multiplier interval for the
-                        anti-triangular mask of size 2^k + 1, at one level
-                        k or one row per level of a range.
+* ``multiplier-bound``  [lower, upper] multiplier interval for the size-(2^k + 1)
+                        mask, per level k (each end's error: ``tritrunc.multipliers``).
 * ``experiment run ID`` one registered experiment; ``experiment all`` runs
                         every registered experiment and aggregates verdicts.
 

@@ -230,8 +230,7 @@ def _mask_schatten(cfg, p, k, n, s):
 
 
 def _multiplier_interval(cfg, p, k, n, s):
-    ratio = delta_lower_bound(k, p).ratio
-    return {"witness_ratio": ratio, "multiplier_upper": hankel_multiplier_upper(dirichlet_plus(n), p)}
+    return {"witness_ratio": delta_lower_bound(k, p).ratio, "multiplier_upper": hankel_multiplier_upper(dirichlet_plus(n), p)}
 
 
 def _ratio_above_upper(k, n, s, v):

@@ -37,7 +37,6 @@ class BesovReport:
     (sum of terms + zero_term)^(1/p).
     """
 
-    p: float
     levels: tuple
     zero_term: float
     total: float
@@ -87,7 +86,7 @@ def besov_quasinorm(f, p):
     zero_term = abs(f.coefficient(0)) ** p
     power_sum = sum(term for _, term in levels) + zero_term
     total = 0.0 if f.is_zero else _power_sum_root(power_sum, p)
-    return BesovReport(p=p, levels=tuple(levels), zero_term=zero_term, total=total)
+    return BesovReport(levels=tuple(levels), zero_term=zero_term, total=total)
 
 
 def band_hankel_check(f, p, n):

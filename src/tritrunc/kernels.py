@@ -1,4 +1,4 @@
-"""Kernel families and certified cutoff functions.
+"""Kernel families and cutoff functions.
 
 This module owns the concrete analytic machinery: the analytic Dirichlet
 kernel, the Fejér kernel, compactly supported smooth bumps and their

@@ -77,8 +77,8 @@ def schatten_quasinorm(a, p):
     """Schatten quasinorm (sum of p-th powers of singular values)^(1/p).
 
     Defined for every p > 0; for p < 1 this is a quasinorm satisfying the
-    p-triangle inequality.  The zero matrix returns 0; for any other matrix,
-    a power sum that overflows to inf or underflows to 0 raises OverflowError.
+    p-triangle inequality.  The zero matrix returns 0; any other matrix whose power
+    sum, or its 1/p-th power, leaves the double range raises OverflowError naming p.
     """
     p = _check_p(p)
     return _schatten_from_spectrum(singular_values(a), p)
@@ -98,12 +98,15 @@ class _PowerSumUnderflow(OverflowError):
 
 
 def _power_sum_root(total, p):
-    """total^(1/p) for the power sum of a nonzero input, or OverflowError, naming p, when
-    that sum overflowed to inf or underflowed to 0 (then the subclass _PowerSumUnderflow)."""
+    """total^(1/p) for the power sum of a nonzero input, or OverflowError, naming p, when that sum
+    overflowed to inf or underflowed to 0 (then the subclass _PowerSumUnderflow) or total^(1/p) overflows."""
     if not 0 < total < math.inf:
         error = _PowerSumUnderflow if total == 0 else OverflowError
         raise error(f"the power sum at p={p:g} leaves the double range")
-    return total ** (1.0 / p)
+    try:
+        return total ** (1.0 / p)
+    except OverflowError:
+        raise OverflowError(f"the 1/p-th power of the power sum at p={p:g} leaves the double range") from None
 
 
 def chi_matrix(n):

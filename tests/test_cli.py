@@ -333,11 +333,14 @@ def test_an_input_too_large_to_allocate_is_a_usage_error(capsys, argv):
         ["spnorm", "--chi", "3", "--p", "1e-320"],  # 1/p itself is inf
         ["spnorm", "--chi", "64", "--p", "400"],  # p-th powers overflow a double
         ["besov", "--dirichlet", "9", "--p", "800"],
+        ["multiplier-bound", "--delta-k", "1", "--p", "0.002"],  # the upper end's (2m)^{1/p-1} overflows
     ],
 )
 def test_a_result_out_of_range_is_a_usage_error(capsys, argv):
+    # the message names the exponent
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == "" and err.startswith("error:")
+    assert argv[argv.index("--p") + 1] in err
 
 
 # --- experiment run ----------------------------------------------------------------

@@ -113,6 +113,12 @@ def test_a_power_sum_outside_the_double_range_raises(scale):
         schatten_quasinorm(scale * np.eye(3), 400)
 
 
+def test_a_root_outside_the_double_range_raises():
+    # the power sum 3 * 10^0.001 is finite, its 1/p-th power 3.007^1000 is not; the error names p
+    with pytest.raises(OverflowError, match=r"1/p-th power of the power sum at p=0\.001 leaves the double range"):
+        schatten_quasinorm(10 * np.eye(3), 0.001)
+
+
 @pytest.mark.parametrize("p", [0.0, -1.0, np.inf, np.nan, [0.5], "0.5", True, None, 1e-320, -0.0,
                                pytest.param(np.float64(np.nan), id="float64-nan"),
                                pytest.param(np.float64(5e-324), id="float64-5e-324")])

@@ -19,6 +19,7 @@ from tritrunc.matrices import (
     schur_product,
 )
 from tritrunc.multipliers import (
+    WitnessReport,
     delta_lower_bound,
     hankel_multiplier_upper,
     random_witness_search,
@@ -46,9 +47,11 @@ def test_witness_ratio_on_the_all_ones_witness():
 
 
 def test_witness_ratio_validates_inputs():
-    # a multiplier larger than the witness in either dimension has no reading
+    # a matrix witness has the multiplier's shape: a larger or a smaller multiplier has no reading
     for a, b in ((chi_matrix(3), np.ones((2, 2))), (np.ones((3, 2)), np.ones((2, 3))),
-                 (np.ones((2, 3)), np.ones((3, 2))), (np.ones(3), np.ones((3, 3)))):
+                 (np.ones((2, 3)), np.ones((3, 2))), (np.ones(3), np.ones((3, 3))),
+                 (chi_matrix(2), np.ones((3, 3))), (np.ones((2, 6)), np.ones((5, 7))),
+                 (np.ones((5, 6)), np.ones((5, 7))), (delta_matrix(5), np.ones((6, 6)))):
         with pytest.raises(ValueError, match="dimension mismatch"):
             witness_ratio(a, b, 0.5)
     with pytest.raises(ValueError, match="zero witness"):
@@ -61,17 +64,6 @@ def test_witness_ratio_validates_inputs():
         for a, w in [(chi_matrix(2), b), (b, np.ones((2, 2)))] + pairs:
             with pytest.raises(ValueError, match="non-finite entries"):
                 witness_ratio(a, w, 0.5)
-
-
-def test_a_smaller_multiplier_is_zero_outside_its_block():
-    # against a larger witness the multiplier counts as its zero-padded copy
-    rng = SplitMix64(derive_seed("smaller-multiplier"))
-    b = rng.complex_normal((5, 7))
-    for a in (chi_matrix(3), rng.complex_normal((2, 6)), rng.complex_normal((5, 7))):
-        for p in (0.5, 1.0, 2.0):
-            got, want = witness_ratio(a, b, p), witness_ratio(_pad(a, *b.shape), b, p)
-            assert got.numerator == pytest.approx(want.numerator, rel=1e-12)
-            assert got.denominator == want.denominator
 
 
 def test_pair_witness_validates_inputs():
@@ -212,12 +204,23 @@ def test_zero_padding_preserves_schatten_quasinorms():
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_delta_lower_bound_witness_is_the_recentred_bump(k):
+    # bit for bit the mask's n x n block of the bump witness W over the whole of W: the report
+    # scores the symbol truncated at index n - 1, whose Hankel matrix is that block
     p_k = bump_poly(2 ** (k - 1)).shift(2**k)
-    assert delta_lower_bound(k, 0.5) == witness_ratio(delta_matrix(2**k + 1), hankel_matrix(p_k), 0.5)
+    n, w = 2**k + 1, hankel_matrix(p_k)
+    s_half = [float(np.sum(np.linalg.svd(m, compute_uv=False) ** 0.5)) ** 2.0
+              for m in (delta_matrix(n) * w[:n, :n], w)]
+    assert delta_lower_bound(k, 0.5) == WitnessReport(*s_half)
     # strictly inside the open dyadic band (2^{k-1}, 2^{k+1})
     assert p_k.lo == 2 ** (k - 1) + 1
     assert p_k.hi == 3 * 2 ** (k - 1) - 1
     assert p_k.coefficient(2**k) == 1.0  # bump peak recentred at 2^k
+
+
+def test_an_upper_end_factor_outside_the_double_range_raises():
+    # (2m)^{1/p-1} = 6^499 overflows a double; the error names p
+    with pytest.raises(OverflowError, match=r"at p=0\.002 leaves the double range"):
+        hankel_multiplier_upper(dirichlet_plus(3), 0.002)
 
 
 @pytest.mark.parametrize("k", [-1, 0, 2.7, True, 3.0, "3"])
@@ -249,8 +252,8 @@ def test_delta_lower_bound_report_shape():
 
 @pytest.mark.parametrize("k", range(4, 9))
 def test_delta_lower_bound_matches_the_padded_mask(k):
-    # E2's witnesses: the mask read as zero outside its block scores as its zero-padded
-    # copy, up to the spectra's rounding floor at p = 1/2
+    # E2's witnesses: the truncated symbol scores as the zero-padded mask against the whole
+    # witness, up to the spectra's rounding floor at p = 1/2
     b = hankel_matrix(bump_poly(2 ** (k - 1)).shift(2**k))
     padded = witness_ratio(_pad(delta_matrix(2**k + 1), *b.shape), b, 0.5)
     assert delta_lower_bound(k, 0.5).ratio == pytest.approx(padded.ratio, rel=1e-8, abs=0)

@@ -74,7 +74,7 @@ FIELDS = {
     "experiments.FitRecord": ("experiment", "p", "fit"),
     "experiments.ExperimentResult": ("config", "records", "fits", "checks"),
     "fitting.ScalingFit": ("points", "slope", "intercept", "max_residual", "target", "tolerance", "passed", "one_sided"),
-    "hankel.BesovReport": ("p", "levels", "zero_term", "total"),
+    "hankel.BesovReport": ("levels", "zero_term", "total"),
     "multipliers.WitnessReport": ("numerator", "denominator"),
     "trigpoly.TrigPoly": ("lo", "coeffs"),
 }
