@@ -18,7 +18,6 @@ class ScalingFit:
     boundedness experiments, where an arbitrarily negative slope is fine).
     """
 
-    points: tuple
     slope: float
     intercept: float
     max_residual: float
@@ -54,7 +53,6 @@ def fit_powerlaw(points, target, tolerance, one_sided=False):
     else:
         passed = abs(slope - target) <= tolerance
     return ScalingFit(
-        points=tuple(pts),
         slope=float(slope),
         intercept=float(intercept),
         max_residual=max_residual,

@@ -113,8 +113,9 @@ def chi_matrix(n):
     """n-by-n upper-triangular all-ones matrix (diagonal included).
 
     Entry (j, k) is 1 iff j <= k, 0-based.  Schur multiplication by this mask
-    is the triangular projection P_n, and the library's one route to it:
-    ``schur_product(chi_matrix(n), a)`` zeroes the strictly lower triangle.
+    is the triangular projection P_n, which zeroes the strictly lower triangle;
+    on a rank-one u v^* it is D_u chi_n D_v^*, whose singular values are those
+    of the real |u| chi_n |v|^T (the factored form of E4 and E8).
     """
     n = _check_size(n)
     return np.triu(np.ones((n, n)))

@@ -115,15 +115,15 @@ def hankel_multiplier_upper(f, p):
 
     Valid for p <= 1 and any analytic polynomial phi; every witness ratio
     against the Hankel matrix of phi stays below it, up to the L^p factor's
-    quadrature error.  A factor beyond the double range raises OverflowError.
+    quadrature error.  A bound beyond the double range raises OverflowError naming p.
     """
     p = _check_p(p, 1.0)
     _require_analytic(f, "hankel_multiplier_upper")
-    try:
-        factor = (2.0 * (f.hi + 1)) ** (1.0 / p - 1.0)
-    except OverflowError:
-        raise OverflowError(f"the factor (2m)^(1/p-1) at p={p:g} leaves the double range") from None
-    return factor * lp_quasinorm(f, p)
+    with np.errstate(over="ignore"):
+        upper = float(np.float64(2.0 * (f.hi + 1)) ** (1.0 / p - 1.0) * lp_quasinorm(f, p))
+    if not math.isfinite(upper):
+        raise OverflowError(f"the bound (2m)^(1/p-1) ||phi||_p at p={p} leaves the double range")
+    return upper
 
 
 def random_witness_search(a, p, draws, seed):

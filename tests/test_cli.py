@@ -334,6 +334,7 @@ def test_an_input_too_large_to_allocate_is_a_usage_error(capsys, argv):
         ["spnorm", "--chi", "64", "--p", "400"],  # p-th powers overflow a double
         ["besov", "--dirichlet", "9", "--p", "800"],
         ["multiplier-bound", "--delta-k", "1", "--p", "0.002"],  # the upper end's (2m)^{1/p-1} overflows
+        ["multiplier-bound", "--delta-k", "6", "--p", "0.00681107223"],  # a finite factor times ||phi||_p overflows
     ],
 )
 def test_a_result_out_of_range_is_a_usage_error(capsys, argv):

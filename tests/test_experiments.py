@@ -166,8 +166,9 @@ def test_fits_need_at_least_three_grid_points():
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-# small plans of the sampled experiments; each reaches a size (E3 k = 6, E4 and
-# E8 n = 128) whose values move with the BLAS thread count
+# small plans of the sampled experiments; E3's reaches k = 6, whose complex SVDs move
+# with the BLAS thread count (E4's and E8's real rank-one spectra gave the same bits
+# at 1 and 2 threads, at n = 128, 256 and 512)
 SAMPLED_PLANS = {"E3": {"kmin": 4, "kmax": 6, "samples": 4}, "E4": {"kmin": 5, "kmax": 7, "samples": 3},
                  "E8": {"kmin": 5, "kmax": 7, "samples": 2}}
 
@@ -419,26 +420,24 @@ def _trace_norm(a):
 
 
 def test_e8_rank_one_ratio_is_the_projection_of_its_seeded_draw():
-    # both families against ||triu(T)||_1 / ||T||_1 from each seeded draw; at p = 1 the dense
-    # rank-one route has no rounding floor, so the factored value must match it
+    # ||triu(T)||_1 / ||T||_1 from each seeded draw T = u v^*; at p = 1 the dense route has no
+    # rounding floor, so the factored value must match it
     result = run_experiment(ExperimentConfig("E8", p=1.0, kmin=4, kmax=6, samples=2))
-    assert len(result.records) == 12
+    assert len(result.records) == 6
     for r in result.records:
-        family = r.quantity.removeprefix("projection_ratio_")
-        gen = SplitMix64(derive_seed("E8", DEFAULT_SEED, family, r.n, r.sample))
-        if family == "rank_one":
-            t_mat = np.outer(gen.complex_normal(r.n), gen.complex_normal(r.n).conj())
-        else:
-            t_mat = gen.complex_normal((r.n, r.n))
+        assert r.quantity == "projection_ratio_rank_one"
+        gen = SplitMix64(derive_seed("E8", DEFAULT_SEED, "rank_one", r.n, r.sample))
+        t_mat = np.outer(gen.complex_normal(r.n), gen.complex_normal(r.n).conj())
         assert r.value == pytest.approx(_trace_norm(np.triu(t_mat)) / _trace_norm(t_mat), rel=1e-12)
 
 
 def test_e4_weak_decay_is_the_projection_spectrum_of_its_seeded_draw():
-    # max_j (j + 1) s_j(triu(T)) / ||T||_1 from each seeded draw, at n = 16, 32 and 64
+    # max_j (j + 1) s_j(triu(T)) / ||T||_1 from each seeded draw T = u v^*, at n = 16, 32 and 64
     result = run_experiment(ExperimentConfig("E4", kmin=4, kmax=6, samples=2))
     assert len(result.records) == 6
     for r in result.records:
-        t_mat = SplitMix64(derive_seed("E4", DEFAULT_SEED, r.n, r.sample)).complex_normal((r.n, r.n))
+        gen = SplitMix64(derive_seed("E4", DEFAULT_SEED, r.n, r.sample))
+        t_mat = np.outer(gen.complex_normal(r.n), gen.complex_normal(r.n).conj())
         decay = np.linalg.svd(np.triu(t_mat), compute_uv=False)
         want = np.max((1.0 + np.arange(r.n)) * decay) / _trace_norm(t_mat)
         assert r.value == pytest.approx(want, rel=1e-12)
@@ -472,10 +471,10 @@ REGISTRY_SHAPE = {
     "E2": (["witness_ratio", "multiplier_upper"], [0.5], ["witness_ratio_below_analytic_upper"]),
     "E3": (["band_ratio"], [0.5], ["band_upper_inequality"]),
     "E4": (["weak_decay_max"], [1.0], []),
-    "E5": (["riesz_ratio", "normalized_ratio"], [1.0], ["normalized_ratio_positive"]),
+    "E5": (["normalized_ratio", "riesz_ratio"], [1.0], ["normalized_ratio_positive"]),
     "E6": (["riesz_projection_ratio"], [0.5], []),
     "E7": (["besov_total", "top_level_term"], [0.5], ["top_level_term_at_least_2k"]),
-    "E8": (["projection_ratio_rank_one", "projection_ratio_gaussian"], [0.5], []),
+    "E8": (["projection_ratio_rank_one"], [0.5], []),
     "E9": (["schatten_quasinorm"], [2.0, 4.0], []),
 }
 SAMPLED = {"E3", "E4", "E8"}

@@ -54,6 +54,5 @@ def test_fit_rejects_non_finite_coordinates(bad):
 def test_fit_is_a_frozen_record():
     fit = fit_powerlaw([(1.0, 1.0), (2.0, 2.0), (4.0, 4.0)], target=1.0, tolerance=0.1)
     assert isinstance(fit, ScalingFit)
-    assert fit.points == ((1.0, 1.0), (2.0, 2.0), (4.0, 4.0))
     with pytest.raises(AttributeError):
         fit.slope = 0.0

@@ -223,6 +223,12 @@ def test_an_upper_end_factor_outside_the_double_range_raises():
         hankel_multiplier_upper(dirichlet_plus(3), 0.002)
 
 
+def test_an_upper_end_beyond_the_double_range_raises():
+    # at k = 6 the factor (2m)^{1/p-1} is finite, and its product with ||phi||_p > 1 overflows
+    with pytest.raises(OverflowError, match=r"at p=0\.00681107223 leaves the double range"):
+        hankel_multiplier_upper(dirichlet_plus(65), 0.00681107223)
+
+
 @pytest.mark.parametrize("k", [-1, 0, 2.7, True, 3.0, "3"])
 def test_level_k_bounds_reject_a_bad_level(k):
     # a bad level is rejected, never truncated or wrapped onto a valid one

@@ -73,7 +73,7 @@ FIELDS = {
     "experiments.CheckResult": ("name", "ok", "detail"),
     "experiments.FitRecord": ("experiment", "p", "fit"),
     "experiments.ExperimentResult": ("config", "records", "fits", "checks"),
-    "fitting.ScalingFit": ("points", "slope", "intercept", "max_residual", "target", "tolerance", "passed", "one_sided"),
+    "fitting.ScalingFit": ("slope", "intercept", "max_residual", "target", "tolerance", "passed", "one_sided"),
     "hankel.BesovReport": ("levels", "zero_term", "total"),
     "multipliers.WitnessReport": ("numerator", "denominator"),
     "trigpoly.TrigPoly": ("lo", "coeffs"),
