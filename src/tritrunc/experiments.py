@@ -194,7 +194,7 @@ class _Spec:
     grid is n = 2^k + offset for k in ks.  fixed_p makes the config reject p,
     and max_p any p above it; samples None is one sample per point and makes
     it reject samples.  The fit reads the first quantity, reduce()d over the
-    point's samples, at x = fit_x(k, n)."""
+    point's samples, at x = n."""
 
     name: str
     blurb: str
@@ -209,7 +209,6 @@ class _Spec:
     reduce: Callable = max
     one_sided: bool = False
     offset: int = 0
-    fit_x: Callable = lambda k, n: n
     check: _Check | None = None
 
 
@@ -291,7 +290,7 @@ _REGISTRY = {
     "E1": _Spec("delta_schatten", "Schatten growth of the anti-triangular mask, p < 1", (4, 11),
                 _mask_schatten, _mask_growth, 0.10, exponents=(0.5, 2.0 / 3.0)),
     "E2": _Spec("delta_multiplier_lower", "constructive multiplier lower bounds vs analytic uppers", (4, 9),
-                _multiplier_interval, _projection_growth, 0.20, max_p=1.0, offset=1, fit_x=lambda k, n: 2**k,
+                _multiplier_interval, _projection_growth, 0.20, max_p=1.0, offset=1,
                 check=_Check("witness_ratio_below_analytic_upper", _ratio_above_upper,
                              "all {count} ratios below the analytic upper bound")),
     "E3": _Spec("band_hankel", "two-sided dyadic band estimate for Hankel matrices", (2, 9),
@@ -426,12 +425,12 @@ def _run(cfg, spec):
         for quantity, value in values.items():
             records.append(SeriesRecord(cfg.experiment, p, k, n, s, quantity, value, wall))
             wall = 0.0  # the point's whole time sits on its first quantity's row
-        fit_vals.setdefault(p, {}).setdefault((k, n), []).append(next(iter(values.values())))
+        fit_vals.setdefault(p, {}).setdefault(n, []).append(next(iter(values.values())))
         if spec.check is not None:
             details.append(spec.check.fails(k, n, s, values))
     fits = []
     for p, at_p in fit_vals.items():
-        pts = [(spec.fit_x(k, n), spec.reduce(vals)) for (k, n), vals in at_p.items()]
+        pts = [(n, spec.reduce(vals)) for n, vals in at_p.items()]
         fit = fit_powerlaw(pts, spec.target(p), spec.tolerance, one_sided=spec.one_sided)
         fits.append(FitRecord(cfg.experiment, p, fit))
     if spec.check is None:

@@ -43,7 +43,7 @@ class BesovReport:
 
 
 def _require_analytic(f, op):
-    if not f.is_analytic:
+    if f.lo < 0 and f.coeffs[: -f.lo].any():  # the first -lo coefficients multiply z^lo..z^-1
         raise ValueError(f"{op} requires an analytic polynomial (no negative-index coefficients); got support {f.lo}..{f.hi}")
 
 
@@ -67,7 +67,8 @@ def besov_quasinorm(f, p):
     (apply_window), so its quadrature grid is sized by the piece's own span,
     not by f's degree; an empty piece contributes 0 with no quadrature.  A
     piece whose L^p power sum underflows contributes 0 too; a nonzero f whose
-    total power sum overflows to inf or underflows to 0 raises OverflowError.
+    total power sum, zero term included, overflows to inf or underflows to 0
+    raises OverflowError naming p.
     """
     p = _check_p(p)
     _require_analytic(f, "besov_quasinorm")
@@ -77,15 +78,16 @@ def besov_quasinorm(f, p):
     while 2.0 ** (n - 1) <= f.hi:
         piece = apply_window(f, n)
         try:
-            term = 0.0 if piece.is_zero else 2.0**n * lp_quasinorm(piece, p) ** p
+            term = 2.0**n * lp_quasinorm(piece, p) ** p if piece.coeffs.any() else 0.0
         except _PowerSumUnderflow:  # |piece|^p is below the smallest double: it adds 0, as rounding would
             term = 0.0
         levels.append((n, term))
         n += 1
 
-    zero_term = abs(f.coefficient(0)) ** p
+    with np.errstate(over="ignore"):  # an infinite zero term reaches the total's check, which names p
+        zero_term = float(abs(f.coefficients_on(0, 0)[0]) ** p)
     power_sum = sum(term for _, term in levels) + zero_term
-    total = 0.0 if f.is_zero else _power_sum_root(power_sum, p)
+    total = _power_sum_root(power_sum, p) if f.coeffs.any() else 0.0
     return BesovReport(levels=tuple(levels), zero_term=zero_term, total=total)
 
 

@@ -105,7 +105,8 @@ def delta_lower_bound(k, p):
     its all-ones witness scores at least 1.2 times as much (measured at k = 1..10, p in [0.05, 1]).
     """
     k = _check_size(k, "k")
-    p_k = bump_poly(2 ** (k - 1)).shift(2**k)
+    bump = bump_poly(2 ** (k - 1))
+    p_k = TrigPoly(bump.lo + 2**k, bump.coeffs)
     kept = TrigPoly(p_k.lo, p_k.coefficients_on(p_k.lo, 2**k))
     return WitnessReport(schatten_quasinorm(hankel_matrix(kept), p), schatten_quasinorm(hankel_matrix(p_k), p))
 

@@ -53,13 +53,6 @@ class TrigPoly:
     def hi(self):
         return self.lo + len(self.coeffs) - 1
 
-    def coefficient(self, j):
-        """The coefficient of z^j (0 outside the stored window)."""
-        j = _check_size(j, "j", least=None)
-        if self.lo <= j <= self.hi:
-            return complex(self.coeffs[j - self.lo])
-        return 0j
-
     def coefficients_on(self, lo, hi):
         """Coefficients on the index window lo..hi inclusive, zero-padded."""
         lo, hi = _check_size(lo, "lo", least=None), _check_size(hi, "hi", least=None)
@@ -71,22 +64,6 @@ class TrigPoly:
         if a <= b:
             out[a - lo : b - lo + 1] = self.coeffs[a - self.lo : b - self.lo + 1]
         return out
-
-    @property
-    def is_analytic(self):
-        """True iff every coefficient with negative index vanishes."""
-        if self.lo >= 0:
-            return True
-        cut = min(self.hi, -1)
-        return not np.any(self.coeffs[: cut - self.lo + 1])
-
-    @property
-    def is_zero(self):
-        return not np.any(self.coeffs)
-
-    def shift(self, m):
-        """Multiply by z^m (shift the support window)."""
-        return TrigPoly(self.lo + _check_size(m, "m", least=None), self.coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, TrigPoly):

@@ -52,7 +52,7 @@ def endpoint_coefficient_corpus(instances=200):
                     _record(
                         violations,
                         f"#{i} {which} p={p}",
-                        abs(f.coefficient(j)),
+                        abs(f.coefficients_on(j, j)[0]),
                         val,
                         1e-6,
                     ),

@@ -98,6 +98,13 @@ def test_besov_power_sum_outside_the_double_range_raises(scale):
         besov_quasinorm(TrigPoly(0, [scale, scale, scale]), 400)
 
 
+@pytest.mark.parametrize("coeffs, p", [([1e300], 400), ([1e300, 1.0], 2)])
+def test_besov_zero_term_outside_the_double_range_raises(coeffs, p):
+    # |phi^(0)|^p overflows; the error names p, with no RuntimeWarning on the way
+    with pytest.raises(OverflowError, match=rf"power sum at p={p} leaves the double range"):
+        besov_quasinorm(TrigPoly(0, coeffs), p)
+
+
 def test_besov_rejects_bad_exponents_and_negative_frequencies():
     with pytest.raises(ValueError, match="exponent"):
         besov_quasinorm(TrigPoly(0, [1.0]), 0.0)
@@ -146,7 +153,7 @@ def test_span_sized_level_grids_pass_the_doubling_certificate():
         f = dirichlet_plus(2**k + 1)
         for n in range(k + 2):
             piece = apply_window(f, n)
-            if piece.is_zero:
+            if not piece.coeffs.any():
                 continue
             floor = quadrature_floor(piece)
             a, b = lp_quasinorm(piece, 0.5, floor), lp_quasinorm(piece, 0.5, 2 * floor)
@@ -160,7 +167,7 @@ def test_span_sized_levels_match_the_degree_sized_grid():
         f = dirichlet_plus(2**k + 1)
         for n, term in besov_quasinorm(f, 0.5).levels:
             piece = apply_window(f, n)
-            if piece.is_zero:
+            if not piece.coeffs.any():
                 assert term == 0.0
                 continue
             wide = TrigPoly(1, piece.coefficients_on(1, 2**k))

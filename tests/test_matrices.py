@@ -234,7 +234,8 @@ def test_jacobi_referee_at_p_below_one(k):
     # E2's witness (24x24 at k = 4, 48x48 at k = 5) has columns far below its
     # Frobenius norm; a stopping test relative to ||A||_F^2 leaves them
     # unrotated, and its S_{1/2} was 1.7e-7 and 5.0e-6 off the 40-digit value
-    b = hankel_matrix(bump_poly(2 ** (k - 1)).shift(2**k))
+    bump = bump_poly(2 ** (k - 1))
+    b = hankel_matrix(TrigPoly(bump.lo + 2**k, bump.coeffs))
     with mpmath.workdps(40):
         eigs = mpmath.eigsy(mpmath.matrix(b.tolist()), eigvals_only=True)
         ref = float(mpmath.fsum(mpmath.sqrt(abs(e)) for e in eigs) ** 2)
@@ -248,7 +249,8 @@ def test_delta_lower_bound_ratio_matches_a_40_digit_eigensolve(k):
     # are their absolute eigenvalues; a symmetric-eigensolver route was 2.2e-9 and
     # 6.5e-10 off here
     n = 2**k + 1
-    b = hankel_matrix(bump_poly(2 ** (k - 1)).shift(2**k))
+    bump = bump_poly(2 ** (k - 1))
+    b = hankel_matrix(TrigPoly(bump.lo + 2**k, bump.coeffs))
     numerator = schur_product(delta_matrix(n), b[:n, :n])
     with mpmath.workdps(40):
         s_half = [

@@ -206,7 +206,8 @@ def test_zero_padding_preserves_schatten_quasinorms():
 def test_delta_lower_bound_witness_is_the_recentred_bump(k):
     # bit for bit the mask's n x n block of the bump witness W over the whole of W: the report
     # scores the symbol truncated at index n - 1, whose Hankel matrix is that block
-    p_k = bump_poly(2 ** (k - 1)).shift(2**k)
+    bump = bump_poly(2 ** (k - 1))
+    p_k = TrigPoly(bump.lo + 2**k, bump.coeffs)
     n, w = 2**k + 1, hankel_matrix(p_k)
     s_half = [float(np.sum(np.linalg.svd(m, compute_uv=False) ** 0.5)) ** 2.0
               for m in (delta_matrix(n) * w[:n, :n], w)]
@@ -214,7 +215,7 @@ def test_delta_lower_bound_witness_is_the_recentred_bump(k):
     # strictly inside the open dyadic band (2^{k-1}, 2^{k+1})
     assert p_k.lo == 2 ** (k - 1) + 1
     assert p_k.hi == 3 * 2 ** (k - 1) - 1
-    assert p_k.coefficient(2**k) == 1.0  # bump peak recentred at 2^k
+    assert p_k.coefficients_on(2**k, 2**k)[0] == 1.0  # bump peak recentred at 2^k
 
 
 def test_an_upper_end_factor_outside_the_double_range_raises():
@@ -240,7 +241,8 @@ def test_level_k_bounds_reject_a_bad_level(k):
 def test_masking_the_witness_is_a_schur_product(k):
     # truncating the polynomial to index <= 2^k acts on the Hankel side as the
     # entrywise product with the 0/1 anti-triangular pattern, zero outside its block
-    p_k = bump_poly(2 ** (k - 1)).shift(2**k)
+    bump = bump_poly(2 ** (k - 1))
+    p_k = TrigPoly(bump.lo + 2**k, bump.coeffs)
     js = np.arange(p_k.lo, p_k.hi + 1)
     r_k = TrigPoly(p_k.lo, np.where(js <= 2**k, p_k.coeffs, 0))
     n, size = 2**k + 1, 3 * 2 ** (k - 1)
@@ -260,7 +262,8 @@ def test_delta_lower_bound_report_shape():
 def test_delta_lower_bound_matches_the_padded_mask(k):
     # E2's witnesses: the truncated symbol scores as the zero-padded mask against the whole
     # witness, up to the spectra's rounding floor at p = 1/2
-    b = hankel_matrix(bump_poly(2 ** (k - 1)).shift(2**k))
+    bump = bump_poly(2 ** (k - 1))
+    b = hankel_matrix(TrigPoly(bump.lo + 2**k, bump.coeffs))
     padded = witness_ratio(_pad(delta_matrix(2**k + 1), *b.shape), b, 0.5)
     assert delta_lower_bound(k, 0.5).ratio == pytest.approx(padded.ratio, rel=1e-8, abs=0)
 

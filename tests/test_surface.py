@@ -63,7 +63,7 @@ METHODS = {
     "hankel.BesovReport": (),
     "multipliers.WitnessReport": ("ratio",),
     "rng.SplitMix64": ("uniform", "complex_normal", "complex_normal_rows", "integers"),
-    "trigpoly.TrigPoly": ("hi", "coefficient", "coefficients_on", "is_analytic", "is_zero", "shift"),
+    "trigpoly.TrigPoly": ("hi", "coefficients_on"),
 }
 
 # public dataclass -> its fields, in declaration order

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from corpora import endpoint_coefficient_corpus
 from oracles import dirichlet_lp_closed_form, direct_lp, longdouble_lp
 import tritrunc.trigpoly as trigpoly
+from tritrunc.hankel import hankel_matrix
 from tritrunc.kernels import apply_window, bump_poly, dirichlet_plus, fejer
 from tritrunc.rng import SplitMix64, derive_seed
 from tritrunc.trigpoly import TrigPoly, lp_quasinorm, quadrature_floor, riesz_plus
@@ -25,9 +26,9 @@ def rand_poly(gen, lo_min=-8, lo_max=8, max_span=12):
 def test_window_properties():
     f = TrigPoly(-2, [1, 0, 3, 0, 5])
     assert (f.lo, f.hi) == (-2, 2)
-    assert f.coefficient(0) == 3
-    assert f.coefficient(99) == 0
-    assert f.coefficient(-2) == 1
+    assert f.coefficients_on(0, 0)[0] == 3
+    assert f.coefficients_on(99, 99)[0] == 0
+    assert f.coefficients_on(-2, -2)[0] == 1
 
 
 def test_coefficients_on_pads_with_zeros():
@@ -42,10 +43,8 @@ POLY = TrigPoly(-2, [1.0, 2.0, 3.0, 4.0])
 # entry point -> (its output with the integer argument n, a value n may take)
 INTEGER_ARGUMENTS = {
     "TrigPoly lo": (lambda n: TrigPoly(n, [1.0, 2.0]).coefficients_on(-4, 4), -1),
-    "coefficient": (lambda n: POLY.coefficient(n), -1),
     "coefficients_on lo": (lambda n: POLY.coefficients_on(n, 3), -3),
     "coefficients_on hi": (lambda n: POLY.coefficients_on(-3, n), 3),
-    "shift": (lambda n: POLY.shift(n).coefficients_on(-6, 6), -3),
     "lp_quasinorm n_samples": (lambda n: lp_quasinorm(POLY, 0.5, n_samples=n), 4097),
 }
 
@@ -102,16 +101,13 @@ def test_padding_never_changes_equality(seed, pad_left, pad_right):
     assert padded == f and f == padded
 
 
-def test_shift_moves_support():
-    f = TrigPoly(0, [1, 2, 3])
-    assert f.shift(5) == TrigPoly(5, [1, 2, 3])
-    assert f.shift(-4).lo == -4
-
-
 def test_is_analytic_semantics():
-    assert TrigPoly(0, [1]).is_analytic
-    assert TrigPoly(-2, [0, 0, 5]).is_analytic  # negative part all zero
-    assert not TrigPoly(-1, [1, 1]).is_analytic
+    # the Hankel matrix takes a polynomial whose negative-index coefficients all vanish
+    hankel_matrix(TrigPoly(0, [1]))
+    hankel_matrix(TrigPoly(-2, [0, 0, 5]))  # negative part all zero
+    for f in (TrigPoly(-1, [1, 1]), TrigPoly(-2, [0, 1, 5])):
+        with pytest.raises(ValueError, match="requires an analytic polynomial"):
+            hankel_matrix(f)
 
 
 # --- quadrature --------------------------------------------------------------
@@ -263,7 +259,7 @@ def test_lp_shift_invariant():
     gen = SplitMix64(derive_seed("trig", "shift"))
     f = rand_poly(gen)
     for m in (-7, 3, 40):
-        assert lp_quasinorm(f.shift(m), 0.7) == pytest.approx(lp_quasinorm(f, 0.7), rel=1e-12)
+        assert lp_quasinorm(TrigPoly(f.lo + m, f.coeffs), 0.7) == pytest.approx(lp_quasinorm(f, 0.7), rel=1e-12)
 
 
 def test_parseval_at_p_two():
@@ -326,7 +322,7 @@ def test_riesz_split_is_exact():
     for _ in range(20):
         f = rand_poly(gen)
         plus = riesz_plus(f)
-        assert plus.is_analytic
+        assert not plus.coefficients_on(min(plus.lo, -1), -1).any()
         lo, hi = min(f.lo, 0), max(f.hi, 0)
         js, whole = np.arange(lo, hi + 1), f.coefficients_on(lo, hi)
         assert np.array_equal(plus.coefficients_on(lo, hi), np.where(js >= 0, whole, 0))
@@ -337,6 +333,6 @@ def test_riesz_edge_cases():
     f = TrigPoly(2, [1, 2])  # already analytic
     assert riesz_plus(f) is f
     g = TrigPoly(-3, [1, 2])  # entirely anti-analytic
-    assert riesz_plus(g).is_zero
+    assert not riesz_plus(g).coeffs.any()
     h = TrigPoly(-1, [5, 7])
     assert riesz_plus(h) == TrigPoly(0, [7])
