@@ -169,11 +169,11 @@ def _cmd_experiment(args):
     doc.update({key: getattr(args, key) for key in ("seed", "p", "kmin", "kmax") if getattr(args, key) is not None})
     if args.action == "run":
         outs = {args.id: args.out}
-    elif "experiment" in doc or "out" in doc:
-        raise ValueError("a config used with 'experiment all' must not pin one experiment id or output path")
+    elif "experiment" in doc:
+        raise ValueError("a config used with 'experiment all' must not pin one experiment id")
     else:
         outs = {exp: None if args.out is None else os.path.join(args.out, f"{exp}.csv") for exp in EXPERIMENT_IDS}
-    cfgs = [config_from_dict(doc if out is None else {**doc, "out": out}, experiment=exp) for exp, out in outs.items()]
+    runs = [(config_from_dict(doc, experiment=exp), out) for exp, out in outs.items()]
     if args.action == "all" and args.out is not None:
         try:
             os.makedirs(args.out, exist_ok=True)
@@ -181,8 +181,8 @@ def _cmd_experiment(args):
             raise ValueError(f"cannot use --out {args.out} as the output directory: {exc}") from exc
     # every config is resolved, and the output directory made, before any experiment runs
     ok = True
-    for cfg in cfgs:
-        result = run_experiment(cfg)
+    for cfg, out in runs:
+        result = run_experiment(cfg, out)
         _print_result(result)
         ok = ok and result.verdict
     if args.action == "all":

@@ -57,11 +57,11 @@ CSV_HEADER = "experiment,p,k,n,sample,quantity,value,wall_ms"
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One batch run, and the one owner of its plan: construction fills in
+    """The plan of one batch run, and its one owner: construction fills in
     the registered kmin, kmax and samples (``exponents`` and ``grid`` read the
     rest) and rejects every plan a run would trip over later.  That includes
     a field the experiment does not use: p on the fixed-exponent experiments,
-    samples on the single-sample ones."""
+    samples on the single-sample ones.  The output path is run_experiment's."""
 
     experiment: str
     p: float | None = None
@@ -69,7 +69,6 @@ class ExperimentConfig:
     kmax: int | None = None
     samples: int | None = None
     seed: int = DEFAULT_SEED
-    out: str | None = None
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENT_IDS:
@@ -86,8 +85,6 @@ class ExperimentConfig:
             if value is not None:  # samples stays None on a single-sample experiment
                 object.__setattr__(self, name, _check_size(value, name))
         object.__setattr__(self, "seed", _check_size(self.seed, "seed", least=None))
-        if self.out is not None and not (isinstance(self.out, str) and self.out):
-            raise ValueError(f"out must be a nonempty path, got {self.out!r}")
         derive_seed(self.seed)
         if self.kmin > self.kmax:
             raise ValueError(f"kmin={self.kmin} exceeds kmax={self.kmax}")
@@ -444,17 +441,19 @@ def _record_sort_key(r):
     return (r.experiment, r.p, r.k, r.n, r.quantity, r.sample)
 
 
-def run_experiment(cfg):
-    """Run one experiment to completion and return its result bundle.
+def run_experiment(cfg, out=None):
+    """Run the plan cfg to completion and return its result bundle.
 
-    If cfg.out is set, the CSV records and the JSON fit summary
-    (<out>.fits.json next to it) are written; the output location is
+    If out is set, the CSV records are written to the path out and the JSON
+    fit summary to <out>.fits.json next to it; the output location is
     validated before any computation starts.
     """
-    if cfg.out is not None:
-        if os.path.isdir(cfg.out):
-            raise ValueError(f"output path is a directory: {cfg.out}")
-        parent = os.path.dirname(os.path.abspath(cfg.out))
+    if out is not None:
+        if not (isinstance(out, str) and out):
+            raise ValueError(f"out must be a nonempty path, got {out!r}")
+        if os.path.isdir(out):
+            raise ValueError(f"output path is a directory: {out}")
+        parent = os.path.dirname(os.path.abspath(out))
         if not os.path.isdir(parent):
             raise ValueError(f"output directory does not exist: {parent}")
         if not os.access(parent, os.W_OK):
@@ -467,9 +466,9 @@ def run_experiment(cfg):
         fits=tuple(fits),
         checks=tuple(checks),
     )
-    if cfg.out is not None:
-        write_records_csv(cfg.out, result.records)
-        stem, _ = os.path.splitext(cfg.out)
+    if out is not None:
+        write_records_csv(out, result.records)
+        stem, _ = os.path.splitext(out)
         with open(stem + ".fits.json", "w", encoding="utf-8", newline="\n") as fh:
             fh.write(fits_json(result.fits))
     return result

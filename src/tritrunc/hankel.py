@@ -48,9 +48,10 @@ def _require_analytic(f, op):
 
 
 def hankel_matrix(f):
-    """The (d+1) x (d+1) Hankel matrix with entries phi^(j+k), d = f.hi (stored, untrimmed)."""
+    """The (d+1) x (d+1) Hankel matrix with entries phi^(j+k), d = max(f.hi, 0) (stored, untrimmed):
+    a zero symbol stored at negative indices only is the 1 x 1 zero matrix."""
     _require_analytic(f, "hankel_matrix")
-    d = f.hi
+    d = max(f.hi, 0)
     c = f.coefficients_on(0, 2 * d)
     idx = np.add.outer(np.arange(d + 1), np.arange(d + 1))
     m = c[idx]

@@ -1,7 +1,7 @@
-"""Dense complex matrix algebra: Schur-Hadamard products, singular values
-(one LAPACK route, the SVD), Schatten quasinorms, and the structured 0/1
-masks used throughout (upper-triangular mask, its Hankel companion), with
-their singular spectrum in closed form."""
+"""Dense complex matrix algebra: singular values (one LAPACK route, the
+SVD), Schatten quasinorms, and the structured 0/1 masks used throughout
+(upper-triangular mask, its Hankel companion), with their singular spectrum
+in closed form."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ import numbers
 import numpy as np
 
 __all__ = [
-    "schur_product",
     "singular_values",
     "schatten_quasinorm",
     "chi_matrix",
@@ -51,15 +50,6 @@ def _check_size(n, name="n", least=1):
     if least is not None and n < least:
         raise ValueError(f"{name} must be >= {least}, got {n}")
     return n
-
-
-def schur_product(a, b):
-    """Entrywise (Schur-Hadamard) product of two equally shaped matrices."""
-    a = _as_matrix(a, "a")
-    b = _as_matrix(b, "b")
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch in schur_product: {a.shape} vs {b.shape}")
-    return a * b
 
 
 def singular_values(a):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .hankel import _require_analytic, hankel_matrix
 from .kernels import bump_poly
-from .matrices import _as_matrix, _check_p, _check_size, schatten_quasinorm, schur_product
+from .matrices import _as_matrix, _check_p, _check_size, schatten_quasinorm
 from .rng import SplitMix64, derive_seed
 from .trigpoly import TrigPoly, lp_quasinorm
 
@@ -47,8 +47,8 @@ class WitnessReport:
 def witness_ratio(a, b, p):
     """Evaluate the witness b against the multiplier a at exponent p.
 
-    A matrix b has the multiplier's shape, as in schur_product: the numerator
-    is the S_p quasinorm of a * b and the denominator that of b.
+    A matrix b has the multiplier's shape: the numerator is the S_p
+    quasinorm of the entrywise product a * b and the denominator that of b.
 
     A tuple ``b = (u, v)`` stands for the rank-one witness u v^* and is
     evaluated in factored form.  Its denominator is ||u|| ||v|| for every p,
@@ -56,18 +56,18 @@ def witness_ratio(a, b, p):
     D_u a D_v^*; the unitary phases of the diagonals drop out, so it is that
     of the matrix |u| a |v|^T (real for a real a), with its zero rows and
     columns removed.  A pair whose ||u|| ||v|| overflows or underflows the
-    double range raises ValueError, as does a non-finite factor or multiplier
-    entry.
+    double range raises ValueError, as does a non-finite entry of either
+    form's witness or of the multiplier.
     """
     a = np.asarray(a)
     if isinstance(b, tuple):
         return _rank_one_ratio(a, *b, p)
-    b = np.asarray(b)
+    b = _as_matrix(b, "witness")
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: multiplier {a.shape} vs witness {b.shape}")
     if not np.any(b):
         raise ValueError("zero witness")
-    return WitnessReport(schatten_quasinorm(schur_product(a, b), p), schatten_quasinorm(b, p))
+    return WitnessReport(schatten_quasinorm(_as_matrix(a, "multiplier") * b, p), schatten_quasinorm(b, p))
 
 
 def _rank_one_ratio(a, u, v, p):

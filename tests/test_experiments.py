@@ -66,8 +66,6 @@ def test_config_rejects_unknown_experiment():
         (dict(p=[0.5]), "p must be a real number"),
         (dict(p="0.5"), "p must be a real number"),
         (dict(p=True), "p must be a real number"),
-        (dict(out=5), "out must be a nonempty path"),
-        (dict(out=""), "out must be a nonempty path"),
     ],
 )
 def test_config_field_validation(kwargs, message):
@@ -97,6 +95,8 @@ def test_multiplier_experiment_rejects_p_above_one():
 def test_config_from_dict_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown config keys: smaples"):
         config_from_dict({"experiment": "E1", "smaples": 3})
+    with pytest.raises(ValueError, match="unknown config keys: out"):  # the output path is run_experiment's
+        config_from_dict({"experiment": "E1", "out": "x.csv"})
     with pytest.raises(ValueError, match="JSON object"):
         config_from_dict(["E1"])
 
@@ -140,8 +140,7 @@ def test_runs_are_reproducible_modulo_wall_time(tmp_path):
     paths = []
     for name in ("one.csv", "two.csv"):
         out = tmp_path / name
-        cfg = ExperimentConfig("E4", kmin=4, kmax=6, samples=3, out=str(out))
-        run_experiment(cfg)
+        run_experiment(ExperimentConfig("E4", kmin=4, kmax=6, samples=3), str(out))
         paths.append(out)
     a, b = (strip_wall(path.read_text(encoding="utf-8")) for path in paths)
     assert a == b
@@ -379,8 +378,7 @@ def test_importing_tritrunc_loads_no_process_machinery():
 
 def test_csv_and_fit_formats(tmp_path):
     out = tmp_path / "e6.csv"
-    cfg = ExperimentConfig("E6", kmin=3, kmax=5, out=str(out))
-    result = run_experiment(cfg)
+    result = run_experiment(ExperimentConfig("E6", kmin=3, kmax=5), str(out))
 
     raw = out.read_bytes()
     assert b"\r" not in raw and raw.endswith(b"\n")
@@ -401,12 +399,14 @@ def test_csv_and_fit_formats(tmp_path):
     assert fits[0]["pass"] == result.fits[0].fit.passed
 
 
-def test_output_location_is_validated_before_compute(tmp_path):
-    cfg = ExperimentConfig("E1", out=str(tmp_path / "missing" / "x.csv"))
-    with pytest.raises(ValueError, match="does not exist"):
-        run_experiment(cfg)
-    with pytest.raises(ValueError, match="is a directory"):
-        run_experiment(ExperimentConfig("E1", out=str(tmp_path)))
+def test_output_location_is_validated_before_compute(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiments, "_run", None)  # any computation would raise TypeError
+    cfg = ExperimentConfig("E1")
+    for out, message in ((5, "out must be a nonempty path, got 5"), ("", "out must be a nonempty path, got ''"),
+                         (str(tmp_path / "missing" / "x.csv"), "does not exist"), (str(tmp_path), "is a directory")):
+        with pytest.raises(ValueError, match=message):
+            run_experiment(cfg, out)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_records_are_sorted_by_the_published_key():

@@ -46,6 +46,14 @@ def test_hankel_rejects_negative_frequencies():
         hankel_matrix(TrigPoly(-1, [1.0, 1.0]))
 
 
+def test_a_zero_symbol_at_negative_indices_is_the_one_by_one_zero_matrix():
+    # stored at negative indices only, so f.hi < 0; its S_p is 0, as its Besov quasinorm is
+    for f in (TrigPoly(-3, [0.0, 0.0]), TrigPoly(-1, [0.0])):
+        m = hankel_matrix(f)
+        assert m.shape == (1, 1) and not m.any()
+        assert schatten_quasinorm(m, 0.5) == besov_quasinorm(f, 0.5).total == 0.0
+
+
 def test_hankel_dtype_tracks_coefficients():
     assert np.isrealobj(hankel_matrix(TrigPoly(0, [1.0, 2.0])))
     m = hankel_matrix(TrigPoly(0, [1.0, 1j]))

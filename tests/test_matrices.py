@@ -15,7 +15,6 @@ from tritrunc.matrices import (
     delta_matrix,
     mask_spectrum,
     schatten_quasinorm,
-    schur_product,
     singular_values,
 )
 from tritrunc.multipliers import delta_lower_bound
@@ -61,32 +60,14 @@ def test_sizes_must_be_integers(builder):
     np.testing.assert_equal(builder(np.int64(3)), builder(3))
 
 
-def test_schur_product_entrywise():
-    a = np.array([[1, 2], [3, 4]], dtype=float)
-    b = np.array([[5, 6], [7, 8]], dtype=float)
-    assert np.array_equal(schur_product(a, b), a * b)
-
-
-def test_schur_product_shape_mismatch_names_shapes():
-    with pytest.raises(ValueError, match=r"\(2, 2\).*\(2, 3\)"):
-        schur_product(np.ones((2, 2)), np.ones((2, 3)))
-
-
-def test_schur_product_rejects_non_finite():
-    a = np.ones((2, 2))
-    a[0, 0] = np.nan
-    with pytest.raises(ValueError):
-        schur_product(a, np.ones((2, 2)))
-
-
 def test_triangular_projection_matches_chi_mask():
     # P_n is Schur multiplication by chi_n: it zeroes the strictly lower triangle, and is idempotent
     gen = SplitMix64(derive_seed("matrices", "proj"))
     for n in (1, 2, 7):
         a = gen.complex_normal((n, n))
-        projected = schur_product(chi_matrix(n), a)
+        projected = chi_matrix(n) * a
         assert np.array_equal(projected, np.triu(a))
-        assert np.array_equal(schur_product(chi_matrix(n), projected), projected)
+        assert np.array_equal(chi_matrix(n) * projected, projected)
 
 
 def test_chi2_trace_norm_is_sqrt5():
@@ -251,7 +232,7 @@ def test_delta_lower_bound_ratio_matches_a_40_digit_eigensolve(k):
     n = 2**k + 1
     bump = bump_poly(2 ** (k - 1))
     b = hankel_matrix(TrigPoly(bump.lo + 2**k, bump.coeffs))
-    numerator = schur_product(delta_matrix(n), b[:n, :n])
+    numerator = delta_matrix(n) * b[:n, :n]
     with mpmath.workdps(40):
         s_half = [
             mpmath.fsum(mpmath.sqrt(abs(e)) for e in mpmath.eigsy(mpmath.matrix(m.tolist()), eigvals_only=True)) ** 2

@@ -16,7 +16,6 @@ from tritrunc.matrices import (
     delta_matrix,
     mask_spectrum,
     schatten_quasinorm,
-    schur_product,
 )
 from tritrunc.multipliers import (
     WitnessReport,
@@ -247,9 +246,9 @@ def test_masking_the_witness_is_a_schur_product(k):
     r_k = TrigPoly(p_k.lo, np.where(js <= 2**k, p_k.coeffs, 0))
     n, size = 2**k + 1, 3 * 2 ** (k - 1)
     assert hankel_matrix(p_k).shape == hankel_matrix(r_k).shape == (size, size)
-    masked = schur_product(_pad(delta_matrix(n), size, size), hankel_matrix(p_k))
+    masked = _pad(delta_matrix(n), size, size) * hankel_matrix(p_k)
     assert np.array_equal(masked, hankel_matrix(r_k))
-    assert np.array_equal(masked[:n, :n], schur_product(delta_matrix(n), hankel_matrix(p_k)[:n, :n]))
+    assert np.array_equal(masked[:n, :n], delta_matrix(n) * hankel_matrix(p_k)[:n, :n])
 
 
 def test_delta_lower_bound_report_shape():
@@ -351,12 +350,12 @@ def test_p_triangle_controls_the_doubled_mask():
     p = 0.5
     for n in (2, 3, 5, 8):
         b = rng.complex_normal((2 * n, 2 * n))
-        whole = schatten_quasinorm(schur_product(chi_matrix(2 * n), b), p) ** p
+        whole = schatten_quasinorm(chi_matrix(2 * n) * b, p) ** p
         zero = np.zeros((n, n))
         diag_mask = np.block([[chi_matrix(n), zero], [zero, chi_matrix(n)]])
-        diag = schatten_quasinorm(schur_product(diag_mask, b), p) ** p
+        diag = schatten_quasinorm(diag_mask * b, p) ** p
         corner_mask = np.block([[zero, np.ones((n, n))], [zero, zero]])
-        corner = schatten_quasinorm(schur_product(corner_mask, b), p) ** p
+        corner = schatten_quasinorm(corner_mask * b, p) ** p
         assert whole <= diag + corner + 1e-9
 
 
@@ -378,6 +377,24 @@ def test_witness_search_never_loses_to_the_constructive_witness():
         for p in (0.05, 0.25, 0.5, 0.75, 1.0):
             found = random_witness_search(a, p, draws=0, seed=1)
             assert found.ratio >= 1.2 * delta_lower_bound(k, p).ratio
+
+
+def test_search_draws_never_beat_the_all_ones_pair_on_the_queries_mix():
+    # the multiplier-bound rows of the benchmark's query mix: k = 3..6, p = 1/2, budgets 25, 50 and 100
+    for k in range(3, 7):
+        a = delta_matrix(2**k + 1)
+        ones = np.ones(a.shape[0])
+        for draws in (12, 25, 50):
+            for seed in (1701, 2029):
+                assert random_witness_search(a, 0.5, draws, seed) == witness_ratio(a, (ones, ones), 0.5)
+
+
+def test_search_draws_beat_the_all_ones_pair_at_small_levels_near_p_one():
+    # so the all-ones pair alone would lower these rows: by 1.9% at k = 1 and 2.4% at k = 2
+    for k in (1, 2):
+        a = delta_matrix(2**k + 1)
+        ones = np.ones(a.shape[0])
+        assert random_witness_search(a, 1.0, 50, 1701).ratio > 1.01 * witness_ratio(a, (ones, ones), 1.0).ratio
 
 
 def _pool_and_rank_one_best(a, p, draws, seed):

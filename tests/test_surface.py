@@ -12,6 +12,7 @@ import re
 from pathlib import Path
 
 import tritrunc
+from tritrunc.experiments import ExperimentConfig
 
 PUBLIC = {
     "cli": ("main", "build_parser"),
@@ -33,7 +34,6 @@ PUBLIC = {
     "hankel": ("BesovReport", "hankel_matrix", "besov_quasinorm", "band_hankel_check"),
     "kernels": ("standard_bump", "standard_window", "dirichlet_plus", "fejer", "bump_poly", "apply_window"),
     "matrices": (
-        "schur_product",
         "singular_values",
         "schatten_quasinorm",
         "chi_matrix",
@@ -68,7 +68,7 @@ METHODS = {
 
 # public dataclass -> its fields, in declaration order
 FIELDS = {
-    "experiments.ExperimentConfig": ("experiment", "p", "kmin", "kmax", "samples", "seed", "out"),
+    "experiments.ExperimentConfig": ("experiment", "p", "kmin", "kmax", "samples", "seed"),
     "experiments.SeriesRecord": ("experiment", "p", "k", "n", "sample", "quantity", "value", "wall_ms"),
     "experiments.CheckResult": ("name", "ok", "detail"),
     "experiments.FitRecord": ("experiment", "p", "fit"),
@@ -175,3 +175,11 @@ def test_readme_module_table_names_only_public_names():
     for module, contents in rows.items():
         named = {tok for tok in re.findall(r"`([^`]+)`", contents) if tok.isidentifier()} - README_NON_NAMES
         assert named <= set(PUBLIC[module]) | methods[module], module
+
+
+def test_readme_config_paragraph_names_exactly_the_config_fields():
+    # the README lists the keys --config accepts; each is a field of ExperimentConfig, and every field is listed
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    paragraph = readme.split("`--config FILE` accepts", 1)[1].split("Explicit flags override", 1)[0]
+    named = {tok for tok in re.findall(r"`([^`]+)`", paragraph) if tok.isidentifier()}
+    assert named == {f.name for f in dataclasses.fields(ExperimentConfig)}
