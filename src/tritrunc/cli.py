@@ -35,7 +35,6 @@ from .hankel import besov_quasinorm
 from .kernels import dirichlet_plus
 from .matrices import _check_p, _check_size, _schatten_from_spectrum, delta_matrix, mask_spectrum
 from .multipliers import hankel_multiplier_upper, random_witness_search
-from .rng import derive_seed
 
 __all__ = ["main", "build_parser"]
 
@@ -109,12 +108,11 @@ def _load_config_doc(path):
 def _print_result(result):
     cfg = result.config
     print(f"[{cfg.experiment}] {experiment_description(cfg.experiment)}")
-    for fr in result.fits:
-        fit = fr.fit
+    for p, fit in result.fits:
         band = f"<= {fit.target + fit.tolerance:g}" if fit.one_sided else f"{fit.target:g} +- {fit.tolerance:g}"
         status = "pass" if fit.passed else "FAIL"
         print(
-            f"  fit p={fr.p:g}: slope {fit.slope:+.4f} (want {band}), "
+            f"  fit p={p:g}: slope {fit.slope:+.4f} (want {band}), "
             f"max residual {fit.max_residual:.3g} -> {status}"
         )
     for check in result.checks:
@@ -126,15 +124,14 @@ def _print_result(result):
 def _cmd_spnorm(args):
     # both masks share the closed-form spectrum; the all-ones matrix has rank one, so S_p is its one singular value N
     p = _check_p(args.p)
-    if args.ones is None:
-        print(f"{_schatten_from_spectrum(mask_spectrum(args.delta if args.chi is None else args.chi), p):.17g}")
-    else:
-        print(_check_size(args.ones))
+    which = next(name for name in ("chi", "delta", "ones") if getattr(args, name) is not None)
+    n = _check_size(getattr(args, which), f"--{which}")
+    print(n if which == "ones" else f"{_schatten_from_spectrum(mask_spectrum(n), p):.17g}")
     return 0
 
 
 def _cmd_besov(args):
-    report = besov_quasinorm(dirichlet_plus(args.dirichlet), args.p)
+    report = besov_quasinorm(dirichlet_plus(_check_size(args.dirichlet, "--dirichlet")), args.p)
     print(f"{report.total:.17g}")
     if args.levels:
         for n, term in report.levels:
@@ -146,7 +143,6 @@ def _cmd_besov(args):
 def _cmd_multiplier_bound(args):
     p = _check_p(args.p, 1.0)
     budget = _check_size(args.budget, "--budget", least=0)
-    derive_seed(args.seed)  # a seed the stream cannot encode is rejected before any work
     if args.delta_k is not None:
         if args.kmax is not None:
             raise ValueError("--kmax goes with --kmin, not --delta-k")

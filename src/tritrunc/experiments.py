@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fitting import ScalingFit, fit_powerlaw
+from .fitting import fit_powerlaw
 from .hankel import HARD_TOL, band_hankel_check, besov_quasinorm
 from .kernels import bump_poly, dirichlet_plus, fejer
 from .matrices import _check_p, _check_size, _schatten_from_spectrum, chi_matrix, mask_spectrum, singular_values
@@ -41,7 +41,6 @@ __all__ = [
     "ExperimentConfig",
     "SeriesRecord",
     "CheckResult",
-    "FitRecord",
     "ExperimentResult",
     "config_from_dict",
     "run_experiment",
@@ -146,25 +145,10 @@ class CheckResult:
 
 
 @dataclass(frozen=True)
-class FitRecord:
-    experiment: str
-    p: float
-    fit: ScalingFit
-
-    def to_json_dict(self):
-        return {
-            "experiment": self.experiment,
-            "p": self.p,
-            "target": self.fit.target,
-            "slope": self.fit.slope,
-            "intercept": self.fit.intercept,
-            "max_residual": self.fit.max_residual,
-            "pass": self.fit.passed,
-        }
-
-
-@dataclass(frozen=True)
 class ExperimentResult:
+    """One run: its plan, its records in CSV order, its fits as (p, ScalingFit)
+    pairs in sweep order, and its hard checks."""
+
     config: ExperimentConfig
     records: tuple
     fits: tuple
@@ -172,7 +156,7 @@ class ExperimentResult:
 
     @property
     def verdict(self):
-        return all(f.fit.passed for f in self.fits) and all(c.ok for c in self.checks)
+        return all(fit.passed for _, fit in self.fits) and all(c.ok for c in self.checks)
 
 
 # --- the registry: what each experiment declares -----------------------------
@@ -425,11 +409,8 @@ def _run(cfg, spec):
         fit_vals.setdefault(p, {}).setdefault(n, []).append(next(iter(values.values())))
         if spec.check is not None:
             details.append(spec.check.fails(k, n, s, values))
-    fits = []
-    for p, at_p in fit_vals.items():
-        pts = [(n, spec.reduce(vals)) for n, vals in at_p.items()]
-        fit = fit_powerlaw(pts, spec.target(p), spec.tolerance, one_sided=spec.one_sided)
-        fits.append(FitRecord(cfg.experiment, p, fit))
+    fits = [(p, fit_powerlaw([(n, spec.reduce(vals)) for n, vals in at_p.items()], spec.target(p),
+                             spec.tolerance, one_sided=spec.one_sided)) for p, at_p in fit_vals.items()]
     if spec.check is None:
         return records, fits, []
     bad = [d for d in details if d is not None]
@@ -470,7 +451,7 @@ def run_experiment(cfg, out=None):
         write_records_csv(out, result.records)
         stem, _ = os.path.splitext(out)
         with open(stem + ".fits.json", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(fits_json(result.fits))
+            fh.write(fits_json(result))
     return result
 
 
@@ -491,5 +472,10 @@ def write_records_csv(path, records):
         fh.write("\n".join(lines) + "\n")
 
 
-def fits_json(fits):
-    return json.dumps([f.to_json_dict() for f in fits], indent=2) + "\n"
+def fits_json(result):
+    """The JSON fit summary of a run: one object per fit, in sweep order."""
+    return json.dumps([
+        {"experiment": result.config.experiment, "p": p, "target": fit.target, "slope": fit.slope,
+         "intercept": fit.intercept, "max_residual": fit.max_residual, "pass": fit.passed}
+        for p, fit in result.fits
+    ], indent=2) + "\n"

@@ -1,13 +1,14 @@
 """Laurent (trigonometric) polynomials on the unit circle.
 
 A TrigPoly stores the exact coefficient window [lo, hi] with no automatic
-trimming; equality is padding-insensitive.  The L^p quasinorm for
-0 < p < infinity is a midpoint-shifted Riemann sum over normalized Lebesgue
-measure on the circle.  Its N-point grid is fixed by the quadrature floor;
-the sum over it is evaluated folded, as short inverse FFTs of the nonzero
-coefficient window reduced block by block, so its memory is O(block) rather
-than O(N).  For real coefficients |f| is mirror-symmetric on the nodes, so at
-even N only the first half of the grid is transformed and its sum doubled.
+trimming; == and hash are by identity (compare lo and coeffs for values).
+The L^p quasinorm for 0 < p < infinity is a midpoint-shifted Riemann sum
+over normalized Lebesgue measure on the circle.  Its N-point grid is fixed
+by the quadrature floor; the sum over it is evaluated folded, as short
+inverse FFTs of the nonzero coefficient window reduced block by block, so
+its memory is O(block) rather than O(N).  For real coefficients |f| is
+mirror-symmetric on the nodes, so at even N only the first half of the grid
+is transformed and its sum doubled.
 """
 
 from __future__ import annotations
@@ -64,16 +65,6 @@ class TrigPoly:
         if a <= b:
             out[a - lo : b - lo + 1] = self.coeffs[a - self.lo : b - self.lo + 1]
         return out
-
-    def __eq__(self, other):
-        if not isinstance(other, TrigPoly):
-            return NotImplemented
-        lo = min(self.lo, other.lo)
-        hi = max(self.hi, other.hi)
-        return bool(np.array_equal(self.coefficients_on(lo, hi), other.coefficients_on(lo, hi)))
-
-    def __hash__(self):
-        raise TypeError("TrigPoly is not hashable (padding-insensitive equality)")
 
     def __repr__(self):
         return f"TrigPoly(lo={self.lo}, hi={self.hi}, nnz={int(np.count_nonzero(self.coeffs))})"

@@ -67,10 +67,9 @@ def batch():
 
 def fit_summary(result):
     return ", ".join(
-        f"p={fr.p:g}: slope {fr.fit.slope:+.4f} want "
-        + (f"<= {fr.fit.target + fr.fit.tolerance:g}" if fr.fit.one_sided
-           else f"{fr.fit.target:g}+-{fr.fit.tolerance:g}")
-        for fr in result.fits
+        f"p={p:g}: slope {fit.slope:+.4f} want "
+        + (f"<= {fit.target + fit.tolerance:g}" if fit.one_sided else f"{fit.target:g}+-{fit.tolerance:g}")
+        for p, fit in result.fits
     )
 
 
@@ -83,7 +82,7 @@ def experiment_criterion(batch, exp, name, announce, judge=None):
     result, wall = batch[exp]
     budget = BUDGETS.get(exp)
     if judge is None:
-        law_ok, detail = all(fr.fit.passed for fr in result.fits), fit_summary(result)
+        law_ok, detail = all(fit.passed for _, fit in result.fits), fit_summary(result)
     else:
         law_ok, detail = judge(result)
     ok = law_ok and all(c.ok for c in result.checks) and (budget is None or wall <= budget)
@@ -144,17 +143,17 @@ def dirichlet_split(series, p, target, tol):
 
 def dirichlet_split_judge(result):
     """The registered E7 run judged on its level split, next to its plain fit."""
-    (fr,) = result.fits
+    ((p, fit),) = result.fits
     by_n = {}
     for r in result.records:
         by_n.setdefault(r.n, {})[r.quantity] = r.value
     series = [(n, q["besov_total"], q["top_level_term"]) for n, q in sorted(by_n.items())]
-    split = dirichlet_split(series, fr.p, fr.fit.target, fr.fit.tolerance)
+    split = dirichlet_split(series, p, fit.target, fit.tolerance)
     detail = (
-        f"registered plain slope {fr.fit.slope:+.4f} {'PASS' if fr.fit.passed else 'FAIL'}; "
-        f"top slope {split.top_fit.slope:+.3f} want {fr.fit.target:g}+-{fr.fit.tolerance:g}; "
+        f"registered plain slope {fit.slope:+.4f} {'PASS' if fit.passed else 'FAIL'}; "
+        f"top slope {split.top_fit.slope:+.3f} want {fit.target:g}+-{fit.tolerance:g}; "
         f"remainder share {split.shares[0]:.2f} -> {split.shares[-1]:.2f}, "
-        f"slope {split.share_slope:+.3f} want <= {-fr.fit.tolerance:g}"
+        f"slope {split.share_slope:+.3f} want <= {-fit.tolerance:g}"
     )
     return split.ok, detail
 

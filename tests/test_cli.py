@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tritrunc import cli, experiments
+from tritrunc import cli, experiments, matrices
 from tritrunc.cli import build_parser, main
 from tritrunc.hankel import besov_quasinorm
 from tritrunc.kernels import dirichlet_plus
@@ -55,6 +55,15 @@ def test_spnorm_reads_closed_forms(capsys, monkeypatch, which):
     code, out, err = run_cli(capsys, "spnorm", which, "512", "--p", "0.5")
     assert code == 0 and err == "" and float(out) > 0
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["spnorm", flag, "0", "--p", "0.5"] for flag in ("--chi", "--delta", "--ones")]
+    + [["besov", "--dirichlet", "0", "--p", "0.5"]],
+)
+def test_a_size_below_one_names_its_flag(capsys, argv):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {argv[1]} must be >= 1, got 0\n")
 
 
 def test_spnorm_rejects_nonpositive_p(capsys):
@@ -310,6 +319,17 @@ def test_multiplier_bound_rejects_p_before_any_work(capsys, monkeypatch, level, 
     code, out, err = run_cli(capsys, "multiplier-bound", *level, "--p", p, "--budget", "200")
     want = "p must lie in (0, 1], got 2.0" if p == "2" else "exponent p must be positive and finite"
     assert code == 2 and out == "" and want in err
+    assert calls == []
+
+
+@pytest.mark.parametrize("budget", ["0", "4"])
+@pytest.mark.parametrize("level", [["--delta-k", "3"], ["--kmin", "1", "--kmax", "3"]])
+def test_an_unencodable_seed_is_rejected_before_any_svd(capsys, monkeypatch, level, budget):
+    # the search derives its stream before it evaluates its first witness, whatever the budget
+    calls = []
+    monkeypatch.setattr(matrices, "singular_values", lambda a: calls.append(a.shape))
+    code, out, err = run_cli(capsys, "multiplier-bound", *level, "--p", "0.5", "--budget", budget, "--seed", BIG_SEED)
+    assert code == 2 and out == "" and "outside the 64-bit range" in err
     assert calls == []
 
 

@@ -396,7 +396,7 @@ def test_csv_and_fit_formats(tmp_path):
         ["experiment", "p", "target", "slope", "intercept", "max_residual", "pass"]
     ]
     assert fits[0]["experiment"] == "E6"
-    assert fits[0]["pass"] == result.fits[0].fit.passed
+    assert fits[0]["pass"] == result.fits[0][1].passed
 
 
 def test_output_location_is_validated_before_compute(tmp_path, monkeypatch):
@@ -448,9 +448,9 @@ def test_e4_weak_decay_is_the_projection_spectrum_of_its_seeded_draw():
 
 def test_e1_recovers_the_registered_growth_rate():
     result = run_experiment(ExperimentConfig("E1", p=0.5, kmin=4, kmax=8))
-    (fit,) = result.fits
-    assert fit.fit.target == 2.0
-    assert 1.9 <= fit.fit.slope <= 2.1
+    ((_, fit),) = result.fits
+    assert fit.target == 2.0
+    assert 1.9 <= fit.slope <= 2.1
     assert result.verdict
 
 
@@ -460,7 +460,7 @@ def test_e1_recovers_the_registered_growth_rate():
                                                   ("E6", 2.0, 7, 0.0), ("E7", 2.0, 7, 1.0), ("E8", 2.0, 7, 0.0)])
 def test_a_law_holds_on_the_other_side_of_p_one(exp, p, kmax, target):
     result = run_experiment(ExperimentConfig(exp, p=p, kmax=kmax, samples=2 if exp == "E8" else None))
-    assert [fr.fit.target for fr in result.fits] == [target]
+    assert [fit.target for _, fit in result.fits] == [target]
     assert result.verdict
 
 
@@ -488,7 +488,7 @@ def test_registry_smoke(exp):
     records = result.records
     assert len(records) == len(ps) * 3 * samples * len(quantities)
     assert {r.quantity for r in records} == set(quantities)
-    assert sorted({r.p for r in records}) == ps == [fr.p for fr in result.fits]
+    assert sorted({r.p for r in records}) == ps == [p for p, _ in result.fits]
     assert {(r.k, r.sample) for r in records} == {(k, s) for k in (2, 3, 4) for s in range(samples)}
     assert [c.name for c in result.checks] == check_names
     keys = [(r.experiment, r.p, r.k, r.n, r.quantity, r.sample) for r in records]

@@ -110,7 +110,8 @@ def test_riesz_half_of_bump_poly():
 
 
 def test_lp_piece_level_zero_is_z():
-    assert apply_window(dirichlet_plus(8), 0) == TrigPoly(1, [1.0])
+    piece = apply_window(dirichlet_plus(8), 0)
+    assert (piece.lo, piece.coeffs.tolist()) == (1, [1.0])
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 9])
@@ -156,7 +157,7 @@ def test_window_levels_partition_coefficients():
 
 def _assert_trimmed(piece):
     if not piece.coeffs.any():
-        assert piece == TrigPoly(0, [0.0]) and piece.coeffs.size == 1
+        assert (piece.lo, piece.coeffs.tolist()) == (0, [0.0])
     else:
         assert piece.coeffs[0] != 0 and piece.coeffs[-1] != 0
 

@@ -1,5 +1,5 @@
-"""Each module's ``__all__``, with the public methods of its public classes and
-the fields of its public dataclasses, is its public surface; a change to it
+"""Each module's ``__all__``, with the public methods, hand-written dunders and
+dataclass fields of its public classes, is its public surface; a change to it
 edits these pins.  Every public name serves a CLI path or an experiment, so
 each has a caller in the library itself."""
 
@@ -9,6 +9,7 @@ import importlib
 import inspect
 import pkgutil
 import re
+import sys
 from pathlib import Path
 
 import tritrunc
@@ -22,7 +23,6 @@ PUBLIC = {
         "ExperimentConfig",
         "SeriesRecord",
         "CheckResult",
-        "FitRecord",
         "ExperimentResult",
         "config_from_dict",
         "run_experiment",
@@ -57,7 +57,6 @@ METHODS = {
     "experiments.ExperimentConfig": ("exponents", "grid"),
     "experiments.SeriesRecord": (),
     "experiments.CheckResult": (),
-    "experiments.FitRecord": ("to_json_dict",),
     "experiments.ExperimentResult": ("verdict",),
     "fitting.ScalingFit": (),
     "hankel.BesovReport": (),
@@ -66,12 +65,18 @@ METHODS = {
     "trigpoly.TrigPoly": ("hi", "coefficients_on"),
 }
 
+# public class -> its hand-written dunders, in definition order; a dataclass's generated ones are not listed
+DUNDERS = {
+    "experiments.ExperimentConfig": ("__post_init__",),
+    "rng.SplitMix64": ("__init__",),
+    "trigpoly.TrigPoly": ("__post_init__", "__repr__"),
+}
+
 # public dataclass -> its fields, in declaration order
 FIELDS = {
     "experiments.ExperimentConfig": ("experiment", "p", "kmin", "kmax", "samples", "seed"),
     "experiments.SeriesRecord": ("experiment", "p", "k", "n", "sample", "quantity", "value", "wall_ms"),
     "experiments.CheckResult": ("name", "ok", "detail"),
-    "experiments.FitRecord": ("experiment", "p", "fit"),
     "experiments.ExperimentResult": ("config", "records", "fits", "checks"),
     "fitting.ScalingFit": ("slope", "intercept", "max_residual", "target", "tolerance", "passed", "one_sided"),
     "hankel.BesovReport": ("levels", "zero_term", "total"),
@@ -144,6 +149,15 @@ def test_every_public_class_has_exactly_its_pinned_methods():
     assert set(classes) == set(METHODS)
     for name, cls in classes.items():
         assert _public_methods(cls) == METHODS[name], name
+
+
+def test_every_public_class_has_exactly_its_pinned_hand_written_dunders():
+    # hand-written means its code lives in the module's own file, which excludes the dunders dataclasses generate
+    for module, name, cls in _public_classes():
+        source = sys.modules[cls.__module__].__file__
+        written = tuple(attr for attr, val in vars(cls).items() if attr.startswith("__") and attr.endswith("__")
+                        and inspect.isfunction(val) and val.__code__.co_filename == source)
+        assert written == DUNDERS.get(f"{module}.{name}", ()), name
 
 
 def test_every_public_dataclass_has_exactly_its_pinned_fields():
