@@ -65,7 +65,7 @@ def build_parser():
     mb.add_argument("--kmax", type=int, metavar="B", help="last level of the range")
     mb.add_argument("--p", type=float, required=True, help="exponent in (0, 1]")
     mb.add_argument("--budget", type=int, default=0, metavar="B", help="witness-search budget: B // 2 seeded "
-                    "rank-one draws beyond the all-ones and identity witnesses, which run at every budget")
+                    "rank-one draws beyond the all-ones and largest-entry witnesses, which run at every budget")
     mb.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     ex = sub.add_parser("experiment", help="run registered scaling experiments")
@@ -154,7 +154,7 @@ def _cmd_multiplier_bound(args):
             raise ValueError("need --kmin A --kmax B with 1 <= A <= B")
         row = "level {0} lower {1:.17g} upper {2:.17g}"
     for k in range(kmin, kmax + 1):
-        # --budget B buys B // 2 rank-one draws; the all-ones and identity pool runs at every budget
+        # --budget B buys B // 2 rank-one draws; the all-ones and largest-entry pool runs at every budget
         found = random_witness_search(delta_matrix(2**k + 1), p, budget // 2, args.seed)
         print(row.format(k, found.ratio, hankel_multiplier_upper(dirichlet_plus(2**k + 1), p)))
     return 0

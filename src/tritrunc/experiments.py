@@ -264,7 +264,7 @@ def _projection_ratios(cfg, p, k, n, s):
     # (u, v) against chi_n; at p <= 1 the Schmidt split bounds every witness by its rank-one pieces
     gen = SplitMix64(derive_seed(cfg.experiment, cfg.seed, "rank_one", n, s))
     u, v = gen.complex_normal_rows(2, n)
-    return {"projection_ratio_rank_one": witness_ratio(chi_matrix(n), (u, v), p).ratio / n ** _projection_growth(p)}
+    return {"projection_ratio_rank_one": witness_ratio(chi_matrix(n), u, v, p).ratio / n ** _projection_growth(p)}
 
 
 _REGISTRY = {
@@ -432,7 +432,7 @@ def run_experiment(cfg, out=None):
     if out is not None:
         if not (isinstance(out, str) and out):
             raise ValueError(f"out must be a nonempty path, got {out!r}")
-        if os.path.isdir(out):
+        if os.path.isdir(out) or os.path.basename(out) in ("", ".", ".."):  # a path ending in a separator, . or ..
             raise ValueError(f"output path is a directory: {out}")
         parent = os.path.dirname(os.path.abspath(out))
         if not os.path.isdir(parent):

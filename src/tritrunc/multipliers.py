@@ -4,7 +4,8 @@ The multiplier quasinorm of a matrix A — the supremum of ||A * B|| / ||B||
 over nonzero B, with * the entrywise product — is never computed exactly
 (for p < 1 the supremum is a nonconvex optimization).  Everything here
 produces intervals: any witness B gives a lower bound, up to the SVD rounding
-floor of its S_p values (singular_values), and Hankel multipliers an analytic
+floor of its S_p values (singular_values; witness_ratio takes a rank-one
+witness u v^* in factored form), and Hankel multipliers an analytic
 upper bound, up to its L^p quadrature error (measured at most 3e-5 at p = 1/2).
 """
 
@@ -44,33 +45,18 @@ class WitnessReport:
         return self.numerator / self.denominator
 
 
-def witness_ratio(a, b, p):
-    """Evaluate the witness b against the multiplier a at exponent p.
+def witness_ratio(a, u, v, p):
+    """Evaluate the rank-one witness u v^* against the multiplier a at exponent p.
 
-    A matrix b has the multiplier's shape: the numerator is the S_p
-    quasinorm of the entrywise product a * b and the denominator that of b.
-
-    A tuple ``b = (u, v)`` stands for the rank-one witness u v^* and is
-    evaluated in factored form.  Its denominator is ||u|| ||v|| for every p,
-    with no spectrum.  Its numerator is the S_p quasinorm of a * u v^* =
-    D_u a D_v^*; the unitary phases of the diagonals drop out, so it is that
-    of the matrix |u| a |v|^T (real for a real a), with its zero rows and
-    columns removed.  A pair whose ||u|| ||v|| overflows or underflows the
+    The witness is evaluated in factored form.  Its denominator is ||u|| ||v||
+    for every p, with no spectrum.  Its numerator is the S_p quasinorm of
+    a * u v^* = D_u a D_v^*; the unitary phases of the diagonals drop out, so it
+    is that of the matrix |u| a |v|^T (real for a real a), with its zero rows
+    and columns removed.  A pair whose ||u|| ||v|| overflows or underflows the
     double range raises ValueError, as does a non-finite entry of either
-    form's witness or of the multiplier.
+    factor or of the multiplier.
     """
     a = np.asarray(a)
-    if isinstance(b, tuple):
-        return _rank_one_ratio(a, *b, p)
-    b = _as_matrix(b, "witness")
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: multiplier {a.shape} vs witness {b.shape}")
-    if not np.any(b):
-        raise ValueError("zero witness")
-    return WitnessReport(schatten_quasinorm(_as_matrix(a, "multiplier") * b, p), schatten_quasinorm(b, p))
-
-
-def _rank_one_ratio(a, u, v, p):
     p = _check_p(p)
     u = np.asarray(u)
     v = np.asarray(v)
@@ -130,15 +116,16 @@ def hankel_multiplier_upper(f, p):
 def random_witness_search(a, p, draws, seed):
     """Best witness ratio over a fixed pool and seeded rank-one draws.
 
-    The pool is the all-ones witness, evaluated as the pair (ones, ones), and
-    the identity; on top of it come ``draws`` rank-one complex-Gaussian
-    witnesses u v^*, each evaluated as the pair (u, v) at the cost of one real
-    S_p evaluation (see witness_ratio).  ``draws = 0`` searches the pool
-    alone.  Equal seeds give identical reports: draw i is the i-th pair of
-    consecutive complex_normal(size) calls on the "witness-search" stream.
-    The search knows nothing of the multiplier's structure: ``tritrunc
-    multiplier-bound --budget B`` runs it with B // 2 draws on the level-k
-    mask Delta_n and prints its ratio as the lower end.
+    The pool is the all-ones pair (ones, ones) and the matrix unit at the
+    multiplier's largest entry, the pair (e_i, e_j), whose ratio is max |a_ij|;
+    on top of it come ``draws`` rank-one complex-Gaussian witnesses u v^*, each
+    evaluated as the pair (u, v) at the cost of one real S_p evaluation (see
+    witness_ratio).  ``draws = 0`` searches the pool alone.  Equal seeds give
+    identical reports: draw i is the i-th pair of consecutive
+    complex_normal(size) calls on the "witness-search" stream.  The search
+    knows nothing of the multiplier's structure: ``tritrunc multiplier-bound
+    --budget B`` runs it with B // 2 draws on the level-k mask Delta_n and
+    prints its ratio as the lower end.
     """
     a = _as_matrix(a, "multiplier")
     if a.shape[0] != a.shape[1]:
@@ -148,15 +135,18 @@ def random_witness_search(a, p, draws, seed):
     size = a.shape[0]
 
     ones = np.ones(size)
-    best = witness_ratio(a, (ones, ones), p)
-    rep = witness_ratio(a, np.eye(size), p)
+    best = witness_ratio(a, ones, ones, p)
+    i, j = divmod(int(np.argmax(np.abs(a))), size)  # the largest entry's row and column
+    e_i, e_j = np.zeros(size), np.zeros(size)
+    e_i[i] = e_j[j] = 1.0
+    rep = witness_ratio(a, e_i, e_j, p)
     if rep.ratio > best.ratio:
         best = rep
     for start in range(0, draws, _DRAW_BLOCK):
         # one bulk evaluation per block of draws keeps memory flat in the budget
         factors = gen.complex_normal_rows(2 * min(_DRAW_BLOCK, draws - start), size)
         for u, v in zip(factors[0::2], factors[1::2]):
-            rep = witness_ratio(a, (u, v), p)
+            rep = witness_ratio(a, u, v, p)
             if rep.ratio > best.ratio:
                 best = rep
     return best

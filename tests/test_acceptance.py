@@ -22,13 +22,13 @@ from tritrunc.fitting import ScalingFit, fit_powerlaw
 from tritrunc.hankel import hankel_matrix
 from tritrunc.kernels import dirichlet_plus, standard_window
 from tritrunc.matrices import chi_matrix, delta_matrix, schatten_quasinorm
-from tritrunc.multipliers import witness_ratio
 from tritrunc.rng import SplitMix64, derive_seed
 
 from corpora import (
     chi_doubling_decomposition,
     endpoint_coefficient_corpus,
     hankel_degree_bound_corpus,
+    matrix_witness_ratio,
     multiplier_upper_corpus,
     p_triangle_corpus,
 )
@@ -216,9 +216,9 @@ def test_identity_witness_doubling_factor(announce):
         n = 2 + int(gen.integers(1, 7)[0])
         a, b = gen.complex_normal((n, n)), gen.complex_normal((n, n))
         p = 2.0 / 3.0 + (1.0 - 2.0 / 3.0) * gen.uniform(1)[0]
-        base = witness_ratio(a, b, p)
-        doubled = witness_ratio(np.kron(np.eye(2), a), np.kron(np.ones((2, 2)), b), p)
-        rel = abs(doubled.ratio - 2.0 ** (1.0 / p - 1.0) * base.ratio) / doubled.ratio
+        base = matrix_witness_ratio(a, b, p)
+        doubled = matrix_witness_ratio(np.kron(np.eye(2), a), np.kron(np.ones((2, 2)), b), p)
+        rel = abs(doubled - 2.0 ** (1.0 / p - 1.0) * base) / doubled
         worst = max(worst, rel)
     assert announce(
         "identity: doubling multiplies witness ratios by 2^(1/p-1)",

@@ -403,7 +403,10 @@ def test_output_location_is_validated_before_compute(tmp_path, monkeypatch):
     monkeypatch.setattr(experiments, "_run", None)  # any computation would raise TypeError
     cfg = ExperimentConfig("E1")
     for out, message in ((5, "out must be a nonempty path, got 5"), ("", "out must be a nonempty path, got ''"),
-                         (str(tmp_path / "missing" / "x.csv"), "does not exist"), (str(tmp_path), "is a directory")):
+                         (str(tmp_path / "missing" / "x.csv"), "does not exist"), (str(tmp_path), "is a directory"),
+                         (str(tmp_path / "new") + os.sep, "is a directory"),
+                         (os.path.join(tmp_path, "new", "."), "is a directory"),
+                         (os.path.join(tmp_path, "new", ".."), "is a directory")):
         with pytest.raises(ValueError, match=message):
             run_experiment(cfg, out)
     assert list(tmp_path.iterdir()) == []

@@ -27,7 +27,7 @@ from tritrunc.multipliers import (
 from tritrunc.rng import SplitMix64, derive_seed
 from tritrunc.trigpoly import TrigPoly, lp_quasinorm, riesz_plus
 
-from corpora import multiplier_upper_corpus
+from corpora import matrix_witness_ratio, multiplier_upper_corpus
 
 
 # --- witness_ratio ----------------------------------------------------------------
@@ -39,30 +39,28 @@ def _pad(a, rows, cols):
 
 
 def test_witness_ratio_on_the_all_ones_witness():
-    rep = witness_ratio(chi_matrix(2), np.ones((2, 2)), 1.0)
+    rep = witness_ratio(chi_matrix(2), np.ones(2), np.ones(2), 1.0)
     assert rep.numerator == pytest.approx(np.sqrt(5.0), abs=1e-12)
     assert rep.denominator == pytest.approx(2.0, abs=1e-12)
     assert rep.ratio == rep.numerator / rep.denominator
 
 
 def test_witness_ratio_validates_inputs():
-    # a matrix witness has the multiplier's shape: a larger or a smaller multiplier has no reading
-    for a, b in ((chi_matrix(3), np.ones((2, 2))), (np.ones((3, 2)), np.ones((2, 3))),
-                 (np.ones((2, 3)), np.ones((3, 2))), (np.ones(3), np.ones((3, 3))),
-                 (chi_matrix(2), np.ones((3, 3))), (np.ones((2, 6)), np.ones((5, 7))),
-                 (np.ones((5, 6)), np.ones((5, 7))), (delta_matrix(5), np.ones((6, 6)))):
+    # the witness u v^* has the multiplier's shape: a larger or a smaller multiplier has no reading
+    for a, shape in ((chi_matrix(3), (2, 2)), (np.ones((3, 2)), (2, 3)), (np.ones((2, 3)), (3, 2)),
+                     (np.ones(3), (3, 3)), (chi_matrix(2), (3, 3)), (np.ones((2, 6)), (5, 7)),
+                     (np.ones((5, 6)), (5, 7)), (delta_matrix(5), (6, 6))):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            witness_ratio(a, b, 0.5)
+            witness_ratio(a, np.ones(shape[0]), np.ones(shape[1]), 0.5)
     with pytest.raises(ValueError, match="zero witness"):
-        witness_ratio(chi_matrix(2), np.zeros((2, 2)), 0.5)
+        witness_ratio(chi_matrix(2), np.zeros(2), np.ones(2), 0.5)
     for bad in (complex(0, np.nan), complex(0, np.inf)):  # a non-finite imaginary part alone
         b = np.ones((2, 2), dtype=complex)
         b[1, 0] = bad
-        # as a multiplier, in the pair form too, where a zero factor entry meets it as 0 * inf, with no warning
-        pairs = [(b, (u, np.ones(2))) for u in (np.ones(2), np.array([1.0, 0.0]))]
-        for a, w in [(chi_matrix(2), b), (b, np.ones((2, 2)))] + pairs:
+        # as a multiplier, also where a zero factor entry meets it as 0 * inf, with no warning
+        for u in (np.ones(2), np.array([1.0, 0.0])):
             with pytest.raises(ValueError, match="non-finite entries"):
-                witness_ratio(a, w, 0.5)
+                witness_ratio(b, u, np.ones(2), 0.5)
 
 
 def test_pair_witness_validates_inputs():
@@ -70,16 +68,16 @@ def test_pair_witness_validates_inputs():
     for u, v in ((np.ones(3), np.ones(2)), (np.ones(2), np.ones(3)), (np.ones((3, 1)), np.ones(3)),
                  (np.ones(3), np.ones((1, 3)))):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            witness_ratio(a, (u, v), 0.5)
+            witness_ratio(a, u, v, 0.5)
     with pytest.raises(ValueError, match="dimension mismatch"):
-        witness_ratio(np.ones((3, 2)), (np.ones(2), np.ones(3)), 0.5)
+        witness_ratio(np.ones((3, 2)), np.ones(2), np.ones(3), 0.5)
     # a zero factor is named even against an infinite one, whose norm product is 0 * inf = nan
     for u, v in ((np.zeros(3), np.ones(3)), (np.ones(3), np.zeros(3, dtype=complex)),
                  (np.zeros(3), np.array([1, np.inf, 1.0])), (np.array([1, np.inf, 1.0]), np.zeros(3))):
         with pytest.raises(ValueError, match="zero witness"):
-            witness_ratio(a, (u, v), 0.5)
+            witness_ratio(a, u, v, 0.5)
     with pytest.raises(ValueError, match="p must be"):
-        witness_ratio(np.zeros((3, 3)), (np.ones(3), np.ones(3)), 0.0)
+        witness_ratio(np.zeros((3, 3)), np.ones(3), np.ones(3), 0.0)
 
 
 def test_pair_witness_rejects_a_non_finite_factor():
@@ -87,14 +85,14 @@ def test_pair_witness_rejects_a_non_finite_factor():
     for u, v in ((np.array([1, np.inf, 1.0]), np.ones(3)), (np.ones(3), np.array([1, np.nan, 1.0])),
                  (np.ones(3), np.array([1, 1j * np.inf, 1]))):
         with pytest.raises(ValueError, match=r"witness norm \|\|u\|\| \|\|v\|\| is (inf|nan), not finite"):
-            witness_ratio(delta_matrix(3), (u, v), 0.5)
+            witness_ratio(delta_matrix(3), u, v, 0.5)
 
 
 def test_pair_witness_rejects_a_norm_outside_the_double_range():
     # finite nonzero factors whose ||u|| ||v|| overflows to inf or underflows to 0
     for u, v in ((np.full(3, 1e200), np.ones(3)), (np.full(3, 1e-170), np.full(3, 1e-170))):
         with pytest.raises(ValueError, match=r"witness norm \|\|u\|\| \|\|v\|\| is (inf|0\.0), not finite and positive"):
-            witness_ratio(delta_matrix(3), (u, v), 0.5)
+            witness_ratio(delta_matrix(3), u, v, 0.5)
 
 
 @pytest.mark.parametrize("p", [0.5, 1.0])
@@ -105,22 +103,23 @@ def test_pair_witness_is_bit_identical_to_its_formula(n, p):
     a = delta_matrix(n)
     for _ in range(3):
         u, v = rng.complex_normal(n), rng.complex_normal(n)
-        rep = witness_ratio(a, (u, v), p)
+        rep = witness_ratio(a, u, v, p)
         s = np.linalg.svd(np.abs(u)[:, None] * a * np.abs(v), compute_uv=False)
         assert rep.numerator == float(np.sum(s**p)) ** (1 / p)
         assert rep.denominator == float(np.linalg.norm(u) * np.linalg.norm(v))
 
 
 def test_pair_witness_is_the_rank_one_matrix():
-    # away from the rounding floor (p >= 1) the factored form agrees with the dense one
+    # away from the rounding floor (p >= 1) the factored form agrees with the dense u v^*
     rng = SplitMix64(derive_seed("pair-witness"))
     for m, n in ((1, 1), (3, 5), (6, 4), (9, 9)):
         a = rng.complex_normal((m, n))
         u, v = rng.complex_normal(m), rng.complex_normal(n)
+        dense = np.outer(u, v.conj())
         for p in (1.0, 2.0):
-            pair, dense = witness_ratio(a, (u, v), p), witness_ratio(a, np.outer(u, v.conj()), p)
-            assert pair.numerator == pytest.approx(dense.numerator, rel=1e-12)
-            assert pair.denominator == pytest.approx(dense.denominator, rel=1e-12)
+            pair = witness_ratio(a, u, v, p)
+            assert pair.numerator == pytest.approx(schatten_quasinorm(a * dense, p), rel=1e-12)
+            assert pair.denominator == pytest.approx(schatten_quasinorm(dense, p), rel=1e-12)
 
 
 def test_pair_witness_holds_no_dense_rank_one_matrix():
@@ -129,10 +128,10 @@ def test_pair_witness_holds_no_dense_rank_one_matrix():
     n = 512
     rng = SplitMix64(derive_seed("pair-witness-memory"))
     a, u, v = chi_matrix(n), rng.complex_normal(n), rng.complex_normal(n)
-    witness_ratio(a, (u, v), 0.5)  # warm-up: first-call allocations are not the evaluation's
+    witness_ratio(a, u, v, 0.5)  # warm-up: first-call allocations are not the evaluation's
     tracemalloc.start()
     try:
-        witness_ratio(a, (u, v), 0.5)
+        witness_ratio(a, u, v, 0.5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -144,8 +143,8 @@ def test_pair_witness_ignores_the_phases():
     a = _pad(delta_matrix(9), 13, 13)
     for p in (0.5, 0.75, 1.0):
         u, v = rng.complex_normal(13), rng.complex_normal(13)
-        assert witness_ratio(a, (u, v), p).ratio == pytest.approx(
-            witness_ratio(a, (np.abs(u), np.abs(v)), p).ratio, rel=1e-14, abs=0
+        assert witness_ratio(a, u, v, p).ratio == pytest.approx(
+            witness_ratio(a, np.abs(u), np.abs(v), p).ratio, rel=1e-14, abs=0
         )
 
 
@@ -153,8 +152,8 @@ def test_pair_witness_trims_zero_rows_and_columns():
     # a witness factor that misses the mask's support scores zero, with no spectrum
     a = _pad(delta_matrix(3), 5, 5)
     u = np.array([0.0, 0.0, 0.0, 1.0, 2.0])
-    assert witness_ratio(a, (u, np.ones(5)), 0.5).numerator == 0.0
-    rep = witness_ratio(a, (np.array([0.0, 1.0, 0.0, 3.0, 0.0]), np.ones(5)), 1.0)
+    assert witness_ratio(a, u, np.ones(5), 0.5).numerator == 0.0
+    rep = witness_ratio(a, np.array([0.0, 1.0, 0.0, 3.0, 0.0]), np.ones(5), 1.0)
     assert rep.numerator == pytest.approx(np.sqrt(2.0), rel=1e-15)  # row 1 of the mask: two ones
     assert rep.denominator == pytest.approx(np.sqrt(10.0) * np.sqrt(5.0), rel=1e-15)
 
@@ -168,7 +167,7 @@ def test_all_ones_pair_on_the_padded_mask_is_the_closed_form(k, p):
     s_p = float(np.sum(mask_spectrum(n) ** p) ** (1.0 / p))
     for size in (n, 3 * 2 ** (k - 1) + 1):
         ones = np.ones(size)
-        got = witness_ratio(_pad(delta_matrix(n), size, size), (ones, ones), p).ratio
+        got = witness_ratio(_pad(delta_matrix(n), size, size), ones, ones, p).ratio
         assert got == pytest.approx(s_p / size, rel=1e-12, abs=0)
 
 
@@ -263,8 +262,8 @@ def test_delta_lower_bound_matches_the_padded_mask(k):
     # witness, up to the spectra's rounding floor at p = 1/2
     bump = bump_poly(2 ** (k - 1))
     b = hankel_matrix(TrigPoly(bump.lo + 2**k, bump.coeffs))
-    padded = witness_ratio(_pad(delta_matrix(2**k + 1), *b.shape), b, 0.5)
-    assert delta_lower_bound(k, 0.5).ratio == pytest.approx(padded.ratio, rel=1e-8, abs=0)
+    padded = matrix_witness_ratio(_pad(delta_matrix(2**k + 1), *b.shape), b, 0.5)
+    assert delta_lower_bound(k, 0.5).ratio == pytest.approx(padded, rel=1e-8, abs=0)
 
 
 def test_delta_lower_bound_is_deterministic_and_grows():
@@ -311,10 +310,10 @@ def test_witness_doubling_gains_exactly_the_p_factor():
         a = rng.complex_normal((n, n))
         b = rng.complex_normal((n, n))
         p = 2.0 / 3.0 + (1.0 - 2.0 / 3.0) * rng.uniform(1)[0]
-        base = witness_ratio(a, b, p)
-        doubled = witness_ratio(np.kron(np.eye(2), a), np.kron(np.ones((2, 2)), b), p)
-        assert doubled.ratio == pytest.approx(
-            2.0 ** (1.0 / p - 1.0) * base.ratio, rel=1e-9
+        base = matrix_witness_ratio(a, b, p)
+        doubled = matrix_witness_ratio(np.kron(np.eye(2), a), np.kron(np.ones((2, 2)), b), p)
+        assert doubled == pytest.approx(
+            2.0 ** (1.0 / p - 1.0) * base, rel=1e-9
         )
 
 
@@ -325,18 +324,18 @@ def test_witness_doubling_at_one_half_meets_the_conditioning_floor():
     for _ in range(25):
         a = rng.complex_normal((4, 4))
         b = rng.complex_normal((4, 4))
-        base = witness_ratio(a, b, 0.5)
-        doubled = witness_ratio(np.kron(np.eye(2), a), np.kron(np.ones((2, 2)), b), 0.5)
-        assert doubled.ratio == pytest.approx(2.0 * base.ratio, rel=5e-7)
+        base = matrix_witness_ratio(a, b, 0.5)
+        doubled = matrix_witness_ratio(np.kron(np.eye(2), a), np.kron(np.ones((2, 2)), b), 0.5)
+        assert doubled == pytest.approx(2.0 * base, rel=5e-7)
 
 
 def test_witness_doubling_identity_matrices():
     # closed forms: base 1, doubled 2; the doubled side still pays the
     # rank-deficiency floor (eps^(1/2) junk at p = 1/2), even for 0/1 inputs
-    base = witness_ratio(np.eye(2), np.eye(2), 0.5)
-    doubled = witness_ratio(np.kron(np.eye(2), np.eye(2)), np.kron(np.ones((2, 2)), np.eye(2)), 0.5)
-    assert base.ratio == pytest.approx(1.0, rel=1e-12)
-    assert doubled.ratio == pytest.approx(2.0, rel=5e-7)
+    base = matrix_witness_ratio(np.eye(2), np.eye(2), 0.5)
+    doubled = matrix_witness_ratio(np.kron(np.eye(2), np.eye(2)), np.kron(np.ones((2, 2)), np.eye(2)), 0.5)
+    assert base == pytest.approx(1.0, rel=1e-12)
+    assert doubled == pytest.approx(2.0, rel=5e-7)
 
 
 @pytest.mark.parametrize("n", range(1, 17))
@@ -370,7 +369,7 @@ def test_witness_search_is_deterministic():
 
 
 def test_witness_search_never_loses_to_the_constructive_witness():
-    # the all-ones and identity pool alone beats the bump witness on the unpadded mask,
+    # the all-ones and largest-entry pool alone beats the bump witness on the unpadded mask,
     # by 1.2013x at its tightest (k = 1, p = 1), so multiplier-bound need not evaluate it
     for k in range(1, 9):
         a = delta_matrix(2**k + 1)
@@ -386,7 +385,7 @@ def test_search_draws_never_beat_the_all_ones_pair_on_the_queries_mix():
         ones = np.ones(a.shape[0])
         for draws in (12, 25, 50):
             for seed in (1701, 2029):
-                assert random_witness_search(a, 0.5, draws, seed) == witness_ratio(a, (ones, ones), 0.5)
+                assert random_witness_search(a, 0.5, draws, seed) == witness_ratio(a, ones, ones, 0.5)
 
 
 def test_search_draws_beat_the_all_ones_pair_at_small_levels_near_p_one():
@@ -394,19 +393,20 @@ def test_search_draws_beat_the_all_ones_pair_at_small_levels_near_p_one():
     for k in (1, 2):
         a = delta_matrix(2**k + 1)
         ones = np.ones(a.shape[0])
-        assert random_witness_search(a, 1.0, 50, 1701).ratio > 1.01 * witness_ratio(a, (ones, ones), 1.0).ratio
+        assert random_witness_search(a, 1.0, 50, 1701).ratio > 1.01 * witness_ratio(a, ones, ones, 1.0).ratio
 
 
 def _pool_and_rank_one_best(a, p, draws, seed):
-    """Best ratio of the all-ones and identity pool and the seeded rank-one draws, one witness_ratio call each."""
+    """Best ratio of the all-ones and largest-entry pool and the seeded rank-one draws, one witness_ratio call each."""
     size = a.shape[0]
     ones = np.ones(size)
-    ratios = [witness_ratio(a, (ones, ones), p).ratio, witness_ratio(a, np.eye(size), p).ratio]
+    i, j = np.unravel_index(np.argmax(np.abs(a)), a.shape)
+    ratios = [witness_ratio(a, ones, ones, p).ratio, witness_ratio(a, np.eye(size)[i], np.eye(size)[j], p).ratio]
     gen = SplitMix64(derive_seed("witness-search", seed))
     for _ in range(draws):
         u = gen.complex_normal(size)
         v = gen.complex_normal(size)
-        ratios.append(witness_ratio(a, (u, v), p).ratio)
+        ratios.append(witness_ratio(a, u, v, p).ratio)
     return max(ratios)
 
 
@@ -434,9 +434,9 @@ def test_witness_search_reports_the_winning_draw():
     best = random_witness_search(a, 1.0, 40, 2)
     gen = SplitMix64(derive_seed("witness-search", 2))
     draws = [(gen.complex_normal(3), gen.complex_normal(3)) for _ in range(40)]
-    ratios = [witness_ratio(a, pair, 1.0).ratio for pair in draws]
+    ratios = [witness_ratio(a, *pair, 1.0).ratio for pair in draws]
     assert best.ratio == max(ratios) > 1.0  # a draw beats the pool here
-    assert best == witness_ratio(a, draws[int(np.argmax(ratios))], 1.0)
+    assert best == witness_ratio(a, *draws[int(np.argmax(ratios))], 1.0)
 
 
 def test_witness_search_spends_one_spectrum_per_draw(monkeypatch):
@@ -454,10 +454,10 @@ def test_witness_search_spends_one_spectrum_per_draw(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted)
     k = 6
     random_witness_search(delta_matrix(2**k + 1), 0.5, 50, 1)
-    # pool: one SVD for the all-ones numerator (its denominator is exact) and two for
-    # the identity; draws: one real SVD each, of the 65 x 65 numerator
-    assert calls == {"svd": 53, "eigvalsh": 0}
-    assert svd_inputs == {((65, 65), "f")}
+    # pool: one SVD for the all-ones numerator and a 1 x 1 one for the largest entry's matrix
+    # unit (both denominators are exact); draws: one real SVD each, of the 65 x 65 numerator
+    assert calls == {"svd": 52, "eigvalsh": 0}
+    assert svd_inputs == {((65, 65), "f"), ((1, 1), "f")}
 
 
 def test_witness_search_validates():
@@ -475,6 +475,34 @@ def test_witness_search_validates():
     a = delta_matrix(9)
     assert random_witness_search(a, 0.5, draws=0, seed=0).ratio == _pool_and_rank_one_best(a, 0.5, 0, 0)
 
+
+
+def test_search_pool_scores_the_largest_entry(monkeypatch):
+    # the pool's second member is the matrix unit at argmax |a_ij|, a 1 x 1 spectrum of ratio max |a_ij|,
+    # never below the identity witness's (mean_i |a_ii|^p)^{1/p}; here it beats the all-ones pair's 1/3
+    a = np.zeros((3, 3))
+    a[0, 2] = 1.0
+    for p in (0.25, 0.5, 1.0, 2.0):
+        assert random_witness_search(a, p, 0, 1).ratio == 1.0
+    reports = []
+
+    def recorded(*args):
+        reports.append(witness_ratio(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(multipliers, "witness_ratio", recorded)
+    rng = SplitMix64(derive_seed("largest-entry-witness"))
+    for n in range(1, 9):
+        a = rng.complex_normal((n, n))
+        for p in (0.25, 0.5, 1.0, 2.0):
+            reports.clear()
+            random_witness_search(a, p, 0, 1)
+            unit = reports[1]
+            assert unit.denominator == 1.0
+            # equal up to the rounding of |a_ij|^p, its 1/p-th power and LAPACK's complex modulus
+            assert unit.ratio == pytest.approx(np.abs(a).max(), rel=2e-15, abs=0)
+            identity = np.mean(np.abs(np.diag(a)) ** p) ** (1.0 / p)
+            assert unit.ratio >= identity * (1.0 - 2e-15)
 
 # --- the p = 1 shadow -----------------------------------------------------------
 
