@@ -30,8 +30,8 @@ import numpy as np
 from .fitting import fit_powerlaw
 from .hankel import HARD_TOL, band_hankel_check, besov_quasinorm
 from .kernels import bump_poly, dirichlet_plus, fejer
-from .matrices import _check_p, _check_size, _schatten_from_spectrum, chi_matrix, mask_spectrum, singular_values
-from .multipliers import delta_lower_bound, hankel_multiplier_upper, witness_ratio
+from .matrices import _check_p, _check_size, _schatten_from_spectrum, mask_spectrum, schatten_quasinorm, singular_values
+from .multipliers import delta_lower_bound, hankel_multiplier_upper
 from .rng import SplitMix64, derive_seed
 from .trigpoly import TrigPoly, lp_quasinorm, riesz_plus
 
@@ -229,12 +229,16 @@ def _band_ratio_above_one(k, n, s, v):
         return f"level {k} sample {s}: ratio {v['band_ratio']:.12g} > 1"
 
 
-def _weak_decay(cfg, p, k, n, s):
-    # T = u v^*: P_n T = D_u chi_n D_v^* has the singular values of the real |u| chi_n |v|^T, and ||T||_1 = ||u|| ||v||
-    gen = SplitMix64(derive_seed(cfg.experiment, cfg.seed, n, s))
+def _projected_pair(gen, n):
+    """For the rank-one T = u v^* of one draw of gen: the real triu(|u| |v|^T), whose singular values are
+    those of P_n T = triu(u v^*), and ||u|| ||v||, which is every S_p quasinorm of T."""
     u, v = gen.complex_normal_rows(2, n)
-    decay = singular_values(np.abs(u)[:, None] * chi_matrix(n) * np.abs(v))
-    return {"weak_decay_max": float(np.max((1.0 + np.arange(n)) * decay) / (np.linalg.norm(u) * np.linalg.norm(v)))}
+    return np.triu(np.outer(np.abs(u), np.abs(v))), float(np.linalg.norm(u) * np.linalg.norm(v))
+
+
+def _weak_decay(cfg, p, k, n, s):
+    projected, norm = _projected_pair(SplitMix64(derive_seed(cfg.experiment, cfg.seed, n, s)), n)
+    return {"weak_decay_max": float(np.max((1.0 + np.arange(n)) * singular_values(projected)) / norm)}
 
 
 def _fejer_log(cfg, p, k, n, s):
@@ -260,11 +264,9 @@ def _top_term_below_2k(k, n, s, v):
 
 
 def _projection_ratios(cfg, p, k, n, s):
-    # ||P_n(T)||_p / ||T||_p with P_n(T) = chi_n * T for a rank-one T = u v^*, the factored witness ratio of
-    # (u, v) against chi_n; at p <= 1 the Schmidt split bounds every witness by its rank-one pieces
-    gen = SplitMix64(derive_seed(cfg.experiment, cfg.seed, "rank_one", n, s))
-    u, v = gen.complex_normal_rows(2, n)
-    return {"projection_ratio_rank_one": witness_ratio(chi_matrix(n), u, v, p).ratio / n ** _projection_growth(p)}
+    # ||P_n(T)||_p / ||T||_p for a rank-one T = u v^*; at p <= 1 the Schmidt split bounds every T by its rank-one pieces
+    projected, norm = _projected_pair(SplitMix64(derive_seed(cfg.experiment, cfg.seed, "rank_one", n, s)), n)
+    return {"projection_ratio_rank_one": schatten_quasinorm(projected, p) / norm / n ** _projection_growth(p)}
 
 
 _REGISTRY = {
@@ -426,14 +428,16 @@ def run_experiment(cfg, out=None):
     """Run the plan cfg to completion and return its result bundle.
 
     If out is set, the CSV records are written to the path out and the JSON
-    fit summary to <out>.fits.json next to it; the output location is
-    validated before any computation starts.
+    fit summary to <stem>.fits.json next to it, where <stem> is out without its
+    extension; both paths are validated before any computation starts.
     """
     if out is not None:
         if not (isinstance(out, str) and out):
             raise ValueError(f"out must be a nonempty path, got {out!r}")
-        if os.path.isdir(out) or os.path.basename(out) in ("", ".", ".."):  # a path ending in a separator, . or ..
-            raise ValueError(f"output path is a directory: {out}")
+        fits_out = os.path.splitext(out)[0] + ".fits.json"
+        for path in (out, fits_out):
+            if os.path.isdir(path) or os.path.basename(path) in ("", ".", ".."):  # ends in a separator, . or ..
+                raise ValueError(f"output path is a directory: {path}")
         parent = os.path.dirname(os.path.abspath(out))
         if not os.path.isdir(parent):
             raise ValueError(f"output directory does not exist: {parent}")
@@ -449,8 +453,7 @@ def run_experiment(cfg, out=None):
     )
     if out is not None:
         write_records_csv(out, result.records)
-        stem, _ = os.path.splitext(out)
-        with open(stem + ".fits.json", "w", encoding="utf-8", newline="\n") as fh:
+        with open(fits_out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(fits_json(result))
     return result
 

@@ -13,7 +13,6 @@ import numpy as np
 __all__ = [
     "singular_values",
     "schatten_quasinorm",
-    "chi_matrix",
     "delta_matrix",
     "mask_spectrum",
 ]
@@ -99,24 +98,12 @@ def _power_sum_root(total, p):
         raise OverflowError(f"the 1/p-th power of the power sum at p={p:g} leaves the double range") from None
 
 
-def chi_matrix(n):
-    """n-by-n upper-triangular all-ones matrix (diagonal included).
-
-    Entry (j, k) is 1 iff j <= k, 0-based.  Schur multiplication by this mask
-    is the triangular projection P_n, which zeroes the strictly lower triangle;
-    on a rank-one u v^* it is D_u chi_n D_v^*, whose singular values are those
-    of the real |u| chi_n |v|^T (the factored form of E4 and E8).
-    """
-    n = _check_size(n)
-    return np.triu(np.ones((n, n)))
-
-
 def delta_matrix(n):
     """n-by-n anti-triangular 0/1 Hankel matrix: entry (j, k) is 1 iff j+k < n.
 
     This block carries every nonzero entry of the corresponding infinite
     matrix, so all its spectral quantities are exact.  It equals the Hankel
-    matrix of the analytic Dirichlet kernel of length n, and it is chi_matrix(n)
+    matrix of the analytic Dirichlet kernel of length n, and it is P_n's mask chi_n = np.triu(np.ones((n, n)))
     with the columns reversed, so both share one singular spectrum (mask_spectrum).
     """
     n = _check_size(n)
@@ -125,7 +112,7 @@ def delta_matrix(n):
 
 
 def mask_spectrum(n):
-    """Singular values of chi_matrix(n) and delta_matrix(n), nonincreasing, in
+    """Singular values of chi_n and delta_matrix(n), nonincreasing, in
     closed form (no LAPACK): 1 / (2 sin((2j - 1) pi / (2(2n + 1)))), j = 1..n."""
     n = _check_size(n)
     j = np.arange(1, n + 1)

@@ -7,7 +7,7 @@ the same way, sit here too."""
 import numpy as np
 
 from tritrunc.hankel import hankel_matrix
-from tritrunc.matrices import chi_matrix, schatten_quasinorm
+from tritrunc.matrices import schatten_quasinorm
 from tritrunc.multipliers import hankel_multiplier_upper
 from tritrunc.rng import SplitMix64, derive_seed
 from tritrunc.trigpoly import TrigPoly, lp_quasinorm
@@ -101,8 +101,8 @@ def chi_doubling_decomposition(n):
     chi_{2n} = diag(chi_n, chi_n) + the all-ones top-right corner.
     """
     n = int(n)
-    chi_n = chi_matrix(n)
-    chi_2n = chi_matrix(2 * n)
+    chi_n = np.triu(np.ones((n, n)))
+    chi_2n = np.triu(np.ones((2 * n, 2 * n)))
     zero = np.zeros((n, n))
     ones = np.ones((n, n))
     assembled = np.block([[chi_n, ones], [zero, chi_n]])

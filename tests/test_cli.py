@@ -541,6 +541,17 @@ def test_module_invocation_round_trip():
     assert proc.stdout.startswith("2.2360679")
 
 
+def test_package_invocation_round_trip():
+    # python -m tritrunc runs the package's __main__
+    proc = subprocess.run(
+        [sys.executable, "-m", "tritrunc", "spnorm", "--chi", "2", "--p", "1"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == "2.2360679774997898\n"
+
+
 def test_module_invocation_usage_error():
     proc = subprocess.run(
         [sys.executable, "-m", "tritrunc.cli", "spnorm"],

@@ -402,6 +402,11 @@ def test_csv_and_fit_formats(tmp_path):
 def test_output_location_is_validated_before_compute(tmp_path, monkeypatch):
     monkeypatch.setattr(experiments, "_run", None)  # any computation would raise TypeError
     cfg = ExperimentConfig("E1")
+    (tmp_path / "taken.fits.json").mkdir()  # the fit summary's path, <stem>.fits.json, is a directory
+    for out in (str(tmp_path / "taken.csv"), str(tmp_path / "taken")):
+        with pytest.raises(ValueError, match="output path is a directory: .*taken.fits.json"):
+            run_experiment(cfg, out)
+    (tmp_path / "taken.fits.json").rmdir()
     for out, message in ((5, "out must be a nonempty path, got 5"), ("", "out must be a nonempty path, got ''"),
                          (str(tmp_path / "missing" / "x.csv"), "does not exist"), (str(tmp_path), "is a directory"),
                          (str(tmp_path / "new") + os.sep, "is a directory"),

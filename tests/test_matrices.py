@@ -11,7 +11,6 @@ from corpora import p_triangle_corpus
 from tritrunc.hankel import hankel_matrix
 from tritrunc.kernels import bump_poly, dirichlet_plus, fejer
 from tritrunc.matrices import (
-    chi_matrix,
     delta_matrix,
     mask_spectrum,
     schatten_quasinorm,
@@ -22,11 +21,6 @@ from tritrunc.rng import SplitMix64, derive_seed
 from tritrunc.trigpoly import TrigPoly
 
 
-def test_chi_matrix_layout():
-    assert np.array_equal(chi_matrix(3), [[1, 1, 1], [0, 1, 1], [0, 0, 1]])
-    assert np.array_equal(chi_matrix(1), [[1.0]])
-
-
 def test_delta_matrix_layout():
     assert np.array_equal(delta_matrix(3), [[1, 1, 1], [1, 1, 0], [1, 0, 0]])
     assert np.array_equal(delta_matrix(2), [[1, 1], [1, 0]])
@@ -35,7 +29,7 @@ def test_delta_matrix_layout():
 def test_delta_is_chi_columns_reversed():
     # same rows in reversed column order, hence identical singular values
     for n in (1, 2, 5, 13):
-        assert np.array_equal(delta_matrix(n), chi_matrix(n)[:, ::-1])
+        assert np.array_equal(delta_matrix(n), np.triu(np.ones((n, n)))[:, ::-1])
 
 
 def test_all_ones_spectrum_is_rank_one():
@@ -46,12 +40,12 @@ def test_all_ones_spectrum_is_rank_one():
 
 @pytest.mark.parametrize("n", [0, -3])
 def test_structured_sizes_must_be_positive(n):
-    for builder in (chi_matrix, delta_matrix, mask_spectrum):
+    for builder in (delta_matrix, mask_spectrum):
         with pytest.raises(ValueError):
             builder(n)
 
 
-@pytest.mark.parametrize("builder", [chi_matrix, delta_matrix, mask_spectrum, dirichlet_plus, fejer, bump_poly])
+@pytest.mark.parametrize("builder", [delta_matrix, mask_spectrum, dirichlet_plus, fejer, bump_poly])
 def test_sizes_must_be_integers(builder):
     # one integer validator: no truncation of a fraction, no bool, no string; numpy integers are integers
     for bad in (2.9, 3.0, True, "3"):
@@ -68,17 +62,17 @@ def test_triangular_projection_matches_chi_mask():
     gen = SplitMix64(derive_seed("matrices", "proj"))
     for n in (1, 2, 7):
         a = gen.complex_normal((n, n))
-        projected = chi_matrix(n) * a
+        projected = np.triu(np.ones((n, n))) * a
         assert np.array_equal(projected, np.triu(a))
-        assert np.array_equal(chi_matrix(n) * projected, projected)
+        assert np.array_equal(np.triu(np.ones((n, n))) * projected, projected)
 
 
 def test_chi2_trace_norm_is_sqrt5():
-    assert schatten_quasinorm(chi_matrix(2), 1.0) == pytest.approx(np.sqrt(5.0), abs=1e-10)
+    assert schatten_quasinorm(np.triu(np.ones((2, 2))), 1.0) == pytest.approx(np.sqrt(5.0), abs=1e-10)
 
 
 def test_chi2_singular_values_closed_form():
-    s = singular_values(chi_matrix(2))
+    s = singular_values(np.triu(np.ones((2, 2))))
     golden = (np.sqrt(5.0) + 1.0) / 2.0
     assert s[0] == pytest.approx(golden, abs=1e-12)
     assert s[1] == pytest.approx(golden - 1.0, abs=1e-12)
@@ -112,7 +106,8 @@ def test_schatten_rejects_bad_exponents(p):
 
 
 def test_schatten_takes_any_real_exponent():
-    assert schatten_quasinorm(chi_matrix(2), Fraction(1, 2)) == schatten_quasinorm(chi_matrix(2), 0.5)
+    chi2 = np.triu(np.ones((2, 2)))
+    assert schatten_quasinorm(chi2, Fraction(1, 2)) == schatten_quasinorm(chi2, 0.5)
 
 
 @pytest.mark.parametrize("bad", [complex(0, np.nan), complex(0, np.inf)])
@@ -125,7 +120,7 @@ def test_schatten_rejects_a_non_finite_imaginary_part(bad):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 21, 34, 40, 257])
 def test_chi_spectrum_closed_form(n):
-    s = singular_values(chi_matrix(n))
+    s = singular_values(np.triu(np.ones((n, n))))
     ref = mask_spectrum(n)
     assert np.all(np.diff(ref) < 0)
     assert np.max(np.abs(s - ref) / ref) < 1e-10
@@ -143,7 +138,7 @@ def test_mask_spectrum_matches_a_40_digit_eigensolve(n):
 
 def test_chi_and_delta_share_spectrum():
     for n in range(1, 41):
-        a = singular_values(chi_matrix(n))
+        a = singular_values(np.triu(np.ones((n, n))))
         b = singular_values(delta_matrix(n))
         assert np.max(np.abs(a - b)) <= 1e-10 * a[0]
 
@@ -201,7 +196,7 @@ def test_every_input_goes_to_the_svd():
     real_hankel = hankel_matrix(TrigPoly(0, normal_reference(gen, 9)))
     assert np.iscomplexobj(complex_hankel) and np.array_equal(complex_hankel, complex_hankel.T)
     assert not np.iscomplexobj(real_hankel) and np.array_equal(real_hankel, real_hankel.T)
-    inputs = (chi_matrix(37), delta_matrix(37), np.ones((6, 6)), real_hankel, complex_hankel,
+    inputs = (np.triu(np.ones((37, 37))), delta_matrix(37), np.ones((6, 6)), real_hankel, complex_hankel,
               normal_reference(gen, 15).reshape(3, 5))
     for a in inputs:
         assert np.array_equal(singular_values(a), np.linalg.svd(a, compute_uv=False))
@@ -210,7 +205,7 @@ def test_every_input_goes_to_the_svd():
 def test_jacobi_cross_check_structured():
     for n in (2, 5, 16):
         ref = mask_spectrum(n)
-        assert np.max(np.abs(jacobi_singular_values(chi_matrix(n)) - ref) / ref) < 1e-10
+        assert np.max(np.abs(jacobi_singular_values(np.triu(np.ones((n, n)))) - ref) / ref) < 1e-10
 
 
 @pytest.mark.parametrize("k", [4, 5])

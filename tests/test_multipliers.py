@@ -12,7 +12,6 @@ from tritrunc.experiments import ExperimentConfig, run_experiment
 from tritrunc.hankel import hankel_matrix
 from tritrunc.kernels import bump_poly, dirichlet_plus, fejer
 from tritrunc.matrices import (
-    chi_matrix,
     delta_matrix,
     mask_spectrum,
     schatten_quasinorm,
@@ -39,7 +38,7 @@ def _pad(a, rows, cols):
 
 
 def test_witness_ratio_on_the_all_ones_witness():
-    rep = witness_ratio(chi_matrix(2), np.ones(2), np.ones(2), 1.0)
+    rep = witness_ratio(np.triu(np.ones((2, 2))), np.ones(2), np.ones(2), 1.0)
     assert rep.numerator == pytest.approx(np.sqrt(5.0), abs=1e-12)
     assert rep.denominator == pytest.approx(2.0, abs=1e-12)
     assert rep.ratio == rep.numerator / rep.denominator
@@ -47,13 +46,13 @@ def test_witness_ratio_on_the_all_ones_witness():
 
 def test_witness_ratio_validates_inputs():
     # the witness u v^* has the multiplier's shape: a larger or a smaller multiplier has no reading
-    for a, shape in ((chi_matrix(3), (2, 2)), (np.ones((3, 2)), (2, 3)), (np.ones((2, 3)), (3, 2)),
-                     (np.ones(3), (3, 3)), (chi_matrix(2), (3, 3)), (np.ones((2, 6)), (5, 7)),
+    for a, shape in ((np.triu(np.ones((3, 3))), (2, 2)), (np.ones((3, 2)), (2, 3)), (np.ones((2, 3)), (3, 2)),
+                     (np.ones(3), (3, 3)), (np.triu(np.ones((2, 2))), (3, 3)), (np.ones((2, 6)), (5, 7)),
                      (np.ones((5, 6)), (5, 7)), (delta_matrix(5), (6, 6))):
         with pytest.raises(ValueError, match="dimension mismatch"):
             witness_ratio(a, np.ones(shape[0]), np.ones(shape[1]), 0.5)
     with pytest.raises(ValueError, match="zero witness"):
-        witness_ratio(chi_matrix(2), np.zeros(2), np.ones(2), 0.5)
+        witness_ratio(np.triu(np.ones((2, 2))), np.zeros(2), np.ones(2), 0.5)
     for bad in (complex(0, np.nan), complex(0, np.inf)):  # a non-finite imaginary part alone
         b = np.ones((2, 2), dtype=complex)
         b[1, 0] = bad
@@ -64,7 +63,7 @@ def test_witness_ratio_validates_inputs():
 
 
 def test_pair_witness_validates_inputs():
-    a = chi_matrix(3)
+    a = np.triu(np.ones((3, 3)))
     for u, v in ((np.ones(3), np.ones(2)), (np.ones(2), np.ones(3)), (np.ones((3, 1)), np.ones(3)),
                  (np.ones(3), np.ones((1, 3)))):
         with pytest.raises(ValueError, match="dimension mismatch"):
@@ -127,7 +126,7 @@ def test_pair_witness_holds_no_dense_rank_one_matrix():
     # 2.5 n^2 doubles; the complex u v^* alone would add 2 n^2
     n = 512
     rng = SplitMix64(derive_seed("pair-witness-memory"))
-    a, u, v = chi_matrix(n), rng.complex_normal(n), rng.complex_normal(n)
+    a, u, v = np.triu(np.ones((n, n))), rng.complex_normal(n), rng.complex_normal(n)
     witness_ratio(a, u, v, 0.5)  # warm-up: first-call allocations are not the evaluation's
     tracemalloc.start()
     try:
@@ -349,9 +348,10 @@ def test_p_triangle_controls_the_doubled_mask():
     p = 0.5
     for n in (2, 3, 5, 8):
         b = rng.complex_normal((2 * n, 2 * n))
-        whole = schatten_quasinorm(chi_matrix(2 * n) * b, p) ** p
+        whole = schatten_quasinorm(np.triu(np.ones((2 * n, 2 * n))) * b, p) ** p
         zero = np.zeros((n, n))
-        diag_mask = np.block([[chi_matrix(n), zero], [zero, chi_matrix(n)]])
+        chi_n = np.triu(np.ones((n, n)))
+        diag_mask = np.block([[chi_n, zero], [zero, chi_n]])
         diag = schatten_quasinorm(diag_mask * b, p) ** p
         corner_mask = np.block([[zero, np.ones((n, n))], [zero, zero]])
         corner = schatten_quasinorm(corner_mask * b, p) ** p

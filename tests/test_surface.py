@@ -36,7 +36,6 @@ PUBLIC = {
     "matrices": (
         "singular_values",
         "schatten_quasinorm",
-        "chi_matrix",
         "delta_matrix",
         "mask_spectrum",
     ),
