@@ -8,6 +8,8 @@ Subcommands:
                         mask, per level k (each end's error: ``tritrunc.multipliers``).
 * ``experiment run ID`` one registered experiment; ``experiment all`` runs
                         every registered experiment and aggregates verdicts.
+                        ``--out`` sets where each run's CSV and fit summary go
+                        (``_output_paths``), every path checked before any run.
 
 Exit codes: 0 all verdicts pass, 1 an assertion failed, 2 usage/config error
 (including an input too large to allocate and a result too large for a double).
@@ -29,7 +31,9 @@ from .experiments import (
     EXPERIMENT_IDS,
     config_from_dict,
     experiment_description,
+    fits_json,
     run_experiment,
+    write_records_csv,
 )
 from .hankel import besov_quasinorm
 from .kernels import dirichlet_plus
@@ -105,6 +109,23 @@ def _load_config_doc(path):
     return doc
 
 
+def _output_paths(out):
+    """The CSV path out and its fit summary's <stem>.fits.json beside it, where <stem> is out
+    without its extension; ValueError unless both can be written."""
+    if not out:
+        raise ValueError(f"out must be a nonempty path, got {out!r}")
+    fits_out = os.path.splitext(out)[0] + ".fits.json"
+    for path in (out, fits_out):
+        if os.path.isdir(path) or os.path.basename(path) in ("", ".", ".."):  # ends in a separator, . or ..
+            raise ValueError(f"output path is a directory: {path}")
+    parent = os.path.dirname(os.path.abspath(out))
+    if not os.path.isdir(parent):
+        raise ValueError(f"output directory does not exist: {parent}")
+    if not os.access(parent, os.W_OK):
+        raise ValueError(f"output directory is not writable: {parent}")
+    return out, fits_out
+
+
 def _print_result(result):
     cfg = result.config
     print(f"[{cfg.experiment}] {experiment_description(cfg.experiment)}")
@@ -175,10 +196,15 @@ def _cmd_experiment(args):
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:
             raise ValueError(f"cannot use --out {args.out} as the output directory: {exc}") from exc
-    # every config is resolved, and the output directory made, before any experiment runs
+    runs = [(cfg, None if out is None else _output_paths(out)) for cfg, out in runs]
+    # every config is resolved, the output directory made and every output path checked before any experiment runs
     ok = True
-    for cfg, out in runs:
-        result = run_experiment(cfg, out)
+    for cfg, paths in runs:
+        result = run_experiment(cfg)
+        if paths is not None:
+            write_records_csv(paths[0], result.records)
+            with open(paths[1], "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(fits_json(result))
         _print_result(result)
         ok = ok and result.verdict
     if args.action == "all":

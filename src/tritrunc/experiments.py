@@ -4,8 +4,9 @@ Each experiment probes one quantitative scaling law at desk scale: it sweeps
 a dyadic size grid, measures its quantities per point (seeded per point, so
 runs are schedule-independent), fits a power law, and judges the slope
 against the registered target.  A registry entry declares only what differs
-between experiments; one sweep loop, ``_run``, does the rest.  Results are
-emitted as CSV records plus a JSON fit summary.  Every point computes at one
+between experiments; one sweep loop, ``run_experiment``, does the rest.  It
+writes no file: the command line writes its records as CSV and its fits as
+JSON (``write_records_csv``, ``fits_json``).  Every point computes at one
 BLAS thread, so every output is byte-identical at any thread count: a budget
 of one thread keeps runs in this process, and a larger one deals every run's
 points to a pool of single-thread worker processes (``_worker_count``),
@@ -60,7 +61,7 @@ class ExperimentConfig:
     the registered kmin, kmax and samples (``exponents`` and ``grid`` read the
     rest) and rejects every plan a run would trip over later.  That includes
     a field the experiment does not use: p on the fixed-exponent experiments,
-    samples on the single-sample ones.  The output path is run_experiment's."""
+    samples on the single-sample ones.  The output paths are the command line's."""
 
     experiment: str
     p: float | None = None
@@ -169,7 +170,7 @@ _Check = namedtuple("_Check", "name fails summary")
 
 @dataclass(frozen=True)
 class _Spec:
-    """One registered experiment; _run owns everything it does not declare.
+    """One registered experiment; run_experiment owns everything it does not declare.
 
     measure(cfg, p, k, n, s) returns {quantity: value} for one point.  The
     grid is n = 2^k + offset for k in ks.  fixed_p makes the config reject p,
@@ -399,9 +400,11 @@ def _measure_all(cfg, points):
     return [results[i] for i in range(len(points))]
 
 
-def _run(cfg, spec):
-    """The one sweep loop over cfg's resolved plan: measure and time every
-    point, then fit and judge.  Returns (records, fits, checks)."""
+def run_experiment(cfg):
+    """Run the plan cfg to completion and return its result: the one sweep
+    loop measures and times every point, then fits and judges.  It writes no
+    file; the command line writes the records and fits of a run to its files."""
+    spec = _REGISTRY[cfg.experiment]
     points = [(p, k, n, s) for p in cfg.exponents for k, n in cfg.grid for s in range(cfg.samples or 1)]
     records, details, fit_vals = [], [], {}
     for (p, k, n, s), (values, wall) in zip(points, _measure_all(cfg, points)):
@@ -413,49 +416,13 @@ def _run(cfg, spec):
             details.append(spec.check.fails(k, n, s, values))
     fits = [(p, fit_powerlaw([(n, spec.reduce(vals)) for n, vals in at_p.items()], spec.target(p),
                              spec.tolerance, one_sided=spec.one_sided)) for p, at_p in fit_vals.items()]
-    if spec.check is None:
-        return records, fits, []
-    bad = [d for d in details if d is not None]
-    detail = "; ".join(bad) if bad else spec.check.summary.format(count=len(details))
-    return records, fits, [CheckResult(spec.check.name, not bad, detail)]
-
-
-def _record_sort_key(r):
-    return (r.experiment, r.p, r.k, r.n, r.quantity, r.sample)
-
-
-def run_experiment(cfg, out=None):
-    """Run the plan cfg to completion and return its result bundle.
-
-    If out is set, the CSV records are written to the path out and the JSON
-    fit summary to <stem>.fits.json next to it, where <stem> is out without its
-    extension; both paths are validated before any computation starts.
-    """
-    if out is not None:
-        if not (isinstance(out, str) and out):
-            raise ValueError(f"out must be a nonempty path, got {out!r}")
-        fits_out = os.path.splitext(out)[0] + ".fits.json"
-        for path in (out, fits_out):
-            if os.path.isdir(path) or os.path.basename(path) in ("", ".", ".."):  # ends in a separator, . or ..
-                raise ValueError(f"output path is a directory: {path}")
-        parent = os.path.dirname(os.path.abspath(out))
-        if not os.path.isdir(parent):
-            raise ValueError(f"output directory does not exist: {parent}")
-        if not os.access(parent, os.W_OK):
-            raise ValueError(f"output directory is not writable: {parent}")
-
-    records, fits, checks = _run(cfg, _REGISTRY[cfg.experiment])
-    result = ExperimentResult(
-        config=cfg,
-        records=tuple(sorted(records, key=_record_sort_key)),
-        fits=tuple(fits),
-        checks=tuple(checks),
-    )
-    if out is not None:
-        write_records_csv(out, result.records)
-        with open(fits_out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(fits_json(result))
-    return result
+    checks = ()
+    if spec.check is not None:
+        bad = [d for d in details if d is not None]
+        detail = "; ".join(bad) if bad else spec.check.summary.format(count=len(details))
+        checks = (CheckResult(spec.check.name, not bad, detail),)
+    records.sort(key=lambda r: (r.experiment, r.p, r.k, r.n, r.quantity, r.sample))
+    return ExperimentResult(config=cfg, records=tuple(records), fits=tuple(fits), checks=checks)
 
 
 def _g17(x):

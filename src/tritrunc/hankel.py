@@ -67,9 +67,9 @@ def besov_quasinorm(f, p):
     1/p-th root.  Each level's piece is stored on its nonzero coefficients
     (apply_window), so its quadrature grid is sized by the piece's own span,
     not by f's degree; an empty piece contributes 0 with no quadrature.  A
-    piece whose L^p power sum underflows contributes 0 too; a nonzero f whose
-    total power sum, zero term included, overflows to inf or underflows to 0
-    raises OverflowError naming p.
+    piece whose L^p power sum, or its root, underflows contributes 0 too; a
+    nonzero f whose total power sum, zero term included, or its root leaves
+    the double range raises OverflowError naming p.
     """
     p = _check_p(p)
     _require_analytic(f, "besov_quasinorm")

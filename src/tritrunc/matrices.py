@@ -83,19 +83,23 @@ def _schatten_from_spectrum(s, p):
 
 
 class _PowerSumUnderflow(OverflowError):
-    """The power sum of a nonzero input underflowed to 0."""
+    """The power sum of a nonzero input, or its 1/p-th power, underflowed to 0."""
 
 
 def _power_sum_root(total, p):
-    """total^(1/p) for the power sum of a nonzero input, or OverflowError, naming p, when that sum
-    overflowed to inf or underflowed to 0 (then the subclass _PowerSumUnderflow) or total^(1/p) overflows."""
+    """total^(1/p) for the power sum of a nonzero input, or OverflowError naming p when that sum or
+    total^(1/p) leaves the double range (the subclass _PowerSumUnderflow when it underflows to 0)."""
     if not 0 < total < math.inf:
         error = _PowerSumUnderflow if total == 0 else OverflowError
         raise error(f"the power sum at p={p:g} leaves the double range")
     try:
-        return total ** (1.0 / p)
+        root = total ** (1.0 / p)
     except OverflowError:
-        raise OverflowError(f"the 1/p-th power of the power sum at p={p:g} leaves the double range") from None
+        root = math.inf
+    if not 0 < root < math.inf:
+        error = _PowerSumUnderflow if root == 0 else OverflowError
+        raise error(f"the 1/p-th power of the power sum at p={p:g} leaves the double range")
+    return root
 
 
 def delta_matrix(n):

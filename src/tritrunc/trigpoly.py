@@ -148,8 +148,9 @@ def lp_quasinorm(f, p, n_samples=None):
     allows the fold.
 
     The zero polynomial returns 0; for any other, a mean power sum that
-    overflows to inf or underflows to 0 (|f| ~ 1e-3 at p = 400) raises
-    OverflowError.
+    overflows to inf or underflows to 0 (|f| ~ 1e-3 at p = 400), or a 1/p-th
+    power of it that does (bump_poly(1024) at p = 1e-10 underflows), raises
+    OverflowError naming p, so a nonzero f never reads 0.
     """
     p = _check_p(p)
     floor = quadrature_floor(f)

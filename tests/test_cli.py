@@ -355,6 +355,7 @@ def test_an_input_too_large_to_allocate_is_a_usage_error(capsys, argv):
         ["besov", "--dirichlet", "9", "--p", "800"],
         ["multiplier-bound", "--delta-k", "1", "--p", "0.002"],  # the upper end's (2m)^{1/p-1} overflows
         ["multiplier-bound", "--delta-k", "6", "--p", "0.00681107223"],  # a finite factor times ||phi||_p overflows
+        ["experiment", "run", "E6", "--p", "1e-10"],  # the 1/p-th power of an L^p power sum underflows to 0
     ],
 )
 def test_a_result_out_of_range_is_a_usage_error(capsys, argv):
@@ -434,6 +435,16 @@ def test_experiment_all_resolves_every_config_before_running(capsys, tmp_path):
     code, out, err = run_cli(capsys, "experiment", "all", "--p", "0.5", "--out", str(results))
     assert code == 2 and out == "" and "E4 runs at fixed p" in err
     assert not results.exists()
+
+
+@pytest.mark.parametrize("taken", ["E5.fits.json", "E9.csv"])
+def test_experiment_all_checks_every_output_path_before_running(capsys, monkeypatch, tmp_path, taken):
+    calls = []
+    monkeypatch.setattr(experiments, "_measure_all", lambda *a: calls.append("_measure_all"))
+    (tmp_path / taken).mkdir()
+    code, out, err = run_cli(capsys, "experiment", "all", "--out", str(tmp_path))
+    assert code == 2 and out == "" and err == f"error: output path is a directory: {tmp_path / taken}\n"
+    assert calls == [] and list(tmp_path.iterdir()) == [tmp_path / taken]
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,7 @@ from tritrunc.experiments import (
     config_from_dict,
     experiment_description,
     run_experiment,
+    write_records_csv,
 )
 from tritrunc.matrices import schatten_quasinorm
 from tritrunc.rng import SplitMix64, derive_seed
@@ -95,7 +97,7 @@ def test_multiplier_experiment_rejects_p_above_one():
 def test_config_from_dict_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown config keys: smaples"):
         config_from_dict({"experiment": "E1", "smaples": 3})
-    with pytest.raises(ValueError, match="unknown config keys: out"):  # the output path is run_experiment's
+    with pytest.raises(ValueError, match="unknown config keys: out"):  # the output paths are the command line's
         config_from_dict({"experiment": "E1", "out": "x.csv"})
     with pytest.raises(ValueError, match="JSON object"):
         config_from_dict(["E1"])
@@ -140,7 +142,7 @@ def test_runs_are_reproducible_modulo_wall_time(tmp_path):
     paths = []
     for name in ("one.csv", "two.csv"):
         out = tmp_path / name
-        run_experiment(ExperimentConfig("E4", kmin=4, kmax=6, samples=3), str(out))
+        write_records_csv(str(out), run_experiment(ExperimentConfig("E4", kmin=4, kmax=6, samples=3)).records)
         paths.append(out)
     a, b = (strip_wall(path.read_text(encoding="utf-8")) for path in paths)
     assert a == b
@@ -376,9 +378,11 @@ def test_importing_tritrunc_loads_no_process_machinery():
 # --- on-disk formats ---------------------------------------------------------------
 
 
-def test_csv_and_fit_formats(tmp_path):
+def test_csv_and_fit_formats(tmp_path, capsys):
     out = tmp_path / "e6.csv"
-    result = run_experiment(ExperimentConfig("E6", kmin=3, kmax=5), str(out))
+    assert cli.main(["experiment", "run", "E6", "--kmin", "3", "--kmax", "5", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("[E6] ")
+    result = run_experiment(ExperimentConfig("E6", kmin=3, kmax=5))
 
     raw = out.read_bytes()
     assert b"\r" not in raw and raw.endswith(b"\n")
@@ -399,22 +403,27 @@ def test_csv_and_fit_formats(tmp_path):
     assert fits[0]["pass"] == result.fits[0][1].passed
 
 
-def test_output_location_is_validated_before_compute(tmp_path, monkeypatch):
-    monkeypatch.setattr(experiments, "_run", None)  # any computation would raise TypeError
-    cfg = ExperimentConfig("E1")
+def test_output_location_is_validated_before_compute(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(experiments, "_measure_all", lambda *a: calls.append("_measure_all"))
+
+    def rejects(out, message):
+        assert cli.main(["experiment", "run", "E1", "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and re.match(f"error: {message}", captured.err)
+
     (tmp_path / "taken.fits.json").mkdir()  # the fit summary's path, <stem>.fits.json, is a directory
     for out in (str(tmp_path / "taken.csv"), str(tmp_path / "taken")):
-        with pytest.raises(ValueError, match="output path is a directory: .*taken.fits.json"):
-            run_experiment(cfg, out)
+        rejects(out, "output path is a directory: .*taken.fits.json")
     (tmp_path / "taken.fits.json").rmdir()
-    for out, message in ((5, "out must be a nonempty path, got 5"), ("", "out must be a nonempty path, got ''"),
-                         (str(tmp_path / "missing" / "x.csv"), "does not exist"), (str(tmp_path), "is a directory"),
-                         (str(tmp_path / "new") + os.sep, "is a directory"),
-                         (os.path.join(tmp_path, "new", "."), "is a directory"),
-                         (os.path.join(tmp_path, "new", ".."), "is a directory")):
-        with pytest.raises(ValueError, match=message):
-            run_experiment(cfg, out)
-    assert list(tmp_path.iterdir()) == []
+    for out, message in (("", "out must be a nonempty path, got ''"),
+                         (str(tmp_path / "missing" / "x.csv"), "output directory does not exist"),
+                         (str(tmp_path), "output path is a directory"),
+                         (str(tmp_path / "new") + os.sep, "output path is a directory"),
+                         (os.path.join(tmp_path, "new", "."), "output path is a directory"),
+                         (os.path.join(tmp_path, "new", ".."), "output path is a directory")):
+        rejects(out, message)
+    assert calls == [] and list(tmp_path.iterdir()) == []
 
 
 def test_records_are_sorted_by_the_published_key():

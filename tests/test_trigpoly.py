@@ -114,6 +114,12 @@ def test_lp_power_sum_outside_the_double_range_raises(scale):
     assert lp_quasinorm(TrigPoly(0, [0.0, 0.0]), 400) == 0.0
 
 
+def test_lp_root_that_underflows_raises():
+    # the mean power sum of bump_poly(1024) at p = 1e-10 is a double below 1, and its 1e10-th power is 0
+    with pytest.raises(OverflowError, match=r"1/p-th power of the power sum at p=1e-10 leaves the double range"):
+        lp_quasinorm(bump_poly(1024), 1e-10)
+
+
 def test_monomials_are_exact_at_any_admissible_size():
     # one FFT (4096, odd 4097) or folded into 128 rows (2^20)
     for k in (-3, 0, 5):
