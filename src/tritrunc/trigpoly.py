@@ -2,13 +2,13 @@
 
 A TrigPoly stores the exact coefficient window [lo, hi] with no automatic
 trimming; == and hash are by identity (compare lo and coeffs for values).
-The L^p quasinorm for 0 < p < infinity is a midpoint-shifted Riemann sum
-over normalized Lebesgue measure on the circle.  Its N-point grid is fixed
-by the quadrature floor; the sum over it is evaluated folded, as short
-inverse FFTs of the nonzero coefficient window reduced block by block, so
-its memory is O(block) rather than O(N).  For real coefficients |f| is
-mirror-symmetric on the nodes, so at even N only the first half of the grid
-is transformed and its sum doubled.
+It is stored float64 when no coefficient has a nonzero imaginary part, else
+complex128, and padding, Hankel matrices and the quadrature keep that kind.
+The L^p quasinorm for 0 < p < infinity is a midpoint-shifted Riemann sum on
+the N-point grid fixed by the quadrature floor, folded into short inverse
+FFTs of the nonzero coefficient window reduced block by block, so its memory
+is O(block), not O(N).  For real storage |f| is mirror-symmetric on the
+nodes, so at even N only half the grid is transformed and its sum doubled.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ class TrigPoly:
             raise ValueError("coeffs must be a nonempty 1-D sequence")
         if not np.isfinite(c).all():  # complex-aware: both parts finite
             raise ValueError("coefficients must be finite")
-        c = c.copy()
+        c = (c if c.imag.any() else c.real).copy()
         c.setflags(write=False)
         object.__setattr__(self, "lo", _check_size(self.lo, "lo", least=None))
         object.__setattr__(self, "coeffs", c)
@@ -55,11 +55,11 @@ class TrigPoly:
         return self.lo + len(self.coeffs) - 1
 
     def coefficients_on(self, lo, hi):
-        """Coefficients on the index window lo..hi inclusive, zero-padded."""
+        """Coefficients on the index window lo..hi inclusive, zero-padded, in the storage dtype."""
         lo, hi = _check_size(lo, "lo", least=None), _check_size(hi, "hi", least=None)
         if hi < lo:
             raise ValueError(f"empty window {lo}..{hi}")
-        out = np.zeros(hi - lo + 1, dtype=complex)
+        out = np.zeros(hi - lo + 1, dtype=self.coeffs.dtype)
         a = max(lo, self.lo)
         b = min(hi, self.hi)
         if a <= b:
@@ -97,7 +97,7 @@ def _midpoint_power_sum(c, n, p):
     m = n
     while m % 2 == 0 and m // 2 >= max(s, _MIN_FFT):
         m //= 2
-    mirrored = n % 2 == 0 and not np.any(c.imag)
+    mirrored = n % 2 == 0 and not np.iscomplexobj(c)
     if mirrored and m == n:
         m //= 2
     rows = n // m
@@ -140,9 +140,9 @@ def lp_quasinorm(f, p, n_samples=None):
     The grid is the full N-point grid whatever the evaluation route: the
     sum is folded into inverse FFTs of length M = N/2^a >= max(2^13, nonzero
     coefficient span), or M = N when N is small or odd, and reduced block by
-    block.  For real coefficients at even N, |f| at node N-1-k equals |f| at
+    block.  For real (float64) storage at even N, |f| at node N-1-k equals |f| at
     node k, so only the first half of the rows is transformed and the sum
-    doubled; where N is small, M = N/2 is that half.  Complex coefficients and
+    doubled; where N is small, M = N/2 is that half.  Complex storage and
     odd N sum every node.  Memory is O(block), about 2^18 complex samples or
     one row of M, not O(N); every default floor has the factor 2^9 that
     allows the fold.

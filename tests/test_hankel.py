@@ -1,15 +1,19 @@
 """Hankel matrices of polynomials and the dyadic-quasinorm bridge."""
 
+import math
+import tracemalloc
+
+import mpmath
 import numpy as np
 import pytest
 
 from tritrunc.fitting import fit_powerlaw
 import tritrunc.hankel as hankel
 from tritrunc.hankel import HARD_TOL, band_hankel_check, besov_quasinorm, hankel_matrix
-from tritrunc.kernels import apply_window, dirichlet_plus
+from tritrunc.kernels import apply_window, bump_poly, dirichlet_plus
 from tritrunc.matrices import delta_matrix, schatten_quasinorm
 from tritrunc.rng import SplitMix64, derive_seed
-from tritrunc.trigpoly import TrigPoly, lp_quasinorm, quadrature_floor
+from tritrunc.trigpoly import TrigPoly, lp_quasinorm, quadrature_floor, riesz_plus
 
 from corpora import hankel_degree_bound_corpus
 
@@ -59,6 +63,29 @@ def test_hankel_dtype_tracks_coefficients():
     m = hankel_matrix(TrigPoly(0, [1.0, 1j]))
     assert np.iscomplexobj(m)
     assert m[0, 1] == 1j
+
+
+def test_a_real_symbol_gives_a_real_read_only_view():
+    m = hankel_matrix(dirichlet_plus(9))
+    assert m.dtype == np.float64 and not m.flags.writeable
+    assert np.array_equal(m, delta_matrix(9))
+    # E3's largest band, k = 9: a complex 1024 x 1024 matrix
+    band = band_poly(9, SplitMix64(derive_seed("hankel-view", 9)))
+    m = hankel_matrix(band)
+    assert m.dtype == np.complex128 and m.shape == (1024, 1024)
+    assert m[3, 300] == band.coefficients_on(303, 303)[0]
+
+
+def test_hankel_assembly_holds_no_square_array():
+    # the view holds only the 2d + 1 coefficients (32 KiB at k = 9); a dense 1024 x 1024 complex copy is 16 MiB
+    band = band_poly(9, SplitMix64(derive_seed("hankel-view", 9)))
+    tracemalloc.start()
+    try:
+        hankel_matrix(band)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 # --- besov_quasinorm -----------------------------------------------------------
@@ -195,6 +222,43 @@ def test_besov_tracks_hankel_schatten_quasinorm(p):
         points.append((n, ratio))
     fit = fit_powerlaw(points, target=0.0, tolerance=0.15)
     assert fit.passed, f"p={p}: ratio drifts with slope {fit.slope:+.4f}"
+
+
+# --- the jump mass J_p: the constant that leads E1, E6 and E7 -------------------
+
+
+def jump_mass(p):
+    """J_p = (1/2 pi) int |1 - e^{i theta}|^{-p} d theta = Gamma(1-p) / Gamma(1-p/2)^2, the L^p mass of a
+    unit jump in the coefficients."""
+    return math.gamma(1.0 - p) / math.gamma(1.0 - p / 2.0) ** 2
+
+
+@pytest.mark.parametrize("p", [0.25, 0.5, 2.0 / 3.0, 0.75])
+def test_jump_mass_is_the_main_theorem_constant(p):
+    # by Legendre's duplication formula J_p = C_p^p, with C_p as in
+    # test_all_ones_lower_end_tends_to_the_main_theorem_constant
+    with mpmath.workdps(30):
+        q = mpmath.mpf(p)
+        c_pp = 2**-q * mpmath.beta((1 - q) / 2, mpmath.mpf(0.5)) / mpmath.pi
+        assert abs(mpmath.gamma(1 - q) / mpmath.gamma(1 - q / 2) ** 2 - c_pp) < mpmath.mpf(10) ** -25
+        assert abs(jump_mass(p) - float(c_pp)) <= 1e-14
+
+
+# k -> the term at level k: E7's top Besov level term over 2^k, and E6's numerator ||P_+ bump_{2^k}||_p^p
+JUMP_TERMS = {
+    "E7-top-level": lambda k, p: dict(besov_quasinorm(dirichlet_plus(2**k + 1), p).levels)[k] / 2**k,
+    "E6-numerator": lambda k, p: lp_quasinorm(riesz_plus(bump_poly(2**k)), p) ** p,
+}
+
+
+@pytest.mark.parametrize("p", [0.25, 0.5])
+@pytest.mark.parametrize("name", list(JUMP_TERMS))
+def test_jump_terms_rise_to_the_jump_mass(name, p):
+    # both sides end in a unit jump, so both tend to J_p from below; each gap is at most half the gap
+    # three levels earlier (measured 0.21-0.36; at p = 1/2 the E7 gaps read 0.0447, 0.0161, 0.0057)
+    gaps = [jump_mass(p) - JUMP_TERMS[name](k, p) for k in (6, 9, 12)]
+    assert all(gap > 0 for gap in gaps), (name, gaps)
+    assert all(later <= 0.5 * earlier for earlier, later in zip(gaps, gaps[1:])), (name, gaps)
 
 
 # --- band_hankel_check ----------------------------------------------------------

@@ -36,6 +36,20 @@ def test_coefficients_on_pads_with_zeros():
         f.coefficients_on(3, 1)
 
 
+def test_storage_is_real_unless_an_imaginary_part_is_nonzero():
+    # the symbol's kind is decided once, at construction
+    for coeffs in ([1, 2 + 0j], [1, 2], [0.5, complex(-1.0, -0.0)]):
+        assert TrigPoly(0, coeffs).coeffs.dtype == np.float64
+    for coeffs in ([1, 2 + 1j], [0.0, complex(0.0, 1e-300)]):
+        assert TrigPoly(0, coeffs).coeffs.dtype == np.complex128
+
+
+def test_coefficients_on_keeps_the_storage_dtype():
+    for f, dtype in ((TrigPoly(1, [2.0, 4.0]), np.float64), (TrigPoly(1, [2.0, 4j]), np.complex128)):
+        for lo, hi in ((-1, 4), (1, 2), (7, 9)):  # padded, exact, all padding
+            assert f.coefficients_on(lo, hi).dtype == dtype
+
+
 POLY = TrigPoly(-2, [1.0, 2.0, 3.0, 4.0])
 
 # entry point -> (its output with the integer argument n, a value n may take)
