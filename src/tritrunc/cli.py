@@ -99,14 +99,11 @@ def _experiment_flags(cmd, out_help="CSV output path (fit summary lands next to 
 def _load_config_doc(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ValueError(f"cannot read config file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"config file is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValueError("config file must hold a JSON object")
-    return doc
 
 
 def _output_paths(out):
@@ -183,14 +180,16 @@ def _cmd_multiplier_bound(args):
 
 def _cmd_experiment(args):
     doc = _load_config_doc(args.config) if args.config else {}
-    doc.update({key: getattr(args, key) for key in ("seed", "p", "kmin", "kmax") if getattr(args, key) is not None})
+    flags = {key: getattr(args, key) for key in ("seed", "p", "kmin", "kmax") if getattr(args, key) is not None}
+    if isinstance(doc, dict):  # config_from_dict rejects any other document
+        if args.action == "all" and "experiment" in doc:
+            raise ValueError("a config used with 'experiment all' must not pin one experiment id")
+        doc = {**doc, **flags}
     if args.action == "run":
         outs = {args.id: args.out}
-    elif "experiment" in doc:
-        raise ValueError("a config used with 'experiment all' must not pin one experiment id")
     else:
         outs = {exp: None if args.out is None else os.path.join(args.out, f"{exp}.csv") for exp in EXPERIMENT_IDS}
-    runs = [(config_from_dict(doc, experiment=exp), out) for exp, out in outs.items()]
+    runs = [(config_from_dict(doc, exp), out) for exp, out in outs.items()]
     if args.action == "all" and args.out is not None:
         try:
             os.makedirs(args.out, exist_ok=True)

@@ -3,14 +3,15 @@
 Each experiment probes one quantitative scaling law at desk scale: it sweeps
 a dyadic size grid, measures its quantities per point (seeded per point, so
 runs are schedule-independent), fits a power law, and judges the slope
-against the registered target.  A registry entry declares only what differs
-between experiments; one sweep loop, ``run_experiment``, does the rest.  It
-writes no file: the command line writes its records as CSV and its fits as
-JSON (``write_records_csv``, ``fits_json``).  Every point computes at one
-BLAS thread, so every output is byte-identical at any thread count: a budget
-of one thread keeps runs in this process, and a larger one deals every run's
-points to a pool of single-thread worker processes (``_worker_count``),
-started once per process and reaped at exit.
+against the registered target; its hard check, if it has one, is a proved
+bound on one quantity, compared at every point.  A registry entry declares
+only what differs between experiments; one sweep loop, ``run_experiment``,
+does the rest.  It writes no file: the command line writes its records as
+CSV and its fits as JSON (``write_records_csv``, ``fits_json``).  Every point
+computes at one BLAS thread, so every output is byte-identical at any thread
+count: a budget of one thread keeps runs in this process, and a larger one
+deals every run's points to a pool of single-thread worker processes
+(``_worker_count``), started once per process and reaped at exit.
 """
 
 from __future__ import annotations
@@ -105,23 +106,17 @@ class ExperimentConfig:
 _CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
 
 
-def config_from_dict(doc, experiment=None):
-    """Build a config from a JSON-style dict, rejecting unknown keys."""
+def config_from_dict(doc, experiment):
+    """Build the config of experiment from a JSON-style dict, rejecting
+    unknown keys and a document that names another experiment."""
     if not isinstance(doc, dict):
         raise ValueError("config document must be a JSON object")
     unknown = sorted(set(doc) - _CONFIG_KEYS)
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    doc = dict(doc)
-    if experiment is not None:
-        if "experiment" in doc and doc["experiment"] != experiment:
-            raise ValueError(
-                f"config names experiment {doc['experiment']!r} but {experiment!r} was requested"
-            )
-        doc["experiment"] = experiment
-    if "experiment" not in doc:
-        raise ValueError("config must name an experiment (or pass one on the command line)")
-    return ExperimentConfig(**doc)
+    if doc.get("experiment", experiment) != experiment:
+        raise ValueError(f"config names experiment {doc['experiment']!r} but {experiment!r} was requested")
+    return ExperimentConfig(**{**doc, "experiment": experiment})
 
 
 @dataclass(frozen=True)
@@ -138,7 +133,8 @@ class SeriesRecord:
 
 @dataclass(frozen=True)
 class CheckResult:
-    """A hard (non-fit) assertion attached to an experiment run."""
+    """A run's hard (non-fit) check: ok unless some point broke its bound,
+    and detail lists each such point, or else counts the points checked."""
 
     name: str
     ok: bool
@@ -163,9 +159,10 @@ class ExperimentResult:
 # --- the registry: what each experiment declares -----------------------------
 
 
-# A hard per-point assertion: fails(k, n, s, values) returns a failure detail or
-# None; summary, with {count} the points checked, is the detail when all pass.
-_Check = namedtuple("_Check", "name fails summary")
+# A hard check: a proved bound on one quantity.  At every point values[quantity]
+# must stay at or below bound(p, k, n, values), or at or above it when floor is
+# set; run_experiment makes the one comparison, so a nan value or bound fails.
+_Check = namedtuple("_Check", "name quantity bound floor", defaults=(False,))
 
 
 @dataclass(frozen=True)
@@ -176,7 +173,8 @@ class _Spec:
     grid is n = 2^k + offset for k in ks.  fixed_p makes the config reject p,
     and max_p any p above it; samples None is one sample per point and makes
     it reject samples.  The fit reads the first quantity, reduce()d over the
-    point's samples, at x = n."""
+    point's samples, at x = n.  check, if any, is one declared bound on one
+    quantity, which run_experiment compares at every point."""
 
     name: str
     blurb: str
@@ -212,22 +210,11 @@ def _multiplier_interval(cfg, p, k, n, s):
     return {"witness_ratio": delta_lower_bound(k, p).ratio, "multiplier_upper": hankel_multiplier_upper(dirichlet_plus(n), p)}
 
 
-def _ratio_above_upper(k, n, s, v):
-    ratio, upper = v["witness_ratio"], v["multiplier_upper"]
-    if ratio > upper * (1.0 + 1e-4):
-        return f"k={k}: ratio {ratio:.6g} > upper {upper:.6g}"
-
-
 def _band_ratio(cfg, p, k, n, s):
     lo = 2 ** (k - 1) + 1
     gen = SplitMix64(derive_seed(cfg.experiment, cfg.seed, k, s))
     band = TrigPoly(lo, gen.complex_normal(2 ** (k + 1) - lo))
     return {"band_ratio": band_hankel_check(band, p, k)}
-
-
-def _band_ratio_above_one(k, n, s, v):
-    if not v["band_ratio"] <= 1.0 + HARD_TOL:
-        return f"level {k} sample {s}: ratio {v['band_ratio']:.12g} > 1"
 
 
 def _projected_pair(gen, n):
@@ -259,11 +246,6 @@ def _dirichlet_besov(cfg, p, k, n, s):
     return {"besov_total": report.total, "top_level_term": dict(report.levels)[k]}
 
 
-def _top_term_below_2k(k, n, s, v):
-    if v["top_level_term"] < 2.0**k * (1.0 - 1e-6):
-        return f"k={k}: top level term {v['top_level_term']:.6g} < {2.0**k * (1 - 1e-6):.6g}"
-
-
 def _projection_ratios(cfg, p, k, n, s):
     # ||P_n(T)||_p / ||T||_p for a rank-one T = u v^*; at p <= 1 the Schmidt split bounds every T by its rank-one pieces
     projected, norm = _projected_pair(SplitMix64(derive_seed(cfg.experiment, cfg.seed, "rank_one", n, s)), n)
@@ -275,24 +257,21 @@ _REGISTRY = {
                 _mask_schatten, _mask_growth, 0.10, exponents=(0.5, 2.0 / 3.0)),
     "E2": _Spec("delta_multiplier_lower", "constructive multiplier lower bounds vs analytic uppers", (4, 9),
                 _multiplier_interval, _projection_growth, 0.20, max_p=1.0, offset=1,
-                check=_Check("witness_ratio_below_analytic_upper", _ratio_above_upper,
-                             "all {count} ratios below the analytic upper bound")),
+                check=_Check("witness_ratio_below_analytic_upper", "witness_ratio",
+                             lambda p, k, n, v: v["multiplier_upper"] * (1.0 + 1e-4))),
     "E3": _Spec("band_hankel", "two-sided dyadic band estimate for Hankel matrices", (2, 9),
                 _band_ratio, lambda p: 0.0, 0.15, samples=20, reduce=min,
-                check=_Check("band_upper_inequality", _band_ratio_above_one, "all {count} ratios <= 1 + 1e-9")),
+                check=_Check("band_upper_inequality", "band_ratio", lambda p, k, n, v: 1.0 + HARD_TOL)),
     "E4": _Spec("weak_type", "weak-type decay of triangular truncation on trace-class inputs", (5, 9),
                 _weak_decay, lambda p: 0.0, 0.10, exponents=(1.0,), fixed_p=True, samples=20, one_sided=True),
     "E5": _Spec("fejer_log", "logarithmic growth of the analytic Fejér half at p = 1", (4, 11),
-                _fejer_log, lambda p: 0.0, 0.10, exponents=(1.0,), fixed_p=True,
-                check=_Check("normalized_ratio_positive",
-                             lambda k, n, s, v: None if v["normalized_ratio"] > 0 else f"m={n}",
-                             "all normalized ratios strictly positive")),
+                _fejer_log, lambda p: 0.0, 0.10, exponents=(1.0,), fixed_p=True),
     "E6": _Spec("riesz_jump", "Riesz projection jump on bump polynomials, p < 1", (3, 10),
                 _riesz_jump, _projection_growth, 0.15),
     "E7": _Spec("dirichlet_besov", "dyadic-decomposition quasinorm growth of Dirichlet kernels", (3, 10),
                 _dirichlet_besov, _mask_growth, 0.10, offset=1,
-                check=_Check("top_level_term_at_least_2k", _top_term_below_2k,
-                             "all {count} top level terms >= 2^k(1-1e-6)")),
+                check=_Check("top_level_term_at_least_2k", "top_level_term",
+                             lambda p, k, n, v: 2.0**k * (1.0 - 1e-6), floor=True)),
     "E8": _Spec("projection_sp_bound", "normalized triangular-projection ratios stay bounded", (4, 9),
                 _projection_ratios, lambda p: 0.0, 0.05, samples=10, one_sided=True),
     "E9": _Spec("delta_schatten_p_gt_1", "linear Schatten growth of the mask for p > 1", (4, 11),
@@ -405,22 +384,25 @@ def run_experiment(cfg):
     loop measures and times every point, then fits and judges.  It writes no
     file; the command line writes the records and fits of a run to its files."""
     spec = _REGISTRY[cfg.experiment]
+    check = spec.check
     points = [(p, k, n, s) for p in cfg.exponents for k, n in cfg.grid for s in range(cfg.samples or 1)]
-    records, details, fit_vals = [], [], {}
+    records, failed, fit_vals = [], [], {}
     for (p, k, n, s), (values, wall) in zip(points, _measure_all(cfg, points)):
         for quantity, value in values.items():
             records.append(SeriesRecord(cfg.experiment, p, k, n, s, quantity, value, wall))
             wall = 0.0  # the point's whole time sits on its first quantity's row
         fit_vals.setdefault(p, {}).setdefault(n, []).append(next(iter(values.values())))
-        if spec.check is not None:
-            details.append(spec.check.fails(k, n, s, values))
+        if check is not None:
+            got, bound = float(values[check.quantity]), float(check.bound(p, k, n, values))
+            if not (got >= bound if check.floor else got <= bound):
+                failed.append(f"p={p:g} k={k} sample {s}: {got!r} {'<' if check.floor else '>'} {bound!r}")
     fits = [(p, fit_powerlaw([(n, spec.reduce(vals)) for n, vals in at_p.items()], spec.target(p),
                              spec.tolerance, one_sided=spec.one_sided)) for p, at_p in fit_vals.items()]
     checks = ()
-    if spec.check is not None:
-        bad = [d for d in details if d is not None]
-        detail = "; ".join(bad) if bad else spec.check.summary.format(count=len(details))
-        checks = (CheckResult(spec.check.name, not bad, detail),)
+    if check is not None:
+        relation = ">=" if check.floor else "<="
+        detail = "; ".join(failed) or f"all {len(points)} {check.quantity} values {relation} the bound"
+        checks = (CheckResult(check.name, not failed, detail),)
     records.sort(key=lambda r: (r.experiment, r.p, r.k, r.n, r.quantity, r.sample))
     return ExperimentResult(config=cfg, records=tuple(records), fits=tuple(fits), checks=checks)
 

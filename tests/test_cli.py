@@ -405,6 +405,14 @@ def test_experiment_config_errors(capsys, tmp_path):
     code, _, err = run_cli(capsys, "experiment", "all", "--config", str(pinned))
     assert code == 2 and "must not pin" in err
 
+    # the flags merge into an object alone; any other document is the config's error
+    for text in ("[1]", '"E1"', "null"):
+        not_object = tmp_path / "not_object.json"
+        not_object.write_text(text)
+        for action in (["run", "E6", "--p", "0.5"], ["all", "--kmin", "4"]):
+            code, out, err = run_cli(capsys, "experiment", *action, "--config", str(not_object))
+            assert code == 2 and out == "" and "must be a JSON object" in err, (text, action)
+
 
 def test_experiment_config_below_the_quadrature_floor(capsys, tmp_path):
     coarse = tmp_path / "coarse.json"

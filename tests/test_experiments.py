@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -71,8 +72,9 @@ def test_config_rejects_unknown_experiment():
     ],
 )
 def test_config_field_validation(kwargs, message):
+    doc = {"experiment": "E1", **kwargs}
     with pytest.raises(ValueError, match=message):
-        config_from_dict({"experiment": "E1", **kwargs})
+        config_from_dict(doc, doc["experiment"])
 
 
 @pytest.mark.parametrize("exp", ["E1", "E2", "E5", "E6", "E7", "E9"])
@@ -96,18 +98,21 @@ def test_multiplier_experiment_rejects_p_above_one():
 
 def test_config_from_dict_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown config keys: smaples"):
-        config_from_dict({"experiment": "E1", "smaples": 3})
+        config_from_dict({"experiment": "E1", "smaples": 3}, "E1")
     with pytest.raises(ValueError, match="unknown config keys: out"):  # the output paths are the command line's
-        config_from_dict({"experiment": "E1", "out": "x.csv"})
-    with pytest.raises(ValueError, match="JSON object"):
-        config_from_dict(["E1"])
+        config_from_dict({"experiment": "E1", "out": "x.csv"}, "E1")
+    for doc in (["E1"], "E1", None, 1):
+        with pytest.raises(ValueError, match="config document must be a JSON object"):
+            config_from_dict(doc, "E1")
 
 
 def test_config_from_dict_requires_an_experiment():
-    with pytest.raises(ValueError, match="must name an experiment"):
+    # the experiment is the caller's argument; the document may leave it out, or name the same one
+    with pytest.raises(TypeError):
         config_from_dict({"p": 0.5})
-    cfg = config_from_dict({"p": 0.5}, experiment="E6")
+    cfg = config_from_dict({"p": 0.5}, "E6")
     assert cfg.experiment == "E6" and cfg.p == 0.5
+    assert config_from_dict({"experiment": "E6", "p": 0.5}, "E6") == cfg
 
 
 def test_config_from_dict_rejects_a_conflicting_pin():
@@ -125,7 +130,7 @@ def test_config_resolves_the_registered_plan():
     assert cfg.exponents == (1.0,) and type(cfg.p) is float and type(cfg.kmin) is int
     assert cfg.grid == [(2, 4), (3, 8), (4, 16)] and cfg.samples == 3
     # the resolved config is itself a valid config for the same run
-    assert config_from_dict(dataclasses.asdict(cfg)) == cfg
+    assert config_from_dict(dataclasses.asdict(cfg), "E3") == cfg
 
 
 @pytest.mark.parametrize("exp", ["E2", "E3", "E7"])
@@ -282,7 +287,7 @@ def test_mask_runs_compute_no_spectrum(monkeypatch):
 def test_pooled_points_merge_in_serial_order(monkeypatch, fresh_pool):
     # a check that fails on every point lists every point in its detail, in (k, s) order
     spec = experiments._REGISTRY["E3"]
-    check = experiments._Check("every_point", lambda k, n, s, v: f"k={k} s={s} {v['band_ratio']!r}", "")
+    check = experiments._Check("every_point", "band_ratio", lambda p, k, n, v: -math.inf)
     monkeypatch.setitem(experiments._REGISTRY, "E3", dataclasses.replace(spec, check=check))
     cfg = ExperimentConfig("E3", kmin=2, kmax=4, samples=3)
     results = []
@@ -292,8 +297,8 @@ def test_pooled_points_merge_in_serial_order(monkeypatch, fresh_pool):
     serial, pooled = ([dataclasses.replace(r, wall_ms=0.0) for r in result.records] for result in results)
     assert serial == pooled
     assert results[0].fits == results[1].fits and results[0].checks == results[1].checks
-    assert [d.split(" ")[:2] for d in results[1].checks[0].detail.split("; ")] == [
-        [f"k={k}", f"s={s}"] for k in (2, 3, 4) for s in range(3)
+    assert [d.split(":")[0] for d in results[1].checks[0].detail.split("; ")] == [
+        f"p=0.5 k={k} sample {s}" for k in (2, 3, 4) for s in range(3)
     ]
 
 
@@ -488,7 +493,7 @@ REGISTRY_SHAPE = {
     "E2": (["witness_ratio", "multiplier_upper"], [0.5], ["witness_ratio_below_analytic_upper"]),
     "E3": (["band_ratio"], [0.5], ["band_upper_inequality"]),
     "E4": (["weak_decay_max"], [1.0], []),
-    "E5": (["normalized_ratio", "riesz_ratio"], [1.0], ["normalized_ratio_positive"]),
+    "E5": (["normalized_ratio", "riesz_ratio"], [1.0], []),
     "E6": (["riesz_projection_ratio"], [0.5], []),
     "E7": (["besov_total", "top_level_term"], [0.5], ["top_level_term_at_least_2k"]),
     "E8": (["projection_ratio_rank_one"], [0.5], []),
@@ -521,3 +526,41 @@ def test_e7_small_run_mechanics():
     (check,) = result.checks
     assert check.name == "top_level_term_at_least_2k"
     assert check.ok
+
+
+# --- hard checks: one declared bound on one quantity ---------------------------------
+
+
+def jump_mass(p):
+    """J_p = Gamma(1-p) / Gamma(1-p/2)^2, which is C_p^p (see tests/test_hankel.py)."""
+    return math.gamma(1.0 - p) / math.gamma(1.0 - p / 2.0) ** 2
+
+
+@pytest.mark.parametrize("scale, failing", [(1.0, []), (0.99, ["p=0.5 k=10", "p=0.5 k=11"])])
+def test_a_check_bound_reads_p(monkeypatch, scale, failing):
+    # S_p(chi_n)^p <= (n + 1/2) J_p at p < 1: mask_spectrum is a midpoint sum of the convex (2 sin t)^{-p},
+    # so Hermite-Hadamard bounds it by the integral.  Measured S_p^p / ((n + 1/2) J_p) is 0.99067 and 0.99347
+    # at p = 1/2, k = 10 and 11, and at most 0.9638 at p = 2/3, so 0.99 J_p fails at those two points alone
+    check = experiments._Check("below_closed_form", "schatten_quasinorm",
+                               lambda p, k, n, v: ((n + 0.5) * scale * jump_mass(p)) ** (1 / p))
+    monkeypatch.setitem(experiments._REGISTRY, "E1", dataclasses.replace(experiments._REGISTRY["E1"], check=check))
+    (result,) = run_experiment(ExperimentConfig("E1")).checks
+    assert result.name == "below_closed_form" and result.ok == (not failing)
+    if failing:
+        assert [d.split(" sample ")[0] for d in result.detail.split("; ")] == failing
+        assert all(" > " in d for d in result.detail.split("; "))
+    else:
+        assert result.detail == "all 16 schatten_quasinorm values <= the bound"
+
+
+@pytest.mark.parametrize("exp, quantity, floor, relation", [("E2", "witness_ratio", False, ">"),
+                                                            ("E7", "top_level_term", True, "<")])
+def test_a_nan_bound_fails_every_point(monkeypatch, exp, quantity, floor, relation):
+    check = experiments._Check("nan_bound", quantity, lambda p, k, n, v: math.nan, floor=floor)
+    monkeypatch.setitem(experiments._REGISTRY, exp, dataclasses.replace(experiments._REGISTRY[exp], check=check))
+    result = run_experiment(ExperimentConfig(exp, kmin=4, kmax=6))
+    (checked,) = result.checks
+    assert not checked.ok and not result.verdict
+    details = checked.detail.split("; ")
+    assert [d.split(":")[0] for d in details] == [f"p=0.5 k={k} sample 0" for k in (4, 5, 6)]
+    assert all(d.endswith(f" {relation} nan") for d in details)

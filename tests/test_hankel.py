@@ -11,7 +11,7 @@ from tritrunc.fitting import fit_powerlaw
 import tritrunc.hankel as hankel
 from tritrunc.hankel import HARD_TOL, band_hankel_check, besov_quasinorm, hankel_matrix
 from tritrunc.kernels import apply_window, bump_poly, dirichlet_plus
-from tritrunc.matrices import delta_matrix, schatten_quasinorm
+from tritrunc.matrices import delta_matrix, mask_spectrum, schatten_quasinorm
 from tritrunc.rng import SplitMix64, derive_seed
 from tritrunc.trigpoly import TrigPoly, lp_quasinorm, quadrature_floor, riesz_plus
 
@@ -259,6 +259,19 @@ def test_jump_terms_rise_to_the_jump_mass(name, p):
     gaps = [jump_mass(p) - JUMP_TERMS[name](k, p) for k in (6, 9, 12)]
     assert all(gap > 0 for gap in gaps), (name, gaps)
     assert all(later <= 0.5 * earlier for earlier, later in zip(gaps, gaps[1:])), (name, gaps)
+
+
+@pytest.mark.parametrize("p", [0.25, 0.5])
+def test_besov_over_schatten_falls_toward_one(p):
+    # Peller's two sides on one family: B^p = ||D_n^+||_B^p (E7) and S^p = S_p(Delta_n)^p (E1) are both
+    # J_p n plus a lower-order term, so B^p / S^p falls toward 1.  Measured at k = 6, 8, ..., 14:
+    # 1.548, 1.330, 1.179, 1.093, 1.047 at p = 1/2, and 1.635, 1.374, 1.176, 1.073, 1.029 at p = 1/4
+    ratios = [besov_quasinorm(dirichlet_plus(2**k + 1), p).total ** p / np.sum(mask_spectrum(2**k + 1) ** p)
+              for k in (6, 8, 10, 12, 14)]
+    gaps = [r - 1.0 for r in ratios]
+    assert all(gap > 0 for gap in gaps), ratios
+    assert all(later <= 0.65 * earlier for earlier, later in zip(gaps, gaps[1:])), ratios  # measured 0.39-0.60
+    assert gaps[-1] < 0.05, ratios
 
 
 # --- band_hankel_check ----------------------------------------------------------

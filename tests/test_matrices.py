@@ -159,7 +159,7 @@ def test_jacobi_cross_check_small_sizes():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 256, 1024, 2048])
-def test_symmetric_route_mask_matches_closed_form(n):
+def test_mask_svd_matches_closed_form(n):
     s = singular_values(delta_matrix(n))
     ref = mask_spectrum(n)
     assert np.all(np.diff(s) <= 0)
