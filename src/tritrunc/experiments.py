@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .fitting import fit_powerlaw
-from .hankel import HARD_TOL, band_hankel_check, besov_quasinorm
+from .hankel import band_hankel_check, besov_quasinorm
 from .kernels import bump_poly, dirichlet_plus, fejer
 from .matrices import _check_p, _check_size, _schatten_from_spectrum, mask_spectrum, schatten_quasinorm, singular_values
 from .multipliers import delta_lower_bound, hankel_multiplier_upper
@@ -259,9 +259,11 @@ _REGISTRY = {
                 _multiplier_interval, _projection_growth, 0.20, max_p=1.0, offset=1,
                 check=_Check("witness_ratio_below_analytic_upper", "witness_ratio",
                              lambda p, k, n, v: v["multiplier_upper"] * (1.0 + 1e-4))),
+    # E3's slack is rounding on a ratio <= 1 of an S_p norm over an L^p quadrature (measured 0.54-0.77 at
+    # k = 2..6, 5 samples per level; 0.46-0.97 on the default plan, k = 2..9 with 20 samples per level).
     "E3": _Spec("band_hankel", "two-sided dyadic band estimate for Hankel matrices", (2, 9),
                 _band_ratio, lambda p: 0.0, 0.15, samples=20, reduce=min,
-                check=_Check("band_upper_inequality", "band_ratio", lambda p, k, n, v: 1.0 + HARD_TOL)),
+                check=_Check("band_upper_inequality", "band_ratio", lambda p, k, n, v: 1.0 + 1e-9)),
     "E4": _Spec("weak_type", "weak-type decay of triangular truncation on trace-class inputs", (5, 9),
                 _weak_decay, lambda p: 0.0, 0.10, exponents=(1.0,), fixed_p=True, samples=20, one_sided=True),
     "E5": _Spec("fejer_log", "logarithmic growth of the analytic Fejér half at p = 1", (4, 11),

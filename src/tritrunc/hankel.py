@@ -24,10 +24,6 @@ __all__ = [
     "band_hankel_check",
 ]
 
-# Rounding slack on E3's ratio <= 1, an S_p norm over an L^p quadrature (measured 0.54-0.77 at k = 2..6,
-# 5 samples per level; 0.46-0.97 on the default plan, k = 2..9 with 20 samples per level).
-HARD_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class BesovReport:
@@ -95,10 +91,9 @@ def band_hankel_check(f, p, n):
     """Two-sided band estimate probe for phi supported in (2^{n-1}, 2^{n+1}).
 
     Returns ratio = ||Gamma_phi||_{S_p} divided by 2^{(n+1)/p} ||phi||_{L^p}.
-    The upper inequality says ratio <= 1, up to rounding; callers judge it
-    with slack HARD_TOL.  The matching lower bound is a positive
-    n-independent constant, which is probed as a trend by the band-ratio
-    experiment rather than asserted pointwise.
+    The upper inequality says ratio <= 1, up to rounding.  The matching
+    lower bound is a positive n-independent constant, which is probed as a
+    trend by the band-ratio experiment rather than asserted pointwise.
     """
     p = _check_p(p)
     _require_analytic(f, "band_hankel_check")

@@ -1,7 +1,7 @@
 """Dense complex matrix algebra: singular values (one LAPACK route, the
-SVD), Schatten quasinorms, and the structured 0/1 masks used throughout
-(upper-triangular mask, its Hankel companion), with their singular spectrum
-in closed form."""
+SVD), Schatten quasinorms, the anti-triangular 0/1 mask Delta_n, and the
+singular spectrum it shares with the upper-triangular mask chi_n, in closed
+form."""
 
 from __future__ import annotations
 

@@ -40,8 +40,6 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
-_BLOCK = 1 << 15  # words per block of a draw's evaluation, so its temporaries stay in cache
-
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 
@@ -90,16 +88,14 @@ class SplitMix64:
         count = _check_size(count, "count", least=0)
         words = np.arange(self._next + 1, self._next + count + 1, dtype=np.uint64)
         self._next += count
-        with np.errstate(over="ignore"):
-            for lo in range(0, len(words), _BLOCK):
-                x = words[lo:lo + _BLOCK]  # a view: seed + i * gamma, then mix(x), in place
-                x *= _GAMMA
-                x += self._seed
-                x ^= x >> np.uint64(30)
-                x *= _MIX1
-                x ^= x >> np.uint64(27)
-                x *= _MIX2
-                x ^= x >> np.uint64(31)
+        with np.errstate(over="ignore"):  # seed + i * gamma, then mix(x), in place
+            words *= _GAMMA
+            words += self._seed
+            words ^= words >> np.uint64(30)
+            words *= _MIX1
+            words ^= words >> np.uint64(27)
+            words *= _MIX2
+            words ^= words >> np.uint64(31)
         return words
 
     def uniform(self, count):

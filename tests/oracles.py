@@ -4,8 +4,11 @@ Nothing here imports the production numerics it is meant to check: singular
 values come from a from-scratch one-sided Jacobi iteration, grid values from
 direct Horner summation or long-double FFTs, and the reference RNG streams
 from pure-Python integer arithmetic (the Gaussians from Box-Muller written out
-over the stream's uniforms).
+over the stream's uniforms).  The closed forms are written from their
+formulas alone.
 """
+
+import math
 
 import numpy as np
 
@@ -106,6 +109,25 @@ def dirichlet_lp_closed_form(n, p, n_samples):
     theta = 2.0 * np.pi * (np.arange(m) + 0.5) / m
     mag = np.abs(np.sin(0.5 * n * theta) / np.sin(0.5 * theta))
     return float(np.mean(mag ** float(p)) ** (1.0 / float(p)))
+
+
+def jump_mass(p):
+    """J_p = (1/2 pi) int |1 - e^{i theta}|^{-p} d theta = Gamma(1-p) / Gamma(1-p/2)^2, the L^p mass of a
+    unit jump in the coefficients; by Legendre's duplication formula it is C_p^p."""
+    return math.gamma(1.0 - p) / math.gamma(1.0 - p / 2.0) ** 2
+
+
+def transference_ceiling(n, p):
+    """U_n(p) = (2^{-p} + sum over odd s < 2n of (2n sin(pi s / 2n))^{-p})^{1/p}.
+
+    The node weights |D_n(theta_s)| / 2n of the length-n Dirichlet kernel at
+    theta_s = pi s / n: 1/2 at s = 0, 1 / (2n sin(pi s / 2n)) at odd s, and 0
+    at even s > 0.  At p <= 1 the p-triangle inequality over the 2n nodes
+    bounds the mask Delta_n's multiplier norm on S_p, and the Riesz
+    projection on degree < n polynomials in L^p, by it.
+    """
+    s = np.arange(1, 2 * n, 2)
+    return float((2.0**-p + np.sum((2 * n * np.sin(np.pi * s / (2 * n))) ** -p)) ** (1 / p))
 
 
 def splitmix64_reference(seed, count, start=1):

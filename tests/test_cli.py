@@ -414,6 +414,20 @@ def test_experiment_config_errors(capsys, tmp_path):
             assert code == 2 and out == "" and "must be a JSON object" in err, (text, action)
 
 
+@pytest.mark.parametrize("where", ["missing.json", "a_directory"])
+def test_experiment_config_that_cannot_be_read(capsys, tmp_path, where):
+    (tmp_path / "a_directory").mkdir()
+    code, out, err = run_cli(capsys, "experiment", "run", "E6", "--config", str(tmp_path / where))
+    assert code == 2 and out == "" and "cannot read config file" in err
+
+
+def test_experiment_output_directory_that_is_not_writable(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: False)  # mode bits do not bind root
+    code, out, err = run_cli(capsys, "experiment", "run", "E1", "--out", str(tmp_path / "e1.csv"))
+    assert code == 2 and out == "" and err == f"error: output directory is not writable: {tmp_path}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_experiment_config_below_the_quadrature_floor(capsys, tmp_path):
     coarse = tmp_path / "coarse.json"
     coarse.write_text(json.dumps({"oversample": 256}))

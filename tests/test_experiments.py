@@ -25,6 +25,8 @@ from tritrunc.experiments import (
 from tritrunc.matrices import schatten_quasinorm
 from tritrunc.rng import SplitMix64, derive_seed
 
+from oracles import jump_mass
+
 
 def strip_wall(csv_text):
     """Drop the informational wall_ms column (the only nondeterministic one)."""
@@ -529,11 +531,6 @@ def test_e7_small_run_mechanics():
 
 
 # --- hard checks: one declared bound on one quantity ---------------------------------
-
-
-def jump_mass(p):
-    """J_p = Gamma(1-p) / Gamma(1-p/2)^2, which is C_p^p (see tests/test_hankel.py)."""
-    return math.gamma(1.0 - p) / math.gamma(1.0 - p / 2.0) ** 2
 
 
 @pytest.mark.parametrize("scale, failing", [(1.0, []), (0.99, ["p=0.5 k=10", "p=0.5 k=11"])])

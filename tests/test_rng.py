@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tritrunc import rng
 from tritrunc.rng import SplitMix64, derive_seed
 
 from oracles import derive_seed_reference, normal_reference, splitmix64_reference, uniform53_reference
@@ -40,13 +39,13 @@ def test_stream_is_counter_based():
     assert np.array_equal(split, g2.uniform(5))
 
 
-def test_a_draw_across_evaluation_blocks_is_the_reference_stream():
-    # a draw is evaluated block by block; one that starts mid-stream and crosses two
-    # block boundaries is still the plain stream, and leaves the counter after its end
+def test_a_long_draw_from_mid_stream_is_the_reference_stream():
+    # a long draw that starts mid-stream is still the plain stream,
+    # and leaves the counter after its end
     seed = 0xDEADBEEFCAFEBABE
     gen = SplitMix64(seed)
     gen.uniform(5)
-    count = 2 * rng._BLOCK + 7
+    count = 2 * 2**15 + 7
     assert gen._raw(count).tolist() == splitmix64_reference(seed, count, start=6)
     assert gen._raw(1).tolist() == splitmix64_reference(seed, 1, start=6 + count)
 

@@ -50,6 +50,10 @@ def test_coefficients_on_keeps_the_storage_dtype():
             assert f.coefficients_on(lo, hi).dtype == dtype
 
 
+def test_repr_names_the_window_and_the_nonzero_count():
+    assert repr(TrigPoly(-1, [0.0, 2.0, 0.0])) == "TrigPoly(lo=-1, hi=1, nnz=1)"
+
+
 POLY = TrigPoly(-2, [1.0, 2.0, 3.0, 4.0])
 
 # entry point -> (its output with the integer argument n, a value n may take)
