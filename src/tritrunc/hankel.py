@@ -41,7 +41,7 @@ class BesovReport:
 
 
 def _require_analytic(f, op):
-    if f.lo < 0 and f.coeffs[: -f.lo].any():  # the first -lo coefficients multiply z^lo..z^-1
+    if f.lo < 0 and f.coefficients_on(f.lo, min(f.hi, -1)).any():
         raise ValueError(f"{op} requires an analytic polynomial (no negative-index coefficients); got support {f.lo}..{f.hi}")
 
 

@@ -5,10 +5,7 @@ trimming; == and hash are by identity (compare lo and coeffs for values).
 It is stored float64 when no coefficient has a nonzero imaginary part, else
 complex128, and padding, Hankel matrices and the quadrature keep that kind.
 The L^p quasinorm for 0 < p < infinity is a midpoint-shifted Riemann sum on
-the N-point grid fixed by the quadrature floor, folded into short inverse
-FFTs of the nonzero coefficient window reduced block by block, so its memory
-is O(block), not O(N).  For real storage |f| is mirror-symmetric on the
-nodes, so at even N only half the grid is transformed and its sum doubled.
+the N-point grid fixed by the quadrature floor, in O(block) memory.
 """
 
 from __future__ import annotations
@@ -88,17 +85,17 @@ def _midpoint_power_sum(c, n, p):
     the twiddled coefficients c_t e^{i pi t (2l+1)/n}, which fit in m because
     m >= len(c).  Rows are transformed and reduced a block at a time.
 
-    For real c and even n, f(e^{-i theta}) = conj f(e^{i theta}) and
-    theta_{n-1-k} = 2*pi - theta_k, so row rows-1-l is row l reversed: only
-    the first rows/2 rows are summed, and the sum doubled.  An unfolded grid
-    (m = n) is folded once for this; m = n/2 still holds c since n >= 2 len(c).
+    m halves while it is even and m/2 >= max(len(c), 2^13).  For real c and
+    even n, f(e^{-i theta}) = conj f(e^{i theta}) and theta_{n-1-k} =
+    2*pi - theta_k, so row rows-1-l is row l reversed: only the first rows/2
+    rows are summed, and the sum doubled.  That needs an even row count, so
+    this fold starts at m = n/2, which still holds c since n >= 2 len(c);
+    every other fold starts at m = n.
     """
     s = c.size
-    m = n
-    while m % 2 == 0 and m // 2 >= max(s, _MIN_FFT):
-        m //= 2
     mirrored = n % 2 == 0 and not np.iscomplexobj(c)
-    if mirrored and m == n:
+    m = n // 2 if mirrored else n
+    while m % 2 == 0 and m // 2 >= max(s, _MIN_FFT):
         m //= 2
     rows = n // m
     summed = rows // 2 if mirrored else rows
@@ -137,15 +134,10 @@ def lp_quasinorm(f, p, n_samples=None):
     of D(2^12+1), both at p = 1/2 on their default grids; it depends on the
     factors of N (the latter reads 4.4e-7 at N = 2^21).
 
-    The grid is the full N-point grid whatever the evaluation route: the
-    sum is folded into inverse FFTs of length M = N/2^a >= max(2^13, nonzero
-    coefficient span), or M = N when N is small or odd, and reduced block by
-    block.  For real (float64) storage at even N, |f| at node N-1-k equals |f| at
-    node k, so only the first half of the rows is transformed and the sum
-    doubled; where N is small, M = N/2 is that half.  Complex storage and
-    odd N sum every node.  Memory is O(block), about 2^18 complex samples or
-    one row of M, not O(N); every default floor has the factor 2^9 that
-    allows the fold.
+    The grid is the full N-point grid whatever the evaluation route (folded
+    into short inverse FFTs, as _midpoint_power_sum states).  Memory is
+    O(block), about 2^18 complex samples or one folded row, not O(N); every
+    default floor has the factor 2^9 that allows the fold.
 
     The zero polynomial returns 0; for any other, a mean power sum that
     overflows to inf or underflows to 0 (|f| ~ 1e-3 at p = 400), or a 1/p-th
@@ -169,8 +161,4 @@ def lp_quasinorm(f, p, n_samples=None):
 
 def riesz_plus(f):
     """Keep the coefficients with index >= 0 (analytic part)."""
-    if f.lo >= 0:
-        return f
-    if f.hi < 0:
-        return TrigPoly(0, [0])
-    return TrigPoly(0, f.coeffs[-f.lo :])
+    return f if f.lo >= 0 else TrigPoly(0, f.coefficients_on(0, max(f.hi, 0)))

@@ -58,6 +58,16 @@ def test_a_zero_symbol_at_negative_indices_is_the_one_by_one_zero_matrix():
         assert schatten_quasinorm(m, 0.5) == besov_quasinorm(f, 0.5).total == 0.0
 
 
+def test_the_analytic_check_reads_the_stored_negative_window_alone():
+    # a symbol stored far below index 0 is checked on its own coefficients, not on a window down to -1
+    assert hankel_matrix(TrigPoly(-(10**12), [0.0, 0.0])).shape == (1, 1)
+    with pytest.raises(ValueError, match="analytic"):
+        hankel_matrix(TrigPoly(-(10**12), [0.0, 1e-300]))
+    with pytest.raises(ValueError, match="analytic"):
+        besov_quasinorm(TrigPoly(-2, [0.0, 1j, 5.0]), 0.5)
+    assert hankel_matrix(TrigPoly(-2, [0.0, 0.0, 5.0])).tolist() == [[5.0]]
+
+
 def test_hankel_dtype_tracks_coefficients():
     assert np.isrealobj(hankel_matrix(TrigPoly(0, [1.0, 2.0])))
     m = hankel_matrix(TrigPoly(0, [1.0, 1j]))

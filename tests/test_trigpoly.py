@@ -217,6 +217,36 @@ def test_real_coefficients_transform_half_the_grid(monkeypatch):
     assert not all(real for real, _ in grids), grids
 
 
+@pytest.mark.parametrize(
+    "f, n, length, rows",
+    [
+        (TrigPoly(0, [1.0, 2.0]), 4096, 2048, 1),
+        (TrigPoly(0, [1.0, 2.0]), 8192, 4096, 1),
+        (TrigPoly(0, [1.0, 2.0]), 16384, 8192, 1),
+        (TrigPoly(0, [1.0, 2.0]), 4097, 4097, 1),
+        (TrigPoly(0, [1.0, 2j]), 4096, 4096, 1),
+        (TrigPoly(0, [1.0, 2j]), 16384, 8192, 2),
+        (TrigPoly(1, np.ones(1499)), 767488, 11992, 32),
+        (TrigPoly(1, np.full(1499, 1j)), 767488, 11992, 64),
+    ],
+    ids=["real-4096", "real-8192", "real-16384", "real-odd", "complex-4096", "complex-16384", "real-floor", "complex-floor"],
+)
+def test_row_length_rule_pins_the_transform_length_and_row_count(f, n, length, rows, monkeypatch):
+    # a mirrored (real, even N) sum folds from N/2, every other sum from N; the row
+    # length halves while it stays even and its half holds max(span, 2^13)
+    calls = []
+    ifft = np.fft.ifft
+
+    def spy(a, n=None, **kwargs):
+        calls.append((n, a.shape[0]))
+        return ifft(a, n=n, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", spy)
+    lp_quasinorm(f, 0.5, n)
+    assert calls[0][0] == length, calls
+    assert sum(r for _, r in calls) == rows, calls
+
+
 @pytest.mark.parametrize("block", [None, 3 * 2**13])
 def test_folded_lp_matches_direct_summation(block, monkeypatch):
     if block is not None:  # several blocks per call, the last one partial
@@ -335,3 +365,12 @@ def test_riesz_edge_cases():
     assert not riesz_plus(g).coeffs.any()
     h = riesz_plus(TrigPoly(-1, [5, 7]))
     assert (h.lo, h.coeffs.tolist()) == (0, [7])
+
+
+def test_riesz_plus_of_a_complex_anti_analytic_symbol_is_a_real_zero():
+    # the analytic window of a symbol stored on negative indices alone is one zero, kept real
+    h = riesz_plus(TrigPoly(-(10**12), [1j, 2.0]))
+    assert (h.lo, h.coeffs.dtype, h.coeffs.tolist()) == (0, np.float64, [0.0])
+    # a complex symbol whose analytic part is real stores that part real
+    g = riesz_plus(TrigPoly(-1, [1j, 3.0, 4.0]))
+    assert (g.lo, g.coeffs.dtype, g.coeffs.tolist()) == (0, np.float64, [3.0, 4.0])
