@@ -32,7 +32,8 @@ import numpy as np
 from .fitting import fit_powerlaw
 from .hankel import band_hankel_check, besov_quasinorm
 from .kernels import bump_poly, dirichlet_plus, fejer
-from .matrices import _check_p, _check_size, _schatten_from_spectrum, mask_spectrum, schatten_quasinorm, singular_values
+from .matrices import (_check_p, _check_size, _schatten_from_spectrum, _triu_outer_spectrum, mask_spectrum,
+                       singular_values)
 from .multipliers import delta_lower_bound, hankel_multiplier_upper
 from .rng import SplitMix64, derive_seed
 from .trigpoly import TrigPoly, lp_quasinorm, riesz_plus
@@ -218,15 +219,21 @@ def _band_ratio(cfg, p, k, n, s):
 
 
 def _projected_pair(gen, n):
-    """For the rank-one T = u v^* of one draw of gen: the real triu(|u| |v|^T), whose singular values are
-    those of P_n T = triu(u v^*), and ||u|| ||v||, which is every S_p quasinorm of T."""
+    """For the rank-one T = u v^* of one draw of gen: the singular values of P_n T = triu(u v^*), which are
+    those of the real triu(|u| |v|^T), and ||u|| ||v||, which is every S_p quasinorm of T.  The values come
+    from its bidiagonal inverse, each to relative error O(n eps) with no SVD rounding floor, or from the
+    dense SVD for a draw that kernel (matrices._triu_outer_spectrum) refuses."""
     u, v = gen.complex_normal_rows(2, n)
-    return np.triu(np.outer(np.abs(u), np.abs(v))), float(np.linalg.norm(u) * np.linalg.norm(v))
+    x, y = np.abs(u), np.abs(v)
+    spectrum = _triu_outer_spectrum(x, y)
+    if spectrum is None:
+        spectrum = singular_values(np.triu(np.outer(x, y)))
+    return spectrum, float(np.linalg.norm(u) * np.linalg.norm(v))
 
 
 def _weak_decay(cfg, p, k, n, s):
-    projected, norm = _projected_pair(SplitMix64(derive_seed(cfg.experiment, cfg.seed, n, s)), n)
-    return {"weak_decay_max": float(np.max((1.0 + np.arange(n)) * singular_values(projected)) / norm)}
+    spectrum, norm = _projected_pair(SplitMix64(derive_seed(cfg.experiment, cfg.seed, n, s)), n)
+    return {"weak_decay_max": float(np.max((1.0 + np.arange(n)) * spectrum) / norm)}
 
 
 def _fejer_log(cfg, p, k, n, s):
@@ -248,8 +255,8 @@ def _dirichlet_besov(cfg, p, k, n, s):
 
 def _projection_ratios(cfg, p, k, n, s):
     # ||P_n(T)||_p / ||T||_p for a rank-one T = u v^*; at p <= 1 the Schmidt split bounds every T by its rank-one pieces
-    projected, norm = _projected_pair(SplitMix64(derive_seed(cfg.experiment, cfg.seed, "rank_one", n, s)), n)
-    return {"projection_ratio_rank_one": schatten_quasinorm(projected, p) / norm / n ** _projection_growth(p)}
+    spectrum, norm = _projected_pair(SplitMix64(derive_seed(cfg.experiment, cfg.seed, "rank_one", n, s)), n)
+    return {"projection_ratio_rank_one": _schatten_from_spectrum(spectrum, p) / norm / n ** _projection_growth(p)}
 
 
 _REGISTRY = {

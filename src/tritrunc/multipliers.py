@@ -7,6 +7,9 @@ produces intervals: any witness B gives a lower bound, up to the SVD rounding
 floor of its S_p values (singular_values; witness_ratio takes a rank-one
 witness u v^* in factored form), and Hankel multipliers an analytic
 upper bound, up to its L^p quadrature error (measured at most 3e-5 at p = 1/2).
+A rank-one witness on the mask Delta_n, every pair of random_witness_search on
+it included, carries no such floor: its spectrum comes from a bidiagonal
+inverse, each singular value to relative error O(n eps).
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ import numpy as np
 
 from .hankel import _require_analytic, hankel_matrix
 from .kernels import bump_poly
-from .matrices import _as_matrix, _check_p, _check_size, schatten_quasinorm
+from .matrices import (_as_matrix, _check_p, _check_size, _delta_mask, _schatten_from_spectrum,
+                       _triu_outer_spectrum, schatten_quasinorm)
 from .rng import SplitMix64, derive_seed
 from .trigpoly import TrigPoly, lp_quasinorm
 
@@ -35,7 +39,8 @@ _DRAW_BLOCK = 256  # rank-one draws per bulk stream evaluation in random_witness
 
 @dataclass(frozen=True)
 class WitnessReport:
-    """One lower-bound evaluation ||a * b|| / ||b|| <= ||a||_mult, up to the SVD rounding floor."""
+    """One lower-bound evaluation ||a * b|| / ||b|| <= ||a||_mult, up to the SVD rounding floor
+    (to relative error O(n eps) on the mask Delta_n)."""
 
     numerator: float
     denominator: float
@@ -52,9 +57,13 @@ def witness_ratio(a, u, v, p):
     for every p, with no spectrum.  Its numerator is the S_p quasinorm of
     a * u v^* = D_u a D_v^*; the unitary phases of the diagonals drop out, so it
     is that of the matrix |u| a |v|^T (real for a real a), with its zero rows
-    and columns removed.  A pair whose ||u|| ||v|| overflows or underflows the
-    double range raises ValueError, as does a non-finite entry of either
-    factor or of the multiplier.
+    and columns removed, up to the SVD rounding floor.  On the mask Delta_n that
+    matrix is triu(|u| (J|v|)^T), J the reversal, with its columns reversed, and
+    its spectrum comes from the bidiagonal inverse (matrices._triu_outer_spectrum)
+    with no dense |u| a |v|^T, each value to relative error O(n eps); a pair that
+    kernel refuses (a zero entry, say) takes the dense route.  A pair whose
+    ||u|| ||v|| overflows or underflows the double range raises ValueError, as
+    does a non-finite entry of either factor or of the multiplier.
     """
     a = np.asarray(a)
     p = _check_p(p)
@@ -62,15 +71,20 @@ def witness_ratio(a, u, v, p):
     v = np.asarray(v)
     if u.ndim != 1 or v.ndim != 1 or a.shape != (u.size, v.size):
         raise ValueError(f"dimension mismatch: multiplier {a.shape} vs witness factors {u.shape}, {v.shape}")
-    # the checks below report each overflow and nan: the norm's here, and those of |u| a |v|^T
+    # the checks below report each overflow and nan: the norm's here, and those of the dense |u| a |v|^T
     # (0 * inf against an infinite multiplier entry, say) in the spectrum's input check
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         denominator = float(np.linalg.norm(u) * np.linalg.norm(v))
-        scaled = np.abs(u)[:, None] * a * np.abs(v)
     if not (math.isfinite(denominator) and denominator > 0):
         if not (np.any(u) and np.any(v)):  # a zero factor gives 0, or nan against an infinite one
             raise ValueError("zero witness")
         raise ValueError(f"witness norm ||u|| ||v|| is {denominator}, not finite and positive")
+    if u.size == v.size and (a == _delta_mask(u.size)).all():
+        spectrum = _triu_outer_spectrum(np.abs(u), np.abs(v)[::-1])
+        if spectrum is not None:
+            return WitnessReport(_schatten_from_spectrum(spectrum, p), denominator)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        scaled = np.abs(u)[:, None] * a * np.abs(v)
     rows, cols = scaled.any(axis=1), scaled.any(axis=0)
     if not (rows.all() and cols.all()):  # a Gaussian draw has no zero row or column: no copy
         scaled = scaled[np.ix_(rows, cols)]

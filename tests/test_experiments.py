@@ -256,7 +256,7 @@ def test_sampled_runs_are_identical_for_any_worker_count(exp, tmp_path, monkeypa
 
 # every registered id, the sampled ones at a small plan
 @pytest.mark.parametrize("exp", EXPERIMENT_IDS)
-def test_mask_runs_are_identical_at_any_thread_count(exp, tmp_path):
+def test_every_run_is_identical_at_any_thread_count(exp, tmp_path):
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps(SAMPLED_PLANS.get(exp, {})), encoding="utf-8")
     outputs = [run_cli_at(threads, exp, "--config", str(plan), "--out", str(tmp_path / f"t{threads}.csv"))
@@ -465,6 +465,20 @@ def test_e4_weak_decay_is_the_projection_spectrum_of_its_seeded_draw():
         decay = np.linalg.svd(np.triu(t_mat), compute_uv=False)
         want = np.max((1.0 + np.arange(r.n)) * decay) / _trace_norm(t_mat)
         assert r.value == pytest.approx(want, rel=1e-12)
+
+
+def test_a_projected_pair_the_kernel_refuses_takes_the_dense_svd():
+    # a draw with a zero entry has no bidiagonal inverse: its spectrum is that of the dense triu(|u| |v|^T)
+    class Draw:
+        def complex_normal_rows(self, count, size):
+            rows = SplitMix64(derive_seed("projected-pair-zero")).complex_normal_rows(count, size)
+            rows[0, 2] = 0.0
+            return rows
+
+    spectrum, norm = experiments._projected_pair(Draw(), 6)
+    u, v = Draw().complex_normal_rows(2, 6)
+    assert np.array_equal(spectrum, np.linalg.svd(np.triu(np.outer(np.abs(u), np.abs(v))), compute_uv=False))
+    assert norm == float(np.linalg.norm(u) * np.linalg.norm(v))
 
 
 # --- verdicts ----------------------------------------------------------------------

@@ -11,6 +11,7 @@ from corpora import p_triangle_corpus
 from tritrunc.hankel import hankel_matrix
 from tritrunc.kernels import bump_poly, dirichlet_plus, fejer
 from tritrunc.matrices import (
+    _triu_outer_spectrum,
     delta_matrix,
     mask_spectrum,
     schatten_quasinorm,
@@ -164,6 +165,52 @@ def test_mask_svd_matches_closed_form(n):
     ref = mask_spectrum(n)
     assert np.all(np.diff(s) <= 0)
     assert np.max(np.abs(s - ref) / ref) < 1e-12
+
+
+def test_bidiagonal_kernel_at_unit_factors_is_the_mask_spectrum():
+    # triu(1 1^T) is chi_n: 4 ulp for the closed form's own rounding (1.24 ulp measured against 40
+    # digits), n eps for dqds, which gives each value to relative error O(n eps) (measured at most
+    # 33 ulp at n <= 300 and 55 ulp at n = 1025)
+    for n in [*range(1, 301), 2**9 + 1, 2**10 + 1]:
+        s, ref = _triu_outer_spectrum(np.ones(n), np.ones(n)), mask_spectrum(n)
+        assert np.all(np.abs(s - ref) <= 4 * np.spacing(ref) + n * np.finfo(float).eps * ref)
+
+
+@pytest.mark.parametrize("n", [9, 33, 65])
+def test_bidiagonal_kernel_has_relative_accuracy(n):
+    # every value to 1e-13 relative against a 40-digit SVD of the exact triu(x y^T), at factor spreads
+    # that put the smallest values far below the dense SVD's floor max(shape) eps sigma_1, where the
+    # dense route misses 1e-13 (at spread 1e8, and already at 1e6 for n >= 33)
+    gen = SplitMix64(derive_seed("triu-outer-spectrum", n))
+    for spread in (1.0, 1e6, 1e8):
+        x, y = (np.abs(gen.complex_normal(n)) * spread ** gen.uniform(n) for _ in range(2))
+        with mpmath.workdps(40):
+            exact = mpmath.matrix([[mpmath.mpf(x[i]) * y[j] if j >= i else 0 for j in range(n)] for i in range(n)])
+            ref = np.array(sorted((float(s) for s in mpmath.svd_r(exact, compute_uv=False)), reverse=True))
+        assert np.max(np.abs(_triu_outer_spectrum(x, y) - ref) / ref) <= 1e-13
+        if spread == 1e8:
+            assert np.max(np.abs(singular_values(np.triu(np.outer(x, y))) - ref) / ref) > 1e-13
+
+
+def test_bidiagonal_kernel_refuses_factors_that_put_b_outside_its_range():
+    # a zero or non-finite entry, or entries whose B entry 1/(x_i y_i) or 1/(x_{i+1} y_i) leaves the
+    # normal range or 100 decades above the rest (where LAPACK's values lose their relative accuracy),
+    # leave the kernel
+    def ones_but(i, value):
+        f = np.ones(5)
+        f[i] = value
+        return f
+
+    pairs = [(ones_but(2, bad), np.ones(5)) for bad in (0.0, np.inf, np.nan)]
+    pairs += [(ones_but(0, 1e-170), ones_but(0, 1e-170)),  # the diagonal overflows
+              (ones_but(1, 1e-170), ones_but(0, 1e-170)),  # the superdiagonal overflows
+              (ones_but(0, 1e170), ones_but(0, 1e170)),  # the diagonal underflows
+              (ones_but(2, 1e-160), np.ones(5))]  # one entry 1e160 above the others
+    for x, y in pairs:
+        assert _triu_outer_spectrum(x, y) is None
+    x = ones_but(2, 1e-90)
+    b = np.diag(1.0 / x) - np.diag(1.0 / x[1:], 1)
+    assert np.array_equal(_triu_outer_spectrum(x, np.ones(5)), 1.0 / singular_values(b)[::-1])
 
 
 def test_svd_of_symmetric_indefinite_input_matches_jacobi():

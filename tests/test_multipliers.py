@@ -12,6 +12,7 @@ from tritrunc.experiments import ExperimentConfig, run_experiment
 from tritrunc.hankel import hankel_matrix
 from tritrunc.kernels import bump_poly, dirichlet_plus, fejer
 from tritrunc.matrices import (
+    _triu_outer_spectrum,
     delta_matrix,
     mask_spectrum,
     schatten_quasinorm,
@@ -97,15 +98,43 @@ def test_pair_witness_rejects_a_norm_outside_the_double_range():
 @pytest.mark.parametrize("p", [0.5, 1.0])
 @pytest.mark.parametrize("n", [9, 33, 65])
 def test_pair_witness_is_bit_identical_to_its_formula(n, p):
-    # exact equality: a shortcut that changes the rounding of either end fails here
+    # exact equality on each route: a shortcut that changes the rounding of either end fails here.
+    # On Delta_n the numerator is the bidiagonal formula: |u| Delta_n |v|^T is triu(x y^T), x = |u| and
+    # y = |v| reversed, up to a column reversal, and the inverse of triu(x y^T) is the upper bidiagonal B
+    # with diagonal 1/(x_i y_i) and superdiagonal -1/(x_{i+1} y_i); any other multiplier (Delta_n with
+    # one entry flipped, a dense real matrix) keeps the dense formula
     rng = SplitMix64(derive_seed("pair-witness-bits", n))
+    flipped = delta_matrix(n)
+    flipped[n - 1, n - 1] = 1.0
+    for a, dense in ((delta_matrix(n), False), (flipped, True), (rng.complex_normal((n, n)).real, True)):
+        for _ in range(3):
+            u, v = rng.complex_normal(n), rng.complex_normal(n)
+            rep = witness_ratio(a, u, v, p)
+            if dense:
+                s = np.linalg.svd(np.abs(u)[:, None] * a * np.abs(v), compute_uv=False)
+            else:
+                rx, ry = 1.0 / np.abs(u), 1.0 / np.abs(v)[::-1]
+                b = np.diag(rx * ry) + np.diag(-(rx[1:] * ry[:-1]), 1)
+                s = 1.0 / np.linalg.svd(b, compute_uv=False)[::-1]
+            assert rep.numerator == float(np.sum(s**p)) ** (1 / p)
+            assert rep.denominator == float(np.linalg.norm(u) * np.linalg.norm(v))
+
+
+def test_degenerate_pairs_on_the_mask_keep_the_dense_formula():
+    # a zero entry of u, and entries near 1e-170 whose bidiagonal entry 1/(x_0 y_0) overflows, leave
+    # the bidiagonal route for the dense, trimmed formula, bit for bit
+    n = 9
     a = delta_matrix(n)
-    for _ in range(3):
-        u, v = rng.complex_normal(n), rng.complex_normal(n)
-        rep = witness_ratio(a, u, v, p)
-        s = np.linalg.svd(np.abs(u)[:, None] * a * np.abs(v), compute_uv=False)
-        assert rep.numerator == float(np.sum(s**p)) ** (1 / p)
-        assert rep.denominator == float(np.linalg.norm(u) * np.linalg.norm(v))
+    rng = SplitMix64(derive_seed("pair-witness-degenerate"))
+    zero_u, tiny_u, tiny_v = rng.complex_normal((3, n))
+    zero_u[4] = 0.0
+    tiny_u[0] = tiny_v[n - 1] = 1e-170
+    for u, v in ((zero_u, rng.complex_normal(n)), (tiny_u, tiny_v)):
+        assert _triu_outer_spectrum(np.abs(u), np.abs(v)[::-1]) is None
+        scaled = np.abs(u)[:, None] * a * np.abs(v)
+        s = np.linalg.svd(scaled[np.ix_(scaled.any(axis=1), scaled.any(axis=0))], compute_uv=False)
+        for p in (0.5, 1.0):
+            assert witness_ratio(a, u, v, p).numerator == float(np.sum(s**p)) ** (1 / p)
 
 
 def test_pair_witness_is_the_rank_one_matrix():
