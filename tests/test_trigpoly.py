@@ -257,15 +257,49 @@ def test_folded_lp_matches_direct_summation(block, monkeypatch):
             assert lp_quasinorm(f, p, n) == pytest.approx(direct_lp(f, p, n), rel=1e-10)
 
 
+@pytest.mark.parametrize("p", [0.5, 2 / 3, 1.0, 2.0])
+def test_chunked_rows_change_no_bit(p, monkeypatch):
+    # at 8x each grid a block holds up to 32 rows of 8192; chunks of 3 rows
+    # split it into 11 transforms, the last of 2 rows, and must give the bits
+    # of the same block transformed in one piece
+    rows = []
+    ifft = np.fft.ifft
+
+    def spy(a, n=None, **kwargs):
+        rows.append(a.shape[0])
+        return ifft(a, n=n, **kwargs)
+
+    def lp_by_chunk(chunk):
+        monkeypatch.setattr(trigpoly, "_CHUNK_SAMPLES", chunk)
+        values, transforms = [], []
+        for f, n in _folded_oracle_cases():
+            rows.clear()
+            values.append(lp_quasinorm(f, p, 8 * (quadrature_floor(f) if n is None else n)))
+            transforms.append(list(rows))
+        return values, transforms
+
+    monkeypatch.setattr(np.fft, "ifft", spy)
+    whole, whole_rows = lp_by_chunk(trigpoly._BLOCK_SAMPLES)
+    chunked, chunked_rows = lp_by_chunk(3 * 2**13)
+    assert chunked == whole
+    assert all(len(r) == 1 for r in whole_rows), whole_rows
+    assert any(len(r) >= 3 and r[-1] < r[0] for r in chunked_rows), chunked_rows
+
+
 def test_folded_lp_memory_is_bounded():
-    f = apply_window(dirichlet_plus(2**14 + 1), 14)
-    tracemalloc.start()
-    try:
-        lp_quasinorm(f, 0.5, n_samples=2**23)  # 134 MB as one complex array
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 32e6
+    # one float64 block of 2^18 samples, a row table of at most 2^18 complex
+    # samples and one 2^16-sample transform: measured 8.65 MB and 8.35 MB
+    # (2^23 samples are 134 MB as one complex array; the level-13 piece's
+    # default grid, 6,138,368 samples, is the largest the benchmark sums)
+    d = dirichlet_plus(2**14 + 1)
+    for f, n in ((apply_window(d, 14), 2**23), (apply_window(d, 13), None)):
+        tracemalloc.start()
+        try:
+            lp_quasinorm(f, 0.5, n_samples=n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10e6, (f, n, peak)
 
 
 @pytest.mark.parametrize(
