@@ -32,8 +32,7 @@ import numpy as np
 from .fitting import fit_powerlaw
 from .hankel import band_hankel_check, besov_quasinorm
 from .kernels import bump_poly, dirichlet_plus, fejer
-from .matrices import (_check_p, _check_size, _schatten_from_spectrum, _triu_outer_spectrum, mask_spectrum,
-                       singular_values)
+from .matrices import _check_p, _check_size, _schatten_from_spectrum, _triu_outer_spectrum, mask_spectrum
 from .multipliers import delta_lower_bound, hankel_multiplier_upper
 from .rng import SplitMix64, derive_seed
 from .trigpoly import TrigPoly, lp_quasinorm, riesz_plus
@@ -221,14 +220,10 @@ def _band_ratio(cfg, p, k, n, s):
 def _projected_pair(gen, n):
     """For the rank-one T = u v^* of one draw of gen: the singular values of P_n T = triu(u v^*), which are
     those of the real triu(|u| |v|^T), and ||u|| ||v||, which is every S_p quasinorm of T.  The values come
-    from its bidiagonal inverse, each to relative error O(n eps) with no SVD rounding floor, or from the
-    dense SVD for a draw that kernel (matrices._triu_outer_spectrum) refuses."""
+    from matrices._triu_outer_spectrum, each to relative error O(n eps) unless its bidiagonal inverse
+    cannot serve the draw (a zero entry, say)."""
     u, v = gen.complex_normal_rows(2, n)
-    x, y = np.abs(u), np.abs(v)
-    spectrum = _triu_outer_spectrum(x, y)
-    if spectrum is None:
-        spectrum = singular_values(np.triu(np.outer(x, y)))
-    return spectrum, float(np.linalg.norm(u) * np.linalg.norm(v))
+    return _triu_outer_spectrum(np.abs(u), np.abs(v)), float(np.linalg.norm(u) * np.linalg.norm(v))
 
 
 def _weak_decay(cfg, p, k, n, s):

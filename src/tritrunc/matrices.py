@@ -1,12 +1,12 @@
 """Dense complex matrix algebra: singular values (one LAPACK route, the
 SVD), Schatten quasinorms, the anti-triangular 0/1 mask Delta_n, and the
 singular spectrum it shares with the upper-triangular mask chi_n, in closed
-form; for factors x, y >= 0, the spectrum of triu(x y^T) from its bidiagonal
-inverse, to high relative accuracy."""
+form; for factors x, y >= 0, the spectrum of triu(x y^T), from its bidiagonal
+inverse to high relative accuracy or, when that inverse is unfit, from the
+dense SVD of its nonzero block."""
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 
@@ -117,14 +117,6 @@ def delta_matrix(n):
     return (np.add.outer(idx, idx) < n).astype(float)
 
 
-@functools.lru_cache(maxsize=4)
-def _delta_mask(n):
-    """delta_matrix(n), read-only and kept per size: the reference that witness_ratio compares its multiplier with."""
-    mask = delta_matrix(n)
-    mask.flags.writeable = False
-    return mask
-
-
 def mask_spectrum(n):
     """Singular values of chi_n and delta_matrix(n), nonincreasing, in
     closed form (no LAPACK): 1 / (2 sin((2j - 1) pi / (2(2n + 1)))), j = 1..n."""
@@ -134,25 +126,35 @@ def mask_spectrum(n):
 
 
 def _triu_outer_spectrum(x, y):
-    """Singular values of triu(x y^T) for factors x, y >= 0 of one length n, nonincreasing, each to
-    relative error O(n eps), or None when B below is unfit for that.
+    """The n singular values of triu(x y^T) for finite factors x, y >= 0 of one length n whose products
+    x_i y_j are finite, nonincreasing.
 
     triu(x y^T) = D_x chi_n D_y, and its inverse D_y^{-1} (I - N) D_x^{-1} is the upper bidiagonal B
     with diagonal 1/(x_i y_i) and superdiagonal -1/(x_{i+1} y_i).  LAPACK's SVD does no Householder
     work on an input that is already upper bidiagonal and takes its values by dqds, to high relative
     accuracy (Demmel & Kahan 1990; Fernando & Parlett 1994); their reciprocals in reverse order are
-    the values sought, and mask_spectrum(n) is the case x = y = 1.  B is unfit when an entry is not a
-    normal double (a zero factor entry makes it infinite) or its entries span more than 100 decades:
-    with one entry 1e160 above the others, LAPACK's values were off by 5e-5 relative.
+    the values sought, each to relative error O(n eps), and mask_spectrum(n) is the case x = y = 1.
+    B is unfit when an entry is not a normal double (a zero factor entry makes it infinite) or its
+    entries span more than 100 decades: with one entry 1e160 above the others, LAPACK's values were
+    off by 5e-5 relative.  Then the values are the dense SVD's of triu(x y^T) with its zero rows and
+    columns dropped, up to that SVD's rounding floor, followed by exact zeros: an SVD of the whole
+    matrix would give each zero row a value at rounding level, which S_p at p < 1 would count.
     """
     n = x.size
     with np.errstate(all="ignore"):  # a zero, tiny or huge factor is refused below
         rx, ry = 1.0 / x, 1.0 / y
         band = np.concatenate((rx * ry, rx[1:] * ry[:-1]))  # |B|'s diagonal, then its superdiagonal
         lo, hi = np.minimum.reduce(band), np.maximum.reduce(band)
-        if not (lo >= np.finfo(float).tiny and hi < math.inf and hi <= 1e100 * lo):  # nan fails all
-            return None
-        b = np.zeros(n * n)
-        b[:: n + 1], b[1 :: n + 1] = band[:n], -band[n:]
-        s = 1.0 / singular_values(b.reshape(n, n))[::-1]
-    return s if 0 < s[-1] and s[0] < math.inf else None
+        if lo >= np.finfo(float).tiny and hi < math.inf and hi <= 1e100 * lo:  # nan fails all
+            b = np.zeros(n * n)
+            # -band[n:] is a temporary: numpy 2.4.6's in-place np.negative miswrites this strided view at n = 7
+            b[:: n + 1], b[1 :: n + 1] = band[:n], -band[n:]
+            s = 1.0 / singular_values(b.reshape(n, n))[::-1]
+            if 0 < s[-1] and s[0] < math.inf:
+                return s
+    t = np.triu(np.outer(x, y))
+    t = t[np.ix_(t.any(axis=1), t.any(axis=0))]
+    s = np.zeros(n)
+    if t.size:
+        s[: min(t.shape)] = singular_values(t)
+    return s

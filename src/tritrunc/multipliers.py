@@ -3,13 +3,14 @@
 The multiplier quasinorm of a matrix A — the supremum of ||A * B|| / ||B||
 over nonzero B, with * the entrywise product — is never computed exactly
 (for p < 1 the supremum is a nonconvex optimization).  Everything here
-produces intervals: any witness B gives a lower bound, up to the SVD rounding
-floor of its S_p values (singular_values; witness_ratio takes a rank-one
-witness u v^* in factored form), and Hankel multipliers an analytic
-upper bound, up to its L^p quadrature error (measured at most 3e-5 at p = 1/2).
-A rank-one witness on the mask Delta_n, every pair of random_witness_search on
-it included, carries no such floor: its spectrum comes from a bidiagonal
-inverse, each singular value to relative error O(n eps).
+produces intervals: any witness B gives a lower bound, and Hankel multipliers
+an analytic upper bound, up to its L^p quadrature error (measured at most 3e-5
+at p = 1/2).  The witness layer is the mask Delta_n's alone: witness_ratio
+takes a rank-one witness u v^* on it in factored form, and random_witness_search
+accepts no other multiplier.  Their spectra come from one kernel,
+matrices._triu_outer_spectrum: from a bidiagonal inverse, each singular value
+to relative error O(n eps), or, for a pair that inverse cannot serve, from the
+dense SVD of the pair's nonzero block, up to its rounding floor.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import numpy as np
 
 from .hankel import _require_analytic, hankel_matrix
 from .kernels import bump_poly
-from .matrices import (_as_matrix, _check_p, _check_size, _delta_mask, _schatten_from_spectrum,
-                       _triu_outer_spectrum, schatten_quasinorm)
+from .matrices import (_as_matrix, _check_p, _check_size, _schatten_from_spectrum, _triu_outer_spectrum,
+                       delta_matrix, schatten_quasinorm)
 from .rng import SplitMix64, derive_seed
 from .trigpoly import TrigPoly, lp_quasinorm
 
@@ -50,45 +51,33 @@ class WitnessReport:
         return self.numerator / self.denominator
 
 
-def witness_ratio(a, u, v, p):
-    """Evaluate the rank-one witness u v^* against the multiplier a at exponent p.
+def witness_ratio(u, v, p):
+    """Evaluate the rank-one witness u v^* against the mask Delta_n, n = len(u) = len(v), at exponent p.
 
     The witness is evaluated in factored form.  Its denominator is ||u|| ||v||
     for every p, with no spectrum.  Its numerator is the S_p quasinorm of
-    a * u v^* = D_u a D_v^*; the unitary phases of the diagonals drop out, so it
-    is that of the matrix |u| a |v|^T (real for a real a), with its zero rows
-    and columns removed, up to the SVD rounding floor.  On the mask Delta_n that
-    matrix is triu(|u| (J|v|)^T), J the reversal, with its columns reversed, and
-    its spectrum comes from the bidiagonal inverse (matrices._triu_outer_spectrum)
-    with no dense |u| a |v|^T, each value to relative error O(n eps); a pair that
-    kernel refuses (a zero entry, say) takes the dense route.  A pair whose
+    Delta_n * u v^* = D_u Delta_n D_v^*; the unitary phases of the diagonals drop
+    out, so it is that of the real |u| Delta_n |v|^T, which is triu(|u| (J|v|)^T),
+    J the reversal, with its columns reversed.  Its spectrum comes from
+    matrices._triu_outer_spectrum with no dense |u| Delta_n |v|^T: to relative
+    error O(n eps), or up to the SVD rounding floor for a pair that kernel's
+    bidiagonal inverse cannot serve (a zero entry, say).  A pair whose
     ||u|| ||v|| overflows or underflows the double range raises ValueError, as
-    does a non-finite entry of either factor or of the multiplier.
+    does a non-finite entry of either factor.
     """
-    a = np.asarray(a)
     p = _check_p(p)
     u = np.asarray(u)
     v = np.asarray(v)
-    if u.ndim != 1 or v.ndim != 1 or a.shape != (u.size, v.size):
-        raise ValueError(f"dimension mismatch: multiplier {a.shape} vs witness factors {u.shape}, {v.shape}")
-    # the checks below report each overflow and nan: the norm's here, and those of the dense |u| a |v|^T
-    # (0 * inf against an infinite multiplier entry, say) in the spectrum's input check
+    if u.ndim != 1 or v.ndim != 1 or u.size != v.size:
+        raise ValueError(f"dimension mismatch: witness factors {u.shape} and {v.shape}, not two vectors of one length")
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         denominator = float(np.linalg.norm(u) * np.linalg.norm(v))
     if not (math.isfinite(denominator) and denominator > 0):
         if not (np.any(u) and np.any(v)):  # a zero factor gives 0, or nan against an infinite one
             raise ValueError("zero witness")
         raise ValueError(f"witness norm ||u|| ||v|| is {denominator}, not finite and positive")
-    if u.size == v.size and (a == _delta_mask(u.size)).all():
-        spectrum = _triu_outer_spectrum(np.abs(u), np.abs(v)[::-1])
-        if spectrum is not None:
-            return WitnessReport(_schatten_from_spectrum(spectrum, p), denominator)
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        scaled = np.abs(u)[:, None] * a * np.abs(v)
-    rows, cols = scaled.any(axis=1), scaled.any(axis=0)
-    if not (rows.all() and cols.all()):  # a Gaussian draw has no zero row or column: no copy
-        scaled = scaled[np.ix_(rows, cols)]
-    return WitnessReport(schatten_quasinorm(scaled, p) if scaled.size else 0.0, denominator)
+    spectrum = _triu_outer_spectrum(np.abs(u), np.abs(v)[::-1])
+    return WitnessReport(_schatten_from_spectrum(spectrum, p), denominator)
 
 
 def delta_lower_bound(k, p):
@@ -128,40 +117,37 @@ def hankel_multiplier_upper(f, p):
 
 
 def random_witness_search(a, p, draws, seed):
-    """Best witness ratio over a fixed pool and seeded rank-one draws.
+    """Best witness ratio on the mask a = Delta_n over a fixed pool and seeded rank-one draws.
 
-    The pool is the all-ones pair (ones, ones) and the matrix unit at the
-    multiplier's largest entry, the pair (e_i, e_j), whose ratio is max |a_ij|;
-    on top of it come ``draws`` rank-one complex-Gaussian witnesses u v^*, each
-    evaluated as the pair (u, v) at the cost of one real S_p evaluation (see
-    witness_ratio).  ``draws = 0`` searches the pool alone.  Equal seeds give
-    identical reports: draw i is the i-th pair of consecutive
-    complex_normal(size) calls on the "witness-search" stream.  The search
-    knows nothing of the multiplier's structure: ``tritrunc multiplier-bound
-    --budget B`` runs it with B // 2 draws on the level-k mask Delta_n and
-    prints its ratio as the lower end.
+    The pool is the all-ones pair (ones, ones) and the matrix unit at Delta_n's
+    largest entry (0, 0), the pair (e_0, e_0), whose ratio is 1; on top of it
+    come ``draws`` rank-one complex-Gaussian witnesses u v^*, each evaluated as
+    the pair (u, v) at the cost of one real S_p evaluation (see witness_ratio).
+    ``draws = 0`` searches the pool alone.  Equal seeds give identical reports:
+    draw i is the i-th pair of consecutive complex_normal(size) calls on the
+    "witness-search" stream.  Any multiplier other than delta_matrix(n) raises
+    ValueError.  ``tritrunc multiplier-bound --budget B`` runs the search with
+    B // 2 draws on the level-k mask and prints its ratio as the lower end.
     """
     a = _as_matrix(a, "multiplier")
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"multiplier must be square, got {a.shape}")
+    size = a.shape[0]
+    if not np.array_equal(a, delta_matrix(size)):
+        raise ValueError(f"multiplier must be the mask delta_matrix(n), got another {a.shape} matrix")
     draws = _check_size(draws, "draws", least=0)
     gen = SplitMix64(derive_seed("witness-search", _check_size(seed, "seed", least=None)))
-    size = a.shape[0]
 
     ones = np.ones(size)
-    best = witness_ratio(a, ones, ones, p)
-    i, j = divmod(int(np.argmax(np.abs(a))), size)  # the largest entry's row and column
-    e_i, e_j = np.zeros(size), np.zeros(size)
-    e_i[i] = e_j[j] = 1.0
-    rep = witness_ratio(a, e_i, e_j, p)
+    best = witness_ratio(ones, ones, p)
+    e_0 = np.zeros(size)
+    e_0[0] = 1.0
+    rep = witness_ratio(e_0, e_0, p)
     if rep.ratio > best.ratio:
         best = rep
     for start in range(0, draws, _DRAW_BLOCK):
         # one bulk evaluation per block of draws keeps memory flat in the budget
         factors = gen.complex_normal_rows(2 * min(_DRAW_BLOCK, draws - start), size)
         for u, v in zip(factors[0::2], factors[1::2]):
-            rep = witness_ratio(a, u, v, p)
+            rep = witness_ratio(u, v, p)
             if rep.ratio > best.ratio:
                 best = rep
     return best
-

@@ -111,6 +111,15 @@ def dirichlet_lp_closed_form(n, p, n_samples):
     return float(np.mean(mag ** float(p)) ** (1.0 / float(p)))
 
 
+def trimmed_triu_spectrum(x, y):
+    """The n singular values of triu(x y^T), x, y >= 0 of length n, nonincreasing: numpy's SVD of the
+    matrix with its zero rows and columns dropped, then exact zeros, one per dropped rank."""
+    t = np.triu(np.outer(x, y))
+    t = t[np.ix_(t.any(axis=1), t.any(axis=0))]
+    s = np.linalg.svd(t, compute_uv=False) if t.size else np.zeros(0)
+    return np.concatenate((s, np.zeros(len(x) - s.size)))
+
+
 def jump_mass(p):
     """J_p = (1/2 pi) int |1 - e^{i theta}|^{-p} d theta = Gamma(1-p) / Gamma(1-p/2)^2, the L^p mass of a
     unit jump in the coefficients; by Legendre's duplication formula it is C_p^p."""

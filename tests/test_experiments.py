@@ -25,7 +25,7 @@ from tritrunc.experiments import (
 from tritrunc.matrices import schatten_quasinorm
 from tritrunc.rng import SplitMix64, derive_seed
 
-from oracles import jump_mass
+from oracles import jump_mass, trimmed_triu_spectrum
 
 
 def strip_wall(csv_text):
@@ -275,8 +275,7 @@ def test_mask_runs_compute_no_spectrum(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(experiments, "_worker_count", lambda: 0)  # in this process, where the counters are
-    for owner in (matrices, experiments):
-        monkeypatch.setattr(owner, "singular_values", counted("singular_values", owner.singular_values))
+    monkeypatch.setattr(matrices, "singular_values", counted("singular_values", matrices.singular_values))
     for name in ("svd", "eigvalsh", "eigh", "eigvals", "eig"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     for exp in ("E1", "E9"):
@@ -468,17 +467,26 @@ def test_e4_weak_decay_is_the_projection_spectrum_of_its_seeded_draw():
 
 
 def test_a_projected_pair_the_kernel_refuses_takes_the_dense_svd():
-    # a draw with a zero entry has no bidiagonal inverse: its spectrum is that of the dense triu(|u| |v|^T)
+    # a draw with a zero entry, or with entries near 1e-170 whose bidiagonal entry 1/(x_0 y_0) overflows,
+    # has no usable bidiagonal inverse: its spectrum is the SVD of triu(|u| |v|^T) with its zero rows and
+    # columns dropped, then exact zeros, bit for bit
     class Draw:
+        def __init__(self, entries):
+            self.entries = entries
+
         def complex_normal_rows(self, count, size):
             rows = SplitMix64(derive_seed("projected-pair-zero")).complex_normal_rows(count, size)
-            rows[0, 2] = 0.0
+            for index, value in self.entries:
+                rows[index] = value
             return rows
 
-    spectrum, norm = experiments._projected_pair(Draw(), 6)
-    u, v = Draw().complex_normal_rows(2, 6)
-    assert np.array_equal(spectrum, np.linalg.svd(np.triu(np.outer(np.abs(u), np.abs(v))), compute_uv=False))
-    assert norm == float(np.linalg.norm(u) * np.linalg.norm(v))
+    for entries in ([((0, 2), 0.0)], [((0, 0), 1e-170), ((1, 0), 1e-170)]):
+        spectrum, norm = experiments._projected_pair(Draw(entries), 6)
+        u, v = Draw(entries).complex_normal_rows(2, 6)
+        assert np.array_equal(spectrum, trimmed_triu_spectrum(np.abs(u), np.abs(v)))
+        assert norm == float(np.linalg.norm(u) * np.linalg.norm(v))
+        # the zero entry leaves a zero row, and |u_0| |v_0| underflows to 0 in column 0, which is then zero
+        assert np.count_nonzero(spectrum) == 5 and spectrum[-1] == 0.0
 
 
 # --- verdicts ----------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import jacobi_singular_values, normal_reference
+from oracles import jacobi_singular_values, normal_reference, trimmed_triu_spectrum
 from corpora import p_triangle_corpus
 from tritrunc.hankel import hankel_matrix
 from tritrunc.kernels import bump_poly, dirichlet_plus, fejer
@@ -193,24 +193,45 @@ def test_bidiagonal_kernel_has_relative_accuracy(n):
 
 
 def test_bidiagonal_kernel_refuses_factors_that_put_b_outside_its_range():
-    # a zero or non-finite entry, or entries whose B entry 1/(x_i y_i) or 1/(x_{i+1} y_i) leaves the
-    # normal range or 100 decades above the rest (where LAPACK's values lose their relative accuracy),
-    # leave the kernel
+    # a zero entry, or entries whose B entry 1/(x_i y_i) or 1/(x_{i+1} y_i) leaves the normal range or
+    # 100 decades above the rest (where LAPACK's values lose their relative accuracy), leave the bidiagonal
+    # inverse for the SVD of triu(x y^T) with its zero rows and columns dropped, then exact zeros, bit for
+    # bit; a non-finite factor entry reaches that SVD and is rejected there
     def ones_but(i, value):
         f = np.ones(5)
         f[i] = value
         return f
 
-    pairs = [(ones_but(2, bad), np.ones(5)) for bad in (0.0, np.inf, np.nan)]
-    pairs += [(ones_but(0, 1e-170), ones_but(0, 1e-170)),  # the diagonal overflows
-              (ones_but(1, 1e-170), ones_but(0, 1e-170)),  # the superdiagonal overflows
-              (ones_but(0, 1e170), ones_but(0, 1e170)),  # the diagonal underflows
-              (ones_but(2, 1e-160), np.ones(5))]  # one entry 1e160 above the others
+    pairs = [(ones_but(2, 0.0), np.ones(5)),  # a zero row: one exact zero value
+             (ones_but(0, 1e-170), ones_but(0, 1e-170)),  # the diagonal overflows
+             (ones_but(1, 1e-170), ones_but(0, 1e-170)),  # the superdiagonal overflows
+             (ones_but(0, 1e154), ones_but(0, 1e154)),  # the diagonal underflows
+             (ones_but(2, 1e-160), np.ones(5)),  # one entry 1e160 above the others
+             (np.zeros(5), np.ones(5))]  # no nonzero entry: five exact zeros
     for x, y in pairs:
-        assert _triu_outer_spectrum(x, y) is None
+        assert np.array_equal(_triu_outer_spectrum(x, y), trimmed_triu_spectrum(x, y))
+    assert np.count_nonzero(_triu_outer_spectrum(*pairs[0])) == 4
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="non-finite entries"):
+            _triu_outer_spectrum(ones_but(2, bad), np.ones(5))
     x = ones_but(2, 1e-90)
     b = np.diag(1.0 / x) - np.diag(1.0 / x[1:], 1)
     assert np.array_equal(_triu_outer_spectrum(x, np.ones(5)), 1.0 / singular_values(b)[::-1])
+
+
+# factor entries from zero and the subnormals up to 1e150, so that every product x_i y_j is finite
+_TRIU_FACTOR = st.one_of(st.floats(0.0, 1e150), st.sampled_from([0.0, 5e-324, 1e-170, 1e-90, 1.0, 1e150]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_TRIU_FACTOR, _TRIU_FACTOR), min_size=1, max_size=12))
+def test_triu_outer_spectrum_gives_n_nonincreasing_values(pairs):
+    # every finite pair x, y >= 0 of length n, one the bidiagonal inverse refuses included, gets n finite
+    # values >= 0, nonincreasing, so no caller needs a second route
+    x, y = np.array(pairs).T
+    s = _triu_outer_spectrum(x, y)
+    assert s.shape == (x.size,)
+    assert np.all(np.isfinite(s)) and np.all(s >= 0) and np.all(np.diff(s) <= 0)
 
 
 def test_svd_of_symmetric_indefinite_input_matches_jacobi():

@@ -28,6 +28,7 @@ from tritrunc.rng import SplitMix64, derive_seed
 from tritrunc.trigpoly import TrigPoly, lp_quasinorm, riesz_plus
 
 from corpora import matrix_witness_ratio, multiplier_upper_corpus
+from oracles import trimmed_triu_spectrum
 
 
 # --- witness_ratio ----------------------------------------------------------------
@@ -39,127 +40,134 @@ def _pad(a, rows, cols):
 
 
 def test_witness_ratio_on_the_all_ones_witness():
-    rep = witness_ratio(np.triu(np.ones((2, 2))), np.ones(2), np.ones(2), 1.0)
+    # Delta_2 = [[1, 1], [1, 0]] shares chi_2's singular values, the golden ratio and its inverse, which sum to sqrt 5
+    rep = witness_ratio(np.ones(2), np.ones(2), 1.0)
     assert rep.numerator == pytest.approx(np.sqrt(5.0), abs=1e-12)
     assert rep.denominator == pytest.approx(2.0, abs=1e-12)
     assert rep.ratio == rep.numerator / rep.denominator
 
 
 def test_witness_ratio_validates_inputs():
-    # the witness u v^* has the multiplier's shape: a larger or a smaller multiplier has no reading
-    for a, shape in ((np.triu(np.ones((3, 3))), (2, 2)), (np.ones((3, 2)), (2, 3)), (np.ones((2, 3)), (3, 2)),
-                     (np.ones(3), (3, 3)), (np.triu(np.ones((2, 2))), (3, 3)), (np.ones((2, 6)), (5, 7)),
-                     (np.ones((5, 6)), (5, 7)), (delta_matrix(5), (6, 6))):
+    # the factors of u v^* on Delta_n are two vectors of one length n: no other pair has a reading
+    for u, v in ((np.ones(2), np.ones(3)), (np.ones(3), np.ones(2)), (np.ones((3, 3)), np.ones(3)),
+                 (np.ones(5), np.ones((5, 1))), (np.ones((2, 2)), np.ones((2, 2))), (np.float64(1.0), np.ones(1))):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            witness_ratio(a, np.ones(shape[0]), np.ones(shape[1]), 0.5)
+            witness_ratio(u, v, 0.5)
     with pytest.raises(ValueError, match="zero witness"):
-        witness_ratio(np.triu(np.ones((2, 2))), np.zeros(2), np.ones(2), 0.5)
+        witness_ratio(np.zeros(2), np.ones(2), 0.5)
     for bad in (complex(0, np.nan), complex(0, np.inf)):  # a non-finite imaginary part alone
-        b = np.ones((2, 2), dtype=complex)
-        b[1, 0] = bad
-        # as a multiplier, also where a zero factor entry meets it as 0 * inf, with no warning
-        for u in (np.ones(2), np.array([1.0, 0.0])):
-            with pytest.raises(ValueError, match="non-finite entries"):
-                witness_ratio(b, u, np.ones(2), 0.5)
+        u = np.ones(2, dtype=complex)
+        u[1] = bad
+        for v in (np.ones(2), np.array([1.0, 0.0])):
+            with pytest.raises(ValueError, match=r"witness norm \|\|u\|\| \|\|v\|\| is (inf|nan), not finite"):
+                witness_ratio(u, v, 0.5)
 
 
 def test_pair_witness_validates_inputs():
-    a = np.triu(np.ones((3, 3)))
     for u, v in ((np.ones(3), np.ones(2)), (np.ones(2), np.ones(3)), (np.ones((3, 1)), np.ones(3)),
                  (np.ones(3), np.ones((1, 3)))):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            witness_ratio(a, u, v, 0.5)
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        witness_ratio(np.ones((3, 2)), np.ones(2), np.ones(3), 0.5)
+            witness_ratio(u, v, 0.5)
     # a zero factor is named even against an infinite one, whose norm product is 0 * inf = nan
     for u, v in ((np.zeros(3), np.ones(3)), (np.ones(3), np.zeros(3, dtype=complex)),
-                 (np.zeros(3), np.array([1, np.inf, 1.0])), (np.array([1, np.inf, 1.0]), np.zeros(3))):
+                 (np.zeros(3), np.array([1, np.inf, 1.0])), (np.array([1, np.inf, 1.0]), np.zeros(3)),
+                 (np.zeros(0), np.zeros(0))):
         with pytest.raises(ValueError, match="zero witness"):
-            witness_ratio(a, u, v, 0.5)
+            witness_ratio(u, v, 0.5)
     with pytest.raises(ValueError, match="p must be"):
-        witness_ratio(np.zeros((3, 3)), np.ones(3), np.ones(3), 0.0)
+        witness_ratio(np.ones(3), np.ones(3), 0.0)
 
 
 def test_pair_witness_rejects_a_non_finite_factor():
-    # a non-finite factor fails the norm ||u|| ||v||, and 0 * inf in |u| a |v|^T raises no warning
+    # a non-finite factor fails the norm ||u|| ||v|| before any spectrum
     for u, v in ((np.array([1, np.inf, 1.0]), np.ones(3)), (np.ones(3), np.array([1, np.nan, 1.0])),
                  (np.ones(3), np.array([1, 1j * np.inf, 1]))):
         with pytest.raises(ValueError, match=r"witness norm \|\|u\|\| \|\|v\|\| is (inf|nan), not finite"):
-            witness_ratio(delta_matrix(3), u, v, 0.5)
+            witness_ratio(u, v, 0.5)
 
 
 def test_pair_witness_rejects_a_norm_outside_the_double_range():
     # finite nonzero factors whose ||u|| ||v|| overflows to inf or underflows to 0
     for u, v in ((np.full(3, 1e200), np.ones(3)), (np.full(3, 1e-170), np.full(3, 1e-170))):
         with pytest.raises(ValueError, match=r"witness norm \|\|u\|\| \|\|v\|\| is (inf|0\.0), not finite and positive"):
-            witness_ratio(delta_matrix(3), u, v, 0.5)
+            witness_ratio(u, v, 0.5)
 
 
 @pytest.mark.parametrize("p", [0.5, 1.0])
 @pytest.mark.parametrize("n", [9, 33, 65])
 def test_pair_witness_is_bit_identical_to_its_formula(n, p):
-    # exact equality on each route: a shortcut that changes the rounding of either end fails here.
-    # On Delta_n the numerator is the bidiagonal formula: |u| Delta_n |v|^T is triu(x y^T), x = |u| and
-    # y = |v| reversed, up to a column reversal, and the inverse of triu(x y^T) is the upper bidiagonal B
-    # with diagonal 1/(x_i y_i) and superdiagonal -1/(x_{i+1} y_i); any other multiplier (Delta_n with
-    # one entry flipped, a dense real matrix) keeps the dense formula
+    # exact equality: a shortcut that changes the rounding of either end fails here.  The numerator is the
+    # bidiagonal formula: |u| Delta_n |v|^T is triu(x y^T), x = |u| and y = |v| reversed, up to a column
+    # reversal, and the inverse of triu(x y^T) is the upper bidiagonal B with diagonal 1/(x_i y_i) and
+    # superdiagonal -1/(x_{i+1} y_i).  For any multiplier a (Delta_n, Delta_n with one entry flipped, a
+    # dense real matrix) the S_p of a * u v^* = D_u a D_v^* is that of the real |u| a |v|^T: the phases drop out
     rng = SplitMix64(derive_seed("pair-witness-bits", n))
-    flipped = delta_matrix(n)
+    idx = np.arange(n)
+    delta = (np.add.outer(idx, idx) < n).astype(float)
+    flipped = delta.copy()
     flipped[n - 1, n - 1] = 1.0
-    for a, dense in ((delta_matrix(n), False), (flipped, True), (rng.complex_normal((n, n)).real, True)):
-        for _ in range(3):
-            u, v = rng.complex_normal(n), rng.complex_normal(n)
-            rep = witness_ratio(a, u, v, p)
-            if dense:
-                s = np.linalg.svd(np.abs(u)[:, None] * a * np.abs(v), compute_uv=False)
-            else:
-                rx, ry = 1.0 / np.abs(u), 1.0 / np.abs(v)[::-1]
-                b = np.diag(rx * ry) + np.diag(-(rx[1:] * ry[:-1]), 1)
-                s = 1.0 / np.linalg.svd(b, compute_uv=False)[::-1]
-            assert rep.numerator == float(np.sum(s**p)) ** (1 / p)
-            assert rep.denominator == float(np.linalg.norm(u) * np.linalg.norm(v))
+    for _ in range(3):
+        u, v = rng.complex_normal(n), rng.complex_normal(n)
+        rep = witness_ratio(u, v, p)
+        rx, ry = 1.0 / np.abs(u), 1.0 / np.abs(v)[::-1]
+        b = np.diag(rx * ry) + np.diag(-(rx[1:] * ry[:-1]), 1)
+        s = 1.0 / np.linalg.svd(b, compute_uv=False)[::-1]
+        assert rep.numerator == float(np.sum(s**p)) ** (1 / p)
+        assert rep.denominator == float(np.linalg.norm(u) * np.linalg.norm(v))
+        for a in (delta, flipped, rng.complex_normal((n, n)).real):
+            assert schatten_quasinorm(a * np.outer(u, v.conj()), p) == pytest.approx(
+                schatten_quasinorm(np.abs(u)[:, None] * a * np.abs(v), p), rel=1e-10, abs=0)
 
 
 def test_degenerate_pairs_on_the_mask_keep_the_dense_formula():
     # a zero entry of u, and entries near 1e-170 whose bidiagonal entry 1/(x_0 y_0) overflows, leave
-    # the bidiagonal route for the dense, trimmed formula, bit for bit
+    # the bidiagonal inverse for the SVD of the trimmed triu(x y^T), then exact zeros, bit for bit
     n = 9
-    a = delta_matrix(n)
     rng = SplitMix64(derive_seed("pair-witness-degenerate"))
     zero_u, tiny_u, tiny_v = rng.complex_normal((3, n))
+    zero_v = rng.complex_normal(n)
     zero_u[4] = 0.0
     tiny_u[0] = tiny_v[n - 1] = 1e-170
-    for u, v in ((zero_u, rng.complex_normal(n)), (tiny_u, tiny_v)):
-        assert _triu_outer_spectrum(np.abs(u), np.abs(v)[::-1]) is None
-        scaled = np.abs(u)[:, None] * a * np.abs(v)
-        s = np.linalg.svd(scaled[np.ix_(scaled.any(axis=1), scaled.any(axis=0))], compute_uv=False)
+    for u, v in ((zero_u, zero_v), (tiny_u, tiny_v)):
+        x, y = np.abs(u), np.abs(v)[::-1]
+        s = trimmed_triu_spectrum(x, y)
+        assert np.array_equal(_triu_outer_spectrum(x, y), s)
         for p in (0.5, 1.0):
-            assert witness_ratio(a, u, v, p).numerator == float(np.sum(s**p)) ** (1 / p)
+            assert witness_ratio(u, v, p).numerator == float(np.sum(s**p)) ** (1 / p)
+    # the zero row of the first pair adds an exact zero to the spectrum, where the SVD of the whole
+    # matrix leaves a rounding-floor value that S_{1/2} would count
+    x, y = np.abs(zero_u), np.abs(zero_v)[::-1]
+    s = _triu_outer_spectrum(x, y)
+    whole = np.linalg.svd(np.triu(np.outer(x, y)), compute_uv=False)
+    assert s[-1] == 0.0 < whole[-1] < 1e-14 * whole[0]
+    numerator = witness_ratio(zero_u, zero_v, 0.5).numerator
+    assert float(np.sum(whole**0.5)) ** 2.0 > (1 + 1e-11) * numerator
 
 
 def test_pair_witness_is_the_rank_one_matrix():
-    # away from the rounding floor (p >= 1) the factored form agrees with the dense u v^*
+    # away from the rounding floor (p >= 1) the factored form agrees with the dense Delta_n * u v^*
     rng = SplitMix64(derive_seed("pair-witness"))
-    for m, n in ((1, 1), (3, 5), (6, 4), (9, 9)):
-        a = rng.complex_normal((m, n))
-        u, v = rng.complex_normal(m), rng.complex_normal(n)
+    for n in (1, 3, 6, 9):
+        idx = np.arange(n)
+        delta = (np.add.outer(idx, idx) < n).astype(float)
+        u, v = rng.complex_normal(n), rng.complex_normal(n)
         dense = np.outer(u, v.conj())
         for p in (1.0, 2.0):
-            pair = witness_ratio(a, u, v, p)
-            assert pair.numerator == pytest.approx(schatten_quasinorm(a * dense, p), rel=1e-12)
+            pair = witness_ratio(u, v, p)
+            assert pair.numerator == pytest.approx(schatten_quasinorm(delta * dense, p), rel=1e-12)
             assert pair.denominator == pytest.approx(schatten_quasinorm(dense, p), rel=1e-12)
 
 
 def test_pair_witness_holds_no_dense_rank_one_matrix():
-    # at E8's largest rank-one point, the real |u| a |v|^T and the spectrum's workspace fit in
-    # 2.5 n^2 doubles; the complex u v^* alone would add 2 n^2
+    # at E8's largest rank-one point, the bidiagonal inverse (stored n x n) and the spectrum's
+    # workspace fit in 2.5 n^2 doubles; the complex u v^* alone would add 2 n^2
     n = 512
     rng = SplitMix64(derive_seed("pair-witness-memory"))
-    a, u, v = np.triu(np.ones((n, n))), rng.complex_normal(n), rng.complex_normal(n)
-    witness_ratio(a, u, v, 0.5)  # warm-up: first-call allocations are not the evaluation's
+    u, v = rng.complex_normal(n), rng.complex_normal(n)
+    witness_ratio(u, v, 0.5)  # warm-up: first-call allocations are not the evaluation's
     tracemalloc.start()
     try:
-        witness_ratio(a, u, v, 0.5)
+        witness_ratio(u, v, 0.5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -168,35 +176,36 @@ def test_pair_witness_holds_no_dense_rank_one_matrix():
 
 def test_pair_witness_ignores_the_phases():
     rng = SplitMix64(derive_seed("pair-witness-phases"))
-    a = _pad(delta_matrix(9), 13, 13)
     for p in (0.5, 0.75, 1.0):
         u, v = rng.complex_normal(13), rng.complex_normal(13)
-        assert witness_ratio(a, u, v, p).ratio == pytest.approx(
-            witness_ratio(a, np.abs(u), np.abs(v), p).ratio, rel=1e-14, abs=0
+        assert witness_ratio(u, v, p).ratio == pytest.approx(
+            witness_ratio(np.abs(u), np.abs(v), p).ratio, rel=1e-14, abs=0
         )
 
 
 def test_pair_witness_trims_zero_rows_and_columns():
-    # a witness factor that misses the mask's support scores zero, with no spectrum
-    a = _pad(delta_matrix(3), 5, 5)
-    u = np.array([0.0, 0.0, 0.0, 1.0, 2.0])
-    assert witness_ratio(a, u, np.ones(5), 0.5).numerator == 0.0
-    rep = witness_ratio(a, np.array([0.0, 1.0, 0.0, 3.0, 0.0]), np.ones(5), 1.0)
-    assert rep.numerator == pytest.approx(np.sqrt(2.0), rel=1e-15)  # row 1 of the mask: two ones
-    assert rep.denominator == pytest.approx(np.sqrt(10.0) * np.sqrt(5.0), rel=1e-15)
+    # a witness that misses the mask's support scores zero, with no spectrum: row 4 of Delta_5 is e_0
+    assert witness_ratio(np.eye(5)[4], np.array([0.0, 1.0, 1.0, 1.0, 1.0]), 0.5).numerator == 0.0
+    # rows 3 and 4 of Delta_5 against columns 0 and 1 leave the 2 x 2 block [[1, 1], [2, 0]], whose two
+    # singular values sum to sqrt(||M||_F^2 + 2 |det M|) = sqrt(6 + 4)
+    rep = witness_ratio(np.array([0.0, 0.0, 0.0, 1.0, 2.0]), np.ones(5), 1.0)
+    assert rep.numerator == pytest.approx(np.sqrt(10.0), rel=1e-15)
+    assert rep.denominator == pytest.approx(np.sqrt(5.0) * np.sqrt(5.0), rel=1e-15)
 
 
 @pytest.mark.parametrize("p", [0.5, 0.75, 1.0])
 @pytest.mark.parametrize("k", range(1, 9))
 def test_all_ones_pair_on_the_padded_mask_is_the_closed_form(k, p):
-    # S_p(Delta_n) / N: the mask's closed-form spectrum over the exact denominator ||1_N||^2 = N,
-    # with the mask at its own size (N = n) and zero-padded to the bump witness's size
+    # S_p(Delta_n) / n: the mask's closed-form spectrum over the exact denominator ||1_n||^2 = n.  Zero-padded
+    # to the bump witness's size N, the mask keeps its S_p, and its all-ones ratio is S_p(Delta_n) / N
     n = 2**k + 1
     s_p = float(np.sum(mask_spectrum(n) ** p) ** (1.0 / p))
-    for size in (n, 3 * 2 ** (k - 1) + 1):
-        ones = np.ones(size)
-        got = witness_ratio(_pad(delta_matrix(n), size, size), ones, ones, p).ratio
-        assert got == pytest.approx(s_p / size, rel=1e-12, abs=0)
+    ones = np.ones(n)
+    assert witness_ratio(ones, ones, p).ratio == pytest.approx(s_p / n, rel=1e-12, abs=0)
+    size = 3 * 2 ** (k - 1) + 1
+    padded = _pad(delta_matrix(n), size, size)
+    ones = np.ones(size)
+    assert schatten_quasinorm(padded * np.outer(ones, ones), p) / size == pytest.approx(s_p / size, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("p, c_p", [(0.5, 1.393204), (2.0 / 3.0, 1.765935), (0.75, 2.127934)])
@@ -414,7 +423,7 @@ def test_search_draws_never_beat_the_all_ones_pair_on_the_queries_mix():
         ones = np.ones(a.shape[0])
         for draws in (12, 25, 50):
             for seed in (1701, 2029):
-                assert random_witness_search(a, 0.5, draws, seed) == witness_ratio(a, ones, ones, 0.5)
+                assert random_witness_search(a, 0.5, draws, seed) == witness_ratio(ones, ones, 0.5)
 
 
 def test_search_draws_beat_the_all_ones_pair_at_small_levels_near_p_one():
@@ -422,7 +431,7 @@ def test_search_draws_beat_the_all_ones_pair_at_small_levels_near_p_one():
     for k in (1, 2):
         a = delta_matrix(2**k + 1)
         ones = np.ones(a.shape[0])
-        assert random_witness_search(a, 1.0, 50, 1701).ratio > 1.01 * witness_ratio(a, ones, ones, 1.0).ratio
+        assert random_witness_search(a, 1.0, 50, 1701).ratio > 1.01 * witness_ratio(ones, ones, 1.0).ratio
 
 
 def _pool_and_rank_one_best(a, p, draws, seed):
@@ -430,12 +439,12 @@ def _pool_and_rank_one_best(a, p, draws, seed):
     size = a.shape[0]
     ones = np.ones(size)
     i, j = np.unravel_index(np.argmax(np.abs(a)), a.shape)
-    ratios = [witness_ratio(a, ones, ones, p).ratio, witness_ratio(a, np.eye(size)[i], np.eye(size)[j], p).ratio]
+    ratios = [witness_ratio(ones, ones, p).ratio, witness_ratio(np.eye(size)[i], np.eye(size)[j], p).ratio]
     gen = SplitMix64(derive_seed("witness-search", seed))
     for _ in range(draws):
         u = gen.complex_normal(size)
         v = gen.complex_normal(size)
-        ratios.append(witness_ratio(a, u, v, p).ratio)
+        ratios.append(witness_ratio(u, v, p).ratio)
     return max(ratios)
 
 
@@ -463,9 +472,9 @@ def test_witness_search_reports_the_winning_draw():
     best = random_witness_search(a, 1.0, 40, 2)
     gen = SplitMix64(derive_seed("witness-search", 2))
     draws = [(gen.complex_normal(3), gen.complex_normal(3)) for _ in range(40)]
-    ratios = [witness_ratio(a, *pair, 1.0).ratio for pair in draws]
+    ratios = [witness_ratio(*pair, 1.0).ratio for pair in draws]
     assert best.ratio == max(ratios) > 1.0  # a draw beats the pool here
-    assert best == witness_ratio(a, *draws[int(np.argmax(ratios))], 1.0)
+    assert best == witness_ratio(*draws[int(np.argmax(ratios))], 1.0)
 
 
 def test_witness_search_spends_one_spectrum_per_draw(monkeypatch):
@@ -490,29 +499,37 @@ def test_witness_search_spends_one_spectrum_per_draw(monkeypatch):
 
 
 def test_witness_search_validates():
-    with pytest.raises(ValueError, match="square"):
+    with pytest.raises(ValueError, match="must be the mask"):
         random_witness_search(np.ones((2, 3)), 0.5, draws=4, seed=0)
     with pytest.raises(ValueError, match="draws"):
-        random_witness_search(np.ones((2, 2)), 0.5, draws=-1, seed=0)
+        random_witness_search(delta_matrix(2), 0.5, draws=-1, seed=0)
     with pytest.raises(ValueError, match="draws must be an integer, got 2.9"):
-        random_witness_search(np.ones((2, 2)), 0.5, draws=2.9, seed=0)
+        random_witness_search(delta_matrix(2), 0.5, draws=2.9, seed=0)
     with pytest.raises(ValueError, match="seed must be an integer, got 2.7"):
         random_witness_search(delta_matrix(5), 0.5, draws=3, seed=2.7)
     for bad in (np.ones(3), 5.0, np.ones((0, 0))):
         with pytest.raises(ValueError, match="multiplier must be a 2-D array with positive shape"):
             random_witness_search(bad, 0.5, draws=2, seed=0)
+    # chi_n, the all-ones matrix, Delta_n with one entry flipped, a padded Delta_{n-1} and i Delta_n: the search
+    # scores rank-one pairs on Delta_n alone, so any other matrix is refused before a draw
+    n = 5
+    flipped = delta_matrix(n)
+    flipped[n - 1, n - 1] = 1.0
+    for bad in (np.triu(np.ones((n, n))), np.ones((n, n)), flipped, np.pad(delta_matrix(n - 1), [(0, 1), (0, 1)]),
+                delta_matrix(n) * 1j):
+        with pytest.raises(ValueError, match=r"multiplier must be the mask delta_matrix\(n\), got another \(5, 5\)"):
+            random_witness_search(bad, 0.5, draws=2, seed=0)
+    assert random_witness_search(delta_matrix(n).astype(np.int8), 0.5, 2, 0) == random_witness_search(
+        delta_matrix(n), 0.5, 2, 0)
     a = delta_matrix(9)
     assert random_witness_search(a, 0.5, draws=0, seed=0).ratio == _pool_and_rank_one_best(a, 0.5, 0, 0)
 
 
-
 def test_search_pool_scores_the_largest_entry(monkeypatch):
-    # the pool's second member is the matrix unit at argmax |a_ij|, a 1 x 1 spectrum of ratio max |a_ij|,
-    # never below the identity witness's (mean_i |a_ii|^p)^{1/p}; here it beats the all-ones pair's 1/3
-    a = np.zeros((3, 3))
-    a[0, 2] = 1.0
-    for p in (0.25, 0.5, 1.0, 2.0):
-        assert random_witness_search(a, p, 0, 1).ratio == 1.0
+    # the pool's second member is the matrix unit at Delta_n's largest entry (0, 0), a 1 x 1 spectrum of
+    # ratio 1, as schatten_quasinorm gives the dense Delta_n * e_0 e_0^T; it is never below the identity
+    # witness's (mean_i |Delta_ii|^p)^{1/p}.  At p <= 1 it never beats the all-ones pair, whose ratio is then
+    # above 1 for n >= 2; at p = 2 that pair's ratio is sqrt(n (n + 1) / 2) / n, and the unit wins
     reports = []
 
     def recorded(*args):
@@ -520,18 +537,22 @@ def test_search_pool_scores_the_largest_entry(monkeypatch):
         return reports[-1]
 
     monkeypatch.setattr(multipliers, "witness_ratio", recorded)
-    rng = SplitMix64(derive_seed("largest-entry-witness"))
     for n in range(1, 9):
-        a = rng.complex_normal((n, n))
+        idx = np.arange(n)
+        delta = (np.add.outer(idx, idx) < n).astype(float)
+        unit = np.zeros((n, n))
+        unit[0, 0] = 1.0
         for p in (0.25, 0.5, 1.0, 2.0):
             reports.clear()
-            random_witness_search(a, p, 0, 1)
-            unit = reports[1]
-            assert unit.denominator == 1.0
-            # equal up to the rounding of |a_ij|^p, its 1/p-th power and LAPACK's complex modulus
-            assert unit.ratio == pytest.approx(np.abs(a).max(), rel=2e-15, abs=0)
-            identity = np.mean(np.abs(np.diag(a)) ** p) ** (1.0 / p)
-            assert unit.ratio >= identity * (1.0 - 2e-15)
+            best = random_witness_search(delta, p, 0, 1)
+            assert reports[1] == WitnessReport(1.0, 1.0)
+            assert schatten_quasinorm(delta * unit, p) / schatten_quasinorm(unit, p) == 1.0
+            assert reports[1].ratio >= np.mean(np.diag(delta) ** p) ** (1.0 / p)
+            if p <= 1 or n == 1:
+                assert best == reports[0] and (best.ratio > 1.0 or n == 1)
+            else:
+                assert best == reports[1]
+
 
 # --- the p = 1 shadow -----------------------------------------------------------
 
