@@ -56,11 +56,13 @@ def build_parser():
     which.add_argument("--delta", type=int, metavar="N", help="anti-triangular 0/1 Hankel matrix of size N")
     which.add_argument("--ones", type=int, metavar="N", help="all-ones matrix of size N")
     sp.add_argument("--p", type=float, required=True, help="Schatten exponent (> 0)")
+    sp.set_defaults(handler=_cmd_spnorm)
 
     bs = sub.add_parser("besov", help="dyadic quasinorm of the length-N Dirichlet kernel")
     bs.add_argument("--dirichlet", type=int, required=True, metavar="N", help="kernel length N >= 1")
     bs.add_argument("--p", type=float, required=True, help="exponent (> 0)")
     bs.add_argument("--levels", action="store_true", help="also print the per-level terms")
+    bs.set_defaults(handler=_cmd_besov)
 
     mb = sub.add_parser("multiplier-bound", help="[lower, upper] multiplier bounds for the size-(2^k+1) mask")
     level = mb.add_mutually_exclusive_group(required=True)
@@ -71,8 +73,10 @@ def build_parser():
     mb.add_argument("--budget", type=int, default=0, metavar="B", help="witness-search budget: B // 2 seeded "
                     "rank-one draws beyond the all-ones and largest-entry witnesses, which run at every budget")
     mb.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    mb.set_defaults(handler=_cmd_multiplier_bound)
 
     ex = sub.add_parser("experiment", help="run registered scaling experiments")
+    ex.set_defaults(handler=_cmd_experiment)
     exsub = ex.add_subparsers(dest="action", required=True)
     run = exsub.add_parser("run", help="run a single experiment")
     run.add_argument("id", choices=EXPERIMENT_IDS, metavar="ID", help=f"one of {', '.join(EXPERIMENT_IDS)}")
@@ -217,13 +221,7 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "spnorm":
-            return _cmd_spnorm(args)
-        if args.command == "besov":
-            return _cmd_besov(args)
-        if args.command == "multiplier-bound":
-            return _cmd_multiplier_bound(args)
-        return _cmd_experiment(args)
+        return args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -76,7 +76,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment id {self.experiment!r}; registered: {', '.join(EXPERIMENT_IDS)}")
         spec = _REGISTRY[self.experiment]
         if self.p is not None:
-            if spec.fixed_p:
+            if spec.max_p is None:
                 raise ValueError(f"{self.experiment} runs at fixed p; the field p does not apply")
             object.__setattr__(self, "p", _check_p(self.p, spec.max_p))
         if self.samples is not None and spec.samples is None:
@@ -170,11 +170,11 @@ class _Spec:
     """One registered experiment; run_experiment owns everything it does not declare.
 
     measure(cfg, p, k, n, s) returns {quantity: value} for one point.  The
-    grid is n = 2^k + offset for k in ks.  fixed_p makes the config reject p,
-    and max_p any p above it; samples None is one sample per point and makes
-    it reject samples.  The fit reads the first quantity, reduce()d over the
-    point's samples, at x = n.  check, if any, is one declared bound on one
-    quantity, which run_experiment compares at every point."""
+    grid is n = 2^k + offset for k in ks.  The config rejects a p above max_p,
+    and any p at max_p None (E4, E5); samples None is one sample per point
+    and makes it reject samples.  The fit reads the first quantity, reduce()d
+    over the point's samples, at x = n.  check, if any, is one declared bound
+    on one quantity, which run_experiment compares at every point."""
 
     name: str
     blurb: str
@@ -183,8 +183,7 @@ class _Spec:
     target: Callable
     tolerance: float
     exponents: tuple = (0.5,)
-    fixed_p: bool = False
-    max_p: float = np.inf
+    max_p: float | None = np.inf
     samples: int | None = None
     reduce: Callable = max
     one_sided: bool = False
@@ -267,9 +266,9 @@ _REGISTRY = {
                 _band_ratio, lambda p: 0.0, 0.15, samples=20, reduce=min,
                 check=_Check("band_upper_inequality", "band_ratio", lambda p, k, n, v: 1.0 + 1e-9)),
     "E4": _Spec("weak_type", "weak-type decay of triangular truncation on trace-class inputs", (5, 9),
-                _weak_decay, lambda p: 0.0, 0.10, exponents=(1.0,), fixed_p=True, samples=20, one_sided=True),
+                _weak_decay, lambda p: 0.0, 0.10, exponents=(1.0,), max_p=None, samples=20, one_sided=True),
     "E5": _Spec("fejer_log", "logarithmic growth of the analytic Fejér half at p = 1", (4, 11),
-                _fejer_log, lambda p: 0.0, 0.10, exponents=(1.0,), fixed_p=True),
+                _fejer_log, lambda p: 0.0, 0.10, exponents=(1.0,), max_p=None),
     "E6": _Spec("riesz_jump", "Riesz projection jump on bump polynomials, p < 1", (3, 10),
                 _riesz_jump, _projection_growth, 0.15),
     "E7": _Spec("dirichlet_besov", "dyadic-decomposition quasinorm growth of Dirichlet kernels", (3, 10),

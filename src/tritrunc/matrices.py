@@ -129,11 +129,14 @@ def _triu_outer_spectrum(x, y):
     """The n singular values of triu(x y^T) for finite factors x, y >= 0 of one length n whose products
     x_i y_j are finite, nonincreasing.
 
-    triu(x y^T) = D_x chi_n D_y, and its inverse D_y^{-1} (I - N) D_x^{-1} is the upper bidiagonal B
-    with diagonal 1/(x_i y_i) and superdiagonal -1/(x_{i+1} y_i).  LAPACK's SVD does no Householder
-    work on an input that is already upper bidiagonal and takes its values by dqds, to high relative
-    accuracy (Demmel & Kahan 1990; Fernando & Parlett 1994); their reciprocals in reverse order are
-    the values sought, each to relative error O(n eps), and mask_spectrum(n) is the case x = y = 1.
+    triu(x y^T) = D_x chi_n D_y, and its inverse A = D_y^{-1} (I - N) D_x^{-1} is upper bidiagonal with
+    diagonal 1/(x_i y_i) and superdiagonal -1/(x_{i+1} y_i).  The kernel takes B = |A| = S A S, with
+    S = diag((-1)^i) orthogonal, so B and A share their singular values; LAPACK's qd step reads only
+    |d_i| and e_i^2, so no sign reaches the computed values either.  LAPACK's Householder steps leave
+    an input that is already upper bidiagonal as it is (each reflector is the identity), and its values
+    come by dqds, to high relative accuracy (Demmel & Kahan 1990; Fernando & Parlett 1994); their
+    reciprocals in reverse order are the values sought, each to relative error O(n eps), and
+    mask_spectrum(n) is the case x = y = 1.
     B is unfit when an entry is not a normal double (a zero factor entry makes it infinite) or its
     entries span more than 100 decades: with one entry 1e160 above the others, LAPACK's values were
     off by 5e-5 relative.  Then the values are the dense SVD's of triu(x y^T) with its zero rows and
@@ -143,12 +146,11 @@ def _triu_outer_spectrum(x, y):
     n = x.size
     with np.errstate(all="ignore"):  # a zero, tiny or huge factor is refused below
         rx, ry = 1.0 / x, 1.0 / y
-        band = np.concatenate((rx * ry, rx[1:] * ry[:-1]))  # |B|'s diagonal, then its superdiagonal
+        band = np.concatenate((rx * ry, rx[1:] * ry[:-1]))  # B's diagonal, then its superdiagonal
         lo, hi = np.minimum.reduce(band), np.maximum.reduce(band)
         if lo >= np.finfo(float).tiny and hi < math.inf and hi <= 1e100 * lo:  # nan fails all
             b = np.zeros(n * n)
-            # -band[n:] is a temporary: numpy 2.4.6's in-place np.negative miswrites this strided view at n = 7
-            b[:: n + 1], b[1 :: n + 1] = band[:n], -band[n:]
+            b[:: n + 1], b[1 :: n + 1] = band[:n], band[n:]
             s = 1.0 / singular_values(b.reshape(n, n))[::-1]
             if 0 < s[-1] and s[0] < math.inf:
                 return s

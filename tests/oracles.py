@@ -5,7 +5,8 @@ values come from a from-scratch one-sided Jacobi iteration, grid values from
 direct Horner summation or long-double FFTs, and the reference RNG streams
 from pure-Python integer arithmetic (the Gaussians from Box-Muller written out
 over the stream's uniforms).  The closed forms are written from their
-formulas alone.
+formulas alone, and the true norm's ascent (``ascent``) iterates on numpy's
+SVD of the dense D_u chi_n D_v.
 """
 
 import math
@@ -137,6 +138,29 @@ def transference_ceiling(n, p):
     """
     s = np.arange(1, 2 * n, 2)
     return float((2.0**-p + np.sum((2 * n * np.sin(np.pi * s / (2 * n))) ** -p)) ** (1 / p))
+
+
+def ascent(n, p, u, v):
+    """The ratios S_p(D_u chi_n D_v) over unit u, v, from the start to the step that moves
+    the ratio by at most 1e-15 relative, or to step 500: the fixed-point ascent for a p-norm
+    (Boyd 1974), applied to S_p.  With W S Z^T the SVD of D_u chi_n D_v, its rounding-floor values
+    dropped, and G = W S^{p-1} Z^T, a step sets u <- |(G o chi_n) v|, then v <- |(G o chi_n)^T u|,
+    each normalized.  Each ratio is a lower end for the multiplier norm of chi_n on S_p, p <= 1."""
+    chi = np.triu(np.ones((n, n)))
+    u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
+    ratios = []
+    for _ in range(501):
+        w, s, zt = np.linalg.svd(u[:, None] * chi * v)
+        ratios.append(float(np.sum(s**p) ** (1.0 / p)))
+        if len(ratios) > 1 and abs(ratios[-1] - ratios[-2]) <= 1e-15 * ratios[-2]:
+            break
+        keep = s > n * np.finfo(float).eps * s[0]
+        g = (w[:, keep] * s[keep] ** (p - 1.0)) @ zt[keep] * chi
+        u = np.abs(g @ v)
+        u /= np.linalg.norm(u)
+        v = np.abs(g.T @ u)
+        v /= np.linalg.norm(v)
+    return ratios
 
 
 def splitmix64_reference(seed, count, start=1):

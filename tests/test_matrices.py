@@ -219,6 +219,20 @@ def test_bidiagonal_kernel_refuses_factors_that_put_b_outside_its_range():
     assert np.array_equal(_triu_outer_spectrum(x, np.ones(5)), 1.0 / singular_values(b)[::-1])
 
 
+def test_bidiagonal_kernel_ignores_the_signs_of_b():
+    # the kernel's B is the entrywise absolute value of the inverse D_{1/y} (I - N) D_{1/x}; that inverse,
+    # and S |B| S' for any diagonal signs S, S', give the same reversed reciprocal spectrum bit for bit
+    gen = SplitMix64(derive_seed("triu-outer-spectrum", "signs"))
+    for n in [*range(1, 70), 129, 257]:
+        for x, y in [(np.ones(n), np.ones(n)), (np.abs(gen.complex_normal(n)), np.abs(gen.complex_normal(n)))]:
+            rx, ry = 1.0 / x, 1.0 / y
+            diagonal, superdiagonal = np.diag(rx * ry), np.diag(rx[1:] * ry[:-1], 1)
+            s, t = (np.where(gen.uniform(n) < 0.5, -1.0, 1.0) for _ in range(2))
+            for b in (diagonal - superdiagonal, s[:, None] * (diagonal + superdiagonal) * t):
+                want = 1.0 / np.linalg.svd(b, compute_uv=False)[::-1]
+                assert np.array_equal(_triu_outer_spectrum(x, y), want), n
+
+
 # factor entries from zero and the subnormals up to 1e150, so that every product x_i y_j is finite
 _TRIU_FACTOR = st.one_of(st.floats(0.0, 1e150), st.sampled_from([0.0, 5e-324, 1e-170, 1e-90, 1.0, 1e150]))
 

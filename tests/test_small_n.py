@@ -6,10 +6,10 @@ reversed, which at n = 2 leaves one parameter: u = (cos a, sin a),
 v = (sin a, cos a) on [0, pi/2].  The maximum comes from a fine grid refined by
 golden-section search, with numpy's SVD of the 2 x 2 product.
 
-At n <= 5 the fixed-point ascent meets the same table from every start: with
-W S Z^T the SVD of D_u chi_n D_v, its rounding-floor values dropped, and
-G = W S^{p-1} Z^T, set u <- |(G o chi_n) v| and then v <- |(G o chi_n)^T u|,
-each normalized.  At p = 1 each step maximizes S_1's dual pairing in u, then
+At n <= 5 the fixed-point ascent (oracles.ascent) meets the same table from
+every start: with W S Z^T the SVD of D_u chi_n D_v, its rounding-floor values
+dropped, and G = W S^{p-1} Z^T, set u <- |(G o chi_n) v| and then
+v <- |(G o chi_n)^T u|, each normalized.  At p = 1 each step maximizes S_1's dual pairing in u, then
 in v, so the ratio never falls; at p < 1 it can (by 1.2e-3 relative at p = 1/4
 from all-ones, and in the first steps from random starts), and it still
 converges.
@@ -20,7 +20,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import transference_ceiling
+from oracles import ascent, transference_ceiling
 from tritrunc.matrices import mask_spectrum
 
 CHI_2 = np.triu(np.ones((2, 2)))
@@ -82,26 +82,6 @@ TABLE = [
     (4, 0.5, 4.5203654785411),
     (5, 0.5, 5.7466533316537),
 ]
-
-
-def ascent(n, p, u, v):
-    """The ratios S_p(D_u chi_n D_v) over unit u, v, from the start to the step that moves
-    the ratio by at most 1e-15 relative, or to step 500."""
-    chi = np.triu(np.ones((n, n)))
-    u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
-    ratios = []
-    for _ in range(501):
-        w, s, zt = np.linalg.svd(u[:, None] * chi * v)
-        ratios.append(float(np.sum(s**p) ** (1.0 / p)))
-        if len(ratios) > 1 and abs(ratios[-1] - ratios[-2]) <= 1e-15 * ratios[-2]:
-            break
-        keep = s > n * np.finfo(float).eps * s[0]
-        g = (w[:, keep] * s[keep] ** (p - 1.0)) @ zt[keep] * chi
-        u = np.abs(g @ v)
-        u /= np.linalg.norm(u)
-        v = np.abs(g.T @ u)
-        v /= np.linalg.norm(v)
-    return ratios
 
 
 def starts(n):
