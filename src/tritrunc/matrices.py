@@ -12,6 +12,8 @@ import numbers
 
 import numpy as np
 
+_STACK_DOUBLES = 2**16  # most doubles (512 KiB) per stacked LAPACK input in _triu_outer_spectrum
+
 __all__ = [
     "singular_values",
     "schatten_quasinorm",
@@ -20,11 +22,12 @@ __all__ = [
 ]
 
 
-def _as_matrix(a, name="matrix"):
-    """Coerce to a 2-D ndarray and enforce the type invariants."""
+def _as_matrix(a, name="matrix", stack=False):
+    """Coerce to a 2-D ndarray, or with ``stack`` to a stack (..., m, n) of them, and enforce the type invariants."""
     m = np.asarray(a)
-    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
-        raise ValueError(f"{name} must be a 2-D array with positive shape, got shape {m.shape}")
+    if (m.ndim < 2 if stack else m.ndim != 2) or 0 in m.shape:
+        what = "a 2-D array or a stack of them" if stack else "a 2-D array"
+        raise ValueError(f"{name} must be {what} with positive shape, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError(f"{name} has non-finite entries")
     return m
@@ -54,14 +57,16 @@ def _check_size(n, name="n", least=1):
 
 
 def singular_values(a):
-    """Singular values of ``a``, sorted nonincreasing.
+    """Singular values of ``a``, sorted nonincreasing; of a stack (..., m, n), those of each matrix, shape (..., min(m, n)).
 
-    Every input goes to LAPACK's SVD via numpy.  It is backward stable: each
-    value carries an absolute error of order max(shape) * eps * operator norm,
-    so values at that level are rounding noise.  Non-convergence raises
-    ``numpy.linalg.LinAlgError`` (it is never silently ignored).
+    Every input goes to LAPACK's SVD via numpy, one matrix at a time, so a
+    stacked call gives each matrix the bits of a call on that matrix alone.
+    It is backward stable: each value carries an absolute error of order
+    max(m, n) * eps * operator norm, so values at that level are rounding
+    noise.  Non-convergence raises ``numpy.linalg.LinAlgError`` (it is never
+    silently ignored).
     """
-    return np.linalg.svd(_as_matrix(a), compute_uv=False)
+    return np.linalg.svd(_as_matrix(a, stack=True), compute_uv=False)
 
 
 def schatten_quasinorm(a, p):
@@ -72,7 +77,7 @@ def schatten_quasinorm(a, p):
     sum, or its 1/p-th power, leaves the double range raises OverflowError naming p.
     """
     p = _check_p(p)
-    return _schatten_from_spectrum(singular_values(a), p)
+    return _schatten_from_spectrum(singular_values(_as_matrix(a)), p)
 
 
 def _schatten_from_spectrum(s, p):
@@ -127,7 +132,7 @@ def mask_spectrum(n):
 
 def _triu_outer_spectrum(x, y):
     """The n singular values of triu(x y^T) for finite factors x, y >= 0 of one length n whose products
-    x_i y_j are finite, nonincreasing.
+    x_i y_j are finite, nonincreasing; for stacks of factors (..., n), those of each pair of rows, (..., n).
 
     triu(x y^T) = D_x chi_n D_y, and its inverse A = D_y^{-1} (I - N) D_x^{-1} is upper bidiagonal with
     diagonal 1/(x_i y_i) and superdiagonal -1/(x_{i+1} y_i).  The kernel takes B = |A| = S A S, with
@@ -136,27 +141,36 @@ def _triu_outer_spectrum(x, y):
     an input that is already upper bidiagonal as it is (each reflector is the identity), and its values
     come by dqds, to high relative accuracy (Demmel & Kahan 1990; Fernando & Parlett 1994); their
     reciprocals in reverse order are the values sought, each to relative error O(n eps), and
-    mask_spectrum(n) is the case x = y = 1.
+    mask_spectrum(n) is the case x = y = 1.  The rows' B go to LAPACK in stacked calls of at most
+    _STACK_DOUBLES doubles (one matrix a call once n^2 exceeds it), each row's values bit for bit those
+    of a call on its B alone.
     B is unfit when an entry is not a normal double (a zero factor entry makes it infinite) or its
     entries span more than 100 decades: with one entry 1e160 above the others, LAPACK's values were
-    off by 5e-5 relative.  Then the values are the dense SVD's of triu(x y^T) with its zero rows and
-    columns dropped, up to that SVD's rounding floor, followed by exact zeros: an SVD of the whole
-    matrix would give each zero row a value at rounding level, which S_p at p < 1 would count.
+    off by 5e-5 relative.  Then the row's values are the dense SVD's of triu(x y^T) with its zero rows
+    and columns dropped, one row at a time, up to that SVD's rounding floor, followed by exact zeros: an
+    SVD of the whole matrix would give each zero row a value at rounding level, which S_p at p < 1 would
+    count.
     """
-    n = x.size
+    n = x.shape[-1]
+    xs, ys = x.reshape(-1, n), y.reshape(-1, n)
+    s = np.empty(xs.shape)
+    done = np.zeros(len(xs), dtype=bool)
     with np.errstate(all="ignore"):  # a zero, tiny or huge factor is refused below
-        rx, ry = 1.0 / x, 1.0 / y
-        band = np.concatenate((rx * ry, rx[1:] * ry[:-1]))  # B's diagonal, then its superdiagonal
-        lo, hi = np.minimum.reduce(band), np.maximum.reduce(band)
-        if lo >= np.finfo(float).tiny and hi < math.inf and hi <= 1e100 * lo:  # nan fails all
-            b = np.zeros(n * n)
-            b[:: n + 1], b[1 :: n + 1] = band[:n], band[n:]
-            s = 1.0 / singular_values(b.reshape(n, n))[::-1]
-            if 0 < s[-1] and s[0] < math.inf:
-                return s
-    t = np.triu(np.outer(x, y))
-    t = t[np.ix_(t.any(axis=1), t.any(axis=0))]
-    s = np.zeros(n)
-    if t.size:
-        s[: min(t.shape)] = singular_values(t)
-    return s
+        rx, ry = 1.0 / xs, 1.0 / ys
+        band = np.concatenate((rx * ry, rx[:, 1:] * ry[:, :-1]), axis=1)  # B's diagonal, then its superdiagonal
+        lo, hi = np.minimum.reduce(band, axis=1), np.maximum.reduce(band, axis=1)
+        fit = np.flatnonzero((lo >= np.finfo(float).tiny) & (hi < math.inf) & (hi <= 1e100 * lo))  # nan fails all
+        per_call = max(1, _STACK_DOUBLES // (n * n))
+        for start in range(0, fit.size, per_call):
+            rows = fit[start : start + per_call]
+            b = np.zeros((rows.size, n * n))
+            b[:, :: n + 1], b[:, 1 :: n + 1] = band[rows, :n], band[rows, n:]
+            s[rows] = 1.0 / singular_values(b.reshape(-1, n, n))[:, ::-1]
+        done[fit] = (0 < s[fit, -1]) & (s[fit, 0] < math.inf)
+    for i in np.flatnonzero(~done):
+        t = np.triu(np.outer(xs[i], ys[i]))
+        t = t[np.ix_(t.any(axis=1), t.any(axis=0))]
+        s[i] = 0.0
+        if t.size:
+            s[i, : min(t.shape)] = singular_values(t)
+    return s.reshape(x.shape)

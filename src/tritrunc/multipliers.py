@@ -10,7 +10,9 @@ takes a rank-one witness u v^* on it in factored form, and random_witness_search
 accepts no other multiplier.  Their spectra come from one kernel,
 matrices._triu_outer_spectrum: from a bidiagonal inverse, each singular value
 to relative error O(n eps), or, for a pair that inverse cannot serve, from the
-dense SVD of the pair's nonzero block, up to its rounding floor.
+dense SVD of the pair's nonzero block, up to its rounding floor.  The search
+takes a block of draws' spectra in stacked LAPACK calls and still reports
+each draw through one witness_ratio call, bit for bit as the pair alone.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ class WitnessReport:
         return self.numerator / self.denominator
 
 
-def witness_ratio(u, v, p):
+def witness_ratio(u, v, p, *, spectrum=None):
     """Evaluate the rank-one witness u v^* against the mask Delta_n, n = len(u) = len(v), at exponent p.
 
     The witness is evaluated in factored form.  Its denominator is ||u|| ||v||
@@ -63,7 +65,10 @@ def witness_ratio(u, v, p):
     error O(n eps), or up to the SVD rounding floor for a pair that kernel's
     bidiagonal inverse cannot serve (a zero entry, say).  A pair whose
     ||u|| ||v|| overflows or underflows the double range raises ValueError, as
-    does a non-finite entry of either factor.
+    does a non-finite entry of either factor.  ``spectrum``, when given, is
+    taken unchecked as that kernel's values for the pair: random_witness_search
+    takes a block of draws' spectra in stacked calls and passes each draw its
+    row.  It serves the search, not a caller's choice of spectrum.
     """
     p = _check_p(p)
     u = np.asarray(u)
@@ -76,7 +81,8 @@ def witness_ratio(u, v, p):
         if not (np.any(u) and np.any(v)):  # a zero factor gives 0, or nan against an infinite one
             raise ValueError("zero witness")
         raise ValueError(f"witness norm ||u|| ||v|| is {denominator}, not finite and positive")
-    spectrum = _triu_outer_spectrum(np.abs(u), np.abs(v)[::-1])
+    if spectrum is None:
+        spectrum = _triu_outer_spectrum(np.abs(u), np.abs(v)[::-1])
     return WitnessReport(_schatten_from_spectrum(spectrum, p), denominator)
 
 
@@ -122,10 +128,12 @@ def random_witness_search(a, p, draws, seed):
     The pool is the all-ones pair (ones, ones) and the matrix unit at Delta_n's
     largest entry (0, 0), the pair (e_0, e_0), whose ratio is 1; on top of it
     come ``draws`` rank-one complex-Gaussian witnesses u v^*, each evaluated as
-    the pair (u, v) at the cost of one real S_p evaluation (see witness_ratio).
-    ``draws = 0`` searches the pool alone.  Equal seeds give identical reports:
-    draw i is the i-th pair of consecutive complex_normal(size) calls on the
-    "witness-search" stream.  Any multiplier other than delta_matrix(n) raises
+    the pair (u, v) at the cost of one real S_p evaluation (see witness_ratio):
+    each block of draws' spectra comes from the kernel in stacked LAPACK calls,
+    and each draw is reported through witness_ratio with its row, bit for bit
+    the report of the pair alone.  ``draws = 0`` searches the pool alone.
+    Equal seeds give identical reports: draw i is the i-th pair of consecutive
+    complex_normal(size) calls on the "witness-search" stream.  Any multiplier other than delta_matrix(n) raises
     ValueError.  ``tritrunc multiplier-bound --budget B`` runs the search with
     B // 2 draws on the level-k mask and prints its ratio as the lower end.
     """
@@ -146,8 +154,10 @@ def random_witness_search(a, p, draws, seed):
     for start in range(0, draws, _DRAW_BLOCK):
         # one bulk evaluation per block of draws keeps memory flat in the budget
         factors = gen.complex_normal_rows(2 * min(_DRAW_BLOCK, draws - start), size)
-        for u, v in zip(factors[0::2], factors[1::2]):
-            rep = witness_ratio(u, v, p)
+        us, vs = factors[0::2], factors[1::2]
+        spectra = _triu_outer_spectrum(np.abs(us), np.abs(vs)[:, ::-1])  # the block's in stacked calls
+        for u, v, spectrum in zip(us, vs, spectra):
+            rep = witness_ratio(u, v, p, spectrum=spectrum)
             if rep.ratio > best.ratio:
                 best = rep
     return best

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import mpmath
@@ -233,6 +234,48 @@ def test_bidiagonal_kernel_ignores_the_signs_of_b():
                 assert np.array_equal(_triu_outer_spectrum(x, y), want), n
 
 
+def _stacked_factors(n, rows):
+    """Gaussian factor rows (rows, n) from derive_seed("triu-outer-spectrum", "stack", n).  Row 1 has a zero entry, and
+    at n >= 2 row 2 has one entry 1e160 below the rest (its B entry 1e160 above): both unfit for the bidiagonal inverse."""
+    gen = SplitMix64(derive_seed("triu-outer-spectrum", "stack", n))
+    x, y = np.abs(gen.complex_normal_rows(2 * rows, n)).reshape(2, rows, n)
+    x[1, n // 2] = 0.0
+    x[2, 0] *= 1e-160
+    return x, y
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 9, 65, 129])
+def test_stacked_kernel_is_the_row_by_row_kernel(n):
+    # a stack of factor rows, as (rows, n) and as (4, rows / 4, n), gives each row the bits of a call on that
+    # row alone, the rows that leave the bidiagonal inverse for the dense fallback included
+    x, y = _stacked_factors(n, 40)
+    want = np.array([_triu_outer_spectrum(xi, yi) for xi, yi in zip(x, y)])
+    for unfit in (1, 2) if n > 1 else (1,):
+        assert np.array_equal(want[unfit], trimmed_triu_spectrum(x[unfit], y[unfit]))
+    assert np.array_equal(_triu_outer_spectrum(x, y), want)
+    assert np.array_equal(_triu_outer_spectrum(x.reshape(4, 10, n), y.reshape(4, 10, n)), want.reshape(4, 10, n))
+
+
+@pytest.mark.parametrize("n", [2, 9, 65, 129])
+def test_stacked_kernel_bounds_each_lapack_input(monkeypatch, n):
+    # the 38 fit rows' B go to LAPACK as many at a time as fit in 2^16 doubles (15 at n = 65, 3 at n = 129)
+    # and no more; the two unfit rows then take one dense SVD each
+    shapes = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    _triu_outer_spectrum(*_stacked_factors(n, 40))
+    per_call = 2**16 // (n * n)
+    stacked, dense = shapes[:-2], shapes[-2:]
+    assert all(np.prod(shape) <= 2**16 for shape in shapes)
+    assert [shape[0] for shape in stacked] == [per_call] * (38 // per_call) + [38 % per_call] * (38 % per_call > 0)
+    assert all(shape[1:] == (n, n) for shape in stacked) and all(len(shape) == 2 for shape in dense)
+
+
 # factor entries from zero and the subnormals up to 1e150, so that every product x_i y_j is finite
 _TRIU_FACTOR = st.one_of(st.floats(0.0, 1e150), st.sampled_from([0.0, 5e-324, 1e-170, 1e-90, 1.0, 1e150]))
 
@@ -282,6 +325,23 @@ def test_every_input_goes_to_the_svd():
               normal_reference(gen, 15).reshape(3, 5))
     for a in inputs:
         assert np.array_equal(singular_values(a), np.linalg.svd(a, compute_uv=False))
+
+
+def test_singular_values_of_a_stack_are_each_matrix_alone():
+    # a stack (..., m, n) gives each matrix the bits of a call on it alone; schatten_quasinorm takes one matrix
+    gen = SplitMix64(derive_seed("matrices", "stack"))
+    for stack in (gen.complex_normal((2, 3, 4, 5)), normal_reference(gen, 3 * 7 * 6).reshape(3, 7, 6)):
+        got = singular_values(stack)
+        assert got.shape == stack.shape[:-2] + (min(stack.shape[-2:]),)
+        for index in np.ndindex(stack.shape[:-2]):
+            assert np.array_equal(got[index], singular_values(stack[index]))
+    for bad in (np.ones(3), np.ones((0, 3, 3)), np.ones((2, 3, 0))):
+        with pytest.raises(ValueError, match=r"matrix must be a 2-D array or a stack of them with positive shape"):
+            singular_values(bad)
+    with pytest.raises(ValueError, match="non-finite entries"):
+        singular_values(np.stack([np.eye(2), np.full((2, 2), np.nan)]))
+    with pytest.raises(ValueError, match=r"matrix must be a 2-D array with positive shape, got shape \(2, 3, 3\)"):
+        schatten_quasinorm(np.ones((2, 3, 3)), 0.5)
 
 
 def test_jacobi_cross_check_structured():

@@ -448,10 +448,11 @@ def _pool_and_rank_one_best(a, p, draws, seed):
     return max(ratios)
 
 
-@pytest.mark.parametrize("k", [3, 4, 5])
+@pytest.mark.parametrize("k", [3, 4, 5, 6, 7])
 def test_witness_search_replays_through_the_plain_frame(k):
     # the search's value is exactly the best of its pool and its stream's draws,
-    # drawn one complex_normal call at a time and each evaluated as a pair
+    # drawn one complex_normal call at a time and each evaluated as a pair; at k = 6 and 7
+    # (n = 65 and 129) a block's spectra span several stacked LAPACK calls
     a = delta_matrix(2**k + 1)
     for p in (0.5, 1.0):
         for draws in (12, 25):
@@ -479,23 +480,37 @@ def test_witness_search_reports_the_winning_draw():
 
 def test_witness_search_spends_one_spectrum_per_draw(monkeypatch):
     calls = {"svd": 0, "eigvalsh": 0}
-    svd_inputs = set()
+    svd_inputs = []
     for name in calls:
         solver = getattr(np.linalg, name)
 
         def counted(a, *args, _name=name, _solver=solver, **kwargs):
             calls[_name] += 1
             if _name == "svd":
-                svd_inputs.add((a.shape, a.dtype.kind))
+                svd_inputs.append((a.shape, a.dtype.kind))
             return _solver(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
     k = 6
     random_witness_search(delta_matrix(2**k + 1), 0.5, 50, 1)
-    # pool: one SVD for the all-ones numerator and a 1 x 1 one for the largest entry's matrix
-    # unit (both denominators are exact); draws: one real SVD each, of the 65 x 65 numerator
-    assert calls == {"svd": 52, "eigvalsh": 0}
-    assert svd_inputs == {((65, 65), "f"), ((1, 1), "f")}
+    # one matrix per draw: the pool's all-ones numerator is one 65 x 65 bidiagonal inverse and the largest
+    # entry's matrix unit a 1 x 1 SVD (both denominators are exact); the 50 draws' real 65 x 65 inverses
+    # come in stacks (..., 65, 65), no eigensolver anywhere
+    assert calls["eigvalsh"] == 0
+    assert sum(math.prod(shape[:-2]) for shape, _ in svd_inputs) == 52
+    assert {(shape[-2:], kind) for shape, kind in svd_inputs} == {((65, 65), "f"), ((1, 1), "f")}
+
+
+def test_a_given_spectrum_is_the_pairs_own_bit_for_bit():
+    # the search passes each draw its row of the block's stacked spectra: for a pair, the kernel's spectrum of
+    # (|u|, J|v|) given to witness_ratio reports what witness_ratio takes on its own
+    rng = SplitMix64(derive_seed("pair-witness-given-spectrum"))
+    for n in (1, 2, 9, 65):
+        for _ in range(3):
+            u, v = rng.complex_normal(n), rng.complex_normal(n)
+            spectrum = _triu_outer_spectrum(np.abs(u), np.abs(v)[::-1])
+            for p in (0.5, 1.0):
+                assert witness_ratio(u, v, p, spectrum=spectrum) == witness_ratio(u, v, p)
 
 
 def test_witness_search_validates():
