@@ -81,6 +81,7 @@ def build_parser():
     run = exsub.add_parser("run", help="run a single experiment")
     run.add_argument("id", choices=EXPERIMENT_IDS, metavar="ID", help=f"one of {', '.join(EXPERIMENT_IDS)}")
     _experiment_flags(run)
+    run.add_argument("--p", type=float)  # not on all: E4 and E5 take no p
     allp = exsub.add_parser("all", help="run every experiment; verdict is the conjunction")
     _experiment_flags(allp, out_help="output directory for per-experiment CSV/JSON")
     return parser
@@ -95,7 +96,6 @@ def _experiment_flags(cmd, out_help="CSV output path (fit summary lands next to 
     cmd.add_argument("--config", metavar="FILE", help="JSON config document (unknown keys rejected)")
     cmd.add_argument("--seed", type=int)
     cmd.add_argument("--out", metavar="PATH", help=out_help)
-    cmd.add_argument("--p", type=float)
     cmd.add_argument("--kmin", type=int)
     cmd.add_argument("--kmax", type=int)
 
@@ -184,7 +184,7 @@ def _cmd_multiplier_bound(args):
 
 def _cmd_experiment(args):
     doc = _load_config_doc(args.config) if args.config else {}
-    flags = {key: getattr(args, key) for key in ("seed", "p", "kmin", "kmax") if getattr(args, key) is not None}
+    flags = {key: getattr(args, key) for key in ("seed", "p", "kmin", "kmax") if getattr(args, key, None) is not None}
     if isinstance(doc, dict):  # config_from_dict rejects any other document
         if args.action == "all" and "experiment" in doc:
             raise ValueError("a config used with 'experiment all' must not pin one experiment id")

@@ -12,8 +12,6 @@ import numbers
 
 import numpy as np
 
-_STACK_DOUBLES = 2**16  # most doubles (512 KiB) per stacked LAPACK input in _triu_outer_spectrum
-
 __all__ = [
     "singular_values",
     "schatten_quasinorm",
@@ -141,9 +139,9 @@ def _triu_outer_spectrum(x, y):
     an input that is already upper bidiagonal as it is (each reflector is the identity), and its values
     come by dqds, to high relative accuracy (Demmel & Kahan 1990; Fernando & Parlett 1994); their
     reciprocals in reverse order are the values sought, each to relative error O(n eps), and
-    mask_spectrum(n) is the case x = y = 1.  The rows' B go to LAPACK in stacked calls of at most
-    _STACK_DOUBLES doubles (one matrix a call once n^2 exceeds it), each row's values bit for bit those
-    of a call on its B alone.
+    mask_spectrum(n) is the case x = y = 1.  The fit rows' B go to LAPACK in one stacked call, each row's
+    values bit for bit those of a call on its B alone; that stack holds n^2 doubles a row, so a caller
+    bounds its memory by the rows it passes (random_witness_search sizes its blocks of draws so).
     B is unfit when an entry is not a normal double (a zero factor entry makes it infinite) or its
     entries span more than 100 decades: with one entry 1e160 above the others, LAPACK's values were
     off by 5e-5 relative.  Then the row's values are the dense SVD's of triu(x y^T) with its zero rows
@@ -160,12 +158,10 @@ def _triu_outer_spectrum(x, y):
         band = np.concatenate((rx * ry, rx[:, 1:] * ry[:, :-1]), axis=1)  # B's diagonal, then its superdiagonal
         lo, hi = np.minimum.reduce(band, axis=1), np.maximum.reduce(band, axis=1)
         fit = np.flatnonzero((lo >= np.finfo(float).tiny) & (hi < math.inf) & (hi <= 1e100 * lo))  # nan fails all
-        per_call = max(1, _STACK_DOUBLES // (n * n))
-        for start in range(0, fit.size, per_call):
-            rows = fit[start : start + per_call]
-            b = np.zeros((rows.size, n * n))
-            b[:, :: n + 1], b[:, 1 :: n + 1] = band[rows, :n], band[rows, n:]
-            s[rows] = 1.0 / singular_values(b.reshape(-1, n, n))[:, ::-1]
+        if fit.size:  # singular_values rejects an empty stack
+            b = np.zeros((fit.size, n * n))
+            b[:, :: n + 1], b[:, 1 :: n + 1] = band[fit, :n], band[fit, n:]
+            s[fit] = 1.0 / singular_values(b.reshape(-1, n, n))[:, ::-1]
         done[fit] = (0 < s[fit, -1]) & (s[fit, 0] < math.inf)
     for i in np.flatnonzero(~done):
         t = np.triu(np.outer(xs[i], ys[i]))

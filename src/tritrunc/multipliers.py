@@ -11,8 +11,8 @@ accepts no other multiplier.  Their spectra come from one kernel,
 matrices._triu_outer_spectrum: from a bidiagonal inverse, each singular value
 to relative error O(n eps), or, for a pair that inverse cannot serve, from the
 dense SVD of the pair's nonzero block, up to its rounding floor.  The search
-takes a block of draws' spectra in stacked LAPACK calls and still reports
-each draw through one witness_ratio call, bit for bit as the pair alone.
+sizes each block of draws to one stacked LAPACK call of at most 2^16 doubles
+and reports each draw through witness_ratio, bit for bit as the pair alone.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ __all__ = [
     "random_witness_search",
 ]
 
-_DRAW_BLOCK = 256  # rank-one draws per bulk stream evaluation in random_witness_search
+_STACK_DOUBLES = 2**16  # most doubles (512 KiB) per stacked LAPACK input in random_witness_search
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ def witness_ratio(u, v, p, *, spectrum=None):
     ||u|| ||v|| overflows or underflows the double range raises ValueError, as
     does a non-finite entry of either factor.  ``spectrum``, when given, is
     taken unchecked as that kernel's values for the pair: random_witness_search
-    takes a block of draws' spectra in stacked calls and passes each draw its
+    takes a block of draws' spectra in one stacked call and passes each draw its
     row.  It serves the search, not a caller's choice of spectrum.
     """
     p = _check_p(p)
@@ -129,9 +129,10 @@ def random_witness_search(a, p, draws, seed):
     largest entry (0, 0), the pair (e_0, e_0), whose ratio is 1; on top of it
     come ``draws`` rank-one complex-Gaussian witnesses u v^*, each evaluated as
     the pair (u, v) at the cost of one real S_p evaluation (see witness_ratio):
-    each block of draws' spectra comes from the kernel in stacked LAPACK calls,
-    and each draw is reported through witness_ratio with its row, bit for bit
-    the report of the pair alone.  ``draws = 0`` searches the pool alone.
+    each block of max(1, _STACK_DOUBLES // n^2) draws is one stream evaluation and one kernel call, whose
+    stacked bidiagonal inverses are one LAPACK input of at most _STACK_DOUBLES doubles (one draw a block
+    once n^2 exceeds it), and each draw is reported through witness_ratio with its row, bit for bit the pair's
+    own report.  ``draws = 0`` searches the pool alone.
     Equal seeds give identical reports: draw i is the i-th pair of consecutive
     complex_normal(size) calls on the "witness-search" stream.  Any multiplier other than delta_matrix(n) raises
     ValueError.  ``tritrunc multiplier-bound --budget B`` runs the search with
@@ -151,11 +152,12 @@ def random_witness_search(a, p, draws, seed):
     rep = witness_ratio(e_0, e_0, p)
     if rep.ratio > best.ratio:
         best = rep
-    for start in range(0, draws, _DRAW_BLOCK):
+    block = max(1, _STACK_DOUBLES // size**2)
+    for start in range(0, draws, block):
         # one bulk evaluation per block of draws keeps memory flat in the budget
-        factors = gen.complex_normal_rows(2 * min(_DRAW_BLOCK, draws - start), size)
+        factors = gen.complex_normal_rows(2 * min(block, draws - start), size)
         us, vs = factors[0::2], factors[1::2]
-        spectra = _triu_outer_spectrum(np.abs(us), np.abs(vs)[:, ::-1])  # the block's in stacked calls
+        spectra = _triu_outer_spectrum(np.abs(us), np.abs(vs)[:, ::-1])  # the block's in one stacked call
         for u, v, spectrum in zip(us, vs, spectra):
             rep = witness_ratio(u, v, p, spectrum=spectrum)
             if rep.ratio > best.ratio:

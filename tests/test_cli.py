@@ -452,10 +452,22 @@ def test_experiment_rejects_p_above_one_for_e2_before_any_work(capsys, monkeypat
     assert calls == []
 
 
-def test_experiment_all_resolves_every_config_before_running(capsys, tmp_path):
+def test_experiment_all_resolves_every_config_before_running(capsys, monkeypatch, tmp_path):
+    # E1..E3 resolve at --kmax 6, E4's plan then has only levels 5..6, and the command stops with no output
+    # directory made; --p is no flag of 'all', since E4 and E5 take no p
+    resolved = []
+
+    def resolve(doc, experiment):
+        resolved.append(experiment)
+        return experiments.config_from_dict(doc, experiment)
+
+    monkeypatch.setattr(cli, "config_from_dict", resolve)
     results = tmp_path / "results"
+    code, out, err = run_cli(capsys, "experiment", "all", "--kmax", "6", "--out", str(results))
+    assert (code, out, err) == (2, "", "error: a fit needs at least 3 levels, got kmin=5 kmax=6\n")
+    assert resolved == ["E1", "E2", "E3", "E4"] and not results.exists()
     code, out, err = run_cli(capsys, "experiment", "all", "--p", "0.5", "--out", str(results))
-    assert code == 2 and out == "" and "E4 runs at fixed p" in err
+    assert code == 2 and out == "" and "unrecognized arguments: --p 0.5" in err
     assert not results.exists()
 
 

@@ -18,7 +18,7 @@ from tritrunc.matrices import (
     schatten_quasinorm,
     singular_values,
 )
-from tritrunc.multipliers import delta_lower_bound
+from tritrunc.multipliers import delta_lower_bound, random_witness_search
 from tritrunc.rng import SplitMix64, derive_seed
 from tritrunc.trigpoly import TrigPoly
 
@@ -258,8 +258,9 @@ def test_stacked_kernel_is_the_row_by_row_kernel(n):
 
 @pytest.mark.parametrize("n", [2, 9, 65, 129])
 def test_stacked_kernel_bounds_each_lapack_input(monkeypatch, n):
-    # the 38 fit rows' B go to LAPACK as many at a time as fit in 2^16 doubles (15 at n = 65, 3 at n = 129)
-    # and no more; the two unfit rows then take one dense SVD each
+    # the search sizes its blocks of draws so that each block's bidiagonal inverses, one kernel call, go to
+    # LAPACK as one stack of 2^16 // n^2 of them (15 at n = 65, 3 at n = 129), the remainder last; the pool
+    # first adds the all-ones pair's (1, n, n) stack and the matrix unit's dense 1 x 1 block
     shapes = []
     svd = np.linalg.svd
 
@@ -268,12 +269,13 @@ def test_stacked_kernel_bounds_each_lapack_input(monkeypatch, n):
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted)
-    _triu_outer_spectrum(*_stacked_factors(n, 40))
+    random_witness_search(delta_matrix(n), 0.5, 40, 1701)
     per_call = 2**16 // (n * n)
-    stacked, dense = shapes[:-2], shapes[-2:]
+    pool, stacked = shapes[:2], shapes[2:]
     assert all(np.prod(shape) <= 2**16 for shape in shapes)
-    assert [shape[0] for shape in stacked] == [per_call] * (38 // per_call) + [38 % per_call] * (38 % per_call > 0)
-    assert all(shape[1:] == (n, n) for shape in stacked) and all(len(shape) == 2 for shape in dense)
+    assert pool == [(1, n, n), (1, 1)]
+    assert [shape[0] for shape in stacked] == [per_call] * (40 // per_call) + [40 % per_call] * (40 % per_call > 0)
+    assert all(shape[1:] == (n, n) for shape in stacked)
 
 
 # factor entries from zero and the subnormals up to 1e150, so that every product x_i y_j is finite

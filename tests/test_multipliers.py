@@ -448,21 +448,21 @@ def _pool_and_rank_one_best(a, p, draws, seed):
     return max(ratios)
 
 
-@pytest.mark.parametrize("k", [3, 4, 5, 6, 7])
+@pytest.mark.parametrize("k", [3, 4, 5, 6, 7, 8])
 def test_witness_search_replays_through_the_plain_frame(k):
     # the search's value is exactly the best of its pool and its stream's draws,
     # drawn one complex_normal call at a time and each evaluated as a pair; at k = 6 and 7
-    # (n = 65 and 129) a block's spectra span several stacked LAPACK calls
+    # (n = 65 and 129) the draws span several blocks of 15 and 3, and at k = 8 (n = 257) each draw is a block
     a = delta_matrix(2**k + 1)
     for p in (0.5, 1.0):
-        for draws in (12, 25):
+        for draws in (3,) if k == 8 else (12, 25):
             for seed in (3, 11):
                 assert random_witness_search(a, p, draws, seed).ratio == _pool_and_rank_one_best(a, p, draws, seed)
 
 
 def test_witness_search_draws_across_stream_blocks(monkeypatch):
-    # the bulk draws come in blocks that continue one stream
-    monkeypatch.setattr(multipliers, "_DRAW_BLOCK", 2)
+    # the bulk draws come in blocks that continue one stream: two draws a block at n = 5
+    monkeypatch.setattr(multipliers, "_STACK_DOUBLES", 50)
     a = delta_matrix(5)
     for draws in (1, 2, 5):
         assert random_witness_search(a, 0.75, draws, 4).ratio == _pool_and_rank_one_best(a, 0.75, draws, 4)
