@@ -1,12 +1,14 @@
-"""Dense complex matrix algebra: singular values (one LAPACK route, the
-SVD), Schatten quasinorms, the anti-triangular 0/1 mask Delta_n, and the
-singular spectrum it shares with the upper-triangular mask chi_n, in closed
-form; for factors x, y >= 0, the spectrum of triu(x y^T), from its bidiagonal
-inverse to high relative accuracy or, when that inverse is unfit, from the
-dense SVD of its nonzero block."""
+"""Dense complex matrix algebra: singular values (LAPACK's SVD), Schatten
+quasinorms, the anti-triangular 0/1 mask Delta_n, and the singular spectrum it
+shares with the upper-triangular mask chi_n, in closed form; for factors
+x, y >= 0, the spectrum of triu(x y^T), from its bidiagonal inverse by one
+call of LAPACK's dqds routine (or numpy's SVD of that inverse where the
+routine's symbol does not resolve) to high relative accuracy, or, when that
+inverse is unfit, from the dense SVD of its nonzero block."""
 
 from __future__ import annotations
 
+import ctypes
 import math
 import numbers
 
@@ -20,12 +22,11 @@ __all__ = [
 ]
 
 
-def _as_matrix(a, name="matrix", stack=False):
-    """Coerce to a 2-D ndarray, or with ``stack`` to a stack (..., m, n) of them, and enforce the type invariants."""
+def _as_matrix(a, name="matrix"):
+    """Coerce to a 2-D ndarray and enforce the type invariants."""
     m = np.asarray(a)
-    if (m.ndim < 2 if stack else m.ndim != 2) or 0 in m.shape:
-        what = "a 2-D array or a stack of them" if stack else "a 2-D array"
-        raise ValueError(f"{name} must be {what} with positive shape, got shape {m.shape}")
+    if m.ndim != 2 or 0 in m.shape:
+        raise ValueError(f"{name} must be a 2-D array with positive shape, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError(f"{name} has non-finite entries")
     return m
@@ -55,16 +56,14 @@ def _check_size(n, name="n", least=1):
 
 
 def singular_values(a):
-    """Singular values of ``a``, sorted nonincreasing; of a stack (..., m, n), those of each matrix, shape (..., min(m, n)).
+    """Singular values of the matrix ``a``, sorted nonincreasing.
 
-    Every input goes to LAPACK's SVD via numpy, one matrix at a time, so a
-    stacked call gives each matrix the bits of a call on that matrix alone.
-    It is backward stable: each value carries an absolute error of order
-    max(m, n) * eps * operator norm, so values at that level are rounding
-    noise.  Non-convergence raises ``numpy.linalg.LinAlgError`` (it is never
-    silently ignored).
+    Every input goes to LAPACK's SVD via numpy.  It is backward stable: each
+    value carries an absolute error of order max(m, n) * eps * operator norm,
+    so values at that level are rounding noise.  Non-convergence raises
+    ``numpy.linalg.LinAlgError`` (it is never silently ignored).
     """
-    return np.linalg.svd(_as_matrix(a, stack=True), compute_uv=False)
+    return np.linalg.svd(_as_matrix(a), compute_uv=False)
 
 
 def schatten_quasinorm(a, p):
@@ -128,45 +127,71 @@ def mask_spectrum(n):
     return 0.5 / np.sin((2 * j - 1) * np.pi / (2.0 * (2 * n + 1)))
 
 
+def _find_dlasq1():
+    """LAPACK's dqds routine dlasq1 and its integer type, from the LAPACK that numpy's own SVD links (a symbol
+    looked up on numpy's linalg extension is searched in the libraries it loads), or None where no name resolves."""
+    try:
+        lapack = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return None
+    for name, integer in (("scipy_dlasq1_64_", ctypes.c_int64), ("dlasq1_64_", ctypes.c_int64),
+                          ("dlasq1_", ctypes.c_int32)):
+        dlasq1 = getattr(lapack, name, None)
+        if dlasq1 is not None:
+            dlasq1.argtypes = [ctypes.POINTER(integer), *[ctypes.c_void_p] * 3, ctypes.POINTER(integer)]
+            dlasq1.restype = None
+            return dlasq1, integer
+    return None
+
+
+_DLASQ1 = _find_dlasq1()
+
+
 def _triu_outer_spectrum(x, y):
     """The n singular values of triu(x y^T) for finite factors x, y >= 0 of one length n whose products
-    x_i y_j are finite, nonincreasing; for stacks of factors (..., n), those of each pair of rows, (..., n).
+    x_i y_j are finite, nonincreasing.
 
     triu(x y^T) = D_x chi_n D_y, and its inverse A = D_y^{-1} (I - N) D_x^{-1} is upper bidiagonal with
     diagonal 1/(x_i y_i) and superdiagonal -1/(x_{i+1} y_i).  The kernel takes B = |A| = S A S, with
-    S = diag((-1)^i) orthogonal, so B and A share their singular values; LAPACK's qd step reads only
-    |d_i| and e_i^2, so no sign reaches the computed values either.  LAPACK's Householder steps leave
-    an input that is already upper bidiagonal as it is (each reflector is the identity), and its values
-    come by dqds, to high relative accuracy (Demmel & Kahan 1990; Fernando & Parlett 1994); their
+    S = diag((-1)^i) orthogonal, so B and A share their singular values.  They come from one call of
+    LAPACK's dqds routine dlasq1 on B's diagonal and superdiagonal, to high relative accuracy (Demmel &
+    Kahan 1990; Fernando & Parlett 1994), bit for bit the values numpy's SVD gives the dense B (its
+    Householder steps leave a bidiagonal input as it is, and its qd step is that routine); their
     reciprocals in reverse order are the values sought, each to relative error O(n eps), and
-    mask_spectrum(n) is the case x = y = 1.  The fit rows' B go to LAPACK in one stacked call, each row's
-    values bit for bit those of a call on its B alone; that stack holds n^2 doubles a row, so a caller
-    bounds its memory by the rows it passes (random_witness_search sizes its blocks of draws so).
+    mask_spectrum(n) is the case x = y = 1.  Where no dlasq1 symbol resolves (_find_dlasq1), the values
+    are singular_values of the dense n x n B, the same route through numpy's SVD.
     B is unfit when an entry is not a normal double (a zero factor entry makes it infinite) or its
     entries span more than 100 decades: with one entry 1e160 above the others, LAPACK's values were
-    off by 5e-5 relative.  Then the row's values are the dense SVD's of triu(x y^T) with its zero rows
-    and columns dropped, one row at a time, up to that SVD's rounding floor, followed by exact zeros: an
-    SVD of the whole matrix would give each zero row a value at rounding level, which S_p at p < 1 would
-    count.
+    off by 5e-5 relative.  Then the values are the dense SVD's of triu(x y^T) with its zero rows and
+    columns dropped, up to that SVD's rounding floor, followed by exact zeros: an SVD of the whole
+    matrix would give each zero row a value at rounding level, which S_p at p < 1 would count.
     """
-    n = x.shape[-1]
-    xs, ys = x.reshape(-1, n), y.reshape(-1, n)
-    s = np.empty(xs.shape)
-    done = np.zeros(len(xs), dtype=bool)
+    n = x.size
+    work = np.empty(6 * n)  # B's diagonal, its superdiagonal (dlasq1 ignores the last slot), 4n doubles for dqds
+    band = work[: 2 * n - 1]
     with np.errstate(all="ignore"):  # a zero, tiny or huge factor is refused below
-        rx, ry = 1.0 / xs, 1.0 / ys
-        band = np.concatenate((rx * ry, rx[:, 1:] * ry[:, :-1]), axis=1)  # B's diagonal, then its superdiagonal
-        lo, hi = np.minimum.reduce(band, axis=1), np.maximum.reduce(band, axis=1)
-        fit = np.flatnonzero((lo >= np.finfo(float).tiny) & (hi < math.inf) & (hi <= 1e100 * lo))  # nan fails all
-        if fit.size:  # singular_values rejects an empty stack
-            b = np.zeros((fit.size, n * n))
-            b[:, :: n + 1], b[:, 1 :: n + 1] = band[fit, :n], band[fit, n:]
-            s[fit] = 1.0 / singular_values(b.reshape(-1, n, n))[:, ::-1]
-        done[fit] = (0 < s[fit, -1]) & (s[fit, 0] < math.inf)
-    for i in np.flatnonzero(~done):
-        t = np.triu(np.outer(xs[i], ys[i]))
-        t = t[np.ix_(t.any(axis=1), t.any(axis=0))]
-        s[i] = 0.0
-        if t.size:
-            s[i, : min(t.shape)] = singular_values(t)
-    return s.reshape(x.shape)
+        rx, ry = 1.0 / x, 1.0 / y
+        np.multiply(rx, ry, out=work[:n])
+        np.multiply(rx[1:], ry[:-1], out=work[n : 2 * n - 1])
+        lo, hi = band.min(), band.max()
+        if lo >= np.finfo(float).tiny and hi < math.inf and hi <= 1e100 * lo:  # nan fails all
+            if _DLASQ1 is None:
+                b = np.zeros(n * n)
+                b[:: n + 1], b[1 :: n + 1] = work[:n], work[n : 2 * n - 1]
+                values = singular_values(b.reshape(n, n))
+            else:
+                dlasq1, integer = _DLASQ1
+                info, address = integer(), work.ctypes.data
+                dlasq1(integer(n), address, address + 8 * n, address + 16 * n, info)
+                if info.value:
+                    raise np.linalg.LinAlgError(f"dqds did not converge (dlasq1 info {info.value})")
+                values = work[:n]
+            s = 1.0 / values[::-1]
+            if 0 < s[-1] and s[0] < math.inf:
+                return s
+    t = np.triu(np.outer(x, y))
+    t = t[np.ix_(t.any(axis=1), t.any(axis=0))]
+    s = np.zeros(n)
+    if t.size:
+        s[: min(t.shape)] = singular_values(t)
+    return s

@@ -8,11 +8,12 @@ an analytic upper bound, up to its L^p quadrature error (measured at most 3e-5
 at p = 1/2).  The witness layer is the mask Delta_n's alone: witness_ratio
 takes a rank-one witness u v^* on it in factored form, and random_witness_search
 accepts no other multiplier.  Their spectra come from one kernel,
-matrices._triu_outer_spectrum: from a bidiagonal inverse, each singular value
-to relative error O(n eps), or, for a pair that inverse cannot serve, from the
-dense SVD of the pair's nonzero block, up to its rounding floor.  The search
-sizes each block of draws to one stacked LAPACK call of at most 2^16 doubles
-and reports each draw through witness_ratio, bit for bit as the pair alone.
+matrices._triu_outer_spectrum: one call of LAPACK's dqds routine on a
+bidiagonal inverse, each singular value to relative error O(n eps) (numpy's
+SVD of that inverse where the routine's symbol does not resolve), or, for a
+pair that inverse cannot serve, the dense SVD of the pair's nonzero block, up
+to its rounding floor.  The search draws its factor rows in blocks of at most
+2^16 doubles and reports each draw through witness_ratio, one kernel call each.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ __all__ = [
     "random_witness_search",
 ]
 
-_STACK_DOUBLES = 2**16  # most doubles (512 KiB) per stacked LAPACK input in random_witness_search
+_BLOCK_DOUBLES = 2**16  # most doubles (512 KiB) of factor rows per block of draws in random_witness_search
 
 
 @dataclass(frozen=True)
@@ -53,22 +54,20 @@ class WitnessReport:
         return self.numerator / self.denominator
 
 
-def witness_ratio(u, v, p, *, spectrum=None):
+def witness_ratio(u, v, p):
     """Evaluate the rank-one witness u v^* against the mask Delta_n, n = len(u) = len(v), at exponent p.
 
     The witness is evaluated in factored form.  Its denominator is ||u|| ||v||
     for every p, with no spectrum.  Its numerator is the S_p quasinorm of
     Delta_n * u v^* = D_u Delta_n D_v^*; the unitary phases of the diagonals drop
     out, so it is that of the real |u| Delta_n |v|^T, which is triu(|u| (J|v|)^T),
-    J the reversal, with its columns reversed.  Its spectrum comes from
-    matrices._triu_outer_spectrum with no dense |u| Delta_n |v|^T: to relative
-    error O(n eps), or up to the SVD rounding floor for a pair that kernel's
-    bidiagonal inverse cannot serve (a zero entry, say).  A pair whose
-    ||u|| ||v|| overflows or underflows the double range raises ValueError, as
-    does a non-finite entry of either factor.  ``spectrum``, when given, is
-    taken unchecked as that kernel's values for the pair: random_witness_search
-    takes a block of draws' spectra in one stacked call and passes each draw its
-    row.  It serves the search, not a caller's choice of spectrum.
+    J the reversal, with its columns reversed.  Its spectrum comes from one
+    matrices._triu_outer_spectrum call with no dense |u| Delta_n |v|^T: one dqds
+    call on the bidiagonal inverse (numpy's SVD of it where no dqds symbol
+    resolves), to relative error O(n eps), or up to the SVD rounding floor for a
+    pair that inverse cannot serve (a zero entry, say).  A
+    pair whose ||u|| ||v|| overflows or underflows the double range raises
+    ValueError, as does a non-finite entry of either factor.
     """
     p = _check_p(p)
     u = np.asarray(u)
@@ -81,8 +80,7 @@ def witness_ratio(u, v, p, *, spectrum=None):
         if not (np.any(u) and np.any(v)):  # a zero factor gives 0, or nan against an infinite one
             raise ValueError("zero witness")
         raise ValueError(f"witness norm ||u|| ||v|| is {denominator}, not finite and positive")
-    if spectrum is None:
-        spectrum = _triu_outer_spectrum(np.abs(u), np.abs(v)[::-1])
+    spectrum = _triu_outer_spectrum(np.abs(u), np.abs(v)[::-1])
     return WitnessReport(_schatten_from_spectrum(spectrum, p), denominator)
 
 
@@ -128,11 +126,10 @@ def random_witness_search(a, p, draws, seed):
     The pool is the all-ones pair (ones, ones) and the matrix unit at Delta_n's
     largest entry (0, 0), the pair (e_0, e_0), whose ratio is 1; on top of it
     come ``draws`` rank-one complex-Gaussian witnesses u v^*, each evaluated as
-    the pair (u, v) at the cost of one real S_p evaluation (see witness_ratio):
-    each block of max(1, _STACK_DOUBLES // n^2) draws is one stream evaluation and one kernel call, whose
-    stacked bidiagonal inverses are one LAPACK input of at most _STACK_DOUBLES doubles (one draw a block
-    once n^2 exceeds it), and each draw is reported through witness_ratio with its row, bit for bit the pair's
-    own report.  ``draws = 0`` searches the pool alone.
+    the pair (u, v) at the cost of one real S_p evaluation, one dqds call (see
+    witness_ratio).  The factor rows come a block of max(1, _BLOCK_DOUBLES // 4n)
+    draws at a time, one stream evaluation whose rows hold at most _BLOCK_DOUBLES
+    doubles, so memory stays flat in ``draws``.  ``draws = 0`` searches the pool alone.
     Equal seeds give identical reports: draw i is the i-th pair of consecutive
     complex_normal(size) calls on the "witness-search" stream.  Any multiplier other than delta_matrix(n) raises
     ValueError.  ``tritrunc multiplier-bound --budget B`` runs the search with
@@ -152,14 +149,11 @@ def random_witness_search(a, p, draws, seed):
     rep = witness_ratio(e_0, e_0, p)
     if rep.ratio > best.ratio:
         best = rep
-    block = max(1, _STACK_DOUBLES // size**2)
+    block = max(1, _BLOCK_DOUBLES // (4 * size))  # a draw is two rows of n complex numbers, 4n doubles
     for start in range(0, draws, block):
-        # one bulk evaluation per block of draws keeps memory flat in the budget
         factors = gen.complex_normal_rows(2 * min(block, draws - start), size)
-        us, vs = factors[0::2], factors[1::2]
-        spectra = _triu_outer_spectrum(np.abs(us), np.abs(vs)[:, ::-1])  # the block's in one stacked call
-        for u, v, spectrum in zip(us, vs, spectra):
-            rep = witness_ratio(u, v, p, spectrum=spectrum)
+        for u, v in zip(factors[0::2], factors[1::2]):
+            rep = witness_ratio(u, v, p)
             if rep.ratio > best.ratio:
                 best = rep
     return best

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import jacobi_singular_values, normal_reference, trimmed_triu_spectrum
 from corpora import p_triangle_corpus
+from tritrunc import matrices
 from tritrunc.hankel import hankel_matrix
 from tritrunc.kernels import bump_poly, dirichlet_plus, fejer
 from tritrunc.matrices import (
@@ -246,21 +247,38 @@ def _stacked_factors(n, rows):
 
 @pytest.mark.parametrize("n", [1, 2, 7, 9, 65, 129])
 def test_stacked_kernel_is_the_row_by_row_kernel(n):
-    # a stack of factor rows, as (rows, n) and as (4, rows / 4, n), gives each row the bits of a call on that
-    # row alone, the rows that leave the bidiagonal inverse for the dense fallback included
+    # the kernel takes one pair; over the rows of a bulk draw, passed as the search passes them (a row of the
+    # block, a reversed view), each pair gets the bits of a fresh contiguous copy of that pair, the rows that
+    # leave the bidiagonal inverse for the dense fallback included
     x, y = _stacked_factors(n, 40)
-    want = np.array([_triu_outer_spectrum(xi, yi) for xi, yi in zip(x, y)])
-    for unfit in (1, 2) if n > 1 else (1,):
-        assert np.array_equal(want[unfit], trimmed_triu_spectrum(x[unfit], y[unfit]))
-    assert np.array_equal(_triu_outer_spectrum(x, y), want)
-    assert np.array_equal(_triu_outer_spectrum(x.reshape(4, 10, n), y.reshape(4, 10, n)), want.reshape(4, 10, n))
+    for i in range(40):
+        got = _triu_outer_spectrum(x[i], y[i, ::-1])
+        assert np.array_equal(got, _triu_outer_spectrum(x[i].copy(), y[i, ::-1].copy()))
+        if i in ((1, 2) if n > 1 else (1,)):
+            assert np.array_equal(got, trimmed_triu_spectrum(x[i], y[i, ::-1]))
 
 
+def _counted_dlasq1(monkeypatch):
+    """Count the kernel's dlasq1 calls: the list of each call's n."""
+    dlasq1, integer = matrices._DLASQ1
+    calls = []
+
+    def counted(n, *args):
+        calls.append(n.value)
+        return dlasq1(n, *args)
+
+    monkeypatch.setattr(matrices, "_DLASQ1", (counted, integer))
+    return calls
+
+
+_NO_DLASQ1 = pytest.mark.skipif(matrices._DLASQ1 is None, reason="no dlasq1 symbol: the kernel takes numpy's SVD of B")
+
+
+@_NO_DLASQ1
 @pytest.mark.parametrize("n", [2, 9, 65, 129])
 def test_stacked_kernel_bounds_each_lapack_input(monkeypatch, n):
-    # the search sizes its blocks of draws so that each block's bidiagonal inverses, one kernel call, go to
-    # LAPACK as one stack of 2^16 // n^2 of them (15 at n = 65, 3 at n = 129), the remainder last; the pool
-    # first adds the all-ones pair's (1, n, n) stack and the matrix unit's dense 1 x 1 block
+    # each fit pair is one dlasq1 call on its 2n - 1 band entries and reaches no np.linalg.svd: the search's
+    # 40 draws and its all-ones pair make 41 such calls, and the matrix unit's dense 1 x 1 block is the one SVD
     shapes = []
     svd = np.linalg.svd
 
@@ -269,13 +287,30 @@ def test_stacked_kernel_bounds_each_lapack_input(monkeypatch, n):
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted)
+    calls = _counted_dlasq1(monkeypatch)
     random_witness_search(delta_matrix(n), 0.5, 40, 1701)
-    per_call = 2**16 // (n * n)
-    pool, stacked = shapes[:2], shapes[2:]
-    assert all(np.prod(shape) <= 2**16 for shape in shapes)
-    assert pool == [(1, n, n), (1, 1)]
-    assert [shape[0] for shape in stacked] == [per_call] * (40 // per_call) + [40 % per_call] * (40 % per_call > 0)
-    assert all(shape[1:] == (n, n) for shape in stacked)
+    assert calls == [n] * 41
+    assert shapes == [(1, 1)]
+
+
+@_NO_DLASQ1
+def test_both_bidiagonal_routes_give_the_same_bits(monkeypatch):
+    # where no dlasq1 symbol resolves, the kernel takes numpy's SVD of the dense B: bit for bit the dqds
+    # route on Gaussian pairs; at x = y = 1 both routes give mask_spectrum(n) within the tolerance of
+    # test_bidiagonal_kernel_at_unit_factors_is_the_mask_spectrum
+    gen = SplitMix64(derive_seed("triu-outer-spectrum", "routes"))
+    pairs = [np.abs(gen.complex_normal_rows(2, n)) for n in (1, 2, 3, 9, 65, 129, 257) for _ in range(3)]
+    units = [np.ones(n) for n in (1, 2, 3, 9, 65, 129, 257, 513, 1025)]
+    dqds = [_triu_outer_spectrum(x, y) for x, y in pairs] + [_triu_outer_spectrum(x, x) for x in units]
+    calls = _counted_dlasq1(monkeypatch)
+    monkeypatch.setattr(matrices, "_DLASQ1", None)
+    dense = [_triu_outer_spectrum(x, y) for x, y in pairs] + [_triu_outer_spectrum(x, x) for x in units]
+    assert calls == []
+    for got, want in zip(dense, dqds):
+        assert np.array_equal(got, want)
+    for x, s in zip(units, dense[len(pairs):]):
+        ref = mask_spectrum(x.size)
+        assert np.all(np.abs(s - ref) <= 4 * np.spacing(ref) + x.size * np.finfo(float).eps * ref)
 
 
 # factor entries from zero and the subnormals up to 1e150, so that every product x_i y_j is finite
@@ -329,19 +364,13 @@ def test_every_input_goes_to_the_svd():
         assert np.array_equal(singular_values(a), np.linalg.svd(a, compute_uv=False))
 
 
-def test_singular_values_of_a_stack_are_each_matrix_alone():
-    # a stack (..., m, n) gives each matrix the bits of a call on it alone; schatten_quasinorm takes one matrix
-    gen = SplitMix64(derive_seed("matrices", "stack"))
-    for stack in (gen.complex_normal((2, 3, 4, 5)), normal_reference(gen, 3 * 7 * 6).reshape(3, 7, 6)):
-        got = singular_values(stack)
-        assert got.shape == stack.shape[:-2] + (min(stack.shape[-2:]),)
-        for index in np.ndindex(stack.shape[:-2]):
-            assert np.array_equal(got[index], singular_values(stack[index]))
-    for bad in (np.ones(3), np.ones((0, 3, 3)), np.ones((2, 3, 0))):
-        with pytest.raises(ValueError, match=r"matrix must be a 2-D array or a stack of them with positive shape"):
+def test_singular_values_takes_one_matrix():
+    # a stack of matrices, a vector or an empty shape is refused, as is a non-finite entry
+    for bad in (np.ones(3), np.ones((2, 3, 3)), np.ones((0, 3)), np.ones((2, 0))):
+        with pytest.raises(ValueError, match=r"matrix must be a 2-D array with positive shape"):
             singular_values(bad)
     with pytest.raises(ValueError, match="non-finite entries"):
-        singular_values(np.stack([np.eye(2), np.full((2, 2), np.nan)]))
+        singular_values(np.full((2, 2), np.nan))
     with pytest.raises(ValueError, match=r"matrix must be a 2-D array with positive shape, got shape \(2, 3, 3\)"):
         schatten_quasinorm(np.ones((2, 3, 3)), 0.5)
 
