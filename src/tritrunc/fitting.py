@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = ["ScalingFit", "fit_powerlaw"]
 
 
@@ -14,8 +12,9 @@ __all__ = ["ScalingFit", "fit_powerlaw"]
 class ScalingFit:
     """Least-squares line through (ln x, ln y) judged against a target slope.
 
-    one_sided relaxes the verdict to slope <= target + tolerance (used by the
-    boundedness experiments, where an arbitrarily negative slope is fine).
+    ``passed`` is derived from the fields, never stored: |slope - target| <=
+    tolerance, or slope - target <= tolerance when one_sided (the boundedness
+    experiments, where an arbitrarily negative slope is fine).
     """
 
     slope: float
@@ -23,41 +22,42 @@ class ScalingFit:
     max_residual: float
     target: float
     tolerance: float
-    passed: bool
     one_sided: bool = False
+
+    @property
+    def passed(self):
+        gap = self.slope - self.target
+        return (gap if self.one_sided else abs(gap)) <= self.tolerance
 
 
 def fit_powerlaw(points, target, tolerance, one_sided=False):
     """Fit y = C * x^slope by closed-form least squares on the log-log points.
 
-    Requires at least 3 points with finite, strictly positive coordinates; the
-    verdict compares the slope against target within tolerance (two-sided by
-    default).
+    With u = ln x and w = ln y, and mu and mw their means, slope =
+    sum((u - mu)(w - mw)) / sum((u - mu)^2) and intercept = mw - slope * mu.
+    Every sum is ``math.fsum`` (correctly rounded), so no BLAS or LAPACK kernel
+    touches the fit: its bits depend on the points and the C library's log
+    alone.  Requires at least 3 points with finite, strictly positive
+    coordinates, at least 2 of them with distinct x; the verdict compares the
+    slope against target within tolerance (two-sided by default).
     """
     pts = [(float(x), float(y)) for x, y in points]
     if len(pts) < 3:
         raise ValueError(f"need at least 3 points for a power-law fit, got {len(pts)}")
     if not all(0.0 < v < math.inf for pt in pts for v in pt):  # NaN fails the comparison too
         raise ValueError("power-law fit requires finite, strictly positive coordinates")
-    target = float(target)
-    tolerance = float(tolerance)
+    lx = [math.log(x) for x, _ in pts]
+    ly = [math.log(y) for _, y in pts]
+    if len(set(lx)) < 2:  # on the logs: adjacent huge doubles can share one
+        raise ValueError("power-law fit requires at least 2 distinct x")
+    target, tolerance = float(target), float(tolerance)
     if not (tolerance > 0):
         raise ValueError("tolerance must be positive")
 
-    lx = np.log([x for x, _ in pts])
-    ly = np.log([y for _, y in pts])
-    slope, intercept = np.polyfit(lx, ly, 1)
-    max_residual = float(np.max(np.abs(ly - (slope * lx + intercept))))
-    if one_sided:
-        passed = slope - target <= tolerance
-    else:
-        passed = abs(slope - target) <= tolerance
-    return ScalingFit(
-        slope=float(slope),
-        intercept=float(intercept),
-        max_residual=max_residual,
-        target=target,
-        tolerance=tolerance,
-        passed=bool(passed),
-        one_sided=bool(one_sided),
-    )
+    mx = math.fsum(lx) / len(lx)
+    my = math.fsum(ly) / len(ly)
+    dx = [x - mx for x in lx]
+    slope = math.fsum(d * (y - my) for d, y in zip(dx, ly)) / math.fsum(d * d for d in dx)
+    intercept = my - slope * mx
+    max_residual = max(abs(y - (slope * x + intercept)) for x, y in zip(lx, ly))
+    return ScalingFit(slope, intercept, max_residual, target, tolerance, bool(one_sided))

@@ -74,7 +74,7 @@ def schatten_quasinorm(a, p):
     sum, or its 1/p-th power, leaves the double range raises OverflowError naming p.
     """
     p = _check_p(p)
-    return _schatten_from_spectrum(singular_values(_as_matrix(a)), p)
+    return _schatten_from_spectrum(singular_values(a), p)
 
 
 def _schatten_from_spectrum(s, p):

@@ -265,6 +265,59 @@ def test_every_run_is_identical_at_any_thread_count(exp, tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def _openblas_with_avx2_fma():
+    """numpy's BLAS is OpenBLAS, and this CPU runs its Haswell kernels (AVX2 and FMA)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        flags = re.search(r"^flags\s*:(.*)$", Path("/proc/cpuinfo").read_text(encoding="utf-8"), re.M).group(1)
+    except (TypeError, KeyError, OSError, AttributeError):  # numpy < 1.25, another BLAS, no /proc
+        return False
+    return "openblas" in str(blas).lower() and {"avx2", "fma"} <= set(flags.split())
+
+
+# one interpreter per OpenBLAS core: each argv through tritrunc.cli.main, its exit code and stdout as JSON
+CORE_RUN = """
+import contextlib, io, json, sys
+from tritrunc.cli import main
+runs = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(argv)
+    runs.append([code, out.getvalue()])
+print(json.dumps(runs))
+"""
+CORE_FREE_IDS = ("E1", "E4", "E5", "E6", "E7", "E8", "E9")
+
+
+@pytest.mark.skipif(not _openblas_with_avx2_fma(), reason="needs numpy on OpenBLAS and a CPU with AVX2 and FMA")
+def test_outputs_without_a_dense_svd_are_the_same_on_both_openblas_cores(tmp_path):
+    # closed-form spectra (E1, E9), dqds (E4, E8, multiplier-bound) and quadrature (E5-E7) take no dense
+    # SVD, and each fits.json is a closed-form fit of its CSV values, so no byte may depend on the core
+    outputs = []
+    for core in ("", "Haswell"):
+        out = tmp_path / (core or "default")
+        out.mkdir()
+        argvs = [["experiment", "run", exp, "--out", str(out / f"{exp}.csv")] for exp in CORE_FREE_IDS]
+        argvs.append(["multiplier-bound", "--kmin", "1", "--kmax", "7", "--p", "0.5", "--budget", "50",
+                      "--seed", "1701"])
+        env = {key: val for key, val in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+        env.update(dict.fromkeys(BLAS_VARS, "1"), PYTHONPATH=os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH")))))
+        if core:
+            env["OPENBLAS_CORETYPE"] = core
+        proc = subprocess.run([sys.executable, "-c", CORE_RUN, json.dumps(argvs)], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        files = {path.name: strip_wall(path.read_text(encoding="utf-8")) if path.suffix == ".csv"
+                 else path.read_bytes() for path in out.iterdir()}
+        assert len(files) == 2 * len(CORE_FREE_IDS)
+        outputs.append((json.loads(proc.stdout), files))
+    (runs, files), (core_runs, core_files) = outputs
+    assert [code for code, _ in runs] == [0, 0, 0, 0, 1, 0, 0, 0]  # E7's registered fit is the known red
+    assert runs == core_runs
+    for name in sorted(files):
+        assert files[name] == core_files[name], name
+
+
 def test_mask_runs_compute_no_spectrum(monkeypatch):
     calls = []
 

@@ -1,5 +1,9 @@
 """Log-log power-law fits and their pass/fail verdicts."""
 
+import math
+import random
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -43,6 +47,8 @@ def test_fit_requires_three_positive_points():
         fit_powerlaw([(1.0, 1.0), (2.0, 0.0), (3.0, 1.0)], target=1.0, tolerance=0.1)
     with pytest.raises(ValueError, match="tolerance"):
         fit_powerlaw([(1.0, 1.0), (2.0, 2.0), (3.0, 3.0)], target=1.0, tolerance=0.0)
+    with pytest.raises(ValueError, match="at least 2 distinct x"):  # no line through one abscissa
+        fit_powerlaw([(2, 1), (2, 2), (2, 3)], target=1.0, tolerance=0.1)
 
 
 @pytest.mark.parametrize("bad", [(1.0, np.nan), (1.0, np.inf), (np.inf, 1.0), (np.nan, 1.0), (-np.inf, 1.0)])
@@ -56,3 +62,31 @@ def test_fit_is_a_frozen_record():
     assert isinstance(fit, ScalingFit)
     with pytest.raises(AttributeError):
         fit.slope = 0.0
+
+
+def _mp_fit(pts):
+    """The least-squares line through the exact logs of the points, at the working precision."""
+    lx = [mpmath.log(x) for x, _ in pts]
+    ly = [mpmath.log(y) for _, y in pts]
+    mx, my = mpmath.fsum(lx) / len(pts), mpmath.fsum(ly) / len(pts)
+    slope = mpmath.fsum((u - mx) * (w - my) for u, w in zip(lx, ly)) / mpmath.fsum((u - mx) ** 2 for u in lx)
+    return slope, my - slope * mx
+
+
+def test_fit_is_within_two_ulp_of_a_50_digit_fit():
+    # series shaped like the registry's: x = 2^k or 2^k + 1 over 3 to 8 levels, y = C x^s with 1% noise
+    rng = random.Random(47)
+    for _ in range(300):
+        kmin, levels, shift = rng.randint(1, 8), rng.randint(3, 8), rng.randint(0, 1)
+        c, s = rng.uniform(0.1, 5.0), rng.uniform(-0.1, 2.0)
+        xs = [2.0**k + shift for k in range(kmin, kmin + levels)]
+        pts = [(x, c * x**s * (1.0 + 0.01 * rng.gauss(0.0, 1.0))) for x in xs]
+        fit = fit_powerlaw(pts, target=s, tolerance=1.0)
+        # each log carries up to half an ulp of the largest one; the intercept extrapolates the line
+        # to ln x = 0, so its error also scales with ln x_max
+        ulp = math.ulp(max(abs(math.log(v)) for pt in pts for v in pt))
+        reach = max(1.0, math.log(xs[-1]))
+        with mpmath.workdps(50):
+            slope, intercept = _mp_fit(pts)
+            assert abs(fit.slope - slope) <= 2 * ulp, (pts, fit.slope, slope)
+            assert abs(fit.intercept - intercept) <= 2 * ulp * reach, (pts, fit.intercept, intercept)

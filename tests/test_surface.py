@@ -57,7 +57,7 @@ METHODS = {
     "experiments.SeriesRecord": (),
     "experiments.CheckResult": (),
     "experiments.ExperimentResult": ("verdict",),
-    "fitting.ScalingFit": (),
+    "fitting.ScalingFit": ("passed",),
     "hankel.BesovReport": (),
     "multipliers.WitnessReport": ("ratio",),
     "rng.SplitMix64": ("uniform", "complex_normal", "complex_normal_rows", "integers"),
@@ -77,7 +77,7 @@ FIELDS = {
     "experiments.SeriesRecord": ("experiment", "p", "k", "n", "sample", "quantity", "value", "wall_ms"),
     "experiments.CheckResult": ("name", "ok", "detail"),
     "experiments.ExperimentResult": ("config", "records", "fits", "checks"),
-    "fitting.ScalingFit": ("slope", "intercept", "max_residual", "target", "tolerance", "passed", "one_sided"),
+    "fitting.ScalingFit": ("slope", "intercept", "max_residual", "target", "tolerance", "one_sided"),
     "hankel.BesovReport": ("levels", "zero_term", "total"),
     "multipliers.WitnessReport": ("numerator", "denominator"),
     "trigpoly.TrigPoly": ("lo", "coeffs"),
