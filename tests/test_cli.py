@@ -164,6 +164,16 @@ def test_besov_prints_the_quasinorm(capsys):
     assert float(out) == want
 
 
+def test_besov_of_the_largest_reference_dirichlet_matches_its_total(capsys):
+    # the largest chunked quadrature (its level-13 piece sums a 6,138,368-point grid), against the
+    # benchmark's recorded total at the benchmark's 1e-6
+    reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    want = json.loads(reference.read_text(encoding="utf-8"))["besov_total"]["16385"]
+    code, out, _ = run_cli(capsys, "besov", "--dirichlet", "16385", "--p", "0.5")
+    assert code == 0
+    assert float(out) == pytest.approx(want, rel=1e-6, abs=0)
+
+
 def test_besov_levels_breakdown(capsys):
     code, out, _ = run_cli(capsys, "besov", "--dirichlet", "5", "--p", "0.5", "--levels")
     assert code == 0
@@ -227,6 +237,17 @@ def test_budgeted_lower_end_is_the_search_value(capsys):
         assert code == 0
         lower = float(out.splitlines()[0].removeprefix("lower "))
         assert lower == random_witness_search(delta_matrix(2**k + 1), p, budget // 2, seed).ratio
+
+
+def test_searched_lower_end_at_n_257_is_spnorms_closed_form_over_n(capsys):
+    # --budget 8 makes four draws, one dqds call each on a 257 x 257 bidiagonal inverse, and none beats
+    # the all-ones pair, so the lower end is S_p(Delta_257) / 257 from spnorm
+    code, out, _ = run_cli(capsys, "multiplier-bound", "--delta-k", "8", "--p", "0.5", "--budget", "8",
+                           "--seed", "1701")
+    assert code == 0
+    lower = float(out.splitlines()[0].removeprefix("lower "))
+    closed = float(run_cli(capsys, "spnorm", "--delta", "257", "--p", "0.5")[1]) / 257
+    assert lower == pytest.approx(closed, rel=1e-12, abs=0)
 
 
 # the level-1 row at p = 0.75 moves if the search is given B draws in place of B // 2
@@ -379,11 +400,13 @@ def test_experiment_run_reports_and_writes(capsys, tmp_path):
     assert out.exists() and (tmp_path / "e6.fits.json").exists()
 
 
-def test_experiment_run_exit_one_on_failed_fit(capsys):
-    # E7's registered plain fit is the known red (see the README)
-    code, text, _ = run_cli(capsys, "experiment", "run", "E7")
+def test_experiment_run_exit_one_on_failed_fit(capsys, tmp_path):
+    # E7's registered plain fit is the known red (see the README); its hard check passes, and the failed
+    # run still writes its fit summary
+    code, text, _ = run_cli(capsys, "experiment", "run", "E7", "--out", str(tmp_path / "e7.csv"))
     assert code == 1
-    assert "verdict: FAIL" in text
+    assert "check top_level_term_at_least_2k: pass" in text and "verdict: FAIL" in text
+    assert (tmp_path / "e7.fits.json").stat().st_size > 0
 
 
 def test_experiment_config_errors(capsys, tmp_path):

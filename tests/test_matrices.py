@@ -1,3 +1,4 @@
+import ctypes
 import math
 from fractions import Fraction
 
@@ -272,6 +273,23 @@ def _counted_dlasq1(monkeypatch):
 
 
 _NO_DLASQ1 = pytest.mark.skipif(matrices._DLASQ1 is None, reason="no dlasq1 symbol: the kernel takes numpy's SVD of B")
+
+
+def _scipy_openblas64():
+    """numpy's LAPACK is scipy-openblas with 64-bit integers, the build numpy's wheels ship."""
+    try:
+        lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+    except (TypeError, KeyError):  # numpy < 1.25, or no LAPACK entry
+        return False
+    return lapack.get("name") == "scipy-openblas" and "USE64BITINT" in lapack.get("openblas configuration", "")
+
+
+@pytest.mark.skipif(not _scipy_openblas64(), reason="numpy's LAPACK is not the 64-bit scipy-openblas")
+def test_dlasq1_resolves_on_scipy_openblas():
+    # so the kernel's fit pairs take dqds, and the tests of that route run it rather than the dense-SVD fallback
+    assert matrices._DLASQ1 is not None, "no dlasq1 symbol resolves"
+    dlasq1, integer = matrices._DLASQ1
+    assert dlasq1.__name__ == "scipy_dlasq1_64_" and integer is ctypes.c_int64
 
 
 @_NO_DLASQ1
