@@ -261,7 +261,9 @@ def test_folded_lp_matches_direct_summation(block, monkeypatch):
 def test_chunked_rows_change_no_bit(p, monkeypatch):
     # at 8x each grid a block holds up to 32 rows of 8192; chunks of 3 rows
     # split it into 11 transforms, the last of 2 rows, and must give the bits
-    # of the same block transformed in one piece
+    # of the same block transformed in one piece.  Then blocks of 3 rows of
+    # 8192, several a call and the last one partial, split into chunks of one
+    # row: the rows rebuilt for every later block must give the same bits too
     rows = []
     ifft = np.fft.ifft
 
@@ -285,10 +287,17 @@ def test_chunked_rows_change_no_bit(p, monkeypatch):
     assert all(len(r) == 1 for r in whole_rows), whole_rows
     assert any(len(r) >= 3 and r[-1] < r[0] for r in chunked_rows), chunked_rows
 
+    monkeypatch.setattr(trigpoly, "_BLOCK_SAMPLES", 3 * 2**13)
+    whole, whole_rows = lp_by_chunk(trigpoly._BLOCK_SAMPLES)
+    chunked, chunked_rows = lp_by_chunk(2**13)
+    assert chunked == whole
+    assert any(len(r) >= 3 and r[-1] < r[0] for r in whole_rows), whole_rows
+    assert any(len(c) > len(w) >= 3 for c, w in zip(chunked_rows, whole_rows)), chunked_rows
+
 
 def test_folded_lp_memory_is_bounded():
-    # one float64 block of 2^18 samples, a row table of at most 2^18 complex
-    # samples and one 2^16-sample transform: measured 8.65 MB and 8.35 MB
+    # one float64 block of 2^18 samples, plus one chunk of table rows (at most
+    # 2^16 complex samples) and its transform: measured 4.58 MB and 4.32 MB
     # (2^23 samples are 134 MB as one complex array; the level-13 piece's
     # default grid, 6,138,368 samples, is the largest the benchmark sums)
     d = dirichlet_plus(2**14 + 1)
@@ -299,7 +308,7 @@ def test_folded_lp_memory_is_bounded():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 10e6, (f, n, peak)
+        assert peak <= 6e6, (f, n, peak)
 
 
 @pytest.mark.parametrize(
