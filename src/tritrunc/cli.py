@@ -22,14 +22,13 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 
 from .experiments import (
     DEFAULT_SEED,
     EXPERIMENT_IDS,
-    config_from_dict,
+    ExperimentConfig,
     experiment_description,
     fits_json,
     run_experiment,
@@ -82,6 +81,7 @@ def build_parser():
     run.add_argument("id", choices=EXPERIMENT_IDS, metavar="ID", help=f"one of {', '.join(EXPERIMENT_IDS)}")
     _experiment_flags(run)
     run.add_argument("--p", type=float)  # not on all: E4 and E5 take no p
+    run.add_argument("--samples", type=int)  # not on all either: six experiments take one sample per point
     allp = exsub.add_parser("all", help="run every experiment; verdict is the conjunction")
     _experiment_flags(allp, out_help="output directory for per-experiment CSV/JSON")
     return parser
@@ -93,21 +93,10 @@ def _parser():
 
 
 def _experiment_flags(cmd, out_help="CSV output path (fit summary lands next to it)"):
-    cmd.add_argument("--config", metavar="FILE", help="JSON config document (unknown keys rejected)")
     cmd.add_argument("--seed", type=int)
     cmd.add_argument("--out", metavar="PATH", help=out_help)
     cmd.add_argument("--kmin", type=int)
     cmd.add_argument("--kmax", type=int)
-
-
-def _load_config_doc(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ValueError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"config file is not valid JSON: {exc}") from exc
 
 
 def _output_paths(out):
@@ -183,17 +172,14 @@ def _cmd_multiplier_bound(args):
 
 
 def _cmd_experiment(args):
-    doc = _load_config_doc(args.config) if args.config else {}
-    flags = {key: getattr(args, key) for key in ("seed", "p", "kmin", "kmax") if getattr(args, key, None) is not None}
-    if isinstance(doc, dict):  # config_from_dict rejects any other document
-        if args.action == "all" and "experiment" in doc:
-            raise ValueError("a config used with 'experiment all' must not pin one experiment id")
-        doc = {**doc, **flags}
+    # the plan is the flags given; ExperimentConfig fills in the rest and rejects a bad value
+    plan = {key: getattr(args, key) for key in ("p", "kmin", "kmax", "samples", "seed")
+            if getattr(args, key, None) is not None}
     if args.action == "run":
         outs = {args.id: args.out}
     else:
         outs = {exp: None if args.out is None else os.path.join(args.out, f"{exp}.csv") for exp in EXPERIMENT_IDS}
-    runs = [(config_from_dict(doc, exp), out) for exp, out in outs.items()]
+    runs = [(ExperimentConfig(exp, **plan), out) for exp, out in outs.items()]
     if args.action == "all" and args.out is not None:
         try:
             os.makedirs(args.out, exist_ok=True)

@@ -24,7 +24,7 @@ import pickle
 import sys
 import time
 from collections import namedtuple
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -44,7 +44,6 @@ __all__ = [
     "SeriesRecord",
     "CheckResult",
     "ExperimentResult",
-    "config_from_dict",
     "run_experiment",
     "write_records_csv",
     "fits_json",
@@ -101,22 +100,6 @@ class ExperimentConfig:
     def grid(self):
         """The (k, n) points: n = 2^k + the registered offset for k = kmin..kmax."""
         return [(k, 2**k + _REGISTRY[self.experiment].offset) for k in range(self.kmin, self.kmax + 1)]
-
-
-_CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
-
-
-def config_from_dict(doc, experiment):
-    """Build the config of experiment from a JSON-style dict, rejecting
-    unknown keys and a document that names another experiment."""
-    if not isinstance(doc, dict):
-        raise ValueError("config document must be a JSON object")
-    unknown = sorted(set(doc) - _CONFIG_KEYS)
-    if unknown:
-        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    if doc.get("experiment", experiment) != experiment:
-        raise ValueError(f"config names experiment {doc['experiment']!r} but {experiment!r} was requested")
-    return ExperimentConfig(**{**doc, "experiment": experiment})
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Command-line surface: parsing, output formats, exit codes."""
 
+import argparse
+import dataclasses
 import json
 import shlex
 import subprocess
@@ -11,6 +13,7 @@ import pytest
 
 from tritrunc import cli, experiments, matrices
 from tritrunc.cli import build_parser, main
+from tritrunc.experiments import EXPERIMENT_IDS, ExperimentConfig
 from tritrunc.hankel import besov_quasinorm
 from tritrunc.kernels import dirichlet_plus
 from tritrunc.matrices import delta_matrix, mask_spectrum
@@ -409,41 +412,6 @@ def test_experiment_run_exit_one_on_failed_fit(capsys, tmp_path):
     assert (tmp_path / "e7.fits.json").stat().st_size > 0
 
 
-def test_experiment_config_errors(capsys, tmp_path):
-    bad_key = tmp_path / "bad.json"
-    bad_key.write_text(json.dumps({"smaples": 2}))
-    code, _, err = run_cli(capsys, "experiment", "run", "E6", "--config", str(bad_key))
-    assert code == 2 and "unknown config keys" in err
-
-    not_json = tmp_path / "broken.json"
-    not_json.write_text("{nope")
-    code, _, err = run_cli(capsys, "experiment", "run", "E6", "--config", str(not_json))
-    assert code == 2 and "not valid JSON" in err
-
-    pinned = tmp_path / "pinned.json"
-    pinned.write_text(json.dumps({"experiment": "E1"}))
-    code, _, err = run_cli(capsys, "experiment", "run", "E6", "--config", str(pinned))
-    assert code == 2 and "was requested" in err
-
-    code, _, err = run_cli(capsys, "experiment", "all", "--config", str(pinned))
-    assert code == 2 and "must not pin" in err
-
-    # the flags merge into an object alone; any other document is the config's error
-    for text in ("[1]", '"E1"', "null"):
-        not_object = tmp_path / "not_object.json"
-        not_object.write_text(text)
-        for action in (["run", "E6", "--p", "0.5"], ["all", "--kmin", "4"]):
-            code, out, err = run_cli(capsys, "experiment", *action, "--config", str(not_object))
-            assert code == 2 and out == "" and "must be a JSON object" in err, (text, action)
-
-
-@pytest.mark.parametrize("where", ["missing.json", "a_directory"])
-def test_experiment_config_that_cannot_be_read(capsys, tmp_path, where):
-    (tmp_path / "a_directory").mkdir()
-    code, out, err = run_cli(capsys, "experiment", "run", "E6", "--config", str(tmp_path / where))
-    assert code == 2 and out == "" and "cannot read config file" in err
-
-
 def test_experiment_output_directory_that_is_not_writable(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(cli.os, "access", lambda path, mode: False)  # mode bits do not bind root
     code, out, err = run_cli(capsys, "experiment", "run", "E1", "--out", str(tmp_path / "e1.csv"))
@@ -451,20 +419,45 @@ def test_experiment_output_directory_that_is_not_writable(capsys, monkeypatch, t
     assert list(tmp_path.iterdir()) == []
 
 
-def test_experiment_config_below_the_quadrature_floor(capsys, tmp_path):
-    coarse = tmp_path / "coarse.json"
-    coarse.write_text(json.dumps({"oversample": 256}))
-    code, out, err = run_cli(capsys, "experiment", "run", "E6", "--config", str(coarse))
-    assert code == 2 and "unknown config keys: oversample" in err and out == ""
+def test_experiment_config_below_the_quadrature_floor(capsys):
+    # the quadrature grid is no field of the plan, so no flag sets it
+    code, out, err = run_cli(capsys, "experiment", "run", "E6", "--oversample", "256")
+    assert code == 2 and out == "" and "unrecognized arguments: --oversample 256" in err
 
 
-def test_experiment_rejects_fields_it_would_ignore(capsys, tmp_path):
+def test_experiment_rejects_fields_it_would_ignore(capsys):
     code, out, err = run_cli(capsys, "experiment", "run", "E4", "--p", "0.5")
     assert code == 2 and out == "" and "field p does not apply" in err
-    sampled = tmp_path / "sampled.json"
-    sampled.write_text(json.dumps({"samples": 3}))
-    code, out, err = run_cli(capsys, "experiment", "run", "E1", "--config", str(sampled))
+    code, out, err = run_cli(capsys, "experiment", "run", "E1", "--samples", "3")
     assert code == 2 and out == "" and "field samples does not apply" in err
+
+
+def _subcommands(parser):
+    (sub,) = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def test_every_plan_field_has_exactly_one_flag(capsys, monkeypatch):
+    # the flags are the plan's only way in: experiment run takes one --NAME per field, the positional ID
+    # supplies experiment, and --out is the command line's own
+    run = _subcommands(_subcommands(build_parser())["experiment"])["run"]
+    flags = {action.dest: action.option_strings for action in run._actions if action.option_strings}
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert set(flags) - {"help", "out"} == fields - {"experiment"}
+    assert all(strings == [f"--{dest}"] for dest, strings in flags.items() if dest != "help")
+    (positional,) = [action for action in run._actions if not action.option_strings]
+    assert positional.metavar == "ID" and tuple(positional.choices) == EXPERIMENT_IDS
+    built = []
+
+    def record(experiment, **plan):
+        built.append(dict(plan, experiment=experiment))
+        raise ValueError("recorded")
+
+    monkeypatch.setattr(cli, "ExperimentConfig", record)
+    code, out, _ = run_cli(capsys, "experiment", "run", "E3", "--p", "0.75", "--kmin", "2", "--kmax", "5",
+                           "--samples", "3", "--seed", "7")
+    assert code == 2 and out == ""
+    assert built == [dict(experiment="E3", p=0.75, kmin=2, kmax=5, samples=3, seed=7)]
 
 
 def test_experiment_rejects_p_above_one_for_e2_before_any_work(capsys, monkeypatch):
@@ -480,11 +473,11 @@ def test_experiment_all_resolves_every_config_before_running(capsys, monkeypatch
     # directory made; --p is no flag of 'all', since E4 and E5 take no p
     resolved = []
 
-    def resolve(doc, experiment):
+    def resolve(experiment, **plan):
         resolved.append(experiment)
-        return experiments.config_from_dict(doc, experiment)
+        return ExperimentConfig(experiment, **plan)
 
-    monkeypatch.setattr(cli, "config_from_dict", resolve)
+    monkeypatch.setattr(cli, "ExperimentConfig", resolve)
     results = tmp_path / "results"
     code, out, err = run_cli(capsys, "experiment", "all", "--kmax", "6", "--out", str(results))
     assert (code, out, err) == (2, "", "error: a fit needs at least 3 levels, got kmin=5 kmax=6\n")
@@ -528,15 +521,16 @@ def test_a_bad_plan_exits_two_before_any_work(capsys, tmp_path, argv):
 
 @pytest.mark.parametrize("action", [["run", "E6"], ["all"]])
 @pytest.mark.parametrize(
-    "doc", [{"kmin": [3]}, {"seed": [1]}, {"p": [0.5]}, {"seed": "abc"}, {"kmin": True}, {"seed": 2**63},
-            {"out": "x.csv"}]
+    "doc", [{"kmin": "three"}, {"seed": "1.5"}, {"kmax": "0"}, {"seed": str(-(2**63) - 1)}, {"kmin": "5", "kmax": "4"},
+            {"samples": "2"}, {"p": "0"}]
 )
 def test_a_bad_config_field_exits_two_before_any_work(capsys, tmp_path, action, doc):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(doc))
+    # each plan field given as its flag: argparse rejects what is not a number, ExperimentConfig the rest,
+    # and 'all' has no --samples or --p, since some of its experiments reject each
+    flags = [token for field, value in doc.items() for token in (f"--{field}", value)]
     results = tmp_path / "results"
-    code, out, err = run_cli(capsys, "experiment", *action, "--config", str(cfg), "--out", str(results))
-    assert code == 2 and out == "" and err.startswith("error:")
+    code, out, err = run_cli(capsys, "experiment", *action, *flags, "--out", str(results))
+    assert code == 2 and out == "" and "error:" in err
     assert not results.exists()
 
 
@@ -548,52 +542,12 @@ def test_experiment_all_rejects_an_out_that_is_a_file(capsys, tmp_path):
     assert target.read_text() == "keep\n" and list(tmp_path.iterdir()) == [target]
 
 
-def test_experiment_all_rejects_a_config_that_pins_the_output(capsys, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"out": str(tmp_path / "x.csv")}))
-    code, out, err = run_cli(capsys, "experiment", "all", "--config", str(cfg))
-    assert code == 2 and out == "" and err == "error: unknown config keys: out\n"
-    assert list(tmp_path.iterdir()) == [cfg]
-
-
-def test_experiment_all_reads_the_config_once(capsys, tmp_path, monkeypatch):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"kmin": 2, "kmax": 4}))
-    opened, real_open = [], open
-
-    def counting_open(file, *args, **kwargs):
-        if str(file) == str(cfg):
-            opened.append(file)
-        return real_open(file, *args, **kwargs)
-
-    monkeypatch.setattr("builtins.open", counting_open)
-    code, out, _ = run_cli(capsys, "experiment", "all", "--config", str(cfg))
-    assert code in (0, 1) and out.count("verdict:") == 9
-    assert len(opened) == 1
-
-
 def test_experiment_all_writes_every_experiment(capsys, tmp_path):
     results = tmp_path / "nested" / "results"
     code, out, _ = run_cli(capsys, "experiment", "all", "--kmin", "2", "--kmax", "4", "--out", str(results))
     assert code in (0, 1) and out.splitlines()[-1] in ("overall: pass", "overall: FAIL")
     want = sorted(f"E{i}.{ext}" for i in range(1, 10) for ext in ("csv", "fits.json"))
     assert sorted(path.name for path in results.iterdir()) == want
-
-
-def test_flags_override_the_config(capsys, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"p": 0.5, "kmin": 3, "kmax": 5}))
-    out = tmp_path / "e6.csv"
-    code, _, _ = run_cli(
-        capsys,
-        "experiment", "run", "E6",
-        "--config", str(cfg), "--p", "1.0", "--out", str(out),
-    )
-    # the run completed (pass or fail verdict — p = 1 is not E6's regime);
-    # what matters here is that the flag beat the config file
-    assert code in (0, 1)
-    rows = out.read_text().splitlines()[1:]
-    assert rows and all(row.split(",")[1] == "1" for row in rows)
 
 
 # --- installed entry point ----------------------------------------------------------

@@ -17,7 +17,6 @@ from tritrunc.experiments import (
     DEFAULT_SEED,
     EXPERIMENT_IDS,
     ExperimentConfig,
-    config_from_dict,
     experiment_description,
     run_experiment,
     write_records_csv,
@@ -53,9 +52,9 @@ def test_config_rejects_unknown_experiment():
         (dict(p=0.0), "p must be positive"),
         (dict(kmin=5, kmax=4), "exceeds kmax"),
         (dict(experiment="E3", samples=0), "samples"),
-        (dict(sizes=[8, 16]), "unknown config keys: sizes"),
-        (dict(oversample=512), "unknown config keys: oversample"),
-        (dict(tolerance=0.5), "unknown config keys: tolerance"),
+        (dict(p=float("nan")), "p must be positive and finite"),  # --p reads nan and inf as floats
+        (dict(p=float("inf")), "p must be positive and finite"),
+        (dict(kmax=0), "kmax must be >= 1, got 0"),
         (dict(experiment="E2", kmin=9), "at least 3 levels, got kmin=9 kmax=9"),  # E2's kmax is 9
         (dict(kmin=12), "kmin=12 exceeds kmax=11"),
         (dict(experiment="E3", kmin=0, kmax=3), "kmin must be >= 1, got 0"),
@@ -76,7 +75,7 @@ def test_config_rejects_unknown_experiment():
 def test_config_field_validation(kwargs, message):
     doc = {"experiment": "E1", **kwargs}
     with pytest.raises(ValueError, match=message):
-        config_from_dict(doc, doc["experiment"])
+        ExperimentConfig(**doc)
 
 
 @pytest.mark.parametrize("exp", ["E1", "E2", "E5", "E6", "E7", "E9"])
@@ -98,31 +97,6 @@ def test_multiplier_experiment_rejects_p_above_one():
     assert ExperimentConfig("E2", p=1).p == 1.0
 
 
-def test_config_from_dict_rejects_unknown_keys():
-    with pytest.raises(ValueError, match="unknown config keys: smaples"):
-        config_from_dict({"experiment": "E1", "smaples": 3}, "E1")
-    with pytest.raises(ValueError, match="unknown config keys: out"):  # the output paths are the command line's
-        config_from_dict({"experiment": "E1", "out": "x.csv"}, "E1")
-    for doc in (["E1"], "E1", None, 1):
-        with pytest.raises(ValueError, match="config document must be a JSON object"):
-            config_from_dict(doc, "E1")
-
-
-def test_config_from_dict_requires_an_experiment():
-    # the experiment is the caller's argument; the document may leave it out, or name the same one
-    with pytest.raises(TypeError):
-        config_from_dict({"p": 0.5})
-    cfg = config_from_dict({"p": 0.5}, "E6")
-    assert cfg.experiment == "E6" and cfg.p == 0.5
-    assert config_from_dict({"experiment": "E6", "p": 0.5}, "E6") == cfg
-
-
-def test_config_from_dict_rejects_a_conflicting_pin():
-    with pytest.raises(ValueError, match="was requested"):
-        config_from_dict({"experiment": "E1"}, experiment="E2")
-    assert config_from_dict({"experiment": "E1"}, experiment="E1").experiment == "E1"
-
-
 def test_config_resolves_the_registered_plan():
     cfg = ExperimentConfig("E2")
     assert (cfg.kmin, cfg.kmax, cfg.samples, cfg.exponents) == (4, 9, None, (0.5,))
@@ -132,14 +106,14 @@ def test_config_resolves_the_registered_plan():
     assert cfg.exponents == (1.0,) and type(cfg.p) is float and type(cfg.kmin) is int
     assert cfg.grid == [(2, 4), (3, 8), (4, 16)] and cfg.samples == 3
     # the resolved config is itself a valid config for the same run
-    assert config_from_dict(dataclasses.asdict(cfg), "E3") == cfg
+    assert ExperimentConfig(**dataclasses.asdict(cfg)) == cfg
 
 
 @pytest.mark.parametrize("exp", ["E2", "E3", "E7"])
 def test_exact_dyadic_experiments_reject_sizes(exp):
-    # every experiment runs on its dyadic kmin..kmax grid; a size list is not a config key
-    with pytest.raises(ValueError, match="unknown config keys: sizes"):
-        config_from_dict({"sizes": [5]}, experiment=exp)
+    # every experiment runs on its dyadic kmin..kmax grid; a size list is not a field of the plan
+    with pytest.raises(TypeError, match="sizes"):
+        ExperimentConfig(exp, sizes=[5])
 
 
 # --- determinism ------------------------------------------------------------------
@@ -177,8 +151,9 @@ BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # small plans of the sampled experiments; E3's reaches k = 6, whose complex SVDs move
 # with the BLAS thread count (E4's and E8's real rank-one spectra gave the same bits
 # at 1 and 2 threads, at n = 128, 256 and 512)
-SAMPLED_PLANS = {"E3": {"kmin": 4, "kmax": 6, "samples": 4}, "E4": {"kmin": 5, "kmax": 7, "samples": 3},
-                 "E8": {"kmin": 5, "kmax": 7, "samples": 2}}
+SAMPLED_PLANS = {"E3": ["--kmin", "4", "--kmax", "6", "--samples", "4"],
+                 "E4": ["--kmin", "5", "--kmax", "7", "--samples", "3"],
+                 "E8": ["--kmin", "5", "--kmax", "7", "--samples", "2"]}
 
 
 @pytest.fixture
@@ -240,8 +215,7 @@ def test_worker_count_follows_the_blas_thread_budget(monkeypatch):
 @pytest.mark.parametrize("exp", sorted(SAMPLED_PLANS))
 def test_sampled_runs_are_identical_for_any_worker_count(exp, tmp_path, monkeypatch, capsys, started):
     # one thread runs in the command-line process; three workers are more than this host's CPUs
-    (tmp_path / "plan.json").write_text(json.dumps(SAMPLED_PLANS[exp]), encoding="utf-8")
-    argv = [exp, "--config", str(tmp_path / "plan.json"), "--out"]
+    argv = [exp, *SAMPLED_PLANS[exp], "--out"]
     code, err, *serial = run_cli_at(1, *argv, str(tmp_path / "t1.csv"))
     assert code == 0 and err == ""
     monkeypatch.setattr(experiments, "_worker_count", lambda: 3)
@@ -257,9 +231,7 @@ def test_sampled_runs_are_identical_for_any_worker_count(exp, tmp_path, monkeypa
 # every registered id, the sampled ones at a small plan
 @pytest.mark.parametrize("exp", EXPERIMENT_IDS)
 def test_every_run_is_identical_at_any_thread_count(exp, tmp_path):
-    plan = tmp_path / "plan.json"
-    plan.write_text(json.dumps(SAMPLED_PLANS.get(exp, {})), encoding="utf-8")
-    outputs = [run_cli_at(threads, exp, "--config", str(plan), "--out", str(tmp_path / f"t{threads}.csv"))
+    outputs = [run_cli_at(threads, exp, *SAMPLED_PLANS.get(exp, []), "--out", str(tmp_path / f"t{threads}.csv"))
                for threads in (1, 2)]
     assert outputs[0][:2] == (1 if exp == "E7" else 0, "")  # E7's registered fit is the known red
     assert outputs[0] == outputs[1]
@@ -376,7 +348,7 @@ def test_a_worker_error_reaches_the_caller(monkeypatch, capsys, started):
     assert experiments._POOL == [] and len(started) == 2
     assert all(proc.returncode is not None for proc in started)
     # through the command line the same error is a usage error
-    monkeypatch.setattr(cli, "config_from_dict", lambda doc, experiment: cfg)
+    monkeypatch.setattr(cli, "ExperimentConfig", lambda experiment, **plan: cfg)
     assert cli.main(["experiment", "run", "E3"]) == 2
     assert "outside the 64-bit range" in capsys.readouterr().err
     assert experiments._POOL == [] and len(started) == 4

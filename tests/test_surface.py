@@ -24,7 +24,6 @@ PUBLIC = {
         "SeriesRecord",
         "CheckResult",
         "ExperimentResult",
-        "config_from_dict",
         "run_experiment",
         "write_records_csv",
         "fits_json",
@@ -191,8 +190,11 @@ def test_readme_module_table_names_only_public_names():
 
 
 def test_readme_config_paragraph_names_exactly_the_config_fields():
-    # the README lists the keys --config accepts; each is a field of ExperimentConfig, and every field is listed
+    # the README's run plan paragraph names each field of ExperimentConfig and no other, and one flag
+    # --NAME for each field but experiment, which the positional ID gives
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    paragraph = readme.split("`--config FILE` accepts", 1)[1].split("Explicit flags override", 1)[0]
-    named = {tok for tok in re.findall(r"`([^`]+)`", paragraph) if tok.isidentifier()}
-    assert named == {f.name for f in dataclasses.fields(ExperimentConfig)}
+    paragraph = readme.split("The run plan is the six fields of", 1)[1].split("A field left out", 1)[0]
+    quoted = re.findall(r"`([^`]+)`", paragraph)
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert {tok for tok in quoted if tok.isidentifier()} == fields
+    assert {tok[2:] for tok in quoted if tok.startswith("--")} == fields - {"experiment"}
