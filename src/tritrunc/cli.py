@@ -5,7 +5,7 @@ Subcommands:
 * ``spnorm``            Schatten quasinorm of a built-in structured matrix.
 * ``besov``             dyadic-decomposition quasinorm of a Dirichlet kernel.
 * ``multiplier-bound``  [lower, upper] multiplier interval for the size-(2^k + 1)
-                        mask, per level k (each end's error: ``tritrunc.multipliers``).
+                        mask at the one level k = ``--delta-k`` (each end's error: ``tritrunc.multipliers``).
 * ``experiment run ID`` one registered experiment; ``experiment all`` runs
                         every registered experiment and aggregates verdicts.
                         ``--out`` sets where each run's CSV and fit summary go
@@ -64,10 +64,7 @@ def build_parser():
     bs.set_defaults(handler=_cmd_besov)
 
     mb = sub.add_parser("multiplier-bound", help="[lower, upper] multiplier bounds for the size-(2^k+1) mask")
-    level = mb.add_mutually_exclusive_group(required=True)
-    level.add_argument("--delta-k", type=int, metavar="K", help="dyadic level k >= 1")
-    level.add_argument("--kmin", type=int, metavar="A", help="first level of a range (with --kmax)")
-    mb.add_argument("--kmax", type=int, metavar="B", help="last level of the range")
+    mb.add_argument("--delta-k", type=int, required=True, metavar="K", help="dyadic level k >= 1")
     mb.add_argument("--p", type=float, required=True, help="exponent in (0, 1]")
     mb.add_argument("--budget", type=int, default=0, metavar="B", help="witness-search budget: B // 2 seeded "
                     "rank-one draws beyond the all-ones and largest-entry witnesses, which run at every budget")
@@ -154,20 +151,10 @@ def _cmd_besov(args):
 def _cmd_multiplier_bound(args):
     p = _check_p(args.p, 1.0)
     budget = _check_size(args.budget, "--budget", least=0)
-    if args.delta_k is not None:
-        if args.kmax is not None:
-            raise ValueError("--kmax goes with --kmin, not --delta-k")
-        kmin = kmax = _check_size(args.delta_k, "--delta-k")  # the range K..K, printed as two lines
-        row = "lower {1:.17g}\nupper {2:.17g}"
-    else:
-        kmin, kmax = _check_size(args.kmin, "--kmin"), args.kmax
-        if kmax is None or kmin > kmax:
-            raise ValueError("need --kmin A --kmax B with 1 <= A <= B")
-        row = "level {0} lower {1:.17g} upper {2:.17g}"
-    for k in range(kmin, kmax + 1):
-        # --budget B buys B // 2 rank-one draws; the all-ones and largest-entry pool runs at every budget
-        found = random_witness_search(delta_matrix(2**k + 1), p, budget // 2, args.seed)
-        print(row.format(k, found.ratio, hankel_multiplier_upper(dirichlet_plus(2**k + 1), p)))
+    n = 2 ** _check_size(args.delta_k, "--delta-k") + 1
+    # --budget B buys B // 2 rank-one draws; the all-ones and largest-entry pool runs at every budget
+    found = random_witness_search(delta_matrix(n), p, budget // 2, args.seed)
+    print(f"lower {found.ratio:.17g}\nupper {hankel_multiplier_upper(dirichlet_plus(n), p):.17g}")
     return 0
 
 

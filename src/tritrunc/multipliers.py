@@ -105,7 +105,11 @@ def delta_lower_bound(k, p):
 
 
 def hankel_multiplier_upper(f, p):
-    """Analytic multiplier upper bound (2m)^{1/p-1} ||phi||_{L^p}, m = deg + 1.
+    """Analytic multiplier upper bound (2m)^{1/p-1} ||phi||_{L^p}, m = f.hi + 1.
+
+    m is one past the stored top index, so stored trailing zeros count:
+    TrigPoly(0, [1.0, 0.0, 0.0]) has m = 3, not deg + 1 = 1.  At p <= 1 the
+    factor grows with m, so a larger m only loosens the bound.
 
     Valid for p <= 1 and any analytic polynomial phi; every witness ratio
     against the Hankel matrix of phi stays below it, up to the L^p factor's

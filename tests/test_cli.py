@@ -90,25 +90,26 @@ def test_bare_invocation_is_a_usage_error(capsys):
 def test_unknown_subcommand_and_flag(capsys):
     assert run_cli(capsys, "frobnicate")[0] == 2
     assert run_cli(capsys, "spnorm", "--chi", "2", "--p", "1", "--bogus")[0] == 2
+    assert run_cli(capsys, "multiplier-bound", "--kmin", "1", "--kmax", "2", "--p", "0.5")[:2] == (2, "")
 
 
 # --- one parser per process ---------------------------------------------------------
 
-# successes, usage errors and help, interleaved; the --delta-k call comes right before a
-# --kmin/--kmax call, so a level left over from one call would turn the next into an error
+# successes, usage errors and help, interleaved; a budgeted search comes right before a call on the
+# default budget and seed, whose lower end it beats, so a value left over from one call would change the next
 INTERLEAVED = [
     (["spnorm", "--chi", "5", "--p", "0.5"], 0),
     (["besov", "--dirichlet", "9", "--p", "0.5", "--levels"], 0),
     (["spnorm", "--p", "1"], 2),
     (["multiplier-bound", "--delta-k", "3", "--p", "0.5", "--budget", "4", "--seed", "3"], 0),
     (["spnorm", "--chi", "2", "--delta", "2", "--p", "1"], 2),
-    (["multiplier-bound", "--delta-k", "3", "--kmax", "4", "--p", "0.5"], 2),
+    (["multiplier-bound", "--delta-k", "3", "--kmin", "2", "--p", "0.5"], 2),
     (["frobnicate"], 2),
     (["--help"], 0),
     (["spnorm", "--delta", "7", "--p", "0.75"], 0),
     (["spnorm", "--help"], 0),
-    (["multiplier-bound", "--delta-k", "2", "--p", "0.75"], 0),
-    (["multiplier-bound", "--kmin", "1", "--kmax", "2", "--p", "0.75"], 0),
+    (["multiplier-bound", "--delta-k", "1", "--p", "1.0", "--budget", "4", "--seed", "5"], 0),
+    (["multiplier-bound", "--delta-k", "1", "--p", "1.0"], 0),
     (["besov", "--dirichlet", "17", "--p", "1"], 0),
     (["spnorm", "--ones", "4", "--p", "0.5"], 0),
 ]
@@ -202,7 +203,7 @@ def test_besov_level_whose_power_sum_underflows_adds_zero(capsys, argv, want):
 # --- multiplier-bound --------------------------------------------------------------
 
 
-def test_multiplier_bound_prints_a_certified_interval(capsys):
+def test_multiplier_bound_interval_is_ordered_up_to_quadrature_slack(capsys):
     code, out, _ = run_cli(capsys, "multiplier-bound", "--delta-k", "3", "--p", "0.5")
     assert code == 0
     lower_line, upper_line = out.splitlines()
@@ -216,20 +217,6 @@ def test_multiplier_bound_search_is_deterministic(capsys):
     first = run_cli(capsys, *argv)
     second = run_cli(capsys, *argv)
     assert first == second and first[0] == 0
-
-
-def test_multiplier_bound_over_a_range_of_levels(capsys):
-    code, out, _ = run_cli(capsys, "multiplier-bound", "--kmin", "2", "--kmax", "4", "--p", "0.5")
-    assert code == 0
-    rows = [line.split() for line in out.splitlines()]
-    assert [row[:2] + row[2::2] for row in rows] == [["level", str(k), "lower", "upper"] for k in (2, 3, 4)]
-    for row in rows:  # each row is the single-level interval, digit for digit
-        single = run_cli(capsys, "multiplier-bound", "--delta-k", row[1], "--p", "0.5")[1]
-        assert single == f"lower {row[3]}\nupper {row[5]}\n"
-    for argv in (["--kmin", "3"], ["--kmin", "4", "--kmax", "3"], ["--kmin", "0", "--kmax", "2"],
-                 ["--delta-k", "3", "--kmax", "4"], ["--delta-k", "3", "--kmin", "2", "--kmax", "3"]):
-        code, out, err = run_cli(capsys, "multiplier-bound", *argv, "--p", "0.5")
-        assert code == 2 and out == "" and "error" in err
 
 
 def test_budgeted_lower_end_is_the_search_value(capsys):
@@ -257,25 +244,28 @@ def test_searched_lower_end_at_n_257_is_spnorms_closed_form_over_n(capsys):
 GOLDEN = [
     (["--delta-k", "6", "--p", "0.5", "--budget", "200"],
      ["lower 84.694688069794083", "upper 199.58396794534923"]),
-    (["--kmin", "1", "--kmax", "5", "--seed", "11", "--p", "1.0", "--budget", "1"],
-     ["level 1 lower 1.2012918238698922 upper 1.4359910881576892",
-      "level 2 lower 1.3191867072850816 upper 1.6421884224280721",
-      "level 3 lower 1.4695972859741222 upper 1.8800820748620919",
-      "level 4 lower 1.6457164113404721 upper 2.1377327434321209",
-      "level 5 lower 1.8396563735421374 upper 2.4065257257792352"]),
-    (["--kmin", "1", "--kmax", "5", "--seed", "11", "--p", "0.75", "--budget", "7"],
-     ["level 1 lower 1.6546984919533787 upper 2.4411467741972843",
-      "level 2 lower 2.094895301735261 upper 3.1941441636738697",
-      "level 3 lower 2.7380568064169499 upper 4.2612859382191566",
-      "level 4 lower 3.6323011631792754 upper 5.7087880991537805",
-      "level 5 lower 4.8330173421794971 upper 7.6186807251019388"]),
+] + [
+    (["--delta-k", str(k), "--seed", "11", "--p", p, "--budget", budget], [f"lower {lower}", f"upper {upper}"])
+    for p, budget, rows in [
+        ("1.0", "1", [("1.2012918238698922", "1.4359910881576892"),
+                      ("1.3191867072850816", "1.6421884224280721"),
+                      ("1.4695972859741222", "1.8800820748620919"),
+                      ("1.6457164113404721", "2.1377327434321209"),
+                      ("1.8396563735421374", "2.4065257257792352")]),
+        ("0.75", "7", [("1.6546984919533787", "2.4411467741972843"),
+                       ("2.094895301735261", "3.1941441636738697"),
+                       ("2.7380568064169499", "4.2612859382191566"),
+                       ("3.6323011631792754", "5.7087880991537805"),
+                       ("4.8330173421794971", "7.6186807251019388")]),
+    ]
+    for k, (lower, upper) in enumerate(rows, start=1)
 ]
 # lower ends of the GOLDEN rows while the mask was searched zero-padded to the bump
 # witness's size 3 * 2^(k-1) + 1, where the all-ones witness scored S_p(Delta_n) / N
 PADDED_LOWER = [
-    [56.754172417903249],
-    [1.0, 0.94227621948934404, 1.0174135056743925, 1.1190871597115208, 1.2389522515691911],
-    [1.2410238689650339, 1.4963537869537578, 1.8955777890578887, 2.4699647909619076, 3.2548892304474162],
+    56.754172417903249,
+    1.0, 0.94227621948934404, 1.0174135056743925, 1.1190871597115208, 1.2389522515691911,
+    1.2410238689650339, 1.4963537869537578, 1.8955777890578887, 2.4699647909619076, 3.2548892304474162,
 ]
 
 
@@ -296,22 +286,20 @@ def test_recorded_lower_ends_are_the_all_ones_closed_form(row):
     # searching the zero-padded mask gave less, and those values stay as floors
     argv, want = GOLDEN[row]
     p = float(argv[argv.index("--p") + 1])
-    levels = [int(argv[1])] if argv[0] == "--delta-k" else range(int(argv[1]), int(argv[3]) + 1)
-    lowers = [float(words[words.index("lower") + 1]) for words in map(str.split, want) if "lower" in words]
-    for k, lower, floor in zip(levels, lowers, PADDED_LOWER[row], strict=True):
-        n = 2**k + 1
-        closed = float(np.sum(mask_spectrum(n) ** p) ** (1.0 / p)) / n
-        assert lower == pytest.approx(closed, rel=1e-12, abs=0)
-        assert lower >= floor
+    n = 2 ** int(argv[argv.index("--delta-k") + 1]) + 1
+    lower = float(want[0].removeprefix("lower "))
+    closed = float(np.sum(mask_spectrum(n) ** p) ** (1.0 / p)) / n
+    assert lower == pytest.approx(closed, rel=1e-12, abs=0)
+    assert lower >= PADDED_LOWER[row]
 
 
 def test_budget_zero_runs_the_pool(capsys):
     # the all-ones witness lifts the lower end far above the constructive witness
     # (0.83 at k = 2 and p = 1/2, below the single-entry witness's 1)
-    code, out, _ = run_cli(capsys, "multiplier-bound", "--kmin", "2", "--kmax", "6", "--p", "0.5", "--budget", "0")
-    assert code == 0
-    for line in out.splitlines():
-        k, lower = int(line.split()[1]), float(line.split()[3])
+    for k in range(2, 7):
+        code, out, _ = run_cli(capsys, "multiplier-bound", "--delta-k", str(k), "--p", "0.5", "--budget", "0")
+        assert code == 0
+        lower = float(out.splitlines()[0].removeprefix("lower "))
         assert lower == random_witness_search(delta_matrix(2**k + 1), 0.5, 0, 0).ratio
         assert lower > 4 * delta_lower_bound(k, 0.5).ratio
 
@@ -328,14 +316,13 @@ def test_multiplier_bound_rejects_a_negative_budget(capsys):
 
 def test_lower_ends_meet_the_trivial_bound_at_p_one(capsys):
     # a single-entry witness scores 1 against any nonzero 0/1 mask, so every lower end is at least 1
-    code, out, _ = run_cli(capsys, "multiplier-bound", "--kmin", "1", "--kmax", "7", "--p", "1.0", "--budget", "0")
-    assert code == 0
-    lowers = [float(line.split()[3]) for line in out.splitlines()]
-    assert len(lowers) == 7 and min(lowers) >= 1.0
+    for k in range(1, 8):
+        code, out, _ = run_cli(capsys, "multiplier-bound", "--delta-k", str(k), "--p", "1.0", "--budget", "0")
+        assert code == 0 and float(out.splitlines()[0].removeprefix("lower ")) >= 1.0
 
 
 @pytest.mark.parametrize("p", ["2", "0", "-0.5", "nan"])
-@pytest.mark.parametrize("level", [["--delta-k", "6"], ["--kmin", "1", "--kmax", "6"]])
+@pytest.mark.parametrize("level", [["--delta-k", "6"]])
 def test_multiplier_bound_rejects_p_before_any_work(capsys, monkeypatch, level, p):
     calls = []
     monkeypatch.setattr(cli, "random_witness_search", lambda *a: calls.append("random_witness_search"))
@@ -347,7 +334,7 @@ def test_multiplier_bound_rejects_p_before_any_work(capsys, monkeypatch, level, 
 
 
 @pytest.mark.parametrize("budget", ["0", "4"])
-@pytest.mark.parametrize("level", [["--delta-k", "3"], ["--kmin", "1", "--kmax", "3"]])
+@pytest.mark.parametrize("level", [["--delta-k", "3"]])
 def test_an_unencodable_seed_is_rejected_before_any_svd(capsys, monkeypatch, level, budget):
     # the search derives its stream before it evaluates its first witness, whatever the budget
     calls = []
@@ -437,11 +424,18 @@ def _subcommands(parser):
     return sub.choices
 
 
+def _flags(command):
+    return {action.dest: action.option_strings for action in command._actions if action.option_strings}
+
+
 def test_every_plan_field_has_exactly_one_flag(capsys, monkeypatch):
     # the flags are the plan's only way in: experiment run takes one --NAME per field, the positional ID
-    # supplies experiment, and --out is the command line's own
-    run = _subcommands(_subcommands(build_parser())["experiment"])["run"]
-    flags = {action.dest: action.option_strings for action in run._actions if action.option_strings}
+    # supplies experiment, and --out is the command line's own; multiplier-bound takes one level, --delta-k
+    commands = _subcommands(build_parser())
+    assert _flags(commands["multiplier-bound"]) == {
+        "help": ["-h", "--help"], "delta_k": ["--delta-k"], "p": ["--p"], "budget": ["--budget"], "seed": ["--seed"]}
+    run = _subcommands(commands["experiment"])["run"]
+    flags = _flags(run)
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
     assert set(flags) - {"help", "out"} == fields - {"experiment"}
     assert all(strings == [f"--{dest}"] for dest, strings in flags.items() if dest != "help")
@@ -505,11 +499,11 @@ def test_experiment_all_checks_every_output_path_before_running(capsys, monkeypa
         ["experiment", "run", "E1", "--seed", BIG_SEED],
         ["experiment", "all", "--seed", BIG_SEED],
         ["multiplier-bound", "--delta-k", "3", "--p", "0.5", "--budget", "5", "--seed", BIG_SEED],
-        ["multiplier-bound", "--kmin", "2", "--kmax", "3", "--p", "0.5", "--budget", "5", "--seed", BIG_SEED],
         # budget 0 draws nothing from the seed's stream, and still rejects a seed it could not encode
         ["multiplier-bound", "--delta-k", "3", "--p", "0.5", "--seed", BIG_SEED],
-        ["multiplier-bound", "--kmin", "2", "--kmax", "3", "--p", "0.5", "--budget", "0", "--seed", BIG_SEED],
     ],
+    # the ids keep their earlier numbering: argv5 and argv7 were the --kmin/--kmax cases of a form that is gone
+    ids=["argv0", "argv1", "argv2", "argv3", "argv4", "argv6"],
 )
 def test_a_bad_plan_exits_two_before_any_work(capsys, tmp_path, argv):
     if argv[0] == "experiment":

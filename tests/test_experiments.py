@@ -270,8 +270,8 @@ def test_outputs_without_a_dense_svd_are_the_same_on_both_openblas_cores(tmp_pat
         out = tmp_path / (core or "default")
         out.mkdir()
         argvs = [["experiment", "run", exp, "--out", str(out / f"{exp}.csv")] for exp in CORE_FREE_IDS]
-        argvs.append(["multiplier-bound", "--kmin", "1", "--kmax", "7", "--p", "0.5", "--budget", "50",
-                      "--seed", "1701"])
+        argvs += [["multiplier-bound", "--delta-k", str(k), "--p", "0.5", "--budget", "50", "--seed", "1701"]
+                  for k in range(1, 8)]
         env = {key: val for key, val in os.environ.items() if key != "OPENBLAS_CORETYPE"}
         env.update(dict.fromkeys(BLAS_VARS, "1"), PYTHONPATH=os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH")))))
         if core:
@@ -284,7 +284,7 @@ def test_outputs_without_a_dense_svd_are_the_same_on_both_openblas_cores(tmp_pat
         assert len(files) == 2 * len(CORE_FREE_IDS)
         outputs.append((json.loads(proc.stdout), files))
     (runs, files), (core_runs, core_files) = outputs
-    assert [code for code, _ in runs] == [0, 0, 0, 0, 1, 0, 0, 0]  # E7's registered fit is the known red
+    assert [code for code, _ in runs] == [0, 0, 0, 0, 1, 0, 0] + [0] * 7  # E7's registered fit is the known red
     assert runs == core_runs
     for name in sorted(files):
         assert files[name] == core_files[name], name

@@ -360,7 +360,7 @@ def test_svd_of_symmetric_indefinite_input_matches_jacobi():
 
 @pytest.mark.parametrize("p", [0.5, 2.0 / 3.0])
 @pytest.mark.parametrize("n", [1, 2, 7, 64, 100, 512])
-def test_symmetric_route_ones_within_rounding_floor(n, p):
+def test_svd_of_the_ones_matrix_within_rounding_floor(n, p):
     # the n - 1 zero singular values come out at rounding level, at most n * eps * n
     # each, and for p < 1 they add to S_p
     eps = np.finfo(float).eps

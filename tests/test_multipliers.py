@@ -1,4 +1,8 @@
-"""Schur-multiplier witnesses: certified lower bounds against analytic ceilings."""
+"""Schur-multiplier witnesses: lower bounds against analytic ceilings, each up to a stated error.
+
+A witness ratio is a lower bound up to its spectrum's rounding, O(n eps) relative for dqds;
+a ceiling carries its L^p factor's quadrature error.
+"""
 
 import math
 import tracemalloc
