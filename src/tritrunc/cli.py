@@ -139,7 +139,8 @@ def _cmd_spnorm(args):
 
 
 def _cmd_besov(args):
-    report = besov_quasinorm(dirichlet_plus(_check_size(args.dirichlet, "--dirichlet")), args.p)
+    p = _check_p(args.p)  # before the kernel, which may be too large to allocate
+    report = besov_quasinorm(dirichlet_plus(_check_size(args.dirichlet, "--dirichlet")), p)
     print(f"{report.total:.17g}")
     if args.levels:
         for n, term in report.levels:

@@ -4,7 +4,10 @@ The bridge between the function side and the operator side: an analytic
 polynomial phi of degree d is carried by the (d+1) x (d+1) Hankel matrix with
 entries phi^(j+k) — that finite block holds every nonzero entry of the
 corresponding infinite matrix, so its spectrum is exact — while the dyadic
-window pieces of phi measure its smoothness-penalized size.
+window pieces of phi measure its smoothness-penalized size.  The band
+estimate that joins the two sides for phi in one dyadic band is E3's measure
+(``tritrunc.experiments``), computed from ``hankel_matrix`` and the S_p and
+L^p entry points directly.
 """
 
 from __future__ import annotations
@@ -14,15 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import apply_window
-from .matrices import _PowerSumUnderflow, _check_p, _check_size, _power_sum_root, schatten_quasinorm
-from .trigpoly import TrigPoly, lp_quasinorm
+from .matrices import _PowerSumUnderflow, _check_p, _power_sum_root
+from .trigpoly import lp_quasinorm
 
-__all__ = [
-    "BesovReport",
-    "hankel_matrix",
-    "besov_quasinorm",
-    "band_hankel_check",
-]
+__all__ = ["BesovReport", "hankel_matrix", "besov_quasinorm"]
 
 
 @dataclass(frozen=True)
@@ -85,27 +83,3 @@ def besov_quasinorm(f, p):
     power_sum = sum(term for _, term in levels) + zero_term
     total = _power_sum_root(power_sum, p) if f.coeffs.any() else 0.0
     return BesovReport(levels=tuple(levels), zero_term=zero_term, total=total)
-
-
-def band_hankel_check(f, p, n):
-    """Two-sided band estimate probe for phi supported in (2^{n-1}, 2^{n+1}).
-
-    Returns ratio = ||Gamma_phi||_{S_p} divided by 2^{(n+1)/p} ||phi||_{L^p}.
-    The upper inequality says ratio <= 1, up to rounding.  The matching
-    lower bound is a positive n-independent constant, which is probed as a
-    trend by the band-ratio experiment rather than asserted pointwise.
-    """
-    p = _check_p(p)
-    _require_analytic(f, "band_hankel_check")
-    n = _check_size(n, "band index")
-    lo_band, hi_band = 2 ** (n - 1) + 1, 2 ** (n + 1) - 1
-    nz = np.nonzero(f.coeffs)[0]
-    if nz.size == 0:
-        raise ValueError("band polynomial must be nonzero")
-    lo_eff, hi_eff = f.lo + int(nz[0]), f.lo + int(nz[-1])
-    if lo_eff < lo_band or hi_eff > hi_band:
-        raise ValueError(
-            f"support {lo_eff}..{hi_eff} violates the level-{n} band {lo_band}..{hi_band}"
-        )
-    band = TrigPoly(lo_band, f.coefficients_on(lo_band, hi_band))
-    return float(schatten_quasinorm(hankel_matrix(band), p) / (2.0 ** ((n + 1) / p) * lp_quasinorm(band, p)))

@@ -72,6 +72,8 @@ def schatten_quasinorm(a, p):
     Defined for every p > 0; for p < 1 this is a quasinorm satisfying the
     p-triangle inequality.  The zero matrix returns 0; any other matrix whose power
     sum, or its 1/p-th power, leaves the double range raises OverflowError naming p.
+    The 1/p-th root multiplies the power sum's relative rounding error by 1/p, about eps/p
+    at small p: S_p([[5]]) is 5 to 5.9e-5 relative at p = 1e-12, and reads 1.0 at p = 1e-300.
     """
     p = _check_p(p)
     return _schatten_from_spectrum(singular_values(a), p)

@@ -138,7 +138,8 @@ def lp_quasinorm(f, p, n_samples=None):
     theta_k = 2*pi*(k+1/2)/N; the half-sample shift keeps nodes off the
     z = 1 zeros of real-coefficient kernels.  N is n_samples, which may not
     fall below quadrature_floor(f), or else that floor.  Monomials are exact
-    at any admissible grid size; other polynomials converge as N grows.
+    at any admissible grid size, up to the root's rounding below; other
+    polynomials converge as N grows.
     For p < 1 the integrand has square-root cusps at the zeros of f and the
     midpoint rule converges like N^(-3/2), so oscillatory kernels need heavy
     oversampling: the default floor (512 samples per coefficient) keeps the
@@ -151,7 +152,9 @@ def lp_quasinorm(f, p, n_samples=None):
     Against the same N-point sum in long double it measured 1.5e-10 relative
     on the level-9 window piece of D(2^10+1) and 1.4e-6 on the level-11 piece
     of D(2^12+1), both at p = 1/2 on their default grids; it depends on the
-    factors of N (the latter reads 4.4e-7 at N = 2^21).
+    factors of N (the latter reads 4.4e-7 at N = 2^21).  The 1/p-th root then
+    multiplies the sum's relative rounding error by 1/p, about eps/p relative at
+    small p: the constant 5 reads 5 to 5.9e-5 at p = 1e-12, and 1.0 at p = 1e-300.
 
     The grid is the full N-point grid whatever the evaluation route (folded
     into short inverse FFTs, as _midpoint_power_sum states).  It holds one

@@ -333,6 +333,17 @@ def test_multiplier_bound_rejects_p_before_any_work(capsys, monkeypatch, level, 
     assert calls == []
 
 
+@pytest.mark.parametrize("p", ["0", "-0.5", "nan"])
+def test_besov_rejects_p_before_any_work(capsys, monkeypatch, p):
+    # at 10^11 the kernel alone would be 745 GiB; p is checked before it is built
+    def no_kernel(n):
+        raise AssertionError(f"dirichlet_plus({n}) built before p was checked")
+
+    monkeypatch.setattr(cli, "dirichlet_plus", no_kernel)
+    code, out, err = run_cli(capsys, "besov", "--dirichlet", "100000000000", "--p", p)
+    assert code == 2 and out == "" and "exponent p must be positive and finite" in err
+
+
 @pytest.mark.parametrize("budget", ["0", "4"])
 @pytest.mark.parametrize("level", [["--delta-k", "3"]])
 def test_an_unencodable_seed_is_rejected_before_any_svd(capsys, monkeypatch, level, budget):

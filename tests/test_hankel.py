@@ -8,7 +8,7 @@ import pytest
 
 from tritrunc.fitting import fit_powerlaw
 import tritrunc.hankel as hankel
-from tritrunc.hankel import band_hankel_check, besov_quasinorm, hankel_matrix
+from tritrunc.hankel import besov_quasinorm, hankel_matrix
 from tritrunc.kernels import apply_window, bump_poly, dirichlet_plus
 from tritrunc.matrices import delta_matrix, mask_spectrum, schatten_quasinorm
 from tritrunc.rng import SplitMix64, derive_seed
@@ -278,38 +278,23 @@ def test_besov_over_schatten_falls_toward_one(p):
     assert gaps[-1] < 0.05, ratios
 
 
-# --- band_hankel_check ----------------------------------------------------------
-# The 1e-9 rounding slack on the band ratio is E3's check row in tritrunc.experiments.
+# --- the band estimate -------------------------------------------------------------
+# E3's ratio ||Gamma_phi||_{S_p} / (2^{(k+1)/p} ||phi||_{L^p}) on the level-k band; its 1e-9 rounding
+# slack is E3's check row in tritrunc.experiments.
 
 
-def test_band_check_rejects_support_outside_the_band():
-    # the level-2 band is the open interval (2, 8): index 9 falls outside it,
-    # while z^5 belongs to levels 2 and 3 both (adjacent bands overlap)
-    with pytest.raises(ValueError, match="violates the level-2 band"):
-        band_hankel_check(TrigPoly(9, [1.0]), 0.5, n=2)
-    ratio2 = band_hankel_check(TrigPoly(5, [1.0]), 0.5, n=2)
-    ratio3 = band_hankel_check(TrigPoly(5, [1.0]), 0.5, n=3)
-    assert ratio2 <= 1 + 1e-9 and ratio3 <= 1 + 1e-9
-    assert ratio2 == pytest.approx(4.0 * ratio3, rel=1e-12)  # 2^{1/p} per level
-    with pytest.raises(ValueError, match="violates the level-1 band"):
-        band_hankel_check(TrigPoly(1, [1.0]), 0.5, n=1)
-    with pytest.raises(ValueError, match="band index"):
-        band_hankel_check(TrigPoly(2, [1.0]), 0.5, n=0)
-    with pytest.raises(ValueError, match="nonzero"):
-        band_hankel_check(TrigPoly(3, [0.0]), 0.5, n=2)
-
-
-def test_band_check_ignores_explicit_zero_padding():
-    f = TrigPoly(4, [0.0, 1.0, 1.0])  # nonzero support 5..6, inside level 3
-    ratio = band_hankel_check(f, 0.5, n=3)
-    assert 0 < ratio <= 1 + 1e-9
+def band_ratio(f, p, level):
+    return schatten_quasinorm(hankel_matrix(f), p) / (2.0 ** ((level + 1) / p) * lp_quasinorm(f, p))
 
 
 @pytest.mark.parametrize("p", [0.5, 2.0 / 3.0, 1.0])
 def test_band_ratio_never_exceeds_one(p):
+    # and the band's top monomial z^m, m = 2^{k+1} - 1, attains it: Gamma is the (m+1) x (m+1) reversal,
+    # 2^{k+1} singular values 1, and ||z^m||_p = 1 (it read exactly 1.0 at k = 2..6, p = 1/4, 1/2 and 1)
     rng = SplitMix64(derive_seed("hankel-band-ratio", p))
     for level in range(2, 7):
-        assert band_hankel_check(band_poly(level, rng), p, level) <= 1 + 1e-9
+        assert band_ratio(band_poly(level, rng), p, level) <= 1 + 1e-9
+        assert band_ratio(TrigPoly(2 ** (level + 1) - 1, [1.0]), p, level) == pytest.approx(1.0, rel=1e-12)
 
 
 # --- polynomial degree bound ----------------------------------------------------

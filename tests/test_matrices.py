@@ -22,7 +22,7 @@ from tritrunc.matrices import (
 )
 from tritrunc.multipliers import delta_lower_bound, random_witness_search
 from tritrunc.rng import SplitMix64, derive_seed
-from tritrunc.trigpoly import TrigPoly
+from tritrunc.trigpoly import TrigPoly, lp_quasinorm
 
 
 def test_delta_matrix_layout():
@@ -99,6 +99,15 @@ def test_a_root_outside_the_double_range_raises():
     # the power sum 3 * 10^0.001 is finite, its 1/p-th power 3.007^1000 is not; the error names p
     with pytest.raises(OverflowError, match=r"1/p-th power of the power sum at p=0\.001 leaves the double range"):
         schatten_quasinorm(10 * np.eye(3), 0.001)
+
+
+@pytest.mark.parametrize("p", [1e-3, 1e-6, 1e-9, 1e-12])
+def test_the_root_multiplies_the_power_sum_rounding_by_one_over_p(p):
+    # S_p of [[5]] and the L^p of the constant 5 both round 5^p, then take its 1/p-th power, so the value is
+    # 5 to about eps/p relative (measured at most 0.48 eps/p at p = 1e-3 .. 1e-16); the bound is 2 eps/p
+    values = schatten_quasinorm(np.array([[5.0]]), p), lp_quasinorm(TrigPoly(0, [5.0]), p)
+    assert values[0] == values[1]
+    assert abs(values[0] - 5.0) / 5.0 <= 2 * np.finfo(float).eps / p
 
 
 @pytest.mark.parametrize("p", [0.0, -1.0, np.inf, np.nan, [0.5], "0.5", True, None, 1e-320, -0.0,

@@ -30,7 +30,7 @@ PUBLIC = {
         "experiment_description",
     ),
     "fitting": ("ScalingFit", "fit_powerlaw"),
-    "hankel": ("BesovReport", "hankel_matrix", "besov_quasinorm", "band_hankel_check"),
+    "hankel": ("BesovReport", "hankel_matrix", "besov_quasinorm"),
     "kernels": ("standard_bump", "standard_window", "dirichlet_plus", "fejer", "bump_poly", "apply_window"),
     "matrices": (
         "singular_values",
