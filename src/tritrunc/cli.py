@@ -5,7 +5,9 @@ Subcommands:
 * ``spnorm``            Schatten quasinorm of a built-in structured matrix.
 * ``besov``             dyadic-decomposition quasinorm of a Dirichlet kernel.
 * ``multiplier-bound``  [lower, upper] multiplier interval for the size-(2^k + 1)
-                        mask at the one level k = ``--delta-k`` (each end's error: ``tritrunc.multipliers``).
+                        mask at the one level k = ``--delta-k``: the lower end a witness
+                        search (``tritrunc.multipliers``), the upper end the closed form
+                        U_n(p) (``tritrunc.matrices.mask_multiplier_ceiling``).
 * ``experiment run ID`` one registered experiment; ``experiment all`` runs
                         every registered experiment and aggregates verdicts.
                         ``--out`` sets where each run's CSV and fit summary go
@@ -36,8 +38,9 @@ from .experiments import (
 )
 from .hankel import besov_quasinorm
 from .kernels import dirichlet_plus
-from .matrices import _check_p, _check_size, _schatten_from_spectrum, delta_matrix, mask_spectrum
-from .multipliers import hankel_multiplier_upper, random_witness_search
+from .matrices import (_check_p, _check_size, _schatten_from_spectrum, delta_matrix, mask_multiplier_ceiling,
+                       mask_spectrum)
+from .multipliers import random_witness_search
 
 __all__ = ["main", "build_parser"]
 
@@ -63,7 +66,8 @@ def build_parser():
     bs.add_argument("--levels", action="store_true", help="also print the per-level terms")
     bs.set_defaults(handler=_cmd_besov)
 
-    mb = sub.add_parser("multiplier-bound", help="[lower, upper] multiplier bounds for the size-(2^k+1) mask")
+    mb = sub.add_parser("multiplier-bound", help="[lower, upper] multiplier bounds for the size-(2^k+1) mask: "
+                        "a witness search, and the closed-form ceiling U_n(p)")
     mb.add_argument("--delta-k", type=int, required=True, metavar="K", help="dyadic level k >= 1")
     mb.add_argument("--p", type=float, required=True, help="exponent in (0, 1]")
     mb.add_argument("--budget", type=int, default=0, metavar="B", help="witness-search budget: B // 2 seeded "
@@ -155,7 +159,7 @@ def _cmd_multiplier_bound(args):
     n = 2 ** _check_size(args.delta_k, "--delta-k") + 1
     # --budget B buys B // 2 rank-one draws; the all-ones and largest-entry pool runs at every budget
     found = random_witness_search(delta_matrix(n), p, budget // 2, args.seed)
-    print(f"lower {found.ratio:.17g}\nupper {hankel_multiplier_upper(dirichlet_plus(n), p):.17g}")
+    print(f"lower {found.ratio:.17g}\nupper {mask_multiplier_ceiling(n, p):.17g}")
     return 0
 
 

@@ -1,6 +1,7 @@
 """Dense complex matrix algebra: singular values (LAPACK's SVD), Schatten
 quasinorms, the anti-triangular 0/1 mask Delta_n, and the singular spectrum it
-shares with the upper-triangular mask chi_n, in closed form; for factors
+shares with the upper-triangular mask chi_n, in closed form, with the closed-form
+ceiling U_n(p) on their multiplier quasinorm on S_p; for factors
 x, y >= 0, the spectrum of triu(x y^T), from its bidiagonal inverse by one
 call of LAPACK's dqds routine (or numpy's SVD of that inverse where the
 routine's symbol does not resolve) to high relative accuracy, or, when that
@@ -19,7 +20,10 @@ __all__ = [
     "schatten_quasinorm",
     "delta_matrix",
     "mask_spectrum",
+    "mask_multiplier_ceiling",
 ]
+
+_TINY = np.finfo(float).tiny  # the smallest normal double
 
 
 def _as_matrix(a, name="matrix"):
@@ -82,7 +86,7 @@ def schatten_quasinorm(a, p):
 def _schatten_from_spectrum(s, p):
     """(sum of s**p)^(1/p) for singular values s and a checked exponent p."""
     with np.errstate(over="ignore"):
-        total = float(np.sum(s**p))
+        total = float((s**p).sum())
     if total == 0 and not s.any():  # the zero matrix
         return 0.0
     return _power_sum_root(total, p)
@@ -127,6 +131,28 @@ def mask_spectrum(n):
     n = _check_size(n)
     j = np.arange(1, n + 1)
     return 0.5 / np.sin((2 * j - 1) * np.pi / (2.0 * (2 * n + 1)))
+
+
+def mask_multiplier_ceiling(n, p):
+    """U_n(p) = (2^{-p} + sum over odd s < 2n of (2n sin(pi s / 2n))^{-p})^{1/p}, a ceiling on the multiplier
+    quasinorm of Delta_n, and so of chi_n, P_n's mask, on S_p for p in (0, 1].
+
+    The weights c_s = D_n(pi s / n) / 2n of the length-n Dirichlet kernel D_n average B over the 2n
+    diagonal unitaries diag(e^{i j pi s / n}) to Delta_n * B exactly (entry sums j + k <= 2n - 2 do not
+    alias modulo 2n), so the p-triangle inequality bounds ||Delta_n * B||_p by (sum |c_s|^p)^{1/p} ||B||_p;
+    |c_0| = 1/2, |c_s| = 1 / (2n sin(pi s / 2n)) at odd s and c_s = 0 at even s > 0 (Bennett, Duke
+    Math. J. 44 (1977); Kwapien & Pelczynski, Studia Math. 34 (1970), at p = 1).
+    The terms at s and 2n - s agree, so the sum runs over odd s < n, doubled, plus (2n)^{-p} at s = n
+    for odd n: sin(pi s / 2n) near s = 2n would lose n eps.  With sin and pow within 1 ulp, each term
+    is within 4 eps relative, the two math.fsum sums add eps, and the root divides by p and adds
+    ln(n + 1) eps / 2p from rounding 1/p (none at p = 1, 1/2, 1/4): U_n(p) is within
+    (6 + ln(n + 1) / 2) eps / p relative.  A root beyond the double range raises OverflowError naming p.
+    """
+    p = _check_p(p, 1.0)
+    n = _check_size(n)
+    terms = (2.0 * n * np.sin(np.pi * np.arange(1, n, 2) / (2.0 * n))) ** -p  # odd s < n
+    total = math.fsum([2.0**-p, (n % 2) * (2.0 * n) ** -p, 2.0 * math.fsum(terms.tolist())])
+    return _power_sum_root(total, p)
 
 
 def _find_dlasq1():
@@ -175,22 +201,23 @@ def _triu_outer_spectrum(x, y):
         rx, ry = 1.0 / x, 1.0 / y
         np.multiply(rx, ry, out=work[:n])
         np.multiply(rx[1:], ry[:-1], out=work[n : 2 * n - 1])
-        lo, hi = band.min(), band.max()
-        if lo >= np.finfo(float).tiny and hi < math.inf and hi <= 1e100 * lo:  # nan fails all
-            if _DLASQ1 is None:
-                b = np.zeros(n * n)
-                b[:: n + 1], b[1 :: n + 1] = work[:n], work[n : 2 * n - 1]
-                values = singular_values(b.reshape(n, n))
-            else:
-                dlasq1, integer = _DLASQ1
-                info, address = integer(), work.ctypes.data
-                dlasq1(integer(n), address, address + 8 * n, address + 16 * n, info)
-                if info.value:
-                    raise np.linalg.LinAlgError(f"dqds did not converge (dlasq1 info {info.value})")
-                values = work[:n]
-            s = 1.0 / values[::-1]
-            if 0 < s[-1] and s[0] < math.inf:
-                return s
+    lo, hi = float(band.min()), float(band.max())  # Python floats: 1e100 * lo overflows to inf silently
+    if lo >= _TINY and hi < math.inf and hi <= 1e100 * lo:  # nan fails all
+        if _DLASQ1 is None:
+            b = np.zeros(n * n)
+            b[:: n + 1], b[1 :: n + 1] = work[:n], work[n : 2 * n - 1]
+            values = singular_values(b.reshape(n, n))
+        else:
+            dlasq1, integer = _DLASQ1
+            info, address = integer(), work.ctypes.data
+            dlasq1(integer(n), address, address + 8 * n, address + 16 * n, info)
+            if info.value:
+                raise np.linalg.LinAlgError(f"dqds did not converge (dlasq1 info {info.value})")
+            values = work[:n]
+        # values are nonincreasing: all their reciprocals are finite and positive iff the extreme ones' are
+        top, bottom = float(values[0]), float(values[-1])
+        if top < math.inf and bottom > 0 and 1.0 / bottom < math.inf:  # nan fails all
+            return 1.0 / values[::-1]
     t = np.triu(np.outer(x, y))
     t = t[np.ix_(t.any(axis=1), t.any(axis=0))]
     s = np.zeros(n)

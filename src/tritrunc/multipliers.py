@@ -4,10 +4,13 @@ The multiplier quasinorm of a matrix A — the supremum of ||A * B|| / ||B||
 over nonzero B, with * the entrywise product — is never computed exactly
 (for p < 1 the supremum is a nonconvex optimization).  Everything here
 produces intervals: any witness B gives a lower bound, and Hankel multipliers
-an analytic upper bound, up to its L^p quadrature error (measured at most 3e-5
-at p = 1/2).  The witness layer is the mask Delta_n's alone: witness_ratio
-takes a rank-one witness u v^* on it in factored form, and random_witness_search
-accepts no other multiplier.  Their spectra come from one kernel,
+the paper's analytic upper bound (hankel_multiplier_upper, E2's), up to its L^p
+quadrature error (measured at most 3e-5 at p = 1/2); ``tritrunc
+multiplier-bound`` prints the sharper closed-form ceiling
+matrices.mask_multiplier_ceiling instead.  The witness layer is the mask
+Delta_n's alone: witness_ratio takes a rank-one witness u v^* on it in
+factored form, and random_witness_search accepts no other multiplier.  Their
+spectra come from one kernel,
 matrices._triu_outer_spectrum: one call of LAPACK's dqds routine on a
 bidiagonal inverse, each singular value to relative error O(n eps) (numpy's
 SVD of that inverse where the routine's symbol does not resolve), or, for a
@@ -105,7 +108,8 @@ def delta_lower_bound(k, p):
 
 
 def hankel_multiplier_upper(f, p):
-    """Analytic multiplier upper bound (2m)^{1/p-1} ||phi||_{L^p}, m = f.hi + 1.
+    """Analytic multiplier upper bound (2m)^{1/p-1} ||phi||_{L^p}, m = f.hi + 1: the paper's Hankel-route
+    bound, which E2 reports (``tritrunc multiplier-bound`` prints matrices.mask_multiplier_ceiling).
 
     m is one past the stored top index, so stored trailing zeros count:
     TrigPoly(0, [1.0, 0.0, 0.0]) has m = 3, not deg + 1 = 1.  At p <= 1 the
@@ -148,16 +152,17 @@ def random_witness_search(a, p, draws, seed):
 
     ones = np.ones(size)
     best = witness_ratio(ones, ones, p)
+    best_ratio = best.ratio  # read again only when a witness beats it
     e_0 = np.zeros(size)
     e_0[0] = 1.0
     rep = witness_ratio(e_0, e_0, p)
-    if rep.ratio > best.ratio:
-        best = rep
+    if rep.ratio > best_ratio:
+        best, best_ratio = rep, rep.ratio
     block = max(1, _BLOCK_DOUBLES // (4 * size))  # a draw is two rows of n complex numbers, 4n doubles
     for start in range(0, draws, block):
         factors = gen.complex_normal_rows(2 * min(block, draws - start), size)
         for u, v in zip(factors[0::2], factors[1::2]):
             rep = witness_ratio(u, v, p)
-            if rep.ratio > best.ratio:
-                best = rep
+            if rep.ratio > best_ratio:
+                best, best_ratio = rep, rep.ratio
     return best

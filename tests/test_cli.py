@@ -16,8 +16,8 @@ from tritrunc.cli import build_parser, main
 from tritrunc.experiments import EXPERIMENT_IDS, ExperimentConfig
 from tritrunc.hankel import besov_quasinorm
 from tritrunc.kernels import dirichlet_plus
-from tritrunc.matrices import delta_matrix, mask_spectrum
-from tritrunc.multipliers import delta_lower_bound, random_witness_search
+from tritrunc.matrices import delta_matrix, mask_multiplier_ceiling, mask_spectrum
+from tritrunc.multipliers import delta_lower_bound, hankel_multiplier_upper, random_witness_search
 
 BIG_SEED = str(2**63)  # one past the largest seed derive_seed encodes
 
@@ -203,13 +203,26 @@ def test_besov_level_whose_power_sum_underflows_adds_zero(capsys, argv, want):
 # --- multiplier-bound --------------------------------------------------------------
 
 
-def test_multiplier_bound_interval_is_ordered_up_to_quadrature_slack(capsys):
+def test_multiplier_bound_interval_is_ordered(capsys):
+    # both ends are proved bounds on one norm, and the upper end is a closed form with no quadrature
     code, out, _ = run_cli(capsys, "multiplier-bound", "--delta-k", "3", "--p", "0.5")
     assert code == 0
     lower_line, upper_line = out.splitlines()
     lower = float(lower_line.removeprefix("lower "))
     upper = float(upper_line.removeprefix("upper "))
-    assert 1.0 < lower <= upper * (1 + 1e-4)
+    assert 1.0 < lower <= upper
+    assert upper == mask_multiplier_ceiling(9, 0.5)
+
+
+@pytest.mark.parametrize("p", ["0.25", "0.5", "0.75", "1.0"])
+def test_multiplier_bound_interval_is_ordered_at_every_level(capsys, p):
+    # exactly, with no slack: lower <= U_n(p) <= the paper's Hankel-route bound, at budgets 0 and 20
+    for k in range(1, 9):
+        for budget in ("0", "20"):
+            code, out, _ = run_cli(capsys, "multiplier-bound", "--delta-k", str(k), "--p", p, "--budget", budget)
+            assert code == 0
+            lower, upper = (float(line.split()[1]) for line in out.splitlines())
+            assert lower <= upper <= hankel_multiplier_upper(dirichlet_plus(2**k + 1), float(p)), (k, budget)
 
 
 def test_multiplier_bound_search_is_deterministic(capsys):
@@ -240,25 +253,33 @@ def test_searched_lower_end_at_n_257_is_spnorms_closed_form_over_n(capsys):
     assert lower == pytest.approx(closed, rel=1e-12, abs=0)
 
 
-# the level-1 row at p = 0.75 moves if the search is given B draws in place of B // 2
+# the level-1 row at p = 0.75 moves if the search is given B draws in place of B // 2;
+# the upper end is the closed-form ceiling U_n(p) (mask_multiplier_ceiling)
 GOLDEN = [
     (["--delta-k", "6", "--p", "0.5", "--budget", "200"],
-     ["lower 84.694688069794083", "upper 199.58396794534923"]),
+     ["lower 84.694688069794083", "upper 94.880850594722162"]),
 ] + [
     (["--delta-k", str(k), "--seed", "11", "--p", p, "--budget", budget], [f"lower {lower}", f"upper {upper}"])
     for p, budget, rows in [
-        ("1.0", "1", [("1.2012918238698922", "1.4359910881576892"),
-                      ("1.3191867072850816", "1.6421884224280721"),
-                      ("1.4695972859741222", "1.8800820748620919"),
-                      ("1.6457164113404721", "2.1377327434321209"),
-                      ("1.8396563735421374", "2.4065257257792352")]),
-        ("0.75", "7", [("1.6546984919533787", "2.4411467741972843"),
-                       ("2.094895301735261", "3.1941441636738697"),
-                       ("2.7380568064169499", "4.2612859382191566"),
-                       ("3.6323011631792754", "5.7087880991537805"),
-                       ("4.8330173421794971", "7.6186807251019388")]),
+        ("1.0", "1", [("1.2012918238698922", "1.3333333333333335"),
+                      ("1.3191867072850816", "1.4944271909999158"),
+                      ("1.4695972859741222", "1.6809283938835362"),
+                      ("1.6457164113404721", "1.8831766679451896"),
+                      ("1.8396563735421374", "2.0942543672296221")]),
+        ("0.75", "7", [("1.6546984919533787", "2.0813374638669657"),
+                       ("2.094895301735261", "2.5999016681740765"),
+                       ("2.7380568064169499", "3.3280713255020968"),
+                       ("3.6323011631792754", "4.3070753264910708"),
+                       ("4.8330173421794971", "5.5890158798614085")]),
     ]
     for k, (lower, upper) in enumerate(rows, start=1)
+]
+# upper ends of the GOLDEN rows while they were the paper's Hankel-route bound
+# (2n)^{1/p-1} ||D+_n||_{L^p}, which the closed-form ceiling must not exceed
+HANKEL_UPPER = [
+    199.58396794534923,
+    1.4359910881576892, 1.6421884224280721, 1.8800820748620919, 2.1377327434321209, 2.4065257257792352,
+    2.4411467741972843, 3.1941441636738697, 4.2612859382191566, 5.7087880991537805, 7.6186807251019388,
 ]
 # lower ends of the GOLDEN rows while the mask was searched zero-padded to the bump
 # witness's size 3 * 2^(k-1) + 1, where the all-ones witness scored S_p(Delta_n) / N
@@ -291,6 +312,17 @@ def test_recorded_lower_ends_are_the_all_ones_closed_form(row):
     closed = float(np.sum(mask_spectrum(n) ** p) ** (1.0 / p)) / n
     assert lower == pytest.approx(closed, rel=1e-12, abs=0)
     assert lower >= PADDED_LOWER[row]
+
+
+@pytest.mark.parametrize("row", range(len(GOLDEN)))
+def test_recorded_upper_ends_sit_below_the_former_hankel_route_ends(row):
+    argv, want = GOLDEN[row]
+    p = float(argv[argv.index("--p") + 1])
+    n = 2 ** int(argv[argv.index("--delta-k") + 1]) + 1
+    upper = float(want[1].removeprefix("upper "))
+    assert upper == mask_multiplier_ceiling(n, p)
+    assert float(want[0].removeprefix("lower ")) <= upper <= HANKEL_UPPER[row]
+    assert HANKEL_UPPER[row] == pytest.approx(hankel_multiplier_upper(dirichlet_plus(n), p), rel=1e-12, abs=0)
 
 
 def test_budget_zero_runs_the_pool(capsys):
@@ -326,7 +358,7 @@ def test_lower_ends_meet_the_trivial_bound_at_p_one(capsys):
 def test_multiplier_bound_rejects_p_before_any_work(capsys, monkeypatch, level, p):
     calls = []
     monkeypatch.setattr(cli, "random_witness_search", lambda *a: calls.append("random_witness_search"))
-    monkeypatch.setattr(cli, "hankel_multiplier_upper", lambda *a: calls.append("hankel_multiplier_upper"))
+    monkeypatch.setattr(cli, "mask_multiplier_ceiling", lambda *a: calls.append("mask_multiplier_ceiling"))
     code, out, err = run_cli(capsys, "multiplier-bound", *level, "--p", p, "--budget", "200")
     want = "p must lie in (0, 1], got 2.0" if p == "2" else "exponent p must be positive and finite"
     assert code == 2 and out == "" and want in err
@@ -375,8 +407,8 @@ def test_an_input_too_large_to_allocate_is_a_usage_error(capsys, argv):
         ["spnorm", "--chi", "3", "--p", "1e-320"],  # 1/p itself is inf
         ["spnorm", "--chi", "64", "--p", "400"],  # p-th powers overflow a double
         ["besov", "--dirichlet", "9", "--p", "800"],
-        ["multiplier-bound", "--delta-k", "1", "--p", "0.002"],  # the upper end's (2m)^{1/p-1} overflows
-        ["multiplier-bound", "--delta-k", "6", "--p", "0.00681107223"],  # a finite factor times ||phi||_p overflows
+        ["multiplier-bound", "--delta-k", "1", "--p", "0.0017"],  # U_3(p) overflows; the lower end, 1.5e280, does not
+        ["multiplier-bound", "--delta-k", "6", "--p", "0.00587"],  # S_p(Delta_65) overflows; U_65(p), 1.5e308, does not
         ["experiment", "run", "E6", "--p", "1e-10"],  # the 1/p-th power of an L^p power sum underflows to 0
     ],
 )

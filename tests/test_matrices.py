@@ -219,7 +219,10 @@ def test_bidiagonal_kernel_refuses_factors_that_put_b_outside_its_range():
              (ones_but(1, 1e-170), ones_but(0, 1e-170)),  # the superdiagonal overflows
              (ones_but(0, 1e154), ones_but(0, 1e154)),  # the diagonal underflows
              (ones_but(2, 1e-160), np.ones(5)),  # one entry 1e160 above the others
-             (np.zeros(5), np.ones(5))]  # no nonzero entry: five exact zeros
+             (np.zeros(5), np.ones(5)),  # no nonzero entry: five exact zeros
+             # B's entries are 1 and 10, but its least singular value, 1 / ||triu(x y^T)|| ~ 1e-308, underflows
+             # to 0, so its reciprocal is no value: the kernel divides by no zero and takes the dense route
+             (10.0 ** -np.arange(309.0), 10.0 ** np.arange(309.0))]
     for x, y in pairs:
         assert np.array_equal(_triu_outer_spectrum(x, y), trimmed_triu_spectrum(x, y))
     assert np.count_nonzero(_triu_outer_spectrum(*pairs[0])) == 4

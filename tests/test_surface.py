@@ -37,6 +37,7 @@ PUBLIC = {
         "schatten_quasinorm",
         "delta_matrix",
         "mask_spectrum",
+        "mask_multiplier_ceiling",
     ),
     "multipliers": (
         "WitnessReport",
