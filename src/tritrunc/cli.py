@@ -41,6 +41,7 @@ from .kernels import dirichlet_plus
 from .matrices import (_check_p, _check_size, _schatten_from_spectrum, delta_matrix, mask_multiplier_ceiling,
                        mask_spectrum)
 from .multipliers import random_witness_search
+from .rng import derive_seed
 
 __all__ = ["main", "build_parser"]
 
@@ -157,6 +158,7 @@ def _cmd_multiplier_bound(args):
     p = _check_p(args.p, 1.0)
     budget = _check_size(args.budget, "--budget", least=0)
     n = 2 ** _check_size(args.delta_k, "--delta-k") + 1
+    derive_seed(args.seed)  # the seed's range rule, before the search builds Delta_n
     # --budget B buys B // 2 rank-one draws; the all-ones and largest-entry pool runs at every budget
     found = random_witness_search(delta_matrix(n), p, budget // 2, args.seed)
     print(f"lower {found.ratio:.17g}\nupper {mask_multiplier_ceiling(n, p):.17g}")

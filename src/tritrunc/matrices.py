@@ -118,11 +118,11 @@ def delta_matrix(n):
     This block carries every nonzero entry of the corresponding infinite
     matrix, so all its spectral quantities are exact.  It equals the Hankel
     matrix of the analytic Dirichlet kernel of length n, and it is P_n's mask chi_n = np.triu(np.ones((n, n)))
-    with the columns reversed, so both share one singular spectrum (mask_spectrum).
+    with the columns reversed, so both share one singular spectrum (mask_spectrum).  Like hankel_matrix, it is a
+    read-only view of its symbol's 2n - 1 coefficients, n ones then n - 1 zeros: copy it before writing.
     """
     n = _check_size(n)
-    idx = np.arange(n)
-    return (np.add.outer(idx, idx) < n).astype(float)
+    return np.lib.stride_tricks.sliding_window_view(np.repeat([1.0, 0.0], [n, n - 1]), n)
 
 
 def mask_spectrum(n):
@@ -190,9 +190,9 @@ def _triu_outer_spectrum(x, y):
     are singular_values of the dense n x n B, the same route through numpy's SVD.
     B is unfit when an entry is not a normal double (a zero factor entry makes it infinite) or its
     entries span more than 100 decades: with one entry 1e160 above the others, LAPACK's values were
-    off by 5e-5 relative.  Then the values are the dense SVD's of triu(x y^T) with its zero rows and
-    columns dropped, up to that SVD's rounding floor, followed by exact zeros: an SVD of the whole
-    matrix would give each zero row a value at rounding level, which S_p at p < 1 would count.
+    off by 5e-5 relative.  Then the values are the dense SVD's of triu(x y^T) on the nonzero entries of x and y
+    (lower triangle zeroed by selection: inf * 0 warns), zero rows and columns dropped, up to its rounding floor,
+    then exact zeros: a whole-matrix SVD would give each zero row a rounding-level value, which S_p at p < 1 counts.
     """
     n = x.size
     work = np.empty(6 * n)  # B's diagonal, its superdiagonal (dlasq1 ignores the last slot), 4n doubles for dqds
@@ -218,7 +218,8 @@ def _triu_outer_spectrum(x, y):
         top, bottom = float(values[0]), float(values[-1])
         if top < math.inf and bottom > 0 and 1.0 / bottom < math.inf:  # nan fails all
             return 1.0 / values[::-1]
-    t = np.triu(np.outer(x, y))
+    i, j = np.flatnonzero(x), np.flatnonzero(y)
+    t = np.where(i[:, None] <= j, np.outer(x[i], y[j]), 0.0)
     t = t[np.ix_(t.any(axis=1), t.any(axis=0))]
     s = np.zeros(n)
     if t.size:

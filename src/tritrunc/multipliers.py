@@ -16,11 +16,12 @@ bidiagonal inverse, each singular value to relative error O(n eps) (numpy's
 SVD of that inverse where the routine's symbol does not resolve), or, for a
 pair that inverse cannot serve, the dense SVD of the pair's nonzero block, up
 to its rounding floor.  The search draws its factor rows in blocks of at most
-2^16 doubles and reports each draw through witness_ratio, one kernel call each.
+2^16 doubles and scores its pool and each draw in one witness_ratio loop.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -137,11 +138,11 @@ def random_witness_search(a, p, draws, seed):
     the pair (u, v) at the cost of one real S_p evaluation, one dqds call (see
     witness_ratio).  The factor rows come a block of max(1, _BLOCK_DOUBLES // 4n)
     draws at a time, one stream evaluation whose rows hold at most _BLOCK_DOUBLES
-    doubles, so memory stays flat in ``draws``.  ``draws = 0`` searches the pool alone.
-    Equal seeds give identical reports: draw i is the i-th pair of consecutive
-    complex_normal(size) calls on the "witness-search" stream.  Any multiplier other than delta_matrix(n) raises
-    ValueError.  ``tritrunc multiplier-bound --budget B`` runs the search with
-    B // 2 draws on the level-k mask and prints its ratio as the lower end.
+    doubles, so memory stays flat in ``draws``.  ``draws = 0`` searches the pool alone.  One loop scores the
+    pool, then the draws, and keeps the earliest report of the largest ratio.  Equal seeds give identical reports:
+    draw i is the i-th pair of consecutive complex_normal(size) calls on the "witness-search" stream.  Any
+    multiplier other than delta_matrix(n) raises ValueError.  ``tritrunc multiplier-bound --budget B`` runs the
+    search with B // 2 draws on the level-k mask and prints its ratio as the lower end.
     """
     a = _as_matrix(a, "multiplier")
     size = a.shape[0]
@@ -150,19 +151,15 @@ def random_witness_search(a, p, draws, seed):
     draws = _check_size(draws, "draws", least=0)
     gen = SplitMix64(derive_seed("witness-search", _check_size(seed, "seed", least=None)))
 
-    ones = np.ones(size)
-    best = witness_ratio(ones, ones, p)
-    best_ratio = best.ratio  # read again only when a witness beats it
-    e_0 = np.zeros(size)
+    ones, e_0 = np.ones(size), np.zeros(size)
     e_0[0] = 1.0
-    rep = witness_ratio(e_0, e_0, p)
-    if rep.ratio > best_ratio:
-        best, best_ratio = rep, rep.ratio
     block = max(1, _BLOCK_DOUBLES // (4 * size))  # a draw is two rows of n complex numbers, 4n doubles
-    for start in range(0, draws, block):
-        factors = gen.complex_normal_rows(2 * min(block, draws - start), size)
-        for u, v in zip(factors[0::2], factors[1::2]):
-            rep = witness_ratio(u, v, p)
-            if rep.ratio > best_ratio:
-                best, best_ratio = rep, rep.ratio
+    blocks = (gen.complex_normal_rows(2 * min(block, draws - start), size) for start in range(0, draws, block))
+    candidates = itertools.chain([(ones, ones), (e_0, e_0)],
+                                 itertools.chain.from_iterable(zip(f[0::2], f[1::2]) for f in blocks))
+    best, best_ratio = None, -math.inf  # best.ratio is read again only when a witness beats it
+    for u, v in candidates:
+        rep = witness_ratio(u, v, p)
+        if rep.ratio > best_ratio:
+            best, best_ratio = rep, rep.ratio
     return best

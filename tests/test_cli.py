@@ -6,6 +6,7 @@ import json
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -336,6 +337,20 @@ def test_budget_zero_runs_the_pool(capsys):
         assert lower > 4 * delta_lower_bound(k, 0.5).ratio
 
 
+def test_multiplier_bound_holds_no_dense_mask(capsys):
+    # at K = 10 (n = 1025) Delta_n is a view of 2n - 1 doubles, and the search's mask check holds one n x n
+    # bool temporary at a time (1 MiB); a dense float Delta_n is 8 MiB, and a dense (e_0, e_0) block another 8
+    run_cli(capsys, "multiplier-bound", "--delta-k", "2", "--p", "0.5")  # warm-up: first-call allocations
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, "multiplier-bound", "--delta-k", "10", "--p", "0.5")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and out.startswith("lower ")
+    assert peak <= 4 * 2**20, peak
+
+
 def test_multiplier_bound_rejects_k_zero(capsys):
     code, _, err = run_cli(capsys, "multiplier-bound", "--delta-k", "0", "--p", "0.5")
     assert code == 2 and "error:" in err
@@ -377,9 +392,9 @@ def test_besov_rejects_p_before_any_work(capsys, monkeypatch, p):
 
 
 @pytest.mark.parametrize("budget", ["0", "4"])
-@pytest.mark.parametrize("level", [["--delta-k", "3"]])
+@pytest.mark.parametrize("level", [["--delta-k", "3"], ["--delta-k", "40"]])
 def test_an_unencodable_seed_is_rejected_before_any_svd(capsys, monkeypatch, level, budget):
-    # the search derives its stream before it evaluates its first witness, whatever the budget
+    # the seed is checked before Delta_n is built (16 TiB at K = 40) and before the first witness, whatever the budget
     calls = []
     monkeypatch.setattr(matrices, "singular_values", lambda a: calls.append(a.shape))
     code, out, err = run_cli(capsys, "multiplier-bound", *level, "--p", "0.5", "--budget", budget, "--seed", BIG_SEED)

@@ -1,5 +1,6 @@
 import ctypes
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -34,6 +35,21 @@ def test_delta_is_chi_columns_reversed():
     # same rows in reversed column order, hence identical singular values
     for n in (1, 2, 5, 13):
         assert np.array_equal(delta_matrix(n), np.triu(np.ones((n, n)))[:, ::-1])
+
+
+def test_delta_matrix_is_a_read_only_view():
+    # like a Hankel matrix, Delta_n is a view of its symbol's 2n - 1 coefficients (64 KiB at n = 4097);
+    # a dense float Delta_n is 128 MiB
+    tracemalloc.start()
+    try:
+        m = delta_matrix(4097)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20, peak
+    assert m.shape == (4097, 4097) and not m.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        m[0, 0] = 0.0
 
 
 def test_all_ones_spectrum_is_rank_one():
