@@ -12,8 +12,9 @@ computes at one BLAS thread, so every output is byte-identical at any thread
 count: a budget of one thread keeps runs in this process, and a larger one
 deals every run's points to a pool of single-thread worker processes
 (``_worker_count``), started once per process and reaped at exit.  A measure
-calls the library's entry points on what it draws: E3's band ratio is
-``schatten_quasinorm(hankel_matrix(band), p)`` over the band's ``lp_quasinorm``.
+calls the library's entry points on what it builds: E3's band ratio is
+``schatten_quasinorm(hankel_matrix(band), p)`` over the band's ``lp_quasinorm``,
+and E2's witness ratio that of its truncated bump symbol over the whole bump's.
 """
 
 from __future__ import annotations
@@ -32,11 +33,10 @@ from typing import Callable
 import numpy as np
 
 from .fitting import fit_powerlaw
-from .hankel import besov_quasinorm, hankel_matrix
+from .hankel import besov_quasinorm, hankel_matrix, hankel_multiplier_upper
 from .kernels import bump_poly, dirichlet_plus, fejer
 from .matrices import (_check_p, _check_size, _schatten_from_spectrum, _triu_outer_spectrum, mask_multiplier_ceiling,
                        mask_spectrum, schatten_quasinorm)
-from .multipliers import delta_lower_bound, hankel_multiplier_upper
 from .rng import SplitMix64, derive_seed
 from .trigpoly import TrigPoly, lp_quasinorm, riesz_plus
 
@@ -192,7 +192,11 @@ def _mask_schatten(cfg, p, k, n, s):
 
 
 def _multiplier_interval(cfg, p, k, n, s):
-    return {"witness_ratio": delta_lower_bound(k, p).ratio, "multiplier_upper": hankel_multiplier_upper(dirichlet_plus(n), p)}
+    bump = bump_poly(2 ** (k - 1))
+    p_k = TrigPoly(bump.lo + 2**k, bump.coeffs)
+    kept = TrigPoly(p_k.lo, p_k.coefficients_on(p_k.lo, n - 1))
+    ratio = schatten_quasinorm(hankel_matrix(kept), p) / schatten_quasinorm(hankel_matrix(p_k), p)
+    return {"witness_ratio": ratio, "multiplier_upper": hankel_multiplier_upper(dirichlet_plus(n), p)}
 
 
 def _band_ratio(cfg, p, k, n, s):
@@ -242,9 +246,12 @@ def _projection_ratios(cfg, p, k, n, s):
 _REGISTRY = {
     "E1": _Spec("delta_schatten", "Schatten growth of the anti-triangular mask, p < 1", (4, 11),
                 _mask_schatten, _mask_growth, 0.10, exponents=(0.5, 2.0 / 3.0)),
-    # E2's witness ratio is at most ||Delta_n||_mult <= U_n(p), the closed-form ceiling (its CSV reports the paper's
-    # Hankel-route bound instead).  The 1e-9 slack covers U_n(p)'s (6 + ln(n+1)/2) eps/p; the ratio carries its
-    # dense SVDs' rounding, far inside the gap: it reaches 0.046-0.053 of U_n(1/2) on the registered grid.
+    # E2's witness Gamma is the Hankel matrix of the bump p_k of width 2^{k-1} recentred at 2^k, whose support sits
+    # strictly inside the band (2^{k-1}, 2^{k+1}).  Delta_n, n = 2^k + 1, keeps the coefficients of index <= 2^k, so
+    # Delta_n * Gamma is, on its n x n block, the Hankel matrix of p_k truncated at index n - 1; its S_p quasinorm
+    # over Gamma's is the witness ratio, at most ||Delta_n||_mult <= U_n(p), the closed-form ceiling (its CSV reports
+    # the paper's Hankel-route bound instead).  The 1e-9 slack covers U_n(p)'s (6 + ln(n+1)/2) eps/p; the ratio carries
+    # its dense SVDs' rounding, far inside the gap: it reaches 0.046-0.053 of U_n(1/2) on the registered grid.
     "E2": _Spec("delta_multiplier_lower", "constructive multiplier lower bounds vs analytic uppers", (4, 9),
                 _multiplier_interval, _projection_growth, 0.20, max_p=1.0, offset=1,
                 check=_Check("witness_ratio_below_analytic_upper", "witness_ratio",

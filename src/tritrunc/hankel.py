@@ -4,14 +4,18 @@ The bridge between the function side and the operator side: an analytic
 polynomial phi of degree d is carried by the (d+1) x (d+1) Hankel matrix with
 entries phi^(j+k) — that finite block holds every nonzero entry of the
 corresponding infinite matrix, so its spectrum is exact — while the dyadic
-window pieces of phi measure its smoothness-penalized size.  The band
-estimate that joins the two sides for phi in one dyadic band is E3's measure
-(``tritrunc.experiments``), computed from ``hankel_matrix`` and the S_p and
-L^p entry points directly.
+window pieces of phi measure its smoothness-penalized size, and
+``hankel_multiplier_upper`` is the paper's bound on the Schur-multiplier
+quasinorm of that Hankel matrix.  Each of the three takes an analytic phi
+only (``_require_analytic``).  The band estimate that joins the two sides for
+phi in one dyadic band is E3's measure, and the bump witness E2 sets against
+the bound is E2's (``tritrunc.experiments``); each is computed from
+``hankel_matrix`` and the S_p and L^p entry points directly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +24,7 @@ from .kernels import apply_window
 from .matrices import _PowerSumUnderflow, _check_p, _power_sum_root
 from .trigpoly import lp_quasinorm
 
-__all__ = ["BesovReport", "hankel_matrix", "besov_quasinorm"]
+__all__ = ["BesovReport", "hankel_matrix", "hankel_multiplier_upper", "besov_quasinorm"]
 
 
 @dataclass(frozen=True)
@@ -49,6 +53,28 @@ def hankel_matrix(f):
     _require_analytic(f, "hankel_matrix")
     d = max(f.hi, 0)
     return np.lib.stride_tricks.sliding_window_view(f.coefficients_on(0, 2 * d), d + 1)
+
+
+def hankel_multiplier_upper(f, p):
+    """Analytic multiplier upper bound (2m)^{1/p-1} ||phi||_{L^p}, m = max(f.hi, 0) + 1: the paper's Hankel-route
+    bound, which E2 reports (``tritrunc multiplier-bound`` prints matrices.mask_multiplier_ceiling).
+
+    m is the size of hankel_matrix(f), one past the stored top index, so stored
+    trailing zeros count: TrigPoly(0, [1.0, 0.0, 0.0]) has m = 3, not deg + 1 = 1,
+    and a zero symbol stored at negative indices only has m = 1.  At p <= 1 the
+    factor grows with m, so a larger m only loosens the bound.
+
+    Valid for p <= 1 and any analytic polynomial phi; every witness ratio
+    against the Hankel matrix of phi stays below it, up to the L^p factor's
+    quadrature error (measured at most 3e-5 relative at p = 1/2).  A bound beyond the double range raises OverflowError naming p.
+    """
+    p = _check_p(p, 1.0)
+    _require_analytic(f, "hankel_multiplier_upper")
+    with np.errstate(over="ignore"):
+        upper = float(np.float64(2.0 * (max(f.hi, 0) + 1)) ** (1.0 / p - 1.0) * lp_quasinorm(f, p))
+    if not math.isfinite(upper):
+        raise OverflowError(f"the bound (2m)^(1/p-1) ||phi||_p at p={p} leaves the double range")
+    return upper
 
 
 def besov_quasinorm(f, p):

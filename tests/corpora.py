@@ -6,9 +6,8 @@ the same way, sit here too."""
 
 import numpy as np
 
-from tritrunc.hankel import hankel_matrix
+from tritrunc.hankel import hankel_matrix, hankel_multiplier_upper
 from tritrunc.matrices import schatten_quasinorm
-from tritrunc.multipliers import hankel_multiplier_upper
 from tritrunc.rng import SplitMix64, derive_seed
 from tritrunc.trigpoly import TrigPoly, lp_quasinorm
 

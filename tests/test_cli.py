@@ -14,11 +14,11 @@ import pytest
 
 from tritrunc import cli, experiments, matrices
 from tritrunc.cli import build_parser, main
-from tritrunc.experiments import EXPERIMENT_IDS, ExperimentConfig
-from tritrunc.hankel import besov_quasinorm
+from tritrunc.experiments import EXPERIMENT_IDS, ExperimentConfig, _multiplier_interval
+from tritrunc.hankel import besov_quasinorm, hankel_multiplier_upper
 from tritrunc.kernels import dirichlet_plus
 from tritrunc.matrices import delta_matrix, mask_multiplier_ceiling, mask_spectrum
-from tritrunc.multipliers import delta_lower_bound, hankel_multiplier_upper, random_witness_search
+from tritrunc.multipliers import random_witness_search
 
 BIG_SEED = str(2**63)  # one past the largest seed derive_seed encodes
 
@@ -334,7 +334,7 @@ def test_budget_zero_runs_the_pool(capsys):
         assert code == 0
         lower = float(out.splitlines()[0].removeprefix("lower "))
         assert lower == random_witness_search(delta_matrix(2**k + 1), 0.5, 0, 0).ratio
-        assert lower > 4 * delta_lower_bound(k, 0.5).ratio
+        assert lower > 4 * _multiplier_interval(ExperimentConfig("E2"), 0.5, k, 2**k + 1, 0)["witness_ratio"]
 
 
 def test_multiplier_bound_holds_no_dense_mask(capsys):

@@ -1,5 +1,6 @@
 """Hankel matrices of polynomials and the dyadic-quasinorm bridge."""
 
+import math
 import tracemalloc
 
 import mpmath
@@ -8,7 +9,7 @@ import pytest
 
 from tritrunc.fitting import fit_powerlaw
 import tritrunc.hankel as hankel
-from tritrunc.hankel import besov_quasinorm, hankel_matrix
+from tritrunc.hankel import besov_quasinorm, hankel_matrix, hankel_multiplier_upper
 from tritrunc.kernels import apply_window, bump_poly, dirichlet_plus
 from tritrunc.matrices import delta_matrix, mask_spectrum, schatten_quasinorm
 from tritrunc.rng import SplitMix64, derive_seed
@@ -56,6 +57,13 @@ def test_a_zero_symbol_at_negative_indices_is_the_one_by_one_zero_matrix():
         m = hankel_matrix(f)
         assert m.shape == (1, 1) and not m.any()
         assert schatten_quasinorm(m, 0.5) == besov_quasinorm(f, 0.5).total == 0.0
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5, 1.0])
+def test_the_upper_end_of_a_zero_symbol_at_negative_indices_is_plus_zero(p):
+    # m is the size of its Hankel matrix, 1, not f.hi + 1 = -3, whose negative 2m gave -0.0 or an overflow
+    upper = hankel_multiplier_upper(TrigPoly(-5, [0.0, 0.0]), p)
+    assert upper == 0.0 and math.copysign(1.0, upper) == 1.0
 
 
 def test_the_analytic_check_reads_the_stored_negative_window_alone():

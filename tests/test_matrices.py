@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from oracles import jacobi_singular_values, normal_reference, trimmed_triu_spectrum
 from corpora import p_triangle_corpus
 from tritrunc import matrices
+from tritrunc.experiments import ExperimentConfig, _multiplier_interval
 from tritrunc.hankel import hankel_matrix
 from tritrunc.kernels import bump_poly, dirichlet_plus, fejer
 from tritrunc.matrices import (
@@ -21,7 +22,7 @@ from tritrunc.matrices import (
     schatten_quasinorm,
     singular_values,
 )
-from tritrunc.multipliers import delta_lower_bound, random_witness_search
+from tritrunc.multipliers import random_witness_search
 from tritrunc.rng import SplitMix64, derive_seed
 from tritrunc.trigpoly import TrigPoly, lp_quasinorm
 
@@ -456,7 +457,8 @@ def test_delta_lower_bound_ratio_matches_a_40_digit_eigensolve(k):
             for m in (numerator, b)
         ]
         ref = float(s_half[0] / s_half[1])
-    assert delta_lower_bound(k, 0.5).ratio == pytest.approx(ref, rel=1e-10, abs=0)
+    got = _multiplier_interval(ExperimentConfig("E2"), 0.5, k, n, 0)["witness_ratio"]
+    assert got == pytest.approx(ref, rel=1e-10, abs=0)
 
 
 def test_p_triangle_corpus():

@@ -12,8 +12,8 @@ import pytest
 
 from corpora import chi_doubling_decomposition
 from tritrunc import matrices, multipliers
-from tritrunc.experiments import ExperimentConfig, run_experiment
-from tritrunc.hankel import hankel_matrix
+from tritrunc.experiments import ExperimentConfig, _multiplier_interval, run_experiment
+from tritrunc.hankel import hankel_matrix, hankel_multiplier_upper
 from tritrunc.kernels import bump_poly, dirichlet_plus, fejer
 from tritrunc.matrices import (
     _triu_outer_spectrum,
@@ -21,13 +21,7 @@ from tritrunc.matrices import (
     mask_spectrum,
     schatten_quasinorm,
 )
-from tritrunc.multipliers import (
-    WitnessReport,
-    delta_lower_bound,
-    hankel_multiplier_upper,
-    random_witness_search,
-    witness_ratio,
-)
+from tritrunc.multipliers import WitnessReport, random_witness_search, witness_ratio
 from tritrunc.rng import SplitMix64, derive_seed
 from tritrunc.trigpoly import TrigPoly, lp_quasinorm, riesz_plus
 
@@ -246,19 +240,24 @@ def test_zero_padding_preserves_schatten_quasinorms():
         )
 
 
-# --- the constructive witness ---------------------------------------------------
+# --- the constructive witness: E2's measure --------------------------------------
+
+
+def _e2_witness_ratio(k, p):
+    # E2's lower bound on ||Delta_n||_mult, n = 2^k + 1: the "delta lower bound" of the test names below
+    return _multiplier_interval(ExperimentConfig("E2"), p, k, 2**k + 1, 0)["witness_ratio"]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_delta_lower_bound_witness_is_the_recentred_bump(k):
-    # bit for bit the mask's n x n block of the bump witness W over the whole of W: the report
+    # bit for bit the mask's n x n block of the bump witness W over the whole of W: the measure
     # scores the symbol truncated at index n - 1, whose Hankel matrix is that block
     bump = bump_poly(2 ** (k - 1))
     p_k = TrigPoly(bump.lo + 2**k, bump.coeffs)
     n, w = 2**k + 1, hankel_matrix(p_k)
     s_half = [float(np.sum(np.linalg.svd(m, compute_uv=False) ** 0.5)) ** 2.0
               for m in (delta_matrix(n) * w[:n, :n], w)]
-    assert delta_lower_bound(k, 0.5) == WitnessReport(*s_half)
+    assert _e2_witness_ratio(k, 0.5) == s_half[0] / s_half[1]
     # strictly inside the open dyadic band (2^{k-1}, 2^{k+1})
     assert p_k.lo == 2 ** (k - 1) + 1
     assert p_k.hi == 3 * 2 ** (k - 1) - 1
@@ -277,13 +276,6 @@ def test_an_upper_end_beyond_the_double_range_raises():
         hankel_multiplier_upper(dirichlet_plus(65), 0.00681107223)
 
 
-@pytest.mark.parametrize("k", [-1, 0, 2.7, True, 3.0, "3"])
-def test_level_k_bounds_reject_a_bad_level(k):
-    # a bad level is rejected, never truncated or wrapped onto a valid one
-    with pytest.raises(ValueError, match="k must be"):
-        delta_lower_bound(k, 0.5)
-
-
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_masking_the_witness_is_a_schur_product(k):
     # truncating the polynomial to index <= 2^k acts on the Hankel side as the
@@ -299,12 +291,6 @@ def test_masking_the_witness_is_a_schur_product(k):
     assert np.array_equal(masked[:n, :n], delta_matrix(n) * hankel_matrix(p_k)[:n, :n])
 
 
-def test_delta_lower_bound_report_shape():
-    # the mask at its own size scores above 1 against the larger bump witness
-    rep = delta_lower_bound(3, 0.5)
-    assert rep.ratio > 1.0
-
-
 @pytest.mark.parametrize("k", range(4, 9))
 def test_delta_lower_bound_matches_the_padded_mask(k):
     # E2's witnesses: the truncated symbol scores as the zero-padded mask against the whole
@@ -312,20 +298,22 @@ def test_delta_lower_bound_matches_the_padded_mask(k):
     bump = bump_poly(2 ** (k - 1))
     b = hankel_matrix(TrigPoly(bump.lo + 2**k, bump.coeffs))
     padded = matrix_witness_ratio(_pad(delta_matrix(2**k + 1), *b.shape), b, 0.5)
-    assert delta_lower_bound(k, 0.5).ratio == pytest.approx(padded, rel=1e-8, abs=0)
+    assert _e2_witness_ratio(k, 0.5) == pytest.approx(padded, rel=1e-8, abs=0)
 
 
 def test_delta_lower_bound_is_deterministic_and_grows():
-    ratios = [delta_lower_bound(k, 0.5).ratio for k in range(2, 6)]
-    again = [delta_lower_bound(k, 0.5).ratio for k in range(2, 6)]
+    # the mask at its own size scores above 1 against the larger bump witness from k = 3 on
+    ratios = [_e2_witness_ratio(k, 0.5) for k in range(2, 6)]
+    again = [_e2_witness_ratio(k, 0.5) for k in range(2, 6)]
     assert ratios == again
     assert all(b > a for a, b in zip(ratios, ratios[1:]))
+    assert ratios[1] > 1.0
 
 
 @pytest.mark.parametrize("p", [0.5, 2.0 / 3.0])
 @pytest.mark.parametrize("k", [3, 4, 5])
 def test_lower_bound_stays_below_the_analytic_ceiling(k, p):
-    lower = delta_lower_bound(k, p).ratio
+    lower = _e2_witness_ratio(k, p)
     upper = hankel_multiplier_upper(dirichlet_plus(2**k + 1), p)
     assert lower <= upper * (1 + 1e-4)
 
@@ -425,7 +413,7 @@ def test_witness_search_never_loses_to_the_constructive_witness():
         a = delta_matrix(2**k + 1)
         for p in (0.05, 0.25, 0.5, 0.75, 1.0):
             found = random_witness_search(a, p, draws=0, seed=1)
-            assert found.ratio >= 1.2 * delta_lower_bound(k, p).ratio
+            assert found.ratio >= 1.2 * _e2_witness_ratio(k, p)
 
 
 def test_search_draws_never_beat_the_all_ones_pair_on_the_queries_mix():

@@ -9,6 +9,7 @@ import importlib
 import inspect
 import pkgutil
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -30,7 +31,7 @@ PUBLIC = {
         "experiment_description",
     ),
     "fitting": ("ScalingFit", "fit_powerlaw"),
-    "hankel": ("BesovReport", "hankel_matrix", "besov_quasinorm"),
+    "hankel": ("BesovReport", "hankel_matrix", "hankel_multiplier_upper", "besov_quasinorm"),
     "kernels": ("standard_bump", "standard_window", "dirichlet_plus", "fejer", "bump_poly", "apply_window"),
     "matrices": (
         "singular_values",
@@ -39,13 +40,7 @@ PUBLIC = {
         "mask_spectrum",
         "mask_multiplier_ceiling",
     ),
-    "multipliers": (
-        "WitnessReport",
-        "witness_ratio",
-        "delta_lower_bound",
-        "hankel_multiplier_upper",
-        "random_witness_search",
-    ),
+    "multipliers": ("WitnessReport", "witness_ratio", "random_witness_search"),
     "rng": ("SplitMix64", "derive_seed"),
     "trigpoly": ("TrigPoly", "lp_quasinorm", "quadrature_floor", "riesz_plus"),
 }
@@ -199,3 +194,21 @@ def test_readme_config_paragraph_names_exactly_the_config_fields():
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
     assert {tok for tok in quoted if tok.isidentifier()} == fields
     assert {tok[2:] for tok in quoted if tok.startswith("--")} == fields - {"experiment"}
+
+
+def test_only_matrices_lends_its_private_names():
+    # a module's private names stay its own; matrices, the package's base layer, shares its validators and kernels
+    lent = set()
+    for path in Path(tritrunc.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                lent.update((node.module, alias.name) for alias in node.names if alias.name.startswith("_"))
+    assert lent and {module for module, _ in lent} == {"matrices"}
+
+
+def test_the_witness_layer_loads_only_matrices_and_rng():
+    # a fresh interpreter, so that no other test's imports count
+    code = "import sys, tritrunc.multipliers; print(*sorted(m for m in sys.modules if m.startswith('tritrunc')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.split() == ["tritrunc", "tritrunc.matrices", "tritrunc.multipliers", "tritrunc.rng"]

@@ -19,9 +19,10 @@ import numpy as np
 import pytest
 
 from tritrunc.experiments import ExperimentConfig, run_experiment
+from tritrunc.hankel import hankel_multiplier_upper
 from tritrunc.kernels import dirichlet_plus
 from tritrunc.matrices import delta_matrix, mask_multiplier_ceiling, mask_spectrum
-from tritrunc.multipliers import hankel_multiplier_upper, random_witness_search
+from tritrunc.multipliers import random_witness_search
 from tritrunc.trigpoly import TrigPoly, riesz_plus
 
 from oracles import transference_ceiling
