@@ -11,7 +11,9 @@ Subcommands:
 * ``experiment run ID`` one registered experiment; ``experiment all`` runs
                         every registered experiment and aggregates verdicts.
                         ``--out`` sets where each run's CSV and fit summary go
-                        (``_output_paths``), every path checked before any run.
+                        (``_output_paths``), every path checked before any run;
+                        ``_write_run`` writes both files, the one place a run's
+                        output formats are fixed.
 
 Exit codes: 0 all verdicts pass, 1 an assertion failed, 2 usage/config error
 (including an input too large to allocate and a result too large for a double).
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import os
 import sys
 
@@ -32,9 +35,7 @@ from .experiments import (
     EXPERIMENT_IDS,
     ExperimentConfig,
     experiment_description,
-    fits_json,
     run_experiment,
-    write_records_csv,
 )
 from .hankel import besov_quasinorm
 from .kernels import dirichlet_plus
@@ -112,10 +113,27 @@ def _output_paths(out):
             raise ValueError(f"output path is a directory: {path}")
     parent = os.path.dirname(os.path.abspath(out))
     if not os.path.isdir(parent):
-        raise ValueError(f"output directory does not exist: {parent}")
+        reason = "is not a directory" if os.path.exists(parent) else "does not exist"
+        raise ValueError(f"output directory {reason}: {parent}")
     if not os.access(parent, os.W_OK):
         raise ValueError(f"output directory is not writable: {parent}")
     return out, fits_out
+
+
+def _write_run(paths, result):
+    """Write a run to the (CSV, fit summary) paths of _output_paths.  The CSV holds one row per record, values to
+    17 significant digits and wall_ms to three decimals; wall_ms is informational only: a point's whole measure
+    time sits on its first quantity's row, and its other rows (E2's upper end, E5's raw ratio, E7's top level
+    term) read 0.0.  The fit summary is a JSON list, one object per fit in sweep order."""
+    exp = result.config.experiment
+    rows = "".join(f"{exp},{float(r.p):.17g},{r.k},{r.n},{r.sample},{r.quantity},{float(r.value):.17g},"
+                   f"{r.wall_ms:.3f}\n" for r in result.records)
+    fits = [{"experiment": exp, "p": p, "target": fit.target, "slope": fit.slope, "intercept": fit.intercept,
+             "max_residual": fit.max_residual, "pass": fit.passed} for p, fit in result.fits]
+    texts = ("experiment,p,k,n,sample,quantity,value,wall_ms\n" + rows, json.dumps(fits, indent=2) + "\n")
+    for path, text in zip(paths, texts):
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
 
 
 def _print_result(result):
@@ -128,9 +146,8 @@ def _print_result(result):
             f"  fit p={p:g}: slope {fit.slope:+.4f} (want {band}), "
             f"max residual {fit.max_residual:.3g} -> {status}"
         )
-    for check in result.checks:
-        status = "pass" if check.ok else "FAIL"
-        print(f"  check {check.name}: {status} ({check.detail})")
+    if result.check is not None:
+        print(f"  check {result.check.name}: {'pass' if result.check.ok else 'FAIL'} ({result.check.detail})")
     print(f"  verdict: {'pass' if result.verdict else 'FAIL'}")
 
 
@@ -185,9 +202,7 @@ def _cmd_experiment(args):
     for cfg, paths in runs:
         result = run_experiment(cfg)
         if paths is not None:
-            write_records_csv(paths[0], result.records)
-            with open(paths[1], "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(fits_json(result))
+            _write_run(paths, result)
         _print_result(result)
         ok = ok and result.verdict
     if args.action == "all":

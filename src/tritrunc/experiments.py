@@ -6,8 +6,8 @@ runs are schedule-independent), fits a power law, and judges the slope
 against the registered target; its hard check, if it has one, is a proved
 bound on one quantity, compared at every point.  A registry entry declares
 only what differs between experiments; one sweep loop, ``run_experiment``,
-does the rest.  It writes no file: the command line writes its records as
-CSV and its fits as JSON (``write_records_csv``, ``fits_json``).  Every point
+does the rest.  It opens no file: the command line owns a run's files, its
+records as CSV and its fits as JSON.  Every point
 computes at one BLAS thread, so every output is byte-identical at any thread
 count: a budget of one thread keeps runs in this process, and a larger one
 deals every run's points to a pool of single-thread worker processes
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import atexit
 import contextlib
-import json
 import os
 import pickle
 import sys
@@ -48,14 +47,10 @@ __all__ = [
     "CheckResult",
     "ExperimentResult",
     "run_experiment",
-    "write_records_csv",
-    "fits_json",
     "experiment_description",
 ]
 
 DEFAULT_SEED = 20260815
-
-CSV_HEADER = "experiment,p,k,n,sample,quantity,value,wall_ms"
 
 
 @dataclass(frozen=True)
@@ -107,7 +102,6 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class SeriesRecord:
-    experiment: str
     p: float
     k: int
     n: int
@@ -130,16 +124,16 @@ class CheckResult:
 @dataclass(frozen=True)
 class ExperimentResult:
     """One run: its plan, its records in CSV order, its fits as (p, ScalingFit)
-    pairs in sweep order, and its hard checks."""
+    pairs in sweep order, and its hard check, None where the registry declares none."""
 
     config: ExperimentConfig
     records: tuple
     fits: tuple
-    checks: tuple
+    check: CheckResult | None
 
     @property
     def verdict(self):
-        return all(fit.passed for _, fit in self.fits) and all(c.ok for c in self.checks)
+        return all(fit.passed for _, fit in self.fits) and (self.check is None or self.check.ok)
 
 
 # --- the registry: what each experiment declares -----------------------------
@@ -390,7 +384,7 @@ def run_experiment(cfg):
     records, failed, fit_vals = [], [], {}
     for (p, k, n, s), (values, wall) in zip(points, _measure_all(cfg, points)):
         for quantity, value in values.items():
-            records.append(SeriesRecord(cfg.experiment, p, k, n, s, quantity, value, wall))
+            records.append(SeriesRecord(p, k, n, s, quantity, value, wall))
             wall = 0.0  # the point's whole time sits on its first quantity's row
         fit_vals.setdefault(p, {}).setdefault(n, []).append(next(iter(values.values())))
         if check is not None:
@@ -399,36 +393,11 @@ def run_experiment(cfg):
                 failed.append(f"p={p:g} k={k} sample {s}: {got!r} {'<' if check.floor else '>'} {bound!r}")
     fits = [(p, fit_powerlaw([(n, spec.reduce(vals)) for n, vals in at_p.items()], spec.target(p),
                              spec.tolerance, one_sided=spec.one_sided)) for p, at_p in fit_vals.items()]
-    checks = ()
+    checked = None
     if check is not None:
         relation = ">=" if check.floor else "<="
         detail = "; ".join(failed) or f"all {len(points)} {check.quantity} values {relation} the bound"
-        checks = (CheckResult(check.name, not failed, detail),)
-    records.sort(key=lambda r: (r.experiment, r.p, r.k, r.n, r.quantity, r.sample))
-    return ExperimentResult(config=cfg, records=tuple(records), fits=tuple(fits), checks=checks)
+        checked = CheckResult(check.name, not failed, detail)
+    records.sort(key=lambda r: (r.p, r.k, r.n, r.quantity, r.sample))
+    return ExperimentResult(config=cfg, records=tuple(records), fits=tuple(fits), check=checked)
 
-
-def _g17(x):
-    return f"{float(x):.17g}"
-
-
-def write_records_csv(path, records):
-    """CSV with 17-significant-digit values.  wall_ms is informational only: a
-    point's whole measure time sits on its first quantity's row, and its other
-    rows (E2's upper end, E5's raw ratio, E7's top level term) read 0.0."""
-    lines = [CSV_HEADER]
-    for r in records:
-        lines.append(
-            f"{r.experiment},{_g17(r.p)},{r.k},{r.n},{r.sample},{r.quantity},{_g17(r.value)},{r.wall_ms:.3f}"
-        )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def fits_json(result):
-    """The JSON fit summary of a run: one object per fit, in sweep order."""
-    return json.dumps([
-        {"experiment": result.config.experiment, "p": p, "target": fit.target, "slope": fit.slope,
-         "intercept": fit.intercept, "max_residual": fit.max_residual, "pass": fit.passed}
-        for p, fit in result.fits
-    ], indent=2) + "\n"

@@ -27,12 +27,10 @@ _TINY = np.finfo(float).tiny  # the smallest normal double
 
 
 def _as_matrix(a, name="matrix"):
-    """Coerce to a 2-D ndarray and enforce the type invariants."""
+    """Coerce to an ndarray, or ValueError unless it is 2-D with positive shape."""
     m = np.asarray(a)
     if m.ndim != 2 or 0 in m.shape:
         raise ValueError(f"{name} must be a 2-D array with positive shape, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError(f"{name} has non-finite entries")
     return m
 
 
@@ -67,7 +65,10 @@ def singular_values(a):
     so values at that level are rounding noise.  Non-convergence raises
     ``numpy.linalg.LinAlgError`` (it is never silently ignored).
     """
-    return np.linalg.svd(_as_matrix(a), compute_uv=False)
+    a = _as_matrix(a)
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has non-finite entries")
+    return np.linalg.svd(a, compute_uv=False)
 
 
 def schatten_quasinorm(a, p):

@@ -74,7 +74,7 @@ def fit_summary(result):
 
 
 def experiment_criterion(batch, exp, name, announce, judge=None):
-    """Gate a registered run on its fitted law, its hard checks and its budget.
+    """Gate a registered run on its fitted law, its hard check and its budget.
 
     judge, when given, replaces the registered fit verdict: judge(result)
     returns (ok, detail) for the law the run measures.
@@ -85,8 +85,9 @@ def experiment_criterion(batch, exp, name, announce, judge=None):
         law_ok, detail = all(fit.passed for _, fit in result.fits), fit_summary(result)
     else:
         law_ok, detail = judge(result)
-    ok = law_ok and all(c.ok for c in result.checks) and (budget is None or wall <= budget)
-    for check in result.checks:
+    check = result.check
+    ok = law_ok and (check is None or check.ok) and (budget is None or wall <= budget)
+    if check is not None:
         detail += f"; check {check.name}: {'ok' if check.ok else check.detail}"
     detail += f"; {wall:.1f}s" + (f" of {budget:.0f}s" if budget else "")
     assert announce(name, ok, detail)

@@ -464,6 +464,16 @@ def test_experiment_output_directory_that_is_not_writable(capsys, monkeypatch, t
     assert list(tmp_path.iterdir()) == []
 
 
+def test_experiment_output_directory_that_is_a_file(capsys, monkeypatch, tmp_path):
+    calls = []
+    monkeypatch.setattr(experiments, "_measure_all", lambda *a: calls.append("_measure_all"))
+    afile = tmp_path / "afile"
+    afile.write_text("keep\n")
+    code, out, err = run_cli(capsys, "experiment", "run", "E1", "--out", str(afile / "x.csv"))
+    assert code == 2 and out == "" and err == f"error: output directory is not a directory: {afile}\n"
+    assert calls == [] and afile.read_text() == "keep\n" and list(tmp_path.iterdir()) == [afile]
+
+
 def test_experiment_config_below_the_quadrature_floor(capsys):
     # the quadrature grid is no field of the plan, so no flag sets it
     code, out, err = run_cli(capsys, "experiment", "run", "E6", "--oversample", "256")

@@ -19,7 +19,6 @@ from tritrunc.experiments import (
     ExperimentConfig,
     experiment_description,
     run_experiment,
-    write_records_csv,
 )
 from tritrunc.matrices import schatten_quasinorm
 from tritrunc.rng import SplitMix64, derive_seed
@@ -120,15 +119,17 @@ def test_exact_dyadic_experiments_reject_sizes(exp):
 # --- determinism ------------------------------------------------------------------
 
 
-def test_runs_are_reproducible_modulo_wall_time(tmp_path):
+def test_runs_are_reproducible_modulo_wall_time(tmp_path, capsys):
     paths = []
     for name in ("one.csv", "two.csv"):
         out = tmp_path / name
-        write_records_csv(str(out), run_experiment(ExperimentConfig("E4", kmin=4, kmax=6, samples=3)).records)
+        argv = ["experiment", "run", "E4", "--kmin", "4", "--kmax", "6", "--samples", "3", "--out", str(out)]
+        assert cli.main(argv) == 0
         paths.append(out)
     a, b = (strip_wall(path.read_text(encoding="utf-8")) for path in paths)
     assert a == b
     assert len(a) == 1 + 3 * 3  # header + one record per (size, sample)
+    assert (tmp_path / "one.fits.json").read_bytes() == (tmp_path / "two.fits.json").read_bytes()
 
 
 def test_the_seed_changes_the_data():
@@ -323,8 +324,8 @@ def test_pooled_points_merge_in_serial_order(monkeypatch, fresh_pool):
         results.append(run_experiment(cfg))
     serial, pooled = ([dataclasses.replace(r, wall_ms=0.0) for r in result.records] for result in results)
     assert serial == pooled
-    assert results[0].fits == results[1].fits and results[0].checks == results[1].checks
-    assert [d.split(":")[0] for d in results[1].checks[0].detail.split("; ")] == [
+    assert results[0].fits == results[1].fits and results[0].check == results[1].check
+    assert [d.split(":")[0] for d in results[1].check.detail.split("; ")] == [
         f"p=0.5 k={k} sample {s}" for k in (2, 3, 4) for s in range(3)
     ]
 
@@ -460,7 +461,7 @@ def test_output_location_is_validated_before_compute(tmp_path, monkeypatch, caps
 
 def test_records_are_sorted_by_the_published_key():
     result = run_experiment(ExperimentConfig("E8", kmin=4, kmax=6, samples=2))
-    keys = [(r.experiment, r.p, r.k, r.n, r.quantity, r.sample) for r in result.records]
+    keys = [(r.p, r.k, r.n, r.quantity, r.sample) for r in result.records]
     assert keys == sorted(keys)
 
 
@@ -554,25 +555,25 @@ def test_a_law_holds_on_the_other_side_of_p_one(exp, p, kmax, target):
     assert result.verdict
 
 
-# id -> (quantities in measure order, p column, check names); sampled ids draw
+# id -> (quantities in measure order, p column, hard check name or None); sampled ids draw
 # cfg.samples per point, the others one and reject the field
 REGISTRY_SHAPE = {
-    "E1": (["schatten_quasinorm"], [0.5, 2.0 / 3.0], []),
-    "E2": (["witness_ratio", "multiplier_upper"], [0.5], ["witness_ratio_below_analytic_upper"]),
-    "E3": (["band_ratio"], [0.5], ["band_upper_inequality"]),
-    "E4": (["weak_decay_max"], [1.0], []),
-    "E5": (["normalized_ratio", "riesz_ratio"], [1.0], []),
-    "E6": (["riesz_projection_ratio"], [0.5], []),
-    "E7": (["besov_total", "top_level_term"], [0.5], ["top_level_term_at_least_2k"]),
-    "E8": (["projection_ratio_rank_one"], [0.5], []),
-    "E9": (["schatten_quasinorm"], [2.0, 4.0], []),
+    "E1": (["schatten_quasinorm"], [0.5, 2.0 / 3.0], None),
+    "E2": (["witness_ratio", "multiplier_upper"], [0.5], "witness_ratio_below_analytic_upper"),
+    "E3": (["band_ratio"], [0.5], "band_upper_inequality"),
+    "E4": (["weak_decay_max"], [1.0], None),
+    "E5": (["normalized_ratio", "riesz_ratio"], [1.0], None),
+    "E6": (["riesz_projection_ratio"], [0.5], None),
+    "E7": (["besov_total", "top_level_term"], [0.5], "top_level_term_at_least_2k"),
+    "E8": (["projection_ratio_rank_one"], [0.5], None),
+    "E9": (["schatten_quasinorm"], [2.0, 4.0], None),
 }
 SAMPLED = {"E3", "E4", "E8"}
 
 
 @pytest.mark.parametrize("exp", EXPERIMENT_IDS)
 def test_registry_smoke(exp):
-    quantities, ps, check_names = REGISTRY_SHAPE[exp]
+    quantities, ps, check_name = REGISTRY_SHAPE[exp]
     samples = 2 if exp in SAMPLED else 1
     result = run_experiment(ExperimentConfig(exp, kmin=2, kmax=4, samples=samples if exp in SAMPLED else None))
     records = result.records
@@ -580,8 +581,8 @@ def test_registry_smoke(exp):
     assert {r.quantity for r in records} == set(quantities)
     assert sorted({r.p for r in records}) == ps == [p for p, _ in result.fits]
     assert {(r.k, r.sample) for r in records} == {(k, s) for k in (2, 3, 4) for s in range(samples)}
-    assert [c.name for c in result.checks] == check_names
-    keys = [(r.experiment, r.p, r.k, r.n, r.quantity, r.sample) for r in records]
+    assert getattr(result.check, "name", None) == check_name
+    keys = [(r.p, r.k, r.n, r.quantity, r.sample) for r in records]
     assert keys == sorted(keys)
     # a point's whole measure time sits on its first quantity's row
     assert all(r.wall_ms == 0.0 for r in records if r.quantity in quantities[1:])
@@ -591,9 +592,8 @@ def test_e7_small_run_mechanics():
     result = run_experiment(ExperimentConfig("E7", kmin=3, kmax=5))
     quantities = {r.quantity for r in result.records}
     assert quantities == {"besov_total", "top_level_term"}
-    (check,) = result.checks
-    assert check.name == "top_level_term_at_least_2k"
-    assert check.ok
+    assert result.check.name == "top_level_term_at_least_2k"
+    assert result.check.ok
 
 
 # --- hard checks: one declared bound on one quantity ---------------------------------
@@ -607,7 +607,7 @@ def test_a_check_bound_reads_p(monkeypatch, scale, failing):
     check = experiments._Check("below_closed_form", "schatten_quasinorm",
                                lambda p, k, n, v: ((n + 0.5) * scale * jump_mass(p)) ** (1 / p))
     monkeypatch.setitem(experiments._REGISTRY, "E1", dataclasses.replace(experiments._REGISTRY["E1"], check=check))
-    (result,) = run_experiment(ExperimentConfig("E1")).checks
+    result = run_experiment(ExperimentConfig("E1")).check
     assert result.name == "below_closed_form" and result.ok == (not failing)
     if failing:
         assert [d.split(" sample ")[0] for d in result.detail.split("; ")] == failing
@@ -622,7 +622,7 @@ def test_a_nan_bound_fails_every_point(monkeypatch, exp, quantity, floor, relati
     check = experiments._Check("nan_bound", quantity, lambda p, k, n, v: math.nan, floor=floor)
     monkeypatch.setitem(experiments._REGISTRY, exp, dataclasses.replace(experiments._REGISTRY[exp], check=check))
     result = run_experiment(ExperimentConfig(exp, kmin=4, kmax=6))
-    (checked,) = result.checks
+    checked = result.check
     assert not checked.ok and not result.verdict
     details = checked.detail.split("; ")
     assert [d.split(":")[0] for d in details] == [f"p=0.5 k={k} sample 0" for k in (4, 5, 6)]

@@ -535,6 +535,15 @@ def test_witness_search_validates():
     assert random_witness_search(a, 0.5, draws=0, seed=0).ratio == _pool_and_rank_one_best(a, 0.5, 0, 0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_witness_search_refuses_a_non_finite_mask_entry(bad):
+    # a non-finite entry is no mask entry: the comparison with delta_matrix(n) refuses it, with no finiteness scan
+    a = delta_matrix(5).copy()
+    a[1, 2] = bad
+    with pytest.raises(ValueError, match=r"multiplier must be the mask delta_matrix\(n\), got another \(5, 5\)"):
+        random_witness_search(a, 0.5, draws=2, seed=0)
+
+
 def test_search_pool_scores_the_largest_entry(monkeypatch):
     # the pool's second member is the matrix unit at Delta_n's largest entry (0, 0), a 1 x 1 spectrum of
     # ratio 1, as schatten_quasinorm gives the dense Delta_n * e_0 e_0^T; it is never below the identity

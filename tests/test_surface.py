@@ -26,8 +26,6 @@ PUBLIC = {
         "CheckResult",
         "ExperimentResult",
         "run_experiment",
-        "write_records_csv",
-        "fits_json",
         "experiment_description",
     ),
     "fitting": ("ScalingFit", "fit_powerlaw"),
@@ -69,9 +67,9 @@ DUNDERS = {
 # public dataclass -> its fields, in declaration order
 FIELDS = {
     "experiments.ExperimentConfig": ("experiment", "p", "kmin", "kmax", "samples", "seed"),
-    "experiments.SeriesRecord": ("experiment", "p", "k", "n", "sample", "quantity", "value", "wall_ms"),
+    "experiments.SeriesRecord": ("p", "k", "n", "sample", "quantity", "value", "wall_ms"),
     "experiments.CheckResult": ("name", "ok", "detail"),
-    "experiments.ExperimentResult": ("config", "records", "fits", "checks"),
+    "experiments.ExperimentResult": ("config", "records", "fits", "check"),
     "fitting.ScalingFit": ("slope", "intercept", "max_residual", "target", "tolerance", "one_sided"),
     "hankel.BesovReport": ("levels", "zero_term", "total"),
     "multipliers.WitnessReport": ("numerator", "denominator"),
@@ -204,6 +202,18 @@ def test_only_matrices_lends_its_private_names():
             if isinstance(node, ast.ImportFrom) and node.level == 1:
                 lent.update((node.module, alias.name) for alias in node.names if alias.name.startswith("_"))
     assert lent and {module for module, _ in lent} == {"matrices"}
+
+
+def test_experiments_opens_no_file():
+    # a run's files are the command line's: the experiments module neither opens a file nor encodes JSON
+    tree = ast.parse((Path(tritrunc.__file__).parent / "experiments.py").read_text(encoding="utf-8"))
+    opened = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+              and (getattr(node.func, "id", None) == "open" or getattr(node.func, "attr", None) == "open")]
+    imported = {alias.name.split(".")[0] for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    imported |= {node.module.split(".")[0] for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level == 0}
+    assert opened == [] and "json" not in imported
 
 
 def test_the_witness_layer_loads_only_matrices_and_rng():
